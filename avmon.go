@@ -119,10 +119,10 @@ type NodeOptions struct {
 	// HistoryStyle selects availability history maintenance: "raw"
 	// (default), "recent:<dur>", or "aged:<alpha>".
 	HistoryStyle string
-	// NoHashMemo disables the consistency-condition memo that
-	// simulated clusters wrap around cryptographic hashes (MD5/SHA-1).
-	// The memo changes no result — only speed — so this knob exists
-	// for A/B determinism tests and microbenchmarks.
+	// NoHashMemo disables the pair-verdict memo that simulated clusters
+	// put in front of cryptographic hashes (MD5/SHA-1). The memo changes
+	// no result — only speed, several-fold on an MD5 cluster — so this
+	// knob exists for A/B determinism tests and microbenchmarks.
 	NoHashMemo bool
 	// DisableReshuffle and RejoinFullWeight are ablation knobs used by
 	// the evaluation; they switch off parts of the published protocol.
@@ -130,25 +130,13 @@ type NodeOptions struct {
 	RejoinFullWeight bool
 }
 
-// simScheme builds the selection scheme for a simulated cluster: the
-// paper's selector, wrapped in a pair-verdict memo when the hash is
-// cryptographic. A memo hit is several times cheaper than an MD5 or
-// SHA-1 digest but dearer than the fast mixer, so FastHasher runs
-// unwrapped. Memoization affects speed only, never verdicts; see
-// hashing.MemoSelector.
-func (o NodeOptions) simScheme(k, n int) (SelectionScheme, error) {
-	sel, err := hashing.NewSelector(o.Hash.hasher(), k, n)
-	if err != nil {
-		return nil, err
-	}
-	if o.NoHashMemo {
-		return sel, nil
-	}
-	switch o.Hash {
-	case HashMD5, HashSHA1:
-		return hashing.Memoize(sel, 0), nil
-	}
-	return sel, nil
+// memoized reports whether a simulated cluster puts a pair-verdict
+// memo (hashing.MemoSelector) in front of the selector: yes for the
+// cryptographic hashes, where a memo hit costs a few nanoseconds against
+// an MD5 or SHA-1 digest's ~150, no for the fast mixer, which is itself
+// cheaper than a lookup. Memoization affects speed only, never verdicts.
+func (o NodeOptions) memoized() bool {
+	return !o.NoHashMemo && (o.Hash == HashMD5 || o.Hash == HashSHA1)
 }
 
 // cvsFor resolves the effective coarse-view size for system size n.

@@ -7,6 +7,7 @@ import (
 
 	"avmon/internal/churn"
 	"avmon/internal/core"
+	"avmon/internal/hashing"
 	"avmon/internal/ids"
 	"avmon/internal/sim"
 	"avmon/internal/simnet"
@@ -324,6 +325,9 @@ type Cluster struct {
 	// idx ≥ colludeFrom (among the initial N) run the collusion
 	// attack. Equal to cfg.N when nobody colludes.
 	colludeFrom int
+	// workerMemos: sharded with a memoized hash, so members hold a
+	// workerScheme instead of scheme.
+	workerMemos bool
 }
 
 var _ churn.Driver = (*Cluster)(nil)
@@ -358,9 +362,19 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		cfg.Shards = 1
 	}
 	k := cfg.Options.kFor(cfg.N)
-	scheme, err := cfg.Options.simScheme(k, cfg.N)
+	sel, err := hashing.NewSelector(cfg.Options.Hash.hasher(), k, cfg.N)
 	if err != nil {
 		return nil, err
+	}
+	// The pair-verdict memo of a cryptographic hash is single-threaded:
+	// the serial engine's one memo is the cluster's scheme; a sharded
+	// engine's workers each fill their own (members reach it through
+	// workerScheme) and the cluster's scheme stays the bare,
+	// concurrency-safe selector.
+	var scheme SelectionScheme = sel
+	workerMemos := cfg.Options.memoized() && cfg.Shards > 1
+	if cfg.Options.memoized() && !workerMemos {
+		scheme = hashing.Memoize(sel, 0)
 	}
 	latency := cfg.LatencyModel
 	if latency == nil {
@@ -402,6 +416,7 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		cfg:         cfg,
 		eng:         eng,
 		scheme:      scheme,
+		workerMemos: workerMemos,
 		model:       model,
 		k:           k,
 		cvs:         cfg.Options.cvsFor(cfg.N),
@@ -424,7 +439,13 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	// serial, one per shard when sharded) carries the sweep buffers and
 	// the message freelist for every node that worker executes — per
 	// worker, not per node, so a million-node run pays for a handful.
-	eng.SetWorkerLocal(func() any { return &workerScratch{} })
+	eng.SetWorkerLocal(func() any {
+		ws := &workerScratch{}
+		if workerMemos {
+			ws.memo = hashing.Memoize(sel, 0)
+		}
+		return ws
+	})
 	model.Install(eng, c)
 	return c, nil
 }
@@ -438,7 +459,29 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 type workerScratch struct {
 	msgs  []*core.Message
 	sweep core.SweepScratch
+	memo  *hashing.MemoSelector // Cluster.workerMemos only
 }
+
+// workerScheme is a sharded cluster's memoized scheme as one member
+// holds it: every call goes to the memo of whichever worker is
+// executing the member's lane, so no two threads share a matrix. Which
+// memo answers changes no verdict.
+type workerScheme struct {
+	c    *Cluster
+	lane *sim.Lane
+}
+
+var _ core.RowScheme = workerScheme{}
+
+func (s workerScheme) Related(y, x ids.ID) bool {
+	return s.c.scratchFor(s.lane).memo.Related(y, x)
+}
+
+func (s workerScheme) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+	return s.c.scratchFor(s.lane).memo.RelatedRow(u, vs, skipRev, hits)
+}
+
+func (s workerScheme) K() int { return s.c.k }
 
 // scratchFor resolves the scratch of the worker currently executing
 // lane l. Call only from l's own events (or while quiescent).
@@ -528,9 +571,13 @@ func (c *Cluster) Birth(idx int) {
 		}
 		return nil
 	}
+	scheme := c.scheme
+	if c.workerMemos {
+		scheme = workerScheme{c: c, lane: m.lane}
+	}
 	nodeCfg := core.Config{
 		ID:               id,
-		Scheme:           c.scheme,
+		Scheme:           scheme,
 		Transport:        transport{ep: ep},
 		Rand:             rng,
 		CVS:              c.cvs,

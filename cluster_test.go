@@ -350,6 +350,24 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			mk:   func() (ChurnModel, error) { return NewSTATModel(100), nil },
 		},
 		{
+			// The paper's hash: a serial cluster memoizes verdicts in one
+			// pair matrix, a sharded one in a matrix per worker — shared
+			// between workers it is a data race (and was: concurrent map
+			// read and write within three simulated minutes at N = 2000),
+			// which the race-detector run of this test would report.
+			name: "STAT-md5",
+			cfg:  ClusterConfig{N: 100, Seed: 30, Options: NodeOptions{Hash: HashMD5}},
+			mk:   func() (ChurnModel, error) { return NewSTATModel(100), nil },
+		},
+		{
+			name: "SYNTH-BD-md5-loss",
+			cfg: ClusterConfig{
+				N: 90, Seed: 32, Loss: 0.05,
+				Options: NodeOptions{Hash: HashMD5, Forgetful: true, PR2: true},
+			},
+			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) },
+		},
+		{
 			name: "SYNTH-BD-loss-overreport",
 			cfg: ClusterConfig{
 				N: 90, Seed: 22, Loss: 0.05, OverreportFraction: 0.2,

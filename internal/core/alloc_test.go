@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"avmon/internal/ids"
 )
@@ -135,5 +136,16 @@ func TestZeroAllocCVRespSweep(t *testing.T) {
 	}
 	if n.hashChecks == checksBefore {
 		t.Fatal("gate measured nothing: no hash checks ran")
+	}
+}
+
+// TestNodeSizeClass pins Node inside the allocator's 640-byte class: a
+// million-node simulation holds one per member, so a field that tips it
+// into the next class (768, then 896) costs 128 MB there and shows as
+// heap_live_mb on the repository benchmark. Sweep buffers belong in
+// the per-worker SweepScratch, not in the node.
+func TestNodeSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size > 640 {
+		t.Errorf("Node is %d bytes, want ≤ 640", size)
 	}
 }

@@ -185,3 +185,14 @@ type SelectionScheme interface {
 	Related(y, x ids.ID) bool
 	K() int
 }
+
+// RowScheme is the optional batched form of a SelectionScheme, used by
+// the discovery sweep: RelatedRow evaluates u against every vs[j] in
+// both orders and appends one entry per match to hits, in ascending j
+// with forward before reverse — 2j for Related(u, vs[j]), 2j+1 for
+// Related(vs[j], u). Entries equal to u are never matches, and the
+// reverse check of every j with skipRev[j] set is skipped (skipRev may
+// be nil). A scheme without it is swept one Related call per pair.
+type RowScheme interface {
+	RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32
+}

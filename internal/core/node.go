@@ -53,8 +53,9 @@ type Node struct {
 	hashChecks uint64 // consistency-condition evaluations performed
 
 	// ownScratch backs sweepScratch when the owner does not supply a
-	// shared instance through Config.Scratch.
-	ownScratch SweepScratch
+	// shared instance through Config.Scratch; allocated on first use, so
+	// nodes that share a worker's scratch carry a pointer, not buffers.
+	ownScratch *SweepScratch
 
 	// onResponse, when set via SetResponseHandler, receives
 	// REPORT-RESP and AVAIL-RESP messages for application queries.
@@ -84,6 +85,7 @@ type SweepScratch struct {
 	a, b       []ids.ID
 	aInB, bInA []bool
 	union      []ids.ID
+	hits       []int32
 }
 
 // sweepScratch resolves the scratch instance for the current call:
@@ -94,7 +96,10 @@ func (n *Node) sweepScratch() *SweepScratch {
 			return sc
 		}
 	}
-	return &n.ownScratch
+	if n.ownScratch == nil {
+		n.ownScratch = new(SweepScratch)
+	}
+	return n.ownScratch
 }
 
 // newMsg returns a zeroed outgoing message envelope: pooled when the
@@ -433,11 +438,13 @@ func appendUniqueID(dst []ids.ID, id ids.ID) []ids.ID {
 // matched pairs, and reshuffles the coarse view (Figure 2).
 //
 // The sweep is the simulation's hottest loop — Θ(cvs²) hash checks
-// per node per period — so it runs over node-owned scratch buffers
-// with precomputed cross-membership flags instead of allocating pair
-// sets: an ordered pair whose mirror iteration will emit it is skipped
-// by the flags, which dedupes exactly the a∩b overlap the previous
-// per-pair map caught, at zero allocation.
+// per node per period — so it runs over scratch buffers, one
+// RelatedRow call per entry of the first list: the scheme evaluates
+// the whole row and hands back only the matches (~K/N of the pairs).
+// Precomputed cross-membership flags dedupe the a∩b overlap — an
+// ordered pair whose mirror iteration will emit it is skipped — and
+// the same flags give the number of checks and the reshuffle's union
+// without looking at a pair twice.
 func (n *Node) handleCVResp(w ids.ID, fetched []ids.ID, now time.Time) {
 	// The sweep and the linear dedup below are quadratic in the list
 	// length, and the wire layer accepts views up to 4096 entries —
@@ -449,63 +456,119 @@ func (n *Node) handleCVResp(w ids.ID, fetched []ids.ID, now time.Time) {
 	if len(fetched) > maxSweepFetched {
 		fetched = fetched[:maxSweepFetched]
 	}
-	// Build the two deduplicated sweep lists in reusable scratch.
+	// Build the two deduplicated sweep lists in reusable scratch:
+	// a = CV(x), x, w and b = CV(w), x, w, remembering where the views end
+	// and whether w was new to each.
 	sc := n.sweepScratch()
 	a := n.cv.appendTo(sc.a[:0])
+	nCV := len(a)
 	a = appendUniqueID(a, n.id)
+	aw := len(a)
 	a = appendUniqueID(a, w)
 	b := sc.b[:0]
 	for _, id := range fetched {
 		b = appendUniqueID(b, id)
 	}
+	nFetched := len(b)
 	b = appendUniqueID(b, n.id)
+	bw := len(b)
 	b = appendUniqueID(b, w)
 	sc.a, sc.b = a, b
 
 	// Cross-membership flags: aInB[i] ⇔ a[i] ∈ b, bInA[j] ⇔ b[j] ∈ a.
+	// Two views share a handful of entries, so a 1024-bit filter over b
+	// spares most of a the scan.
 	aInB := resizeFalse(sc.aInB, len(a))
 	bInA := resizeFalse(sc.bInA, len(b))
+	const spread = 0x9E3779B97F4A7C15 // top 10 bits of id·spread pick the filter bit
+	var filter [16]uint64
+	for _, v := range b {
+		h := uint64(v) * spread >> 54
+		filter[h>>6] |= 1 << (h & 63)
+	}
+	common := 0
 	for i, u := range a {
+		if h := uint64(u) * spread >> 54; filter[h>>6]>>(h&63)&1 == 0 {
+			continue
+		}
 		for j, v := range b {
 			if u == v {
-				aInB[i] = true
-				bInA[j] = true
+				aInB[i], bInA[j] = true, true
+				common++
+				break // both lists are duplicate-free
 			}
 		}
 	}
 	sc.aInB, sc.bInA = aInB, bInA
 
-	// The pair loop calls Related directly (no per-pair closure): at
-	// Θ(cvs²) pairs per response this is the simulation's hot loop.
-	scheme := n.cfg.Scheme
-	checks := uint64(0)
+	// Row i checks (u, v) for every v ≠ u in b, and the reverse (v, u)
+	// unless the mirrored iteration (v from a, u from b) generates it as
+	// a forward pair — exactly when v ∈ a and u ∈ b. A row outside the
+	// overlap therefore makes 2|b| checks, a row inside |b|-1 forward
+	// and |b|-common reverse.
+	row, _ := n.cfg.Scheme.(RowScheme)
+	hits := sc.hits
 	for i, u := range a {
-		for j, v := range b {
-			if u == v {
-				continue
-			}
-			checks++
-			if scheme.Related(u, v) {
+		var skipRev []bool
+		if aInB[i] {
+			skipRev = bInA
+		}
+		if row != nil {
+			hits = row.RelatedRow(u, b, skipRev, hits[:0])
+		} else {
+			hits = relatedRowByPair(n.cfg.Scheme, u, b, skipRev, hits[:0])
+		}
+		for _, h := range hits {
+			if v := b[h>>1]; h&1 == 0 {
 				n.notifyMatch(u, v, now)
-			}
-			// The reverse pair (v, u) is also generated — as a forward
-			// pair — by the mirrored iteration (v from a, u from b)
-			// exactly when v ∈ a and u ∈ b; emit it here only when
-			// that iteration does not exist.
-			if !(bInA[j] && aInB[i]) {
-				checks++
-				if scheme.Related(v, u) {
-					n.notifyMatch(v, u, now)
-				}
+			} else {
+				n.notifyMatch(v, u, now)
 			}
 		}
 	}
-	n.hashChecks += checks
+	sc.hits = hits
+	n.hashChecks += uint64((len(a)-common)*2*len(b) + common*(2*len(b)-1-common))
 	if n.cfg.DisableReshuffle {
 		n.cv.add(w) // only grow into free space; never re-randomize
 		return
 	}
-	n.cv.reshuffle(fetched, w, n.id, n.cfg.Rand, &sc.union)
+	// The reshuffle draws from CV(x) ∪ CV(w) ∪ {w} minus self, in that
+	// order: the own view, then what the fetched view adds to a (w
+	// included, where it is new), then w if neither view had it.
+	wNew := len(a) > aw
+	union := sc.union[:0]
+	for _, id := range a[:nCV] {
+		if id != n.id {
+			union = append(union, id)
+		}
+	}
+	for j, id := range b[:nFetched] {
+		if !bInA[j] || (wNew && id == w) {
+			union = append(union, id)
+		}
+	}
+	if wNew && len(b) > bw {
+		union = append(union, w)
+	}
+	sc.union = union
+	n.cv.resample(union, n.cfg.Rand)
+}
+
+// relatedRowByPair gives a scheme without RelatedRow the row form, one
+// Related call per evaluated pair.
+func relatedRowByPair(s SelectionScheme, u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+	for j, v := range vs {
+		if v == u {
+			continue
+		}
+		if s.Related(u, v) {
+			hits = append(hits, int32(2*j))
+		}
+		if (skipRev == nil || !skipRev[j]) && s.Related(v, u) {
+			hits = append(hits, int32(2*j+1))
+		}
+	}
+	return hits
 }
 
 // notifyMatch handles a sweep hit: u ∈ PS(v). Tell u (it gains a

@@ -115,37 +115,11 @@ func (v *view) appendTo(dst []ids.ID) []ids.ID {
 
 func (v *view) clear() { v.items = v.items[:0] }
 
-// appendUniqueNonSelf appends id to dst unless it is None, self, or
-// already present (linear scan; union lists stay below ~2·cvs).
-func appendUniqueNonSelf(dst []ids.ID, id, self ids.ID) []ids.ID {
-	if id.IsNone() || id == self {
-		return dst
-	}
-	for _, e := range dst {
-		if e == id {
-			return dst
-		}
-	}
-	return append(dst, id)
-}
-
-// reshuffle replaces the view with up to max random entries drawn from
-// the union of the current view, the fetched view, and {w}, excluding
-// self (Figure 2, last two lines). The union is deduplicated with
-// linear scans — both inputs are small and (by invariant) internally
-// unique, so only cross-membership needs checking. It is built in
-// *scratch (grown as needed, capacity retained across calls) so the
-// per-period reshuffle allocates nothing at steady state.
-func (v *view) reshuffle(fetched []ids.ID, w, self ids.ID, rng *rand.Rand, scratch *[]ids.ID) {
-	union := (*scratch)[:0]
-	for _, id := range v.items {
-		union = appendUniqueNonSelf(union, id, self)
-	}
-	for _, id := range fetched {
-		union = appendUniqueNonSelf(union, id, self)
-	}
-	union = appendUniqueNonSelf(union, w, self)
-	*scratch = union
+// resample replaces the view with up to max entries drawn uniformly at
+// random from union — CV(x) ∪ CV(w) ∪ {w} minus self, which the caller
+// has already deduplicated (Figure 2, last two lines). union is
+// permuted in place.
+func (v *view) resample(union []ids.ID, rng *rand.Rand) {
 	// Partial Fisher-Yates: choose max entries uniformly at random.
 	k := v.max
 	if k > len(union) {
@@ -155,8 +129,5 @@ func (v *view) reshuffle(fetched []ids.ID, w, self ids.ID, rng *rand.Rand, scrat
 		j := i + rng.Intn(len(union)-i)
 		union[i], union[j] = union[j], union[i]
 	}
-	v.clear()
-	for _, id := range union[:k] {
-		v.add(id)
-	}
+	v.items = append(v.items[:0], union[:k]...)
 }

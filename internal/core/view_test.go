@@ -83,6 +83,34 @@ func TestViewAddEvict(t *testing.T) {
 	}
 }
 
+// reshuffleByScan is the reshuffle as Figure 2 states it, and as the
+// node ran it before the sweep's cross-membership flags supplied the
+// union: CV(x) ∪ CV(w) ∪ {w} minus self, deduplicated by linear scans
+// in that order, then resampled. The sweep's flag-built union must
+// equal this one (FuzzSweepEquivalence).
+func reshuffleByScan(v *view, fetched []ids.ID, w, self ids.ID, rng *rand.Rand) {
+	var union []ids.ID
+	add := func(id ids.ID) {
+		if id.IsNone() || id == self {
+			return
+		}
+		for _, e := range union {
+			if e == id {
+				return
+			}
+		}
+		union = append(union, id)
+	}
+	for _, id := range v.items {
+		add(id)
+	}
+	for _, id := range fetched {
+		add(id)
+	}
+	add(w)
+	v.resample(union, rng)
+}
+
 func TestViewReshuffleInvariants(t *testing.T) {
 	f := func(seed int64, nCur, nFetched uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -109,8 +137,7 @@ func TestViewReshuffleInvariants(t *testing.T) {
 		union[w] = struct{}{}
 		delete(union, self)
 
-		var scratch []ids.ID
-		v.reshuffle(fetched, w, self, rng, &scratch)
+		reshuffleByScan(v, fetched, w, self, rng)
 
 		if v.size() > max {
 			return false
@@ -151,8 +178,7 @@ func TestViewReshuffleUniform(t *testing.T) {
 		for i := 0; i < 19; i++ {
 			fetched = append(fetched, ids.Sim(i))
 		}
-		var scratch []ids.ID
-		v.reshuffle(fetched, ids.Sim(19), ids.Sim(999), rng, &scratch)
+		reshuffleByScan(v, fetched, ids.Sim(19), ids.Sim(999), rng)
 		for _, id := range v.snapshot() {
 			counts[id]++
 		}

@@ -78,9 +78,16 @@ type FastHasher struct{}
 
 var _ Hasher = FastHasher{}
 
+// The per-identity multipliers of FastHasher.
+const fastMulY, fastMulX = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
+
 // Hash64 implements Hasher.
 func (FastHasher) Hash64(y, x ids.ID) uint64 {
-	v := uint64(y)*0x9E3779B97F4A7C15 ^ bits.RotateLeft64(uint64(x)*0xC2B2AE3D27D4EB4F, 31)
+	return fastMix(uint64(y)*fastMulY ^ bits.RotateLeft64(uint64(x)*fastMulX, 31))
+}
+
+// fastMix is the splitmix64 finalizer.
+func fastMix(v uint64) uint64 {
 	v ^= v >> 30
 	v *= 0xBF58476D1CE4E5B9
 	v ^= v >> 27

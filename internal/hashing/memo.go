@@ -1,44 +1,60 @@
 package hashing
 
 import (
+	"math/bits"
+
 	"avmon/internal/ids"
 )
 
-// DefaultMemoCapacity bounds the number of cached pair verdicts held
-// by a MemoSelector before the cache is flushed (one "epoch"). At the
-// default, a full cache costs a few tens of megabytes — small next to
-// the simulation state it serves, and bounded regardless of how many
-// distinct pairs a long run evaluates.
-const DefaultMemoCapacity = 1 << 20
+const (
+	// memoMaxIndex bounds the identities the matrix covers: simulated
+	// ones (ids.Sim) numbered below it. Any other identity's pairs go
+	// straight to the selector.
+	memoMaxIndex = 1 << 16
+	// memoMaxBytes bounds what a MemoSelector holds: the row table (at
+	// most one slice header per covered identity) plus the rows. A row
+	// that would not fit is not allocated and its pairs are hashed every
+	// time: the memo stops memoising, it never evicts to make room.
+	memoMaxBytes = 64 << 20
+	memoRowBytes = memoMaxBytes - memoMaxIndex*24
+
+	// DefaultMemoCapacity is the default bound on memoized verdicts
+	// before an epoch flush: all that memoMaxBytes could hold, so by
+	// default the byte bound alone governs and nothing is flushed.
+	DefaultMemoCapacity = memoMaxBytes * 4
+)
 
 // MemoSelector wraps a Selector with a bounded memo of Related
 // verdicts. During a coarse-view discovery sweep the same (y, x) pair
 // is re-evaluated many times — by the discoverer, by both notified
 // endpoints, and again on every later sweep that sees the pair — so a
-// cluster-wide memo lets each pair be hashed at most once per epoch.
+// memo lets each pair be hashed about once.
 //
-// The memo is worthwhile exactly when hashing is expensive: for the
-// paper's MD5/SHA-1 hashes a map hit is ~5× cheaper than the digest,
-// while for FastHasher the mix is cheaper than any lookup and the raw
-// selector should be used directly (the avmon package wires this
-// policy up automatically for simulated clusters).
+// The memo is a dense matrix of 2-bit cells (known, verdict) indexed by
+// the identities' simulated node numbers (ids.SimIndex): a row per y,
+// 32 cells per word, allocated on the first verdict stored for y and
+// doubled when a higher x arrives — N²/4 bytes once every pair of an
+// N-node population has been seen (1 MB at N = 2000). A hit is two
+// index computations, a load and a shift: far below an MD5 or SHA-1
+// digest, still above FastHasher's mix, which therefore runs unwrapped
+// (the avmon package wires this policy up for simulated clusters).
 //
 // Memoization is invisible to results by construction: Related returns
-// exactly what the wrapped selector returns, and cache flushes affect
-// only speed. A MemoSelector is NOT safe for concurrent use; it is
-// meant for the single-threaded discrete-event simulator, one instance
-// per cluster. Concurrent deployments (Service) use the plain Selector.
+// exactly what the wrapped selector returns, and flushes affect only
+// speed. A MemoSelector is NOT safe for concurrent use; it is meant for
+// the discrete-event simulator, one instance per engine worker.
+// Concurrent deployments (Service) use the plain Selector.
 type MemoSelector struct {
 	inner *Selector
 	cap   int
-	cache map[pairKey]bool
+	rows  [][]uint64 // rows[yi][xi/32] >> (xi%32·2): bit 0 known, bit 1 verdict
+	bytes int        // held by the rows
 
+	entries int
 	hits    uint64
 	misses  uint64
 	flushes uint64
 }
-
-type pairKey struct{ y, x ids.ID }
 
 // Memoize wraps sel with a bounded pair-verdict memo. capacity ≤ 0
 // selects DefaultMemoCapacity.
@@ -46,33 +62,69 @@ func Memoize(sel *Selector, capacity int) *MemoSelector {
 	if capacity <= 0 {
 		capacity = DefaultMemoCapacity
 	}
-	return &MemoSelector{
-		inner: sel,
-		cap:   capacity,
-		cache: make(map[pairKey]bool),
-	}
+	return &MemoSelector{inner: sel, cap: capacity}
 }
 
 // Related reports whether y ∈ PS(x), hashing the pair only on a memo
 // miss.
 func (m *MemoSelector) Related(y, x ids.ID) bool {
-	key := pairKey{y, x}
-	if v, ok := m.cache[key]; ok {
-		m.hits++
-		return v
+	yi, yok := ids.SimIndex(y)
+	xi, xok := ids.SimIndex(x)
+	if !yok || !xok || yi >= memoMaxIndex || xi >= memoMaxIndex {
+		m.misses++
+		return m.inner.Related(y, x)
+	}
+	w, shift := xi>>5, uint(xi&31)*2
+	if yi < len(m.rows) && w < len(m.rows[yi]) {
+		if cell := m.rows[yi][w] >> shift; cell&1 != 0 {
+			m.hits++
+			return cell&2 != 0
+		}
 	}
 	m.misses++
 	v := m.inner.Related(y, x)
-	if len(m.cache) >= m.cap {
-		// Epoch flush: start a fresh memo rather than tracking
-		// per-entry recency. The population of hot pairs shifts slowly
-		// (coarse views reshuffle once per period), so a flush is
-		// repopulated within one sweep.
-		m.cache = make(map[pairKey]bool)
-		m.flushes++
-	}
-	m.cache[key] = v
+	m.store(yi, w, shift, v)
 	return v
+}
+
+// RelatedRow implements the discovery sweep's batched form (see
+// Selector.RelatedRow), one memo lookup per evaluated pair.
+func (m *MemoSelector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+	return rowByPair(m, u, vs, skipRev, hits)
+}
+
+// store records verdict v in cell (yi, word w, shift), growing the row
+// table and the row as needed, or not at all if the row does not fit.
+func (m *MemoSelector) store(yi, w int, shift uint, v bool) {
+	if m.entries >= m.cap {
+		m.Reset() // epoch flush: no per-entry recency to track
+	}
+	if yi >= len(m.rows) {
+		m.rows = grown(m.rows, yi)
+	}
+	row := m.rows[yi]
+	if w >= len(row) {
+		grow := (1<<bits.Len(uint(w)) - len(row)) * 8
+		if m.bytes+grow > memoRowBytes {
+			return
+		}
+		m.bytes += grow
+		row = grown(row, w)
+		m.rows[yi] = row
+	}
+	cell := uint64(1)
+	if v {
+		cell = 3
+	}
+	row[w] |= cell << shift
+	m.entries++
+}
+
+// grown returns s zero-extended to the smallest power-of-two length
+// above i.
+func grown[T any](s []T, i int) []T {
+	n := 1 << bits.Len(uint(i))
+	return append(make([]T, 0, n), s...)[:n]
 }
 
 // K returns the pinging-set parameter of the wrapped selector.
@@ -94,19 +146,18 @@ func (m *MemoSelector) Unwrap() *Selector { return m.inner }
 type MemoStats struct {
 	Hits    uint64 // Related calls answered from the memo
 	Misses  uint64 // Related calls that hashed
-	Flushes uint64 // epoch flushes triggered by the capacity bound
+	Flushes uint64 // epoch flushes: the capacity bound, or Reset
 	Entries int    // pairs currently memoized
 }
 
 // Stats returns a snapshot of the memo counters.
 func (m *MemoSelector) Stats() MemoStats {
-	return MemoStats{Hits: m.hits, Misses: m.misses, Flushes: m.flushes, Entries: len(m.cache)}
+	return MemoStats{Hits: m.hits, Misses: m.misses, Flushes: m.flushes, Entries: m.entries}
 }
 
-// Reset drops all memoized verdicts (the counters survive). Useful at
-// epoch boundaries chosen by the caller, e.g. when the system size
-// estimate is re-tuned.
+// Reset drops all memoized verdicts and releases the matrix (the
+// counters survive).
 func (m *MemoSelector) Reset() {
-	m.cache = make(map[pairKey]bool)
+	m.rows, m.bytes, m.entries = nil, 0, 0
 	m.flushes++
 }

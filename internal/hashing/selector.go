@@ -72,6 +72,46 @@ func (s *Selector) Related(y, x ids.ID) bool {
 	return s.hasher.Hash64(y, x) <= s.threshold
 }
 
+// RelatedRow is the discovery sweep's batched form of Related
+// (core.RowScheme): u against every vs[j] in both orders, one entry
+// appended to hits per match — 2j for Related(u, vs[j]), then 2j+1 for
+// Related(vs[j], u) unless skipRev[j]. For FastHasher the mix is
+// inlined with u's two multiplies hoisted out of the loop.
+func (s *Selector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+	if !s.fast {
+		return rowByPair(s, u, vs, skipRev, hits)
+	}
+	thr := s.threshold
+	uy := uint64(u) * fastMulY
+	ux := bits.RotateLeft64(uint64(u)*fastMulX, 31)
+	for j, v := range vs {
+		if fastMix(uy^bits.RotateLeft64(uint64(v)*fastMulX, 31)) <= thr && v != u {
+			hits = append(hits, int32(2*j))
+		}
+		if fastMix(uint64(v)*fastMulY^ux) <= thr && v != u && (skipRev == nil || !skipRev[j]) {
+			hits = append(hits, int32(2*j+1))
+		}
+	}
+	return hits
+}
+
+// rowByPair is RelatedRow without a kernel: one Related call per
+// evaluated pair.
+func rowByPair(s interface{ Related(y, x ids.ID) bool }, u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+	for j, v := range vs {
+		if v == u {
+			continue
+		}
+		if s.Related(u, v) {
+			hits = append(hits, int32(2*j))
+		}
+		if (skipRev == nil || !skipRev[j]) && s.Related(v, u) {
+			hits = append(hits, int32(2*j+1))
+		}
+	}
+	return hits
+}
+
 // K returns the pinging-set parameter.
 func (s *Selector) K() int { return s.k }
 

@@ -137,11 +137,12 @@ func Sim(i int) ID {
 // SimIndex recovers the node number from an ID produced by Sim. It
 // reports false for identities outside the simulated 10.0.0.0/8 range.
 func SimIndex(id ID) (int, bool) {
-	a, b, c, d := id.Octets()
-	if a != 10 || id.Port() != 4000 {
+	// First octet 10 and port 4000, in one compare: the pair memo does
+	// this four times per consistency check.
+	if id&(0xFF<<40|0xFFFF) != 10<<40|4000 {
 		return 0, false
 	}
-	return int(b)<<16 | int(c)<<8 | int(d), true
+	return int(id>>16) & 0xFFFFFF, true
 }
 
 // Sort orders a slice of IDs in ascending numeric order, in place.

@@ -390,9 +390,15 @@ func (s *Service) QueryBatch(subjects []ID, l int, timeout time.Duration) []Batc
 	wg.Wait()
 
 	// Stage 3: assemble per-subject reports, preserving each subject's
-	// verified-monitor order for determinism.
+	// verified-monitor order, and cache them in subject order: which
+	// answers survive a mid-batch epoch flush of the cache is then a
+	// function of the batch, not of map iteration.
 	fill := time.Now()
-	for i, mons := range verifiedBy {
+	for _, i := range misses {
+		mons, ok := verifiedBy[i]
+		if !ok {
+			continue // stage 1 recorded the error
+		}
 		report := &AvailabilityReport{Subject: subjects[i]}
 		var sum float64
 		for _, mon := range mons {

@@ -13,12 +13,11 @@ import (
 const DefaultAnswerCacheEntries = 1 << 16
 
 // AnswerCache is a bounded, TTL-expiring cache of verified availability
-// reports, keyed by subject. It follows the same bounded-memo policy as
-// the hashing layer's MemoSelector — a capacity-bounded map with epoch
-// flushes instead of per-entry recency tracking — but adds a TTL tied
-// to the monitoring period: an availability estimate can only change
-// when monitors take a new sample, so an answer younger than one
-// monitoring period is as fresh as a re-query.
+// reports, keyed by subject: a capacity-bounded map with epoch flushes
+// instead of per-entry recency tracking, plus a TTL tied to the
+// monitoring period: an availability estimate can only change when
+// monitors take a new sample, so an answer younger than one monitoring
+// period is as fresh as a re-query.
 //
 // Unlike MemoSelector (single-threaded by contract), AnswerCache is
 // safe for concurrent use: it serves the Service query plane, where
@@ -76,8 +75,8 @@ func (c *AnswerCache) Get(subject ID, now time.Time) (*AvailabilityReport, bool)
 
 // Put stores a verified report, keyed by its Subject, stamped at time
 // now. When the capacity bound is hit the whole cache is flushed (one
-// epoch), mirroring MemoSelector: the hot subject population shifts
-// slowly, so a flush repopulates within one TTL window.
+// epoch): the hot subject population shifts slowly, so a flush
+// repopulates within one TTL window.
 func (c *AnswerCache) Put(report *AvailabilityReport, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

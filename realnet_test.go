@@ -273,6 +273,61 @@ func TestServiceQueryBatchMemnetLoss(t *testing.T) {
 	}
 }
 
+// TestServiceQueryBatchCachesInSubjectOrder pins which answers of one
+// batch survive when the answer cache is smaller than the batch: the
+// reports are stored in subject order, so the epoch flushes fall at
+// fixed positions and the survivors are the batch's tail — on every
+// repeat, not whichever a map iteration stored last.
+func TestServiceQueryBatchCachesInSubjectOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("realnet test")
+	}
+	const n, batch, capacity, repeats = 12, 8, 3, 20
+	opts := NodeOptions{
+		K:             4,
+		CVS:           6,
+		Period:        50 * time.Millisecond,
+		MonitorPeriod: 50 * time.Millisecond,
+		Hash:          HashFast,
+	}
+	services, _ := newMemnetServices(t, n, opts, memnet.Config{Seed: 5})
+	waitDiscovered(t, services, n, 30*time.Second)
+	querier := services[0]
+	subjects := make([]ID, batch)
+	for i := range subjects {
+		subjects[i] = services[i+1].ID()
+	}
+	// Stored 0,1,2 | flush, 3,4,5 | flush, 6,7.
+	want := fmt.Sprint(subjects[6:])
+	deadline := time.Now().Add(60 * time.Second)
+	for good := 0; good < repeats; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d batches resolved every subject", good, repeats)
+		}
+		querier.answers = NewAnswerCache(time.Hour, capacity)
+		resolved := 0
+		for _, a := range querier.QueryBatch(subjects, 0, 2*time.Second) {
+			if a.Err == nil {
+				resolved++
+			}
+		}
+		if resolved < batch {
+			time.Sleep(50 * time.Millisecond) // a subject without an estimate yet
+			continue
+		}
+		good++
+		var cached []ID
+		for _, subject := range subjects {
+			if _, ok := querier.answers.entries[subject]; ok {
+				cached = append(cached, subject)
+			}
+		}
+		if got := fmt.Sprint(cached); got != want {
+			t.Fatalf("batch %d left %s in a %d-entry cache, want %s", good, got, capacity, want)
+		}
+	}
+}
+
 // TestServiceDroppedResponsesOverMemnet forces a response to arrive
 // after its query timed out — 40ms of modeled latency against a 1ms
 // query timeout — and asserts the stale answer is accounted.
