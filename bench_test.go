@@ -56,11 +56,6 @@ func BenchmarkScale(b *testing.B) { benchExperiment(b, "scale") }
 // sweep: go run ./cmd/avmon-bench -run wan
 func BenchmarkWan(b *testing.B) { benchExperiment(b, "wan") }
 
-// BenchmarkSkew runs the hot-shard scheduler A/B sweep (lane
-// rebalancing off vs on over the HOTSPOT population) at a reduced
-// size. The real sweep: go run ./cmd/avmon-bench -run skew
-func BenchmarkSkew(b *testing.B) { benchExperiment(b, "skew") }
-
 // BenchmarkChaos runs the adversarial/chaos suite (collusion, zone
 // outage, flash crowd, mass leave — each a paired-seed A/B with a
 // control-arm gate) at a reduced size. The real sweep:

@@ -46,18 +46,6 @@ func NewMixedModel(nStable, nFlaky int) (ChurnModel, error) {
 	return churn.NewMixed(churn.MixedConfig{NStable: nStable, NFlaky: nFlaky})
 }
 
-// NewHotspotModel returns a deliberately skewed population for
-// scheduler experiments (the `skew` sweep): every stride-th node is
-// "hot" (always up, carrying essentially all protocol traffic), the
-// rest are "cold" (down ≈95% of the time). The model births nodes in
-// index order, so node i owns lane i+1 and — under the round-robin
-// lane partition with stride equal to the shard count — every hot node
-// lands on shard 0: the adversarial assignment that lane rebalancing
-// exists to fix.
-func NewHotspotModel(n, stride int) (ChurnModel, error) {
-	return churn.NewHotspot(churn.HotspotConfig{N: n, Stride: stride})
-}
-
 // ZoneOutage is one scheduled correlated fault of the zone-outage
 // chaos model: zone Zone is down (failed or partitioned away) from
 // Start to End of virtual time. See NewZoneOutageModel and
@@ -110,32 +98,14 @@ func NewOvernetModel(n int, duration time.Duration, seed int64) (ChurnModel, err
 	return trace.NewModel(trace.GenerateOvernet(n, duration, seed))
 }
 
-// SchedulerConfig tunes the sharded engine's adaptive scheduler: lane
-// rebalancing across shards, dynamic per-window lookahead horizons,
-// and barrier batching. The zero value reproduces the original static
-// scheduler (lockstep windows, a coordinator barrier per window, no
-// migration). Every setting is a pure wall-clock knob: results are
-// byte-identical to the serial engine under any configuration.
-type SchedulerConfig = sim.SchedulerConfig
-
 // SchedStats is a snapshot of the sharded engine's scheduler counters:
-// windows and barriers executed, lane migrations, and per-shard
-// steps/busy-time (see Cluster.SchedStats).
+// windows executed (Barriers always equals Windows) and per-shard
+// lanes/steps/busy-time (see Cluster.SchedStats).
 type SchedStats = sim.SchedStats
 
 // ShardStats describes one shard's share of a sharded run (lanes
 // owned, events executed, busy wall-clock time).
 type ShardStats = sim.ShardStats
-
-// DefaultSchedulerConfig returns the scheduler a sharded cluster runs
-// with unless ClusterConfig.Scheduler says otherwise: dynamic
-// lookahead, barrier batching, and lane rebalancing all enabled.
-func DefaultSchedulerConfig() SchedulerConfig { return sim.DefaultSchedulerConfig() }
-
-// StaticSchedulerConfig returns the all-off scheduler baseline:
-// lockstep windows exactly one lookahead wide, a coordinator barrier
-// after every window, round-robin lane assignment forever.
-func StaticSchedulerConfig() SchedulerConfig { return sim.StaticSchedulerConfig() }
 
 // ClusterConfig parameterizes a simulated AVMON deployment.
 type ClusterConfig struct {
@@ -151,12 +121,6 @@ type ClusterConfig struct {
 	// simulation). For one seed, results are byte-identical at any
 	// value — see DESIGN.md, "Parallel simulation".
 	Shards int
-	// Scheduler tunes the sharded engine's per-barrier decisions (lane
-	// rebalancing, dynamic lookahead, barrier batching — see DESIGN.md,
-	// "Shard scheduler"). nil selects DefaultSchedulerConfig; an
-	// explicit zero value selects the static baseline. Ignored when
-	// Shards ≤ 1. Results are byte-identical under any setting.
-	Scheduler *SchedulerConfig
 	// Options are the per-node protocol knobs.
 	Options NodeOptions
 	// OverreportFraction makes this fraction of nodes report 100%
@@ -389,7 +353,6 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		}
 	}
 	var eng sim.Sched
-	var sharded *sim.ShardedEngine
 	if cfg.Shards > 1 {
 		// Adaptive lookahead: the latency model's provable floor is the
 		// minimum cross-node event distance, hence exactly the
@@ -400,15 +363,9 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 			return nil, fmt.Errorf(
 				"avmon: latency model %T declares no positive MinLatency floor; cannot shard", latency)
 		}
-		sched := sim.DefaultSchedulerConfig()
-		if cfg.Scheduler != nil {
-			sched = *cfg.Scheduler
-		}
-		sharded, err = sim.NewShardedWithScheduler(cfg.Seed, cfg.Shards, floor, sched)
-		if err != nil {
+		if eng, err = sim.NewSharded(cfg.Seed, cfg.Shards, floor); err != nil {
 			return nil, fmt.Errorf("avmon: %w", err)
 		}
-		eng = sharded
 	} else {
 		eng = sim.New(cfg.Seed)
 	}
@@ -428,12 +385,6 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		simnet.WithUndelivered(c.undelivered))
 	if err != nil {
 		return nil, fmt.Errorf("avmon: %w", err)
-	}
-	if sharded != nil {
-		// Dynamic-lookahead plumbing: the network exports the
-		// conservative bound on its own cross-lane traffic, and the
-		// scheduler widens per-shard horizons with it.
-		sharded.SetCrossLaneBound(c.net.CrossLaneBound)
 	}
 	// One scratch instance per execution worker (the whole engine when
 	// serial, one per shard when sharded) carries the sweep buffers and
@@ -721,11 +672,10 @@ func (c *Cluster) Steps() uint64 { return c.eng.Steps() }
 func (c *Cluster) Shards() int { return c.cfg.Shards }
 
 // SchedStats returns the sharded engine's scheduler counters (windows,
-// barriers, migrations, per-shard steps and busy time); ok is false
-// for a serial cluster, which has no scheduler. Valid while the engine
-// is quiescent. Windows/barriers/migrations are deterministic for a
-// fixed (Seed, Shards, Scheduler); per-shard busy times are host
-// measurements.
+// barriers, per-shard lanes, steps and busy time); ok is false for a
+// serial cluster, which has no scheduler. Valid while the engine is
+// quiescent. Windows and barriers are equal, and deterministic for a
+// fixed (Seed, Shards); per-shard busy times are host measurements.
 func (c *Cluster) SchedStats() (SchedStats, bool) {
 	if e, ok := c.eng.(*sim.ShardedEngine); ok {
 		return e.SchedStats(), true

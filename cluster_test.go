@@ -314,30 +314,13 @@ func mustLoss(t *testing.T, mk func() (LossModel, error)) LossModel {
 	return m
 }
 
-// forcedScheduler is the aggressive adaptive-scheduler configuration
-// the equivalence tests force on: rebalancing fires at the slightest
-// imbalance over a 2-barrier window (so lanes actually migrate within
-// these short runs), batching runs deep, dynamic horizons on.
-func forcedScheduler() *SchedulerConfig {
-	return &SchedulerConfig{
-		DynamicLookahead:   true,
-		BatchWindows:       8,
-		RebalanceThreshold: 1.01,
-		RebalanceWindow:    2,
-	}
-}
-
 // TestShardedClusterMatchesSerial is the tentpole's acceptance
 // contract at the cluster level: for one seed, a sharded run is
 // byte-identical to the serial run at any shard count — including
 // under churn, message loss, forgetful pinging, overreporters, and
 // the heterogeneous WAN network models (lognormal and zone-matrix
 // latency with adaptive lookahead, Gilbert-Elliott burst loss), which
-// together exercise every random stream and lifecycle path. Each
-// shard count runs twice: once with the default scheduler and once
-// with rebalancing and batching forced on (aggressively enough that
-// lanes migrate mid-run), re-proving that every scheduler decision is
-// invisible to results.
+// together exercise every random stream and lifecycle path.
 func TestShardedClusterMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -483,109 +466,15 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := clusterFingerprint(t, tc.cfg, tc.mk)
 			for _, shards := range []int{1, 2, 8} {
-				for _, sched := range []*SchedulerConfig{nil, forcedScheduler()} {
-					cfg := tc.cfg
-					cfg.Shards = shards
-					cfg.Scheduler = sched
-					label := "default"
-					if sched != nil {
-						label = "forced"
-					}
-					got := clusterFingerprint(t, cfg, tc.mk)
-					if got != want {
-						t.Errorf("shards=%d sched=%s diverged from serial run (fingerprints differ)\n%s",
-							shards, label, firstDiff(want, got))
-					}
+				cfg := tc.cfg
+				cfg.Shards = shards
+				got := clusterFingerprint(t, cfg, tc.mk)
+				if got != want {
+					t.Errorf("shards=%d diverged from serial run (fingerprints differ)\n%s",
+						shards, firstDiff(want, got))
 				}
 			}
 		})
-	}
-}
-
-// TestShardedClusterRebalances pins that the forced scheduler really
-// migrates lanes on a cluster workload (otherwise the forced-on
-// equivalence runs above would prove nothing about rebalancing).
-func TestShardedClusterRebalances(t *testing.T) {
-	model, err := NewHotspotModel(64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(ClusterConfig{
-		N: 64, Seed: 31, Shards: 4, Scheduler: forcedScheduler(),
-		Options: NodeOptions{Forgetful: true},
-	}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(30 * time.Minute)
-	st, ok := c.SchedStats()
-	if !ok {
-		t.Fatal("sharded cluster reports no scheduler stats")
-	}
-	if st.Migrations == 0 || st.LanesMoved == 0 {
-		t.Errorf("no lane migrations on a hot-shard population: %+v", st)
-	}
-	lanes := 0
-	for _, sh := range st.PerShard {
-		lanes += sh.Lanes
-	}
-	if lanes != c.Size() {
-		t.Errorf("per-shard lanes sum to %d, want %d", lanes, c.Size())
-	}
-	if _, ok := statCluster(t, 10, 1, NodeOptions{}).SchedStats(); ok {
-		t.Error("serial cluster claims scheduler stats")
-	}
-}
-
-// TestWanDynamicLookaheadCutsBarriers is the wan-regime fix the
-// scheduler layer was built for: under the 5 ms-floor lognormal
-// latency model the static grid pays ~10× more barriers than the
-// constant-50ms network, and the adaptive scheduler (dynamic horizons
-// + barrier batching) must claw a large share of that back — on the
-// same seed, with byte-identical results.
-func TestWanDynamicLookaheadCutsBarriers(t *testing.T) {
-	lognormal := mustLatency(t, func() (LatencyModel, error) {
-		return NewLognormalLatency(5*time.Millisecond, 60*time.Millisecond, 0.6, 2*time.Second)
-	})
-	run := func(sched SchedulerConfig) (string, SchedStats) {
-		model, err := NewSYNTHModel(80, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := NewCluster(ClusterConfig{
-			N: 80, Seed: 41, Shards: 2, Scheduler: &sched, LatencyModel: lognormal,
-		}, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Run(20 * time.Minute)
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "steps=%d alive=%d\n", c.Steps(), c.AliveCount())
-		for i := 0; i < c.Size(); i++ {
-			s := c.Stats(i)
-			fmt.Fprintf(&sb, "%d: ps=%v cv=%v traffic=%+v\n", i, c.MonitorsOf(i), c.CoarseViewOf(i), s.Traffic)
-		}
-		st, ok := c.SchedStats()
-		if !ok {
-			t.Fatal("no scheduler stats")
-		}
-		return sb.String(), st
-	}
-	staticFP, staticStats := run(StaticSchedulerConfig())
-	dynCfg := StaticSchedulerConfig()
-	dynCfg.DynamicLookahead = true
-	dynFP, dynStats := run(dynCfg)
-	adaptiveFP, adaptiveStats := run(DefaultSchedulerConfig())
-	if staticFP != dynFP || staticFP != adaptiveFP {
-		t.Fatal("scheduler configuration changed protocol results")
-	}
-	if dynStats.Barriers >= staticStats.Barriers {
-		t.Errorf("dynamic lookahead did not cut barriers under the 5ms-floor model: static %d, dynamic %d",
-			staticStats.Barriers, dynStats.Barriers)
-	}
-	if adaptiveStats.Barriers*2 > staticStats.Barriers {
-		t.Errorf("adaptive scheduler cut barriers only from %d to %d; want ≥ 2×",
-			staticStats.Barriers, adaptiveStats.Barriers)
 	}
 }
 

@@ -7,8 +7,7 @@
 //	avmon-bench -run all -scale 0.1 > results.txt
 //	avmon-bench -run all -scale 1.0 -progress -parallel 8
 //	avmon-bench -run scale -shards 8 -cpuprofile scale.pprof
-//	avmon-bench -run wan -shards 4 -sched static
-//	avmon-bench -run skew -shards 4
+//	avmon-bench -run wan -shards 2
 //	avmon-bench -run chaos -chaos collusion,zone-outage
 //
 // Scale 1.0 approximates the paper's methodology (hour-scale warm-up
@@ -22,10 +21,6 @@
 // output is byte-identical at any shard count, so -shards is purely a
 // wall-clock knob — the scale experiment additionally reruns each
 // point sharded and records the measured speedup in BENCH_scale.json.
-// -sched selects the sharded engine's scheduler modes (lane
-// rebalancing, dynamic lookahead, barrier batching; also pure
-// wall-clock knobs), and -run skew measures them against a hot-shard
-// population.
 package main
 
 import (
@@ -38,49 +33,12 @@ import (
 	"strings"
 	"time"
 
-	"avmon"
 	"avmon/internal/experiments"
 )
 
-// schedModes maps -sched tokens to their effect on a scheduler
-// configuration. Individual tokens compose: `-sched rebalance,batch`
-// starts from the static baseline and enables exactly those modes.
-var schedModes = []string{"default", "static", "all", "rebalance", "dynamic", "batch"}
-
-// parseSched resolves the -sched flag into a scheduler override (nil =
-// engine default). See SchedulerConfig for what each mode does; every
-// mode is a pure wall-clock knob — results are byte-identical at any
-// setting.
-func parseSched(arg string) (*avmon.SchedulerConfig, error) {
-	if arg == "" || arg == "default" {
-		return nil, nil
-	}
-	def := avmon.DefaultSchedulerConfig()
-	cfg := avmon.StaticSchedulerConfig()
-	for _, tok := range strings.Split(arg, ",") {
-		switch strings.TrimSpace(tok) {
-		case "static", "none":
-			cfg = avmon.StaticSchedulerConfig()
-		case "all", "default":
-			cfg = def
-		case "rebalance":
-			cfg.RebalanceThreshold = def.RebalanceThreshold
-			cfg.RebalanceWindow = def.RebalanceWindow
-		case "dynamic":
-			cfg.DynamicLookahead = true
-		case "batch":
-			cfg.BatchWindows = def.BatchWindows
-		default:
-			return nil, fmt.Errorf("unknown -sched mode %q (valid modes: %s; combine with commas, e.g. -sched rebalance,batch)",
-				strings.TrimSpace(tok), strings.Join(schedModes, ", "))
-		}
-	}
-	return &cfg, nil
-}
-
 // parseChaos resolves the -chaos flag into the scenario subset the
 // chaos experiment should run (nil = all). Unknown names are rejected
-// with the full valid list, mirroring parseSched.
+// with the full valid list.
 func parseChaos(arg string) ([]string, error) {
 	arg = strings.TrimSpace(arg)
 	if arg == "" {
@@ -119,7 +77,6 @@ func run(args []string) error {
 		ns       = fs.String("ns", "", "comma-separated N sweep override (e.g. 100,500,1000,2000)")
 		parallel = fs.Int("parallel", 0, "concurrent sweep points per experiment (0 = GOMAXPROCS; results are identical at any setting)")
 		shards   = fs.Int("shards", 0, "parallel engine shards within each single simulation (0/1 = serial; results are identical at any setting; 'scale' also reruns each point sharded and reports the speedup)")
-		sched    = fs.String("sched", "default", "sharded-engine scheduler modes, comma-separated: default, static, all, rebalance, dynamic, batch (results are identical at any setting)")
 		chaos    = fs.String("chaos", "", "comma-separated chaos scenario subset for -run chaos (empty = all; see -run list)")
 		progress = fs.Bool("progress", false, "report sweep-point completion on stderr")
 		outDir   = fs.String("outdir", ".", "directory for machine-readable artifacts (e.g. BENCH_scale.json)")
@@ -175,17 +132,13 @@ func run(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fmt.Errorf("outdir: %w", err)
 	}
-	schedCfg, err := parseSched(*sched)
-	if err != nil {
-		return err
-	}
 	chaosNames, err := parseChaos(*chaos)
 	if err != nil {
 		return err
 	}
 	opts := experiments.Options{
 		Scale: *scale, Seed: *seed, Parallelism: *parallel,
-		Shards: *shards, Scheduler: schedCfg, Chaos: chaosNames,
+		Shards: *shards, Chaos: chaosNames,
 	}
 	if *ns != "" {
 		for _, part := range strings.Split(*ns, ",") {
@@ -203,15 +156,14 @@ func run(args []string) error {
 		// sweeps are excluded: the large-N scale sweep because its N
 		// is fixed at 10k/30k/100k regardless of -scale (a 100k point
 		// costs minutes of wall time and gigabytes of RSS), and wan,
-		// skew, chaos, query, and realnet because all six write
-		// checked-in JSON artifacts that must only be regenerated by
-		// explicit, deliberately-scaled runs (realnet additionally
-		// boots hundreds of real wall-clock Service nodes, so its
-		// results are machine-load dependent). Run them with
-		// -run scale / -run wan / -run skew / -run chaos /
-		// -run query / -run realnet.
+		// chaos, query, and realnet because all five write checked-in
+		// JSON artifacts that must only be regenerated by explicit,
+		// deliberately-scaled runs (realnet additionally boots
+		// hundreds of real wall-clock Service nodes, so its results
+		// are machine-load dependent). Run them with -run scale /
+		// -run wan / -run chaos / -run query / -run realnet.
 		excluded := map[string]bool{
-			"scale": true, "wan": true, "skew": true, "chaos": true,
+			"scale": true, "wan": true, "chaos": true,
 			"query": true, "realnet": true,
 		}
 		for _, id := range experiments.IDs() {

@@ -40,37 +40,6 @@ func TestRunBadNs(t *testing.T) {
 	}
 }
 
-func TestParseSched(t *testing.T) {
-	for _, arg := range []string{"", "default", "static", "none", "all",
-		"rebalance", "dynamic", "batch", "rebalance,batch", "dynamic, batch"} {
-		if _, err := parseSched(arg); err != nil {
-			t.Errorf("parseSched(%q) failed: %v", arg, err)
-		}
-	}
-	cfg, err := parseSched("rebalance,dynamic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.RebalanceThreshold <= 0 || !cfg.DynamicLookahead || cfg.BatchWindows > 1 {
-		t.Errorf("composed -sched config wrong: %+v", cfg)
-	}
-	if cfg, _ := parseSched("default"); cfg != nil {
-		t.Error("-sched default should leave the engine default (nil override)")
-	}
-}
-
-func TestRunBadSched(t *testing.T) {
-	err := run([]string{"-run", "figure3", "-sched", "turbo"})
-	if err == nil {
-		t.Fatal("unknown -sched mode accepted")
-	}
-	for _, mode := range schedModes {
-		if !strings.Contains(err.Error(), mode) {
-			t.Errorf("-sched error %q does not list valid mode %q", err, mode)
-		}
-	}
-}
-
 func TestParseChaos(t *testing.T) {
 	names := experiments.ChaosScenarioNames()
 	for _, arg := range []string{"", "  ", names[0], strings.Join(names, ","),

@@ -46,17 +46,21 @@
 //	    2*time.Second)        // cap
 //	loss, _ := avmon.NewGilbertElliottLoss(0.02, 0.25, 0.001, 0.3)
 //	cl, err := avmon.NewCluster(avmon.ClusterConfig{
-//	    N: 200, Seed: 1, Shards: 8,
+//	    N: 200, Seed: 1,
 //	    LatencyModel: lat, LossModel: loss,
 //	}, avmon.NewSTATModel(200))
 //
 // Every model declares a provable floor (LatencyModel.MinLatency).
-// With Shards > 1 the run is partitioned across parallel engine
-// shards whose conservative lookahead window adapts to that floor —
-// and the results are byte-identical to the serial run at any shard
+// With Shards > 1 the run is partitioned round-robin across parallel
+// engine shards that advance in lockstep windows one floor wide — and
+// the results are byte-identical to the serial run at any shard
 // count, because all latency and loss randomness is drawn from the
 // sending node's private lane stream (see DESIGN.md, "Parallel
-// simulation" and "Network models").
+// simulation" and "Network models"). Sharding is a wall-clock choice
+// that pays only when a window holds hundreds of events (N in the
+// tens of thousands at the default 50 ms); a 200-node run, or any run
+// under a 5 ms floor, is faster serial (EXPERIMENTS.md, "Sharded at 2
+// cores").
 //
 // # Determinism contract
 //

@@ -82,8 +82,9 @@ type synthModel struct {
 
 	// orderedJoin makes Install birth the initial population in index
 	// order with evenly spaced (rather than random) offsets, so node
-	// index i always lands on simulation lane i+1. Used by NewHotspot,
-	// whose whole point is a known index → lane → shard mapping.
+	// index i always lands on simulation lane i+1. Used by the zone
+	// outage and storm models, which need an exact index → zone → lane
+	// mapping.
 	orderedJoin bool
 
 	eng    sim.Sched

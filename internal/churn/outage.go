@@ -30,8 +30,8 @@ type ZoneOutage struct {
 // the zone-matrix latency model uses (simnet.NewZoneLatency), so an
 // outage of zone z under a Zones×Zones latency matrix takes out
 // precisely the nodes that share zone z's latency row. The initial
-// population is born in index order (the hotspot model's orderedJoin
-// idiom), keeping the index → zone → lane mapping exact.
+// population is born in index order (synthModel.orderedJoin), keeping
+// the index → zone → lane mapping exact.
 type ZoneOutageConfig struct {
 	// N is the stable population size.
 	N int

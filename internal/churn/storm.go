@@ -8,9 +8,9 @@ import (
 )
 
 // StormConfig parameterizes the flash-crowd / mass-leave storm model:
-// a static base population of N nodes born in index order (the
-// hotspot model's orderedJoin idiom, so node i owns lane i+1), plus up
-// to two deterministic population shocks:
+// a static base population of N nodes born in index order
+// (synthModel.orderedJoin, so node i owns lane i+1), plus up to two
+// deterministic population shocks:
 //
 //   - a flash crowd: SurgeNodes extra nodes (indexes N..N+SurgeNodes-1)
 //     join evenly spread across [SurgeAt, SurgeAt+SurgeWindow);

@@ -34,7 +34,7 @@ import (
 
 // ChaosArtifactName is the machine-readable output of the chaos
 // experiment (written next to the tables by avmon-bench, checked into
-// the repo like BENCH_skew.json).
+// the repo like BENCH_scale.json).
 const ChaosArtifactName = "BENCH_chaos.json"
 
 // chaosDefaultN is the population when Options.Ns is not set.
@@ -104,7 +104,7 @@ func chaosSpecs() []chaosSpec {
 			summary: "a colluding quarter of the population turns on its victims: " +
 				"monitoring pings suppressed, reports defamed to 0%",
 			build: func(o Options, n int, seed int64, _ chaosTimeline, arm chaosArm) (*avmon.Cluster, error) {
-				cfg := avmon.ClusterConfig{N: n, Seed: seed, Shards: o.Shards, Scheduler: o.Scheduler}
+				cfg := avmon.ClusterConfig{N: n, Seed: seed, Shards: o.Shards}
 				switch arm {
 				case armControl:
 					cfg.Collusion = &avmon.CollusionConfig{Fraction: 0, SuppressPings: true, ForgedAvail: 0}
@@ -142,7 +142,7 @@ func chaosSpecs() []chaosSpec {
 					return nil, err
 				}
 				return avmon.NewCluster(avmon.ClusterConfig{
-					N: n, Seed: seed, Shards: o.Shards, Scheduler: o.Scheduler,
+					N: n, Seed: seed, Shards: o.Shards,
 					LatencyModel: lat,
 				}, model)
 			},
@@ -163,7 +163,7 @@ func chaosSpecs() []chaosSpec {
 					return nil, err
 				}
 				return avmon.NewCluster(avmon.ClusterConfig{
-					N: n, Seed: seed, Shards: o.Shards, Scheduler: o.Scheduler,
+					N: n, Seed: seed, Shards: o.Shards,
 				}, model)
 			},
 		},
@@ -184,7 +184,7 @@ func chaosSpecs() []chaosSpec {
 					return nil, err
 				}
 				return avmon.NewCluster(avmon.ClusterConfig{
-					N: n, Seed: seed, Shards: o.Shards, Scheduler: o.Scheduler,
+					N: n, Seed: seed, Shards: o.Shards,
 				}, model)
 			},
 		},

@@ -149,9 +149,6 @@ func runAllPaired(o Options, scens []scenario, groupOf func(int) int) ([]*outcom
 			s := scens[i]
 			s.seed = deriveSeed(o.Seed, seedIdx(i))
 			s.shards = o.Shards // byte-identical at any value
-			if s.sched == nil {
-				s.sched = o.Scheduler // likewise
-			}
 			out, err := run(s)
 			if err != nil {
 				return err

@@ -48,12 +48,6 @@ type Options struct {
 	// The scale experiment treats it specially: it runs each point
 	// both serial and sharded and reports the speedup.
 	Shards int
-	// Scheduler overrides the sharded engine's scheduler configuration
-	// for every sharded run (nil = the engine default; avmon-bench
-	// -sched). Like Shards it never changes results, only wall-clock
-	// behavior; the skew experiment ignores it (its whole sweep is a
-	// scheduler A/B comparison).
-	Scheduler *avmon.SchedulerConfig
 	// Progress, when non-nil, receives a serialized callback each
 	// time a sweep point completes — useful for long paper-scale
 	// runs. It must not assume any completion order, and done reaches
@@ -172,7 +166,6 @@ func Registry() map[string]Runner {
 		"table1":   Table1,
 		"scale":    Scale,
 		"wan":      Wan,
-		"skew":     Skew,
 		"chaos":    Chaos,
 		"query":    Query,
 		"realnet":  Realnet,
@@ -227,7 +220,6 @@ const (
 	modelSYNTHBD2
 	modelPL
 	modelOV
-	modelHotspot
 )
 
 func (k modelKind) String() string {
@@ -244,8 +236,6 @@ func (k modelKind) String() string {
 		return "PL"
 	case modelOV:
 		return "OV"
-	case modelHotspot:
-		return "HOTSPOT"
 	default:
 		return "?"
 	}
@@ -265,8 +255,6 @@ type scenario struct {
 	latModel    avmon.LatencyModel // nil = constant 50ms
 	lossModel   avmon.LossModel    // nil = Bernoulli(loss)
 	shards      int                // engine shards for this one run (0/1 = serial)
-	sched       *avmon.SchedulerConfig
-	stride      int // hotspot stride (modelHotspot only)
 }
 
 // outcome is the state captured from one finished run.
@@ -294,8 +282,6 @@ func (s scenario) model(horizon time.Duration) (avmon.ChurnModel, error) {
 		return avmon.NewPlanetLabModel(s.n, horizon, s.seed)
 	case modelOV:
 		return avmon.NewOvernetModel(s.n, horizon, s.seed)
-	case modelHotspot:
-		return avmon.NewHotspotModel(s.n, s.stride)
 	default:
 		return nil, fmt.Errorf("experiments: unknown model kind %d", s.kind)
 	}
@@ -312,7 +298,6 @@ func run(s scenario) (*outcome, error) {
 		N:                  s.n,
 		Seed:               s.seed,
 		Shards:             s.shards,
-		Scheduler:          s.sched,
 		Options:            s.opts,
 		OverreportFraction: s.overreport,
 		Loss:               s.loss,
@@ -421,3 +406,4 @@ func cdfTable(title, xLabel string, c *stats.CDF, points int) *Table {
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 func itoa(v int) string   { return fmt.Sprintf("%d", v) }
+func u64(v uint64) string { return fmt.Sprintf("%d", v) }

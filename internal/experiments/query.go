@@ -485,7 +485,7 @@ func Query(o Options) (*Result, error) {
 				return err
 			}
 			c, err := avmon.NewCluster(avmon.ClusterConfig{
-				N: n, Seed: deriveSeed(o.Seed, 0), Shards: o.Shards, Scheduler: o.Scheduler,
+				N: n, Seed: deriveSeed(o.Seed, 0), Shards: o.Shards,
 			}, model)
 			if err != nil {
 				return err

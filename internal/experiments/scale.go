@@ -90,14 +90,12 @@ type ScalePoint struct {
 	Speedup            float64 `json:"speedup,omitempty"`
 
 	// Scheduler counters of the sharded rerun (see avmon.SchedStats):
-	// coordinator barriers, executed windows, lane migrations, and
-	// per-shard busy wall-clock — the measurables behind the adaptive
-	// scheduler's wins across the bench trajectory. Barriers/windows/
-	// migrations are deterministic; busy times describe the host.
-	BarriersSharded   uint64  `json:"barriers_sharded,omitempty"`
-	WindowsSharded    uint64  `json:"windows_sharded,omitempty"`
-	MigrationsSharded uint64  `json:"migrations_sharded,omitempty"`
-	ShardBusyNS       []int64 `json:"shard_busy_ns,omitempty"`
+	// executed windows, coordinator barriers (always equal to windows)
+	// and per-shard busy wall-clock. Windows are deterministic; busy
+	// times describe the host.
+	BarriersSharded uint64  `json:"barriers_sharded,omitempty"`
+	WindowsSharded  uint64  `json:"windows_sharded,omitempty"`
+	ShardBusyNS     []int64 `json:"shard_busy_ns,omitempty"`
 }
 
 // scaleProgress narrates paper-scale sweep points to stderr: a
@@ -202,7 +200,6 @@ func Scale(o Options) (*Result, error) {
 			// checked at full scale: every protocol metric must match
 			// the serial run exactly, or the sweep fails.
 			s.shards = o.Shards
-			s.sched = o.Scheduler
 			out = nil // release the serial cluster before building the next
 			runtime.ReadMemStats(&before)
 			start = time.Now()
@@ -223,7 +220,6 @@ func Scale(o Options) (*Result, error) {
 			if st, ok := shardedOut.c.SchedStats(); ok {
 				pts[i].BarriersSharded = st.Barriers
 				pts[i].WindowsSharded = st.Windows
-				pts[i].MigrationsSharded = st.Migrations
 				for _, sh := range st.PerShard {
 					pts[i].ShardBusyNS = append(pts[i].ShardBusyNS, sh.BusyNS)
 				}

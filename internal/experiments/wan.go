@@ -58,12 +58,11 @@ type WanPoint struct {
 	WallSeconds float64 `json:"wall_seconds"`
 
 	// Scheduler counters, present only when the sweep ran sharded
-	// (avmon-bench -shards): coordinator barriers and executed windows
-	// per regime (deterministic — these are what dynamic lookahead and
-	// barrier batching shrink, most visibly under the 5 ms-floor
-	// lognormal regime), and per-shard busy wall-clock (host metric).
-	// They live in the artifact only, so the rendered tables stay
-	// byte-identical at any shard count.
+	// (avmon-bench -shards): executed windows per regime (deterministic;
+	// barriers always equal them — the narrower the latency floor, the
+	// more windows the same events cost), and per-shard busy wall-clock
+	// (host metric). They live in the artifact only, so the rendered
+	// tables stay byte-identical at any shard count.
 	Barriers    uint64  `json:"barriers,omitempty"`
 	Windows     uint64  `json:"windows,omitempty"`
 	ShardBusyNS []int64 `json:"shard_busy_ns,omitempty"`
@@ -190,7 +189,6 @@ func Wan(o Options) (*Result, error) {
 			// paired comparisons.
 			s.seed = deriveSeed(o.Seed, 0)
 			s.shards = o.Shards
-			s.sched = o.Scheduler
 			start := time.Now()
 			out, err := run(s)
 			if err != nil {

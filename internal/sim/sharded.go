@@ -9,15 +9,17 @@ import (
 )
 
 // ShardedEngine is the conservative parallel scheduler: node lanes are
-// partitioned across P worker shards (round-robin at creation, with
-// optional load-driven migration at barriers — see scheduler.go), each
-// owning a flat event heap. Shards advance through execution windows
-// bounded by conservative horizons derived from the engine's lookahead
-// (the minimum cross-lane message latency): an event executing at time
-// t can only affect another shard at ≥ t plus the lookahead, so every
-// cross-shard post lands at or after the destination's horizon and is
-// merged at a barrier before the destination could need it. No
-// rollback is ever required.
+// partitioned round-robin across P worker shards, each owning a flat
+// event heap, and all shards advance in lockstep windows at most one
+// lookahead wide (the lookahead is the minimum cross-lane message
+// latency): an event executing at time t can only affect another shard
+// at ≥ t plus the lookahead, so every cross-shard post lands at or
+// after the window's end and is merged at the barrier before the
+// destination could need it. No rollback is ever required.
+//
+// The window grid is static on purpose — one coordinator barrier per
+// window, lanes never migrate. DESIGN.md, "Why the window grid is
+// static", has the measurements that retired the adaptive alternatives.
 //
 // Control-lane events run single-threaded at coordinator barriers,
 // before the node-lane events of the windows that follow. Because
@@ -27,60 +29,43 @@ import (
 // unobservable — see the package comment for the full contract.
 //
 // For one seed, a ShardedEngine run is byte-identical to a serial
-// Engine run at any shard count and under any SchedulerConfig.
+// Engine run at any shard count.
 type ShardedEngine struct {
 	now       time.Time
 	nowNanos  int64
 	lookahead int64
 	seed      int64
-	cfg       SchedulerConfig
-	boundFn   func(after time.Duration) time.Duration
 
 	control    *Lane
 	controlQ   eventQueue
 	controlNow int64
-	laneByID   []*Lane // index 0 is the control lane
-	steps      uint64  // control steps; Steps() adds shard steps
+	lanes      int32  // node lanes created so far
+	steps      uint64 // control steps; Steps() adds shard steps
+	windows    uint64 // executed windows = coordinator barriers
 
 	shards  []*shard
-	batch   *windowBatch
 	inPhase bool
 	done    chan struct{}
 	localFn func() any
-
-	// Scheduler counters (see SchedStats) and the sliding load window
-	// behind rebalancing.
-	windows    uint64
-	barriers   uint64
-	migrations uint64
-	lanesMoved uint64
-	loadRing   [][]uint64
-	ringPos    int
-	ringFill   int
 }
 
 type shard struct {
-	idx         int
-	queue       eventQueue
-	nowNanos    int64 // timestamp of the executing event
-	limit       int64 // current window horizon (exclusive)
-	frontier    int64 // max horizon ever handed out; posts below it are violations
-	steps       uint64
-	sampleSteps uint64    // steps at the last load sample
-	busyNS      int64     // wall-clock ns spent executing events
-	posted      bool      // cross-shard post made in the current window
-	outbox      [][]event // per destination shard, drained at barriers
-	start       chan struct{}
-	panicked    any // recovered panic value, re-raised by the coordinator
-	local       any // worker-local scratch (see Sched.WorkerLocal)
+	queue    eventQueue
+	nowNanos int64 // timestamp of the executing event
+	limit    int64 // current window end (exclusive)
+	frontier int64 // max window end ever handed out; posts below it are violations
+	steps    uint64
+	busyNS   int64     // wall-clock ns spent executing events
+	outbox   [][]event // per destination shard, drained at barriers
+	start    chan struct{}
+	panicked any // recovered panic value, re-raised by the coordinator
+	local    any // worker-local scratch (see Sched.WorkerLocal)
 }
 
 var _ Sched = (*ShardedEngine)(nil)
 
 // NewSharded returns a parallel engine with the given shard count and
-// lookahead, running the default adaptive scheduler
-// (DefaultSchedulerConfig: dynamic lookahead, barrier batching, lane
-// rebalancing). The lookahead must be a positive lower bound on every
+// lookahead. The lookahead must be a positive lower bound on every
 // cross-lane post distance — for a simulated network, the latency
 // model's provable floor (simnet.LatencyModel.MinLatency; the cluster
 // passes exactly that, which is what makes heterogeneous WAN latency
@@ -91,42 +76,24 @@ var _ Sched = (*ShardedEngine)(nil)
 // sources are derived exactly as the serial engine derives them, which
 // is what makes the two engines interchangeable.
 func NewSharded(seed int64, shards int, lookahead time.Duration) (*ShardedEngine, error) {
-	return NewShardedWithScheduler(seed, shards, lookahead, DefaultSchedulerConfig())
-}
-
-// NewShardedWithScheduler is NewSharded with an explicit scheduler
-// configuration (see SchedulerConfig; the zero value reproduces the
-// original static scheduler). Results are byte-identical under every
-// configuration — the scheduler only moves wall-clock time around.
-func NewShardedWithScheduler(seed int64, shards int, lookahead time.Duration, cfg SchedulerConfig) (*ShardedEngine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: shard count must be ≥ 1, got %d", shards)
 	}
 	if lookahead <= 0 {
 		return nil, fmt.Errorf("sim: lookahead must be positive, got %v", lookahead)
 	}
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
 	e := &ShardedEngine{
 		now:       Epoch,
 		lookahead: int64(lookahead),
 		seed:      seed,
-		cfg:       cfg,
 		control:   &Lane{id: 0, rng: rand.New(rand.NewSource(seed))},
 		done:      make(chan struct{}),
-		batch:     newWindowBatch(shards),
-		loadRing:  make([][]uint64, shards),
 	}
-	e.laneByID = []*Lane{e.control}
 	for i := 0; i < shards; i++ {
 		e.shards = append(e.shards, &shard{
-			idx:    i,
 			outbox: make([][]event, shards),
 			start:  make(chan struct{}),
 		})
-		e.loadRing[i] = make([]uint64, cfg.RebalanceWindow)
 	}
 	return e, nil
 }
@@ -179,21 +146,70 @@ func (e *ShardedEngine) Pending() int {
 	return n
 }
 
+// ShardStats describes one shard's share of a sharded run.
+type ShardStats struct {
+	// Lanes is the number of node lanes assigned to the shard.
+	Lanes int
+	// Steps is the number of events the shard has executed.
+	Steps uint64
+	// BusyNS is the wall-clock nanoseconds the shard's worker spent
+	// executing events (excluding barrier waits). It is a host
+	// measurement: deterministic runs report nondeterministic BusyNS.
+	BusyNS int64
+}
+
+// SchedStats is a snapshot of the sharded engine's scheduler counters,
+// valid while the engine is quiescent. Windows and Barriers are
+// deterministic for a fixed (seed, shard count); PerShard busy times
+// are host measurements.
+type SchedStats struct {
+	// Shards is the configured shard count.
+	Shards int
+	// Lookahead is the engine's conservative cross-lane floor.
+	Lookahead time.Duration
+	// Windows counts executed lookahead windows across the run.
+	Windows uint64
+	// Barriers counts coordinator barriers. Every window ends in
+	// exactly one, so Barriers == Windows always; the field remains
+	// because the repo benchmark reads both.
+	Barriers uint64
+	// PerShard holds one entry per shard.
+	PerShard []ShardStats
+}
+
+// SchedStats returns the engine's scheduler counters. Valid while
+// quiescent.
+func (e *ShardedEngine) SchedStats() SchedStats {
+	st := SchedStats{
+		Shards:    len(e.shards),
+		Lookahead: time.Duration(e.lookahead),
+		Windows:   e.windows,
+		Barriers:  e.windows,
+		PerShard:  make([]ShardStats, len(e.shards)),
+	}
+	// Round-robin: the first lanes%shards shards hold one lane more.
+	each, extra := int(e.lanes)/len(e.shards), int(e.lanes)%len(e.shards)
+	for i, s := range e.shards {
+		st.PerShard[i] = ShardStats{Lanes: each, Steps: s.steps, BusyNS: s.busyNS}
+		if i < extra {
+			st.PerShard[i].Lanes++
+		}
+	}
+	return st
+}
+
 // Control returns the control lane.
 func (e *ShardedEngine) Control() *Lane { return e.control }
 
 // AddLane registers a new node lane, assigned round-robin to a shard
-// (the scheduler may migrate it later). Call from control events or
-// while quiescent only.
+// for life. Call from control events or while quiescent only.
 func (e *ShardedEngine) AddLane() *Lane {
-	id := int32(len(e.laneByID))
-	l := &Lane{
-		id:    id,
-		shard: (id - 1) % int32(len(e.shards)),
-		rng:   CompactRand(laneSeed(e.seed, id)),
+	e.lanes++
+	return &Lane{
+		id:    e.lanes,
+		shard: (e.lanes - 1) % int32(len(e.shards)),
+		rng:   CompactRand(laneSeed(e.seed, e.lanes)),
 	}
-	e.laneByID = append(e.laneByID, l)
-	return l
 }
 
 // LaneNow returns the lane's current virtual time: the executing
@@ -271,7 +287,6 @@ func (e *ShardedEngine) PostEvent(src, dst *Lane, at time.Time, h Handler, arg E
 			"sim: cross-shard post at t=%v violates the %v lookahead (destination shard has executed to %v)",
 			time.Duration(nanos), time.Duration(e.lookahead), time.Duration(d.frontier)))
 	}
-	s.posted = true
 	s.outbox[dst.shard] = append(s.outbox[dst.shard], ev)
 }
 
@@ -281,10 +296,7 @@ func (e *ShardedEngine) SetWorkerLocal(factory func() any) { e.localFn = factory
 
 // WorkerLocal implements Sched. A lane's worker is its owning shard;
 // the instance is created on the shard's own first access, so no
-// cross-shard synchronization is needed. Lane migration at a barrier
-// simply resolves to the new shard's instance — worker-local state
-// never carries information between events, so the switch is
-// unobservable.
+// cross-shard synchronization is needed.
 func (e *ShardedEngine) WorkerLocal(l *Lane) any {
 	s := e.shards[l.shard]
 	if s.local == nil && e.localFn != nil {
@@ -337,14 +349,37 @@ func (e *ShardedEngine) minPending() (int64, bool) {
 	return min, ok
 }
 
+// windowEnd returns the exclusive end of the next window — the
+// earliest pending node-lane event plus one lookahead, capped at the
+// next undrained control event and at the run deadline — and whether
+// any shard owns an event before it. Outboxes are empty whenever this
+// runs, so the queue heads are a complete account of pending events.
+func (e *ShardedEngine) windowEnd(limit int64) (int64, bool) {
+	g1 := int64(math.MaxInt64)
+	for _, s := range e.shards {
+		if len(s.queue) > 0 && s.queue[0].at < g1 {
+			g1 = s.queue[0].at
+		}
+	}
+	if g1 == math.MaxInt64 {
+		return 0, false
+	}
+	end := g1 + e.lookahead
+	if end > limit+1 {
+		end = limit + 1
+	}
+	if len(e.controlQ) > 0 && e.controlQ[0].at < end {
+		end = e.controlQ[0].at
+	}
+	return end, g1 < end
+}
+
 // RunUntil executes events with timestamps ≤ deadline in canonical
-// order. Each coordinator barrier runs the control events due within
-// one lookahead of the frontier, hands every shard a conservative
-// horizon (see computeHorizons), and dispatches a batch of up to
-// BatchWindows windows that the workers pace among themselves; the
-// barrier then merges cross-shard posts and lets the load balancer
-// migrate lanes. The clock is left at deadline if that is later than
-// the last executed event.
+// order. Each pass of the loop is one window: the coordinator runs the
+// control events due within one lookahead of the frontier, hands every
+// shard the same window end (see windowEnd), waits for the workers,
+// and merges their cross-shard posts. The clock is left at deadline if
+// that is later than the last executed event.
 func (e *ShardedEngine) RunUntil(deadline time.Time) {
 	limit := int64(deadline.Sub(Epoch))
 	var wg sync.WaitGroup
@@ -374,7 +409,6 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 		}
 	}
 	defer stopWorkers()
-	qmins := make([]int64, len(e.shards))
 	for {
 		next, ok := e.minPending()
 		if !ok || next > limit {
@@ -394,28 +428,24 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 			e.steps++
 			ev.fire(Epoch.Add(time.Duration(ev.at)))
 		}
-		// Hand every shard its horizon: no window may reach the next
-		// undrained control event or cross the deadline.
-		limitCtl := limit + 1
-		if len(e.controlQ) > 0 && e.controlQ[0].at < limitCtl {
-			limitCtl = e.controlQ[0].at
-		}
-		for i, s := range e.shards {
-			qmins[i] = math.MaxInt64
-			if len(s.queue) > 0 {
-				qmins[i] = s.queue[0].at
-			}
-		}
-		if !e.computeHorizons(qmins, limitCtl) {
+		end, ok := e.windowEnd(limit)
+		if !ok {
 			if len(e.controlQ) == 0 {
 				break // nothing can run before the deadline
 			}
 			continue // only control events are due; drain more next pass
 		}
-		// Parallel phase: a batch of windows, paced by the workers.
-		e.batch.reset(e.cfg.BatchWindows, limitCtl)
-		e.barriers++
+		// Parallel phase: each shard executes its window. Every
+		// frontier is in place before any worker starts, because a
+		// cross-shard post reads its destination's.
+		e.windows++
 		e.inPhase = true
+		for _, s := range e.shards {
+			s.limit = end
+			if end > s.frontier {
+				s.frontier = end
+			}
+		}
 		for _, s := range e.shards {
 			s.start <- struct{}{}
 		}
@@ -423,7 +453,6 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 			<-e.done
 		}
 		e.inPhase = false
-		e.windows += e.batch.rounds
 		for _, s := range e.shards {
 			if s.panicked != nil {
 				// Re-raise a worker panic on the calling goroutine so
@@ -432,8 +461,7 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 				panic(s.panicked)
 			}
 		}
-		// Barrier, part 2: merge cross-shard posts into their heaps,
-		// then let the balancer move lanes while everything is parked.
+		// Barrier, part 2: merge cross-shard posts into their heaps.
 		for _, s := range e.shards {
 			for d, out := range s.outbox {
 				if len(out) == 0 {
@@ -445,8 +473,6 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 				s.outbox[d] = s.outbox[d][:0]
 			}
 		}
-		e.sampleLoad()
-		e.maybeRebalance()
 	}
 	stopWorkers()
 	if limit > e.nowNanos {
@@ -456,28 +482,20 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 	e.controlNow = e.nowNanos
 }
 
-// work is one shard's dispatch loop: each coordinator dispatch runs a
-// batch of windows, paced through the worker-side barrier. A panic
-// inside an event is captured and re-raised by the coordinator on the
-// calling goroutine.
+// work is one shard's window loop. A panic inside an event is captured
+// and re-raised by the coordinator on the calling goroutine.
 func (e *ShardedEngine) work(s *shard) {
 	for range s.start {
-		for {
-			if s.panicked == nil {
-				e.runShardWindow(s)
-			}
-			if !e.batch.sync(e, s) {
-				break
-			}
+		if s.panicked == nil {
+			s.runWindow()
 		}
 		e.done <- struct{}{}
 	}
 }
 
-// runShardWindow executes the shard's events below its current horizon
-// in canonical order, accounting steps, per-lane event counts, and
-// busy wall-clock time.
-func (e *ShardedEngine) runShardWindow(s *shard) {
+// runWindow executes the shard's events below its window end in
+// canonical order, accounting steps and busy wall-clock time.
+func (s *shard) runWindow() {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked = r
@@ -487,13 +505,11 @@ func (e *ShardedEngine) runShardWindow(s *shard) {
 	if len(s.queue) == 0 || s.queue[0].at >= end {
 		return
 	}
-	lanes := e.laneByID
 	t0 := time.Now()
 	for len(s.queue) > 0 && s.queue[0].at < end {
 		ev := s.queue.pop()
 		s.nowNanos = ev.at
 		s.steps++
-		lanes[ev.lane].execs++
 		ev.fire(Epoch.Add(time.Duration(ev.at)))
 	}
 	s.busyNS += int64(time.Since(t0))

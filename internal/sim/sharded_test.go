@@ -23,16 +23,27 @@ func (lt *laneTrace) add(now time.Time, tag string) {
 	lt.lines = append(lt.lines, fmt.Sprintf("%d@%v:%s", lt.lane.ID(), now.Sub(Epoch), tag))
 }
 
+// traceShape parameterizes traceWorkload; roster and stride must be
+// positive.
+type traceShape struct {
+	lookahead time.Duration // floor of every cross-lane post distance
+	roster    int           // lanes born before the run; as many again are born during it
+	stride    int           // every stride-th lane is hot; the rest only react to posts
+	horizon   time.Duration
+}
+
 // traceWorkload builds a randomized but fully deterministic multi-lane
 // workload on any Sched and returns its merged per-lane trace. Each
 // lane event logs a lane-random draw, reschedules itself locally with
 // a lane-random delay, and posts to a lane-random peer at ≥ lookahead
 // — the shape of a simulated network — while a control ticker births
 // late lanes and posts lifecycle events, exercising the control-lane
-// rules.
-func traceWorkload(t *testing.T, mk func() Sched, horizon time.Duration) []string {
+// rules. Only hot lanes (every stride-th) start with an event and a
+// ticker; with stride equal to the shard count the round-robin
+// partition puts them all on shard 0, so the other shards sit through
+// windows with nothing to run until a post reaches them.
+func traceWorkload(t *testing.T, mk func() Sched, w traceShape) []string {
 	t.Helper()
-	const lookahead = 50 * time.Millisecond
 	eng := mk()
 	var traces []*laneTrace
 	control := &laneTrace{lane: eng.Control()}
@@ -53,15 +64,19 @@ func traceWorkload(t *testing.T, mk func() Sched, horizon time.Duration) []strin
 			// (that is the control-lane contract — the cluster keeps
 			// its RandomAlive bootstrap oracle control-side for the
 			// same reason).
-			peer := traces[l.Rand().Intn(6)]
-			d := lookahead + time.Duration(l.Rand().Int63n(int64(40*time.Millisecond)))
+			peer := traces[l.Rand().Intn(w.roster)]
+			d := w.lookahead + time.Duration(l.Rand().Int63n(int64(40*time.Millisecond)))
 			eng.Post(l, peer.lane, now.Add(d), laneEvent(peer, depth+1))
 		}
 	}
 	birth := func() {
 		lt := &laneTrace{lane: eng.AddLane()}
+		hot := len(traces)%w.stride == 0
 		traces = append(traces, lt)
 		control.add(eng.Now(), fmt.Sprintf("birth %d", lt.lane.ID()))
+		if !hot {
+			return
+		}
 		// Control → node lifecycle post at the control event's time.
 		off := time.Duration(eng.Rand().Int63n(int64(30 * time.Millisecond)))
 		eng.Post(nil, lt.lane, eng.Now().Add(off), laneEvent(lt, 0))
@@ -69,16 +84,16 @@ func traceWorkload(t *testing.T, mk func() Sched, horizon time.Duration) []strin
 			lt.add(now, "tick")
 		})
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < w.roster; i++ {
 		birth()
 	}
 	eng.NewTicker(40*time.Millisecond, 10*time.Millisecond, func(now time.Time) {
 		control.add(now, "ctick")
-		if len(traces) < 12 {
+		if len(traces) < 2*w.roster {
 			birth()
 		}
 	})
-	eng.RunFor(horizon)
+	eng.RunFor(w.horizon)
 	out := append([]string(nil), control.lines...)
 	for _, lt := range traces {
 		out = append(out, lt.lines...)
@@ -88,67 +103,115 @@ func traceWorkload(t *testing.T, mk func() Sched, horizon time.Duration) []strin
 	return out
 }
 
-// forcedSchedulerConfig is the aggressive configuration the
-// equivalence tests use to make every scheduler mechanism actually
-// fire on small workloads: rebalancing at the slightest imbalance over
-// a 2-barrier window, deep batching, dynamic horizons.
-func forcedSchedulerConfig() SchedulerConfig {
-	return SchedulerConfig{
-		DynamicLookahead:   true,
-		BatchWindows:       4,
-		RebalanceThreshold: 1.01,
-		RebalanceWindow:    2,
+// sameTrace fails the test at the first line where a sharded trace
+// departs from the serial one.
+func sameTrace(t *testing.T, want, got []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trace length %d, serial %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("trace diverges at line %d:\nserial:  %s\nsharded: %s", i, want[i], got[i])
+		}
 	}
 }
 
 // TestShardedMatchesSerial is the engine-level determinism contract:
 // for one seed, the sharded engine's per-lane execution traces are
-// identical to the serial engine's at every shard count — under the
-// default scheduler, the static baseline, and the forced-on adaptive
-// scheduler (rebalancing and batching aggressive enough to fire
-// constantly on this workload).
+// identical to the serial engine's at every shard count.
 func TestShardedMatchesSerial(t *testing.T) {
 	const seed = 42
-	const horizon = 700 * time.Millisecond
-	want := traceWorkload(t, func() Sched { return New(seed) }, horizon)
+	// Dense: six lanes, all hot, posting across lanes at ≥ 50ms.
+	shape := traceShape{lookahead: 50 * time.Millisecond, roster: 6, stride: 1, horizon: 700 * time.Millisecond}
+	want := traceWorkload(t, func() Sched { return New(seed) }, shape)
 	if len(want) < 100 {
 		t.Fatalf("workload too small to be meaningful: %d trace lines", len(want))
 	}
-	configs := []struct {
-		name string
-		cfg  SchedulerConfig
-	}{
-		{"default", DefaultSchedulerConfig()},
-		{"static", StaticSchedulerConfig()},
-		{"forced", forcedSchedulerConfig()},
-	}
 	for _, shards := range []int{1, 2, 3, 8} {
-		for _, tc := range configs {
-			shards, tc := shards, tc
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
-				var eng *ShardedEngine
-				got := traceWorkload(t, func() Sched {
-					e, err := NewShardedWithScheduler(seed, shards, 50*time.Millisecond, tc.cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng = e
-					return e
-				}, horizon)
-				if len(got) != len(want) {
-					t.Fatalf("trace length %d, serial %d", len(got), len(want))
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			got := traceWorkload(t, func() Sched {
+				e, err := NewSharded(seed, shards, shape.lookahead)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trace diverges at line %d:\nserial:  %s\nsharded: %s",
-							i, want[i], got[i])
-					}
-				}
-				if st := eng.SchedStats(); tc.name == "forced" && shards > 1 && st.Migrations == 0 {
-					t.Errorf("forced scheduler never migrated a lane (stats %+v); the rebalance path went untested", st)
-				}
-			})
+				return e
+			}, shape)
+			sameTrace(t, want, got)
+		})
+	}
+}
+
+// FuzzShardedMatchesSerial fuzzes the engine-level contract over the
+// dimensions that shape the window grid — seed, shard count, lookahead,
+// how many hot lanes pile onto shard 0, and horizon — and asserts the
+// per-lane execution traces stay byte-identical to the serial engine.
+func FuzzShardedMatchesSerial(f *testing.F) {
+	// (seed, shards, lookahead µs, hot lanes per shard, horizon ms)
+	f.Add(int64(1234), 3, int64(50_000), 2, int64(400))
+	f.Add(int64(1234), 4, int64(50_000), 2, int64(400))
+	f.Add(int64(1234), 1, int64(50_000), 6, int64(400))
+	f.Add(int64(1234), 2, int64(50_000), 3, int64(400))
+	f.Add(int64(77), 8, int64(50_000), 1, int64(500))
+	f.Add(int64(77), 5, int64(50_000), 2, int64(500))
+	// Sparse: one hot lane among eight shards and a 1ms lookahead
+	// against 35ms tickers, so seven shards have nothing to run in most
+	// windows and the grid skips long idle gaps.
+	f.Add(int64(7), 8, int64(1_000), 1, int64(300))
+	f.Fuzz(func(t *testing.T, seed int64, shards int, lookaheadMicros int64, hot int, horizonMillis int64) {
+		// Clamp into the constructor's valid space deterministically.
+		mod := func(v, n int64) int64 { return (v%n + n) % n }
+		shards = 1 + int(mod(int64(shards)-1, 8))
+		hot = 1 + int(mod(int64(hot)-1, 6))
+		shape := traceShape{
+			lookahead: time.Duration(1+mod(lookaheadMicros-1, 100_000)) * time.Microsecond,
+			roster:    hot * shards,
+			stride:    shards,
+			horizon:   time.Duration(1+mod(horizonMillis-1, 600)) * time.Millisecond,
 		}
+		want := traceWorkload(t, func() Sched { return New(seed) }, shape)
+		got := traceWorkload(t, func() Sched {
+			e, err := NewSharded(seed, shards, shape.lookahead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}, shape)
+		sameTrace(t, want, got)
+	})
+}
+
+// TestSchedulerStatsShape sanity-checks SchedStats bookkeeping.
+func TestSchedulerStatsShape(t *testing.T) {
+	e, err := NewSharded(9, 3, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lanes = 7 // not a multiple of the shard count
+	for i := 0; i < lanes; i++ {
+		l := e.AddLane()
+		e.NewLaneTicker(l, 11*time.Millisecond, 0, func(time.Time) {})
+	}
+	e.RunFor(5 * time.Second)
+	st := e.SchedStats()
+	if st.Shards != 3 || st.Lookahead != 50*time.Millisecond {
+		t.Errorf("stats header wrong: %+v", st)
+	}
+	if st.Windows == 0 || st.Barriers != st.Windows {
+		t.Errorf("window/barrier counters wrong: windows=%d barriers=%d, want equal and nonzero",
+			st.Windows, st.Barriers)
+	}
+	gotLanes, steps := 0, uint64(0)
+	for _, sh := range st.PerShard {
+		gotLanes += sh.Lanes
+		steps += sh.Steps
+	}
+	if gotLanes != lanes {
+		t.Errorf("per-shard lane counts sum to %d, want %d", gotLanes, lanes)
+	}
+	if total := e.Steps(); steps > total {
+		t.Errorf("shard steps %d exceed engine total %d", steps, total)
 	}
 }
 

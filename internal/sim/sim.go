@@ -53,7 +53,6 @@ type Lane struct {
 	id    int32
 	shard int32 // owning shard index (sharded engine only)
 	seq   uint64
-	execs uint64 // events executed (sharded engine only; feeds rebalancing)
 	rng   *rand.Rand
 }
 

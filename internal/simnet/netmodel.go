@@ -223,20 +223,6 @@ func (z zoneLatency) Latency(src, dst ids.ID, rng *rand.Rand) time.Duration {
 // (jitter only adds).
 func (z zoneLatency) MinLatency() time.Duration { return z.min }
 
-// funcLatency adapts a legacy LatencyFunc. It declares no floor
-// (MinLatency 0), so it is valid only on the serial engine — New
-// rejects it under a sharded engine.
-type funcLatency struct {
-	fn LatencyFunc
-}
-
-// Latency implements LatencyModel by delegating to the wrapped func.
-func (f funcLatency) Latency(_, _ ids.ID, rng *rand.Rand) time.Duration { return f.fn(rng) }
-
-// MinLatency implements LatencyModel: zero — the wrapped func proves
-// no floor, which is exactly why sharded engines reject it.
-func (f funcLatency) MinLatency() time.Duration { return 0 }
-
 // --- loss models ------------------------------------------------------
 
 // bernoulliLoss drops each message independently with probability p.

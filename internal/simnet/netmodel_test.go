@@ -282,11 +282,6 @@ func TestShardedNetworkRejectsLowFloor(t *testing.T) {
 	if _, err := New(eng, WithLatencyModel(low)); err == nil {
 		t.Error("latency floor below the engine lookahead accepted")
 	}
-	// The legacy func form declares no floor at all, so it can never
-	// run sharded.
-	if _, err := New(eng, WithLatency(ConstantLatency(time.Second))); err == nil {
-		t.Error("floorless LatencyFunc accepted under a sharded engine")
-	}
 	// A model meeting the floor is accepted.
 	ok, err := NewLognormalLatency(50*time.Millisecond, 20*time.Millisecond, 0.5, 0)
 	if err != nil {

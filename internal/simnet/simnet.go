@@ -35,7 +35,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -55,30 +54,6 @@ type Handler func(from ids.ID, msg any, size int, now time.Time)
 // must therefore assume no particular lane and touch shared state
 // atomically.
 type UndeliveredFunc func(from *Endpoint, to ids.ID, msg any, size int)
-
-// LatencyFunc draws a one-way delivery latency. It declares no floor,
-// so a network configured with one (WithLatency) runs only on the
-// serial engine; sharded runs need a LatencyModel with a provable
-// MinLatency (see netmodel.go).
-type LatencyFunc func(rng *rand.Rand) time.Duration
-
-// ConstantLatency returns a LatencyFunc that always yields d.
-func ConstantLatency(d time.Duration) LatencyFunc {
-	return func(*rand.Rand) time.Duration { return d }
-}
-
-// UniformLatency returns a LatencyFunc uniform in [lo, hi].
-func UniformLatency(lo, hi time.Duration) LatencyFunc {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	return func(rng *rand.Rand) time.Duration {
-		if hi == lo {
-			return lo
-		}
-		return lo + time.Duration(rng.Int63n(int64(hi-lo)))
-	}
-}
 
 // Counters accumulates per-endpoint traffic statistics. UselessMsgs
 // and UselessBytes are maintained with atomic adds (see the package
@@ -113,15 +88,6 @@ type Network struct {
 
 // Option configures a Network.
 type Option func(*Network)
-
-// WithLatency sets the one-way latency distribution from a bare draw
-// function (default: constant 50ms). The func form declares no floor
-// (MinLatency 0), so it is valid only on the serial engine — New
-// rejects it under a sharded one. Use WithLatencyModel for anything
-// that must run sharded.
-func WithLatency(l LatencyFunc) Option {
-	return func(n *Network) { n.latency = funcLatency{fn: l} }
-}
 
 // WithLatencyModel sets the one-way latency model (default: constant
 // 50ms). Under a sharded engine the model's MinLatency() must be at
@@ -191,19 +157,6 @@ func New(eng sim.Sched, opts ...Option) (*Network, error) {
 
 // Engine returns the underlying simulation scheduler.
 func (n *Network) Engine() sim.Sched { return n.eng }
-
-// CrossLaneBound returns a conservative lower bound on the timestamp
-// (as an offset from the simulation epoch) of any cross-lane event the
-// network could generate from sends made at or after virtual time
-// after: the send time plus the latency model's provable floor. It is
-// the network's half of the dynamic-lookahead contract — the sharded
-// engine's scheduler registers it (sim.ShardedEngine.SetCrossLaneBound)
-// and widens per-shard execution horizons with it, trusting that no
-// delivery is ever posted below the bound. The latency-floor property
-// tests in netmodel_test.go are what make that trust sound.
-func (n *Network) CrossLaneBound(after time.Duration) time.Duration {
-	return after + n.latency.MinLatency()
-}
 
 // lookup resolves an identity to its endpoint (nil if unknown).
 func (n *Network) lookup(id ids.ID) *Endpoint {

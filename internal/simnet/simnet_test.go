@@ -37,9 +37,20 @@ func newPair(t *testing.T, eng *sim.Engine, opts ...Option) (*Network, *Endpoint
 	return n, a, b, &got
 }
 
+// withConstantLatency is the option for a network whose every message
+// takes exactly d.
+func withConstantLatency(t *testing.T, d time.Duration) Option {
+	t.Helper()
+	m, err := NewConstantLatency(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return WithLatencyModel(m)
+}
+
 func TestDeliveryBetweenAliveNodes(t *testing.T) {
 	eng := sim.New(1)
-	_, a, b, got := newPair(t, eng, WithLatency(ConstantLatency(50*time.Millisecond)))
+	_, a, b, got := newPair(t, eng, withConstantLatency(t, 50*time.Millisecond))
 	a.Send(b.ID(), "hello", 12)
 	eng.Run()
 	if len(*got) != 1 {
@@ -74,7 +85,7 @@ func TestNoDeliveryToDeadNode(t *testing.T) {
 
 func TestNodeDiesWhileMessageInFlight(t *testing.T) {
 	eng := sim.New(1)
-	_, a, b, got := newPair(t, eng, WithLatency(ConstantLatency(100*time.Millisecond)))
+	_, a, b, got := newPair(t, eng, withConstantLatency(t, 100*time.Millisecond))
 	a.Send(b.ID(), "x", 8)
 	eng.RunFor(10 * time.Millisecond)
 	b.SetAlive(false) // dies before delivery
@@ -250,50 +261,5 @@ func TestRandomAlive(t *testing.T) {
 	}
 	if got := n.RandomAlive(ids.None); !got.IsNone() {
 		t.Errorf("RandomAlive with all dead = %v, want None", got)
-	}
-}
-
-func TestUniformLatency(t *testing.T) {
-	eng := sim.New(5)
-	lat := UniformLatency(10*time.Millisecond, 20*time.Millisecond)
-	for i := 0; i < 100; i++ {
-		d := lat(eng.Rand())
-		if d < 10*time.Millisecond || d >= 20*time.Millisecond {
-			t.Fatalf("latency %v outside [10ms, 20ms)", d)
-		}
-	}
-	// Degenerate and inverted ranges behave.
-	if d := UniformLatency(5*time.Millisecond, 5*time.Millisecond)(eng.Rand()); d != 5*time.Millisecond {
-		t.Errorf("degenerate range latency = %v", d)
-	}
-	if d := UniformLatency(20*time.Millisecond, 10*time.Millisecond)(eng.Rand()); d < 10*time.Millisecond || d >= 20*time.Millisecond {
-		t.Errorf("inverted range latency = %v", d)
-	}
-}
-
-func TestCrossLaneBound(t *testing.T) {
-	// The network's half of the dynamic-lookahead contract: the bound
-	// must be the latency model's provable floor past the send time.
-	eng := sim.New(6)
-	lat, err := NewLognormalLatency(7*time.Millisecond, 20*time.Millisecond, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(eng, WithLatencyModel(lat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, after := range []time.Duration{0, time.Second, time.Hour} {
-		if got, want := n.CrossLaneBound(after), after+7*time.Millisecond; got != want {
-			t.Errorf("CrossLaneBound(%v) = %v, want %v", after, got, want)
-		}
-	}
-	// A sharded cluster registers exactly this bound; no latency draw
-	// may ever undercut it (TestLatencyModelsNeverBelowFloor), so the
-	// scheduler can widen horizons with it safely.
-	for i := 0; i < 1000; i++ {
-		if d := lat.Latency(ids.Sim(1), ids.Sim(2), eng.Rand()); time.Duration(0)+d < n.CrossLaneBound(0) {
-			t.Fatalf("latency draw %v below CrossLaneBound(0) = %v", d, n.CrossLaneBound(0))
-		}
 	}
 }

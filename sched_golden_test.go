@@ -5,69 +5,54 @@ import (
 	"time"
 )
 
-// schedGolden pins the deterministic scheduler counters of one fixed
-// configuration. Barriers, windows, and lane migrations are pure
-// functions of (config, seed) under the engine's determinism contract
-// — they must never move because of a refactor, an allocation diet, or
-// a data-layout change. A legitimate scheduler-policy change may move
-// them, in which case this table is updated deliberately, with the
-// change that moved it called out in review.
-type schedGolden struct {
-	name      string
-	shards    int
-	sched     *SchedulerConfig
-	barriers  uint64
-	windows   uint64
-	migrated  uint64
-	steps     uint64
-	wantMoves bool // migrations must be nonzero (forced rebalancing)
-}
-
 // TestSchedulerCountersGolden is the CI perf gate on the sharded
 // scheduler's deterministic counters at fixed small N: a SYNTH-BD
-// population (births keep lane counts moving) for 30 simulated
-// minutes, under the default and the forced-adaptive scheduler.
+// population (births keep lane counts moving) on 4 shards for 30
+// simulated minutes. Steps and windows are pure functions of (config,
+// seed) under the engine's determinism contract — they must never move
+// because of a refactor, an allocation diet, or a data-layout change.
+// Steps is also the serial engine's count, so it pins results, not just
+// the grid. A legitimate change to the window grid may move windows, in
+// which case the constant is updated deliberately, with the change that
+// moved it called out in review.
 func TestSchedulerCountersGolden(t *testing.T) {
-	goldens := []schedGolden{
-		{name: "default-4shards", shards: 4, sched: nil,
-			barriers: 7388, windows: 10079, migrated: 122, steps: 109027, wantMoves: true},
-		{name: "forced-4shards", shards: 4, sched: forcedScheduler(),
-			barriers: 7363, windows: 10056, migrated: 249, steps: 109027, wantMoves: true},
+	const (
+		goldenSteps   = 109027
+		goldenWindows = 10184
+	)
+	model, err := NewSYNTHBDModel(64, 0.3, 0.3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, g := range goldens {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			model, err := NewSYNTHBDModel(64, 0.3, 0.3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := NewCluster(ClusterConfig{
-				N: 64, Seed: 33, Shards: g.shards, Scheduler: g.sched,
-				Options: NodeOptions{Forgetful: true},
-			}, model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Run(30 * time.Minute)
-			st, ok := c.SchedStats()
-			if !ok {
-				t.Fatal("sharded cluster reports no scheduler stats")
-			}
-			if c.Steps() != g.steps {
-				t.Errorf("steps = %d, golden %d", c.Steps(), g.steps)
-			}
-			if st.Barriers != g.barriers {
-				t.Errorf("barriers = %d, golden %d", st.Barriers, g.barriers)
-			}
-			if st.Windows != g.windows {
-				t.Errorf("windows = %d, golden %d", st.Windows, g.windows)
-			}
-			if st.Migrations != g.migrated {
-				t.Errorf("migrations = %d, golden %d", st.Migrations, g.migrated)
-			}
-			if g.wantMoves && st.Migrations == 0 {
-				t.Error("forced scheduler performed no migrations; the golden proves nothing")
-			}
-		})
+	c, err := NewCluster(ClusterConfig{
+		N: 64, Seed: 33, Shards: 4,
+		Options: NodeOptions{Forgetful: true},
+	}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(30 * time.Minute)
+	st, ok := c.SchedStats()
+	if !ok {
+		t.Fatal("sharded cluster reports no scheduler stats")
+	}
+	if c.Steps() != goldenSteps {
+		t.Errorf("steps = %d, golden %d", c.Steps(), goldenSteps)
+	}
+	if st.Windows != goldenWindows {
+		t.Errorf("windows = %d, golden %d", st.Windows, goldenWindows)
+	}
+	if st.Barriers != st.Windows {
+		t.Errorf("barriers = %d, windows = %d; every window ends in exactly one barrier", st.Barriers, st.Windows)
+	}
+	lanes := 0
+	for _, sh := range st.PerShard {
+		lanes += sh.Lanes
+	}
+	if lanes != c.Size() {
+		t.Errorf("per-shard lanes sum to %d, want %d", lanes, c.Size())
+	}
+	if _, ok := statCluster(t, 10, 1, NodeOptions{}).SchedStats(); ok {
+		t.Error("serial cluster claims scheduler stats")
 	}
 }
