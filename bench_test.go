@@ -62,11 +62,6 @@ func BenchmarkWan(b *testing.B) { benchExperiment(b, "wan") }
 // go run ./cmd/avmon-bench -run chaos
 func BenchmarkChaos(b *testing.B) { benchExperiment(b, "chaos") }
 
-// BenchmarkQuery runs the query-plane load test (cache × batch
-// regimes over the real codec, verification, and answer cache) at a
-// reduced size. The real sweep: go run ./cmd/avmon-bench -run query
-func BenchmarkQuery(b *testing.B) { benchExperiment(b, "query") }
-
 // BenchmarkRealnet boots the real-deployment harness (real Service
 // nodes over memnet and 127.0.0.1 UDP, gated against the simulator's
 // prediction) at a reduced size. Unlike the other benchmarks its

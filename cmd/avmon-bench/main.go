@@ -156,15 +156,14 @@ func run(args []string) error {
 		// sweeps are excluded: the large-N scale sweep because its N
 		// is fixed at 10k/30k/100k regardless of -scale (a 100k point
 		// costs minutes of wall time and gigabytes of RSS), and wan,
-		// chaos, query, and realnet because all five write checked-in
-		// JSON artifacts that must only be regenerated by explicit,
+		// chaos, and realnet because all four write checked-in JSON
+		// artifacts that must only be regenerated by explicit,
 		// deliberately-scaled runs (realnet additionally boots
 		// hundreds of real wall-clock Service nodes, so its results
 		// are machine-load dependent). Run them with -run scale /
-		// -run wan / -run chaos / -run query / -run realnet.
+		// -run wan / -run chaos / -run realnet.
 		excluded := map[string]bool{
-			"scale": true, "wan": true, "chaos": true,
-			"query": true, "realnet": true,
+			"scale": true, "wan": true, "chaos": true, "realnet": true,
 		}
 		for _, id := range experiments.IDs() {
 			if !excluded[id] {

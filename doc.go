@@ -77,7 +77,9 @@
 // Service runs the same protocol over UDP; see NewService and
 // cmd/avmon-node. Because the simulated and real runners execute the
 // identical single-threaded core (internal/core), simulation results
-// transfer to deployments by construction.
+// transfer to deployments by construction. Service.QueryBatch is the
+// one availability resolver — report, verify, ask every verified
+// monitor at once, average; QueryAvailability is its one-subject form.
 //
 // Subpackages under internal implement the protocol core, the serial
 // and sharded discrete-event engines (internal/sim), the simulated

@@ -91,7 +91,7 @@ type Config struct {
 	SuppressMonPing func(target ids.ID) bool
 	// ForgeReport, when non-nil, intercepts every availability
 	// estimate this node is about to report for a target it monitors
-	// (EstimateOf, and therefore AVAIL responses): it receives the
+	// (EstimateOf, and therefore AVAIL-BATCH responses): it receives the
 	// honest estimate and whether one exists, and returns what the
 	// node actually reports. Colluders use it to whitewash or defame
 	// the victims they monitor, or to suppress the report entirely

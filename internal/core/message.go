@@ -46,15 +46,9 @@ const (
 	MsgReportReq
 	// MsgReportResp carries the reported monitors in View.
 	MsgReportResp
-	// MsgAvailReq asks a monitor for its availability estimate of
-	// Subject.
-	MsgAvailReq
-	// MsgAvailResp carries the estimate in Avail (Known reports
-	// whether the monitor actually tracks Subject).
-	MsgAvailResp
 	// MsgAvailBatchReq asks a monitor for its availability estimates
-	// of every node in View — one socket round-trip for many subjects
-	// (the batched query frontend).
+	// of every node in View — one socket round-trip for any number of
+	// subjects.
 	MsgAvailBatchReq
 	// MsgAvailBatchResp answers MsgAvailBatchReq: View echoes the
 	// requested subjects, Avails and Knowns are aligned with it.
@@ -86,10 +80,6 @@ func (t MsgType) String() string {
 		return "REPORT-REQ"
 	case MsgReportResp:
 		return "REPORT-RESP"
-	case MsgAvailReq:
-		return "AVAIL-REQ"
-	case MsgAvailResp:
-		return "AVAIL-RESP"
 	case MsgAvailBatchReq:
 		return "AVAIL-BATCH-REQ"
 	case MsgAvailBatchResp:
@@ -104,16 +94,14 @@ func (t MsgType) String() string {
 type Message struct {
 	Type    MsgType
 	From    ids.ID   // sender (set by the sending node)
-	Subject ids.ID   // JOIN joiner / AVAIL-REQ target
+	Subject ids.ID   // JOIN joiner
 	Weight  int      // JOIN spread budget
 	U, V    ids.ID   // NOTIFY pair: U ∈ PS(V)
 	View    []ids.ID // CV-RESP, REPORT-RESP, and AVAIL-BATCH payloads
 	Seq     uint64   // request/response matching
 	Count   int      // REPORT-REQ: number of monitors requested
-	Avail   float64  // AVAIL-RESP estimate
-	Known   bool     // AVAIL-RESP: whether the responder monitors Subject
 
-	// Nonce is the query-correlation nonce: REPORT-REQ, AVAIL-REQ, and
+	// Nonce is the query-correlation nonce: REPORT-REQ and
 	// AVAIL-BATCH-REQ carry a caller-chosen nonce that the responder
 	// echoes verbatim, so a querier can reject stale or forged
 	// responses that do not match an in-flight request. Protocol
@@ -151,13 +139,7 @@ func (m *Message) WireSize() int {
 		return headerBytes + entryBytes + 2 // subject + 2-byte weight
 	case MsgNotify:
 		return headerBytes + 2*entryBytes
-	case MsgCVResp, MsgReportResp:
-		return headerBytes + entryBytes*len(m.View)
-	case MsgAvailReq:
-		return headerBytes + entryBytes
-	case MsgAvailResp:
-		return headerBytes + entryBytes + 8 // subject + float64 estimate
-	case MsgAvailBatchReq:
+	case MsgCVResp, MsgReportResp, MsgAvailBatchReq:
 		return headerBytes + entryBytes*len(m.View)
 	case MsgAvailBatchResp:
 		// Subjects plus an 8-byte estimate (and flag) per entry.

@@ -58,7 +58,7 @@ type Node struct {
 	ownScratch *SweepScratch
 
 	// onResponse, when set via SetResponseHandler, receives
-	// REPORT-RESP and AVAIL-RESP messages for application queries.
+	// REPORT-RESP and AVAIL-BATCH-RESP messages for application queries.
 	onResponse func(from ids.ID, m *Message)
 }
 
@@ -230,15 +230,9 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 		n.send(from, &Message{
 			Type: MsgReportResp, Seq: m.Seq, Nonce: m.Nonce, View: n.ReportMonitors(m.Count),
 		})
-	case MsgAvailReq:
-		est, known := n.EstimateOf(m.Subject)
-		n.send(from, &Message{
-			Type: MsgAvailResp, Seq: m.Seq, Nonce: m.Nonce,
-			Subject: m.Subject, Avail: est, Known: known,
-		})
 	case MsgAvailBatchReq:
 		n.send(from, n.answerBatch(m))
-	case MsgReportResp, MsgAvailResp, MsgAvailBatchResp:
+	case MsgReportResp, MsgAvailBatchResp:
 		// Responses to application-level queries; surfaced through
 		// the Client helper, not consumed by the protocol node.
 		if n.onResponse != nil {
@@ -247,12 +241,11 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 	}
 }
 
-// SetResponseHandler registers a callback for REPORT-RESP,
-// AVAIL-RESP, and AVAIL-BATCH-RESP messages, which answer
-// application-level queries rather than protocol traffic (see
-// VerifyReport for the verification step). The Service layer installs
-// a single correlation-keyed dispatcher here; per-query arm/disarm is
-// racy and unsupported.
+// SetResponseHandler registers a callback for REPORT-RESP and
+// AVAIL-BATCH-RESP messages, which answer application-level queries
+// rather than protocol traffic (see VerifyReport for the verification
+// step). The Service layer installs a single correlation-keyed
+// dispatcher here; per-query arm/disarm is racy and unsupported.
 func (n *Node) SetResponseHandler(fn func(from ids.ID, m *Message)) {
 	n.onResponse = fn
 }

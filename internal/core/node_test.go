@@ -468,8 +468,8 @@ func TestWireSizes(t *testing.T) {
 		{Message{Type: MsgNotify}, 24},
 		{Message{Type: MsgCVResp, View: make([]ids.ID, 10)}, 88},
 		{Message{Type: MsgReportResp, View: make([]ids.ID, 3)}, 32},
-		{Message{Type: MsgAvailReq}, 16},
-		{Message{Type: MsgAvailResp}, 24},
+		{Message{Type: MsgAvailBatchReq, View: make([]ids.ID, 1)}, 16},
+		{Message{Type: MsgAvailBatchResp, View: make([]ids.ID, 1)}, 24},
 		{Message{Type: MsgMonPing}, 8},
 	}
 	for _, tt := range tests {
@@ -483,7 +483,7 @@ func TestMsgTypeStrings(t *testing.T) {
 	types := []MsgType{
 		MsgJoin, MsgPing, MsgPong, MsgCVFetch, MsgCVResp, MsgNotify,
 		MsgMonPing, MsgMonAck, MsgPR2, MsgReportReq, MsgReportResp,
-		MsgAvailReq, MsgAvailResp,
+		MsgAvailBatchReq, MsgAvailBatchResp,
 	}
 	seen := make(map[string]bool)
 	for _, mt := range types {

@@ -97,15 +97,6 @@ func (n *Node) QueryReport(subject ids.ID, count int, nonce uint64) uint64 {
 	return seq
 }
 
-// QueryAvailability asks a (verified) monitor for its availability
-// estimate of subject, correlated by nonce. The AVAIL-RESP arrives
-// via the response handler.
-func (n *Node) QueryAvailability(monitor, subject ids.ID, nonce uint64) uint64 {
-	seq := n.nextSeq()
-	n.send(monitor, &Message{Type: MsgAvailReq, Seq: seq, Nonce: nonce, Subject: subject})
-	return seq
-}
-
 // QueryAvailabilityBatch asks a (verified) monitor for its estimates
 // of every subject in subjects with a single AVAIL-BATCH-REQ,
 // correlated by nonce. The AVAIL-BATCH-RESP arrives via the response

@@ -149,42 +149,6 @@ func TestReportRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAvailabilityQueryRoundTrip(t *testing.T) {
-	fn := newFakeNet(t)
-	mon := fn.addNode(1, allRelated{}, nil)
-	tgt := fn.addNode(2, allRelated{}, nil)
-	asker := fn.addNode(3, allRelated{}, nil)
-	for _, n := range []*Node{mon, tgt, asker} {
-		n.Join(fn.now, ids.None)
-	}
-	mon.Handle(tgt.ID(), &Message{Type: MsgNotify, U: mon.ID(), V: tgt.ID()}, fn.now)
-	fn.advance(4, DefaultMonitorPeriod)
-	var resp *Message
-	asker.SetResponseHandler(func(from ids.ID, m *Message) {
-		if m.Type == MsgAvailResp {
-			resp = m
-		}
-	})
-	asker.QueryAvailability(mon.ID(), tgt.ID(), 42)
-	fn.flush()
-	if resp == nil {
-		t.Fatal("no AVAIL-RESP received")
-	}
-	if !resp.Known || resp.Avail != 1 || resp.Subject != tgt.ID() {
-		t.Errorf("resp = %+v, want known estimate 1.0 for target", resp)
-	}
-	if resp.Nonce != 42 {
-		t.Errorf("AVAIL-RESP nonce = %d, want the request nonce echoed", resp.Nonce)
-	}
-	// Query about an unmonitored node.
-	resp = nil
-	asker.QueryAvailability(mon.ID(), ids.Sim(77), 43)
-	fn.flush()
-	if resp == nil || resp.Known {
-		t.Errorf("unmonitored query resp = %+v, want Known=false", resp)
-	}
-}
-
 func TestAvailabilityBatchQueryRoundTrip(t *testing.T) {
 	fn := newFakeNet(t)
 	mon := fn.addNode(1, allRelated{}, nil)

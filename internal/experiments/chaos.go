@@ -272,30 +272,6 @@ func chaosProtoOf(c *avmon.Cluster) chaosProto {
 	return p
 }
 
-// sameChaosProto asserts two arms' protocol metrics match exactly.
-func sameChaosProto(a, b chaosProto) error {
-	type pair struct {
-		name string
-		a, b any
-	}
-	for _, p := range []pair{
-		{"events", a.Events, b.Events},
-		{"alive", a.Alive, b.Alive},
-		{"size", a.Size, b.Size},
-		{"ps_total", a.PSTotal, b.PSTotal},
-		{"cv_total", a.CVTotal, b.CVTotal},
-		{"mon_pings", a.MonPings, b.MonPings},
-		{"mon_acks", a.MonAcks, b.MonAcks},
-		{"bytes_out", a.BytesOut, b.BytesOut},
-		{"hash_checks", a.HashChecks, b.HashChecks},
-	} {
-		if p.a != p.b {
-			return fmt.Errorf("%s: %v vs %v", p.name, p.a, p.b)
-		}
-	}
-	return nil
-}
-
 // chaosMonFill returns the mean, over alive honest nodes, of the
 // number of alive honest monitors each has discovered divided by the
 // target monitor count K — the system's useful monitoring capacity.
@@ -536,9 +512,9 @@ func Chaos(o Options) (*Result, error) {
 	}
 	for si, spec := range specs {
 		base, ctrl := pts[si*len(arms)], pts[si*len(arms)+1]
-		if err := sameChaosProto(base.Proto, ctrl.Proto); err != nil {
-			return nil, fmt.Errorf("chaos %s: control arm diverged from the no-attack baseline: %w",
-				spec.name, err)
+		if base.Proto != ctrl.Proto {
+			return nil, fmt.Errorf("chaos %s: control arm diverged from the no-attack baseline: %+v vs %+v",
+				spec.name, base.Proto, ctrl.Proto)
 		}
 		gate.AddRow(spec.name, u64(base.Proto.Events), u64(base.Proto.MonPings),
 			u64(base.Proto.BytesOut), "identical")

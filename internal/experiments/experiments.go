@@ -167,7 +167,6 @@ func Registry() map[string]Runner {
 		"scale":    Scale,
 		"wan":      Wan,
 		"chaos":    Chaos,
-		"query":    Query,
 		"realnet":  Realnet,
 		"figure3":  Figure3,
 		"figure4":  Figure4,

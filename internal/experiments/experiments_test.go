@@ -15,7 +15,7 @@ func tinyOptions() Options {
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
 	want := []string{
-		"table1", "scale", "wan", "chaos", "query", "realnet",
+		"table1", "scale", "wan", "chaos", "realnet",
 		"figure3", "figure4", "figure5", "figure6", "figure7",
 		"figure8", "figure9", "figure10", "figure11", "figure12",
 		"figure13", "figure14", "figure15", "figure16", "figure17",

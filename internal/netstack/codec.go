@@ -40,13 +40,11 @@ func validWireType(t core.MsgType) bool {
 //	29     8    seq
 //	37     8    nonce (query correlation)
 //	45     4    count (int32)
-//	49     8    avail (float64 bits)
-//	57     1    known
-//	58     2    len(view)
-//	60     2    len(ests)
-//	62     6×n  view entries
+//	49     2    len(view)
+//	51     2    len(ests)
+//	53     6×n  view entries
 //	…      9×m  est entries (8-byte avail bits + 1-byte known)
-const fixedLen = 62
+const fixedLen = 53
 
 // estWireLen is the per-entry size of the AVAIL-BATCH-RESP estimate
 // payload: float64 bits plus a strict 0/1 known flag.
@@ -82,12 +80,6 @@ func Encode(m *core.Message) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, m.Nonce)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.Count)))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.Avail))
-	known := byte(0)
-	if m.Known {
-		known = 1
-	}
-	buf = append(buf, known)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.View)))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Avails)))
 	for _, id := range m.View {
@@ -130,23 +122,11 @@ func Decode(buf []byte) (*core.Message, error) {
 	m.Seq = binary.BigEndian.Uint64(buf[29:])
 	m.Nonce = binary.BigEndian.Uint64(buf[37:])
 	m.Count = int(int32(binary.BigEndian.Uint32(buf[45:])))
-	m.Avail = math.Float64frombits(binary.BigEndian.Uint64(buf[49:]))
-	switch buf[57] {
-	case 0:
-		m.Known = false
-	case 1:
-		m.Known = true
-	default:
-		// Strict parse: a forged flag byte must not silently
-		// normalize (fuzz-found; Decode is the deployment's attack
-		// surface and accepts only Encode's canonical form).
-		return nil, fmt.Errorf("%w: bad known flag %d", ErrCodec, buf[57])
-	}
-	viewLen := int(binary.BigEndian.Uint16(buf[58:]))
+	viewLen := int(binary.BigEndian.Uint16(buf[49:]))
 	if viewLen > MaxViewEntries {
 		return nil, fmt.Errorf("%w: view too large (%d entries)", ErrCodec, viewLen)
 	}
-	estLen := int(binary.BigEndian.Uint16(buf[60:]))
+	estLen := int(binary.BigEndian.Uint16(buf[51:]))
 	if estLen > MaxViewEntries {
 		return nil, fmt.Errorf("%w: estimate payload too large (%d entries)", ErrCodec, estLen)
 	}
@@ -176,6 +156,10 @@ func Decode(buf []byte) (*core.Message, error) {
 			case 1:
 				m.Knowns[i] = true
 			default:
+				// Strict parse: a forged flag byte must not silently
+				// normalize (fuzz-found; Decode is the deployment's
+				// attack surface and accepts only Encode's canonical
+				// form).
 				return nil, fmt.Errorf("%w: bad known flag %d in estimate %d", ErrCodec, buf[off+8], i)
 			}
 		}

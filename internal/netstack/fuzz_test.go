@@ -30,9 +30,11 @@ func fuzzSeedMessages() []*core.Message {
 		{Type: core.MsgPR2, From: c},
 		{Type: core.MsgReportReq, From: a, Seq: 5, Nonce: 0x1122334455667788, Count: 3},
 		{Type: core.MsgReportResp, From: b, Seq: 5, Nonce: 0x1122334455667788, View: view[:2]},
-		{Type: core.MsgAvailReq, From: a, Subject: c, Seq: 6, Nonce: 9},
-		{Type: core.MsgAvailResp, From: b, Subject: c, Seq: 6, Nonce: 9, Avail: 0.875, Known: true},
-		{Type: core.MsgAvailResp, From: b, Subject: c, Seq: 7, Avail: 0, Known: false},
+		{Type: core.MsgAvailBatchReq, From: a, Seq: 6, Nonce: 9, View: view[2:]},
+		{Type: core.MsgAvailBatchResp, From: b, Seq: 6, Nonce: 9, View: view[2:],
+			Avails: []float64{0.875}, Knowns: []bool{true}},
+		{Type: core.MsgAvailBatchResp, From: b, Seq: 7, View: view[2:],
+			Avails: []float64{0}, Knowns: []bool{false}},
 		{Type: core.MsgAvailBatchReq, From: a, Seq: 8, Nonce: 10, View: view},
 		{Type: core.MsgAvailBatchResp, From: b, Seq: 8, Nonce: 10, View: view,
 			Avails: []float64{1, 0.5, 0}, Knowns: []bool{true, true, false}},
@@ -59,10 +61,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xFF})
 	f.Add(bytes.Repeat([]byte{0xAA}, fixedLen-1))
 	lie := make([]byte, fixedLen)
-	lie[58], lie[59] = 0xFF, 0xFF // claims 65535 view entries, carries none
+	lie[fixedLen-4], lie[fixedLen-3] = 0xFF, 0xFF // claims 65535 view entries, carries none
 	f.Add(lie)
 	estLie := make([]byte, fixedLen)
-	estLie[60], estLie[61] = 0xFF, 0xFF // claims 65535 estimates, carries none
+	estLie[fixedLen-2], estLie[fixedLen-1] = 0xFF, 0xFF // claims 65535 estimates, carries none
 	f.Add(estLie)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

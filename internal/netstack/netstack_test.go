@@ -25,10 +25,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			Type: core.MsgCVResp, From: ids.Sim(7), Seq: 9,
 			View: []ids.ID{ids.Sim(1), ids.Sim(2), ids.Sim(3)},
 		}},
-		{"availresp", core.Message{
-			Type: core.MsgAvailResp, From: ids.Sim(8), Subject: ids.Sim(9),
-			Avail: 0.875, Known: true, Seq: 11,
-		}},
 		{"negative weight", core.Message{Type: core.MsgJoin, From: ids.Sim(1), Weight: -3}},
 		{"empty view resp", core.Message{Type: core.MsgCVResp, From: ids.Sim(1)}},
 		{"nonced report req", core.Message{
@@ -58,7 +54,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if got.Type != tt.msg.Type || got.From != tt.msg.From ||
 				got.Subject != tt.msg.Subject || got.U != tt.msg.U || got.V != tt.msg.V ||
 				got.Weight != tt.msg.Weight || got.Seq != tt.msg.Seq || got.Nonce != tt.msg.Nonce ||
-				got.Count != tt.msg.Count || got.Avail != tt.msg.Avail || got.Known != tt.msg.Known {
+				got.Count != tt.msg.Count {
 				t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, tt.msg)
 			}
 			if len(got.View) != len(tt.msg.View) {
@@ -94,7 +90,6 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			Weight:  int(weight),
 			Seq:     seq,
 			Nonce:   nonce,
-			Avail:   avail,
 		}
 		for i := 0; i < int(viewN%32); i++ {
 			m.View = append(m.View, ids.Sim(i))
@@ -150,15 +145,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{"oversized view count", func() []byte {
 			m := &core.Message{Type: core.MsgCVResp, From: ids.Sim(1)}
 			b, _ := Encode(m)
-			b[58] = 0xFF
-			b[59] = 0xFF
+			b[fixedLen-4], b[fixedLen-3] = 0xFF, 0xFF
 			return b
 		}()},
 		{"oversized est count", func() []byte {
 			m := &core.Message{Type: core.MsgAvailBatchResp, From: ids.Sim(1)}
 			b, _ := Encode(m)
-			b[60] = 0xFF
-			b[61] = 0xFF
+			b[fixedLen-2], b[fixedLen-1] = 0xFF, 0xFF
 			return b
 		}()},
 		{"truncated est payload", func() []byte {

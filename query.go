@@ -10,8 +10,14 @@ import (
 )
 
 // ErrQueryTimeout reports that a remote node did not answer within the
-// deadline.
+// deadline: the subject itself, or every verified monitor it reported.
 var ErrQueryTimeout = errors.New("avmon: query timed out")
+
+// ErrNoMonitors reports that the subject answered with an empty monitor
+// list (it has just joined and discovered none yet), so there is nobody
+// to ask. Nothing timed out; retrying after a few protocol periods is
+// the remedy.
+var ErrNoMonitors = errors.New("avmon: subject has no monitors")
 
 // AvailabilityReport is the result of a verified availability query
 // (the full Section 3.3 usage flow: ask the subject for l monitors,
@@ -37,7 +43,7 @@ type BatchAnswer struct {
 	// Report is the verified availability report, nil on failure.
 	Report *AvailabilityReport
 	// Err explains a failed lookup (timeout, rejected monitor report,
-	// or no verified monitor answering).
+	// no monitors reported, or no verified monitor answering).
 	Err error
 }
 
@@ -121,24 +127,12 @@ func (d *respDispatcher) pending() int {
 	return len(d.waiters)
 }
 
-// queryTimer bounds one query's sequence of network waits with a single
-// reused time.Timer instead of a fresh time.After channel per wait
-// (which would pin memory until each abandoned timer fired).
-type queryTimer struct {
-	deadline time.Time
-	timer    *time.Timer // lazily created, stopped+drained between waits
-}
-
-func newQueryTimer(deadline time.Time) *queryTimer {
-	return &queryTimer{deadline: deadline}
-}
-
-// wait blocks until a message arrives on ch or the deadline passes. An
-// already-expired deadline takes a fast path that never arms the timer:
-// it still drains an answer that has already been delivered, otherwise
+// await blocks until a message arrives on ch or deadline passes. An
+// already-expired deadline takes a fast path that arms no timer: it
+// still drains an answer that has already been delivered, otherwise
 // fails immediately.
-func (t *queryTimer) wait(ch <-chan *core.Message) (*core.Message, error) {
-	d := time.Until(t.deadline)
+func await(ch <-chan *core.Message, deadline time.Time) (*core.Message, error) {
+	d := time.Until(deadline)
 	if d <= 0 {
 		select {
 		case m := <-ch:
@@ -147,92 +141,14 @@ func (t *queryTimer) wait(ch <-chan *core.Message) (*core.Message, error) {
 			return nil, ErrQueryTimeout
 		}
 	}
-	if t.timer == nil {
-		t.timer = time.NewTimer(d)
-	} else {
-		t.timer.Reset(d)
-	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
 	case m := <-ch:
-		// Stop for reuse; if the timer fired concurrently, drain the
-		// tick so the next wait's select doesn't see a phantom expiry.
-		if !t.timer.Stop() {
-			<-t.timer.C
-		}
 		return m, nil
-	case <-t.timer.C:
+	case <-timer.C:
 		return nil, ErrQueryTimeout
 	}
-}
-
-// stop releases the underlying timer.
-func (t *queryTimer) stop() {
-	if t.timer != nil {
-		t.timer.Stop()
-	}
-}
-
-// QueryAvailability performs the end-to-end availability lookup
-// against a remote node: it requests l monitors from subject, verifies
-// the report (rejecting fabricated monitors), queries each verified
-// monitor for its estimate of subject, and aggregates the answers.
-// It blocks up to timeout.
-//
-// Concurrent calls are fully supported: every in-flight query waits on
-// its own correlation key (peer, response type, nonce), so answers are
-// never delivered to the wrong caller. With the answer cache enabled
-// (ServiceConfig.QueryCache), a fresh cached report is returned without
-// touching the network.
-func (s *Service) QueryAvailability(subject ID, l int, timeout time.Duration) (*AvailabilityReport, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	now := time.Now()
-	if s.answers != nil {
-		if r, ok := s.answers.Get(subject, now); ok {
-			return r, nil
-		}
-	}
-	qt := newQueryTimer(now.Add(timeout))
-	defer qt.stop()
-	report, err := s.queryOne(subject, l, qt)
-	if err != nil {
-		return nil, err
-	}
-	if s.answers != nil {
-		s.answers.Put(report, time.Now())
-	}
-	return report, nil
-}
-
-// queryOne runs the fetch-report / verify / fetch-estimates flow for a
-// single subject under one query timer.
-func (s *Service) queryOne(subject ID, l int, qt *queryTimer) (*AvailabilityReport, error) {
-	reported, err := s.fetchReport(subject, l, qt)
-	if err != nil {
-		return nil, err
-	}
-	verified, err := core.VerifyReport(s.scheme(), subject, reported, minNonZero(l, len(reported)))
-	if err != nil {
-		return nil, fmt.Errorf("avmon: monitor report for %v rejected: %w", subject, err)
-	}
-
-	report := &AvailabilityReport{Subject: subject}
-	var sum float64
-	for _, mon := range verified {
-		est, err := s.fetchEstimate(mon, subject, qt)
-		if err != nil {
-			continue // unreachable or non-tracking monitors are skipped
-		}
-		report.Monitors = append(report.Monitors, mon)
-		report.Estimates = append(report.Estimates, est)
-		sum += est
-	}
-	if len(report.Monitors) == 0 {
-		return nil, fmt.Errorf("avmon: no verified monitor of %v answered: %w", subject, ErrQueryTimeout)
-	}
-	report.Mean = sum / float64(len(report.Monitors))
-	return report, nil
 }
 
 func minNonZero(l, n int) int {
@@ -250,54 +166,49 @@ func (s *Service) scheme() core.SelectionScheme {
 	return s.node.Config().Scheme
 }
 
-// fetchReport asks subject for count monitors and waits for the reply.
-func (s *Service) fetchReport(subject ID, count int, qt *queryTimer) ([]ID, error) {
+// roundTrip runs one correlated request: it subscribes for peer's
+// response of type typ under a fresh nonce, lets send emit the request
+// carrying that nonce (under the node lock), and waits for the answer
+// until deadline.
+func (s *Service) roundTrip(peer ID, typ core.MsgType, deadline time.Time, send func(nonce uint64)) (*core.Message, error) {
 	nonce := s.nextNonce()
-	key := respKey{peer: subject, typ: core.MsgReportResp, nonce: nonce}
+	key := respKey{peer: peer, typ: typ, nonce: nonce}
 	ch := s.disp.subscribe(key)
 	defer s.disp.cancel(key)
 	s.mu.Lock()
-	s.node.QueryReport(subject, count, nonce)
+	send(nonce)
 	s.mu.Unlock()
-	m, err := qt.wait(ch)
+	return await(ch, deadline)
+}
+
+// fetchReport asks subject for count monitors and waits for the reply.
+func (s *Service) fetchReport(subject ID, count int, deadline time.Time) ([]ID, error) {
+	m, err := s.roundTrip(subject, core.MsgReportResp, deadline, func(nonce uint64) {
+		s.node.QueryReport(subject, count, nonce)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("avmon: monitor report from %v: %w", subject, err)
 	}
 	return m.View, nil
 }
 
-// fetchEstimate asks one monitor for its estimate of subject.
-func (s *Service) fetchEstimate(monitor, subject ID, qt *queryTimer) (float64, error) {
-	nonce := s.nextNonce()
-	key := respKey{peer: monitor, typ: core.MsgAvailResp, nonce: nonce}
-	ch := s.disp.subscribe(key)
-	defer s.disp.cancel(key)
-	s.mu.Lock()
-	s.node.QueryAvailability(monitor, subject, nonce)
-	s.mu.Unlock()
-	m, err := qt.wait(ch)
-	if err != nil {
-		return 0, fmt.Errorf("avmon: estimate from %v: %w", monitor, err)
-	}
-	if !m.Known {
-		return 0, fmt.Errorf("avmon: %v does not track %v", monitor, subject)
-	}
-	return m.Avail, nil
-}
-
-// QueryBatch resolves many subjects in one sweep, amortizing socket
-// round-trips: per-subject monitor reports are fetched and verified
-// concurrently, then each distinct monitor is asked once — with a
-// single AVAIL-BATCH-REQ covering every subject it vouches for —
-// instead of one AVAIL-REQ per (monitor, subject) pair. Results are
-// returned in subject order; cached answers (when the cache is
-// enabled) are served without network traffic. Failed subjects carry
-// a per-subject error rather than failing the whole batch.
+// QueryBatch is the availability resolver — the Section 3.3 usage flow
+// for any number of subjects in one sweep: per-subject monitor reports
+// are fetched and verified concurrently, then each distinct monitor is
+// asked once, with a single AVAIL-BATCH-REQ covering every subject it
+// vouches for. Results are returned in subject order; cached answers
+// (when the cache is enabled) are served without network traffic.
+// Failed subjects carry a per-subject error rather than failing the
+// whole batch: ErrNoMonitors when the subject reported none,
+// ErrQueryTimeout when the subject or all its verified monitors stayed
+// silent, a *core.ReportError when the report was fabricated.
 //
 // timeout bounds each of the two network phases (report fetch, batched
 // estimate fetch) separately — the call blocks at most about twice
 // that — so an unreachable subject exhausting phase one cannot starve
-// live subjects of their estimate phase.
+// live subjects of their estimate phase, and within the estimate phase
+// every monitor is asked at once, so a dead monitor costs its own
+// estimate and nothing else.
 func (s *Service) QueryBatch(subjects []ID, l int, timeout time.Duration) []BatchAnswer {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -325,16 +236,19 @@ func (s *Service) QueryBatch(subjects []ID, l int, timeout time.Duration) []Batc
 	verifiedBy := make(map[int][]ID, len(misses))
 	var vmu sync.Mutex
 	var wg sync.WaitGroup
+	reportDeadline := now.Add(timeout)
 	for _, i := range misses {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			qt := newQueryTimer(now.Add(timeout))
-			defer qt.stop()
 			subject := subjects[i]
-			reported, err := s.fetchReport(subject, l, qt)
+			reported, err := s.fetchReport(subject, l, reportDeadline)
 			if err != nil {
 				answers[i].Err = err
+				return
+			}
+			if len(reported) == 0 {
+				answers[i].Err = fmt.Errorf("avmon: %v reported an empty pinging set: %w", subject, ErrNoMonitors)
 				return
 			}
 			verified, err := core.VerifyReport(scheme, subject, reported, minNonZero(l, len(reported)))
@@ -368,13 +282,11 @@ func (s *Service) QueryBatch(subjects []ID, l int, timeout time.Duration) []Batc
 		wg.Add(1)
 		go func(mon ID, idxs []int) {
 			defer wg.Done()
-			qt := newQueryTimer(estDeadline)
-			defer qt.stop()
 			batch := make([]ID, len(idxs))
 			for j, i := range idxs {
 				batch[j] = subjects[i]
 			}
-			ests, knowns, err := s.fetchBatchEstimates(mon, batch, qt)
+			ests, knowns, err := s.fetchBatchEstimates(mon, batch, estDeadline)
 			if err != nil {
 				return // this monitor contributes nothing
 			}
@@ -424,18 +336,28 @@ func (s *Service) QueryBatch(subjects []ID, l int, timeout time.Duration) []Batc
 	return answers
 }
 
+// QueryAvailability performs the end-to-end availability lookup
+// against a remote node: it requests l monitors from subject, verifies
+// the report (rejecting fabricated monitors), asks every verified
+// monitor for its estimate of subject, and aggregates the answers. It
+// is QueryBatch with one subject — the same cache, the same two phases
+// each bounded by timeout, the same errors.
+//
+// Concurrent calls are fully supported: every in-flight query waits on
+// its own correlation key (peer, response type, nonce), so answers are
+// never delivered to the wrong caller.
+func (s *Service) QueryAvailability(subject ID, l int, timeout time.Duration) (*AvailabilityReport, error) {
+	a := s.QueryBatch([]ID{subject}, l, timeout)[0]
+	return a.Report, a.Err
+}
+
 // fetchBatchEstimates sends one AVAIL-BATCH-REQ for all subjects to a
 // monitor and waits for the aligned response. It validates the echoed
 // subject list and payload shape before trusting the answer.
-func (s *Service) fetchBatchEstimates(monitor ID, subjects []ID, qt *queryTimer) ([]float64, []bool, error) {
-	nonce := s.nextNonce()
-	key := respKey{peer: monitor, typ: core.MsgAvailBatchResp, nonce: nonce}
-	ch := s.disp.subscribe(key)
-	defer s.disp.cancel(key)
-	s.mu.Lock()
-	s.node.QueryAvailabilityBatch(monitor, subjects, nonce)
-	s.mu.Unlock()
-	m, err := qt.wait(ch)
+func (s *Service) fetchBatchEstimates(monitor ID, subjects []ID, deadline time.Time) ([]float64, []bool, error) {
+	m, err := s.roundTrip(monitor, core.MsgAvailBatchResp, deadline, func(nonce uint64) {
+		s.node.QueryAvailabilityBatch(monitor, subjects, nonce)
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("avmon: batch estimates from %v: %w", monitor, err)
 	}

@@ -100,19 +100,19 @@ func TestDispatcherCorrelation(t *testing.T) {
 	peerB := MustParseID(t, "10.0.0.2:1000")
 	d := newRespDispatcher()
 
-	chA := d.subscribe(respKey{peer: peerA, typ: core.MsgAvailResp, nonce: 7})
-	chB := d.subscribe(respKey{peer: peerB, typ: core.MsgAvailResp, nonce: 9})
+	chA := d.subscribe(respKey{peer: peerA, typ: core.MsgAvailBatchResp, nonce: 7})
+	chB := d.subscribe(respKey{peer: peerB, typ: core.MsgAvailBatchResp, nonce: 9})
 	if d.pending() != 2 {
 		t.Fatalf("pending = %d, want 2", d.pending())
 	}
 
 	// A stale response — right peer and type, wrong nonce — must be
 	// dropped, not delivered to either waiter.
-	d.dispatch(peerA, &core.Message{Type: core.MsgAvailResp, Nonce: 8})
+	d.dispatch(peerA, &core.Message{Type: core.MsgAvailBatchResp, Nonce: 8})
 	// Wrong type with a matching nonce must be dropped too.
 	d.dispatch(peerA, &core.Message{Type: core.MsgReportResp, Nonce: 7})
 	// Right key from the wrong peer: dropped.
-	d.dispatch(peerB, &core.Message{Type: core.MsgAvailResp, Nonce: 7})
+	d.dispatch(peerB, &core.Message{Type: core.MsgAvailBatchResp, Nonce: 7})
 	if got := d.staleCount(); got != 3 {
 		t.Errorf("staleCount = %d, want 3", got)
 	}
@@ -125,12 +125,12 @@ func TestDispatcherCorrelation(t *testing.T) {
 	}
 
 	// Exact matches are delivered to their own waiters.
-	d.dispatch(peerB, &core.Message{Type: core.MsgAvailResp, Nonce: 9, Avail: 0.5})
-	d.dispatch(peerA, &core.Message{Type: core.MsgAvailResp, Nonce: 7, Avail: 1})
-	if m := <-chA; m.Avail != 1 {
+	d.dispatch(peerB, &core.Message{Type: core.MsgAvailBatchResp, Nonce: 9, Avails: []float64{0.5}})
+	d.dispatch(peerA, &core.Message{Type: core.MsgAvailBatchResp, Nonce: 7, Avails: []float64{1}})
+	if m := <-chA; m.Avails[0] != 1 {
 		t.Errorf("waiter A got %+v", m)
 	}
-	if m := <-chB; m.Avail != 0.5 {
+	if m := <-chB; m.Avails[0] != 0.5 {
 		t.Errorf("waiter B got %+v", m)
 	}
 	if d.pending() != 0 {
@@ -138,52 +138,36 @@ func TestDispatcherCorrelation(t *testing.T) {
 	}
 	// Delivery unregisters: a duplicate of an answered response is
 	// stale, and cancel after delivery is a no-op.
-	d.dispatch(peerA, &core.Message{Type: core.MsgAvailResp, Nonce: 7})
+	d.dispatch(peerA, &core.Message{Type: core.MsgAvailBatchResp, Nonce: 7})
 	if got := d.staleCount(); got != 4 {
 		t.Errorf("staleCount after replay = %d, want 4", got)
 	}
-	d.cancel(respKey{peer: peerA, typ: core.MsgAvailResp, nonce: 7})
+	d.cancel(respKey{peer: peerA, typ: core.MsgAvailBatchResp, nonce: 7})
 }
 
 func TestQueryTimerExpiredFastPath(t *testing.T) {
-	qt := newQueryTimer(time.Now().Add(-time.Second))
-	defer qt.stop()
+	expired := time.Now().Add(-time.Second)
 
-	// Expired with no answer pending: immediate timeout, no timer armed.
+	// Expired with no answer pending: immediate timeout.
 	ch := make(chan *core.Message, 1)
-	if _, err := qt.wait(ch); !errors.Is(err, ErrQueryTimeout) {
-		t.Fatalf("expired wait returned %v, want ErrQueryTimeout", err)
-	}
-	if qt.timer != nil {
-		t.Error("expired fast path armed a timer")
+	if _, err := await(ch, expired); !errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("expired await returned %v, want ErrQueryTimeout", err)
 	}
 
 	// Expired but the answer already arrived: still delivered.
-	ch <- &core.Message{Type: core.MsgAvailResp, Avail: 1}
-	m, err := qt.wait(ch)
-	if err != nil || m.Avail != 1 {
-		t.Fatalf("expired wait with buffered answer = (%+v, %v)", m, err)
+	ch <- &core.Message{Type: core.MsgAvailBatchResp, Seq: 1}
+	m, err := await(ch, expired)
+	if err != nil || m.Seq != 1 {
+		t.Fatalf("expired await with buffered answer = (%+v, %v)", m, err)
 	}
-}
 
-func TestQueryTimerReuse(t *testing.T) {
-	qt := newQueryTimer(time.Now().Add(5 * time.Second))
-	defer qt.stop()
-	ch := make(chan *core.Message, 1)
-	for i := 0; i < 3; i++ {
-		ch <- &core.Message{Seq: uint64(i)}
-		m, err := qt.wait(ch)
-		if err != nil || m.Seq != uint64(i) {
-			t.Fatalf("wait %d = (%+v, %v)", i, m, err)
-		}
+	// A live deadline waits for the answer, then for the deadline.
+	ch <- &core.Message{Seq: 2}
+	if m, err := await(ch, time.Now().Add(5*time.Second)); err != nil || m.Seq != 2 {
+		t.Fatalf("live await = (%+v, %v)", m, err)
 	}
-	timer := qt.timer
-	if timer == nil {
-		t.Fatal("no timer allocated across live waits")
-	}
-	ch <- &core.Message{Seq: 99}
-	if m, _ := qt.wait(ch); m.Seq != 99 || qt.timer != timer {
-		t.Error("timer not reused across waits")
+	if _, err := await(ch, time.Now().Add(10*time.Millisecond)); !errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("await on a silent channel returned %v, want ErrQueryTimeout", err)
 	}
 }
 

@@ -20,8 +20,8 @@ const DefaultAnswerCacheEntries = 1 << 16
 // period is as fresh as a re-query.
 //
 // Unlike MemoSelector (single-threaded by contract), AnswerCache is
-// safe for concurrent use: it serves the Service query plane, where
-// any number of QueryAvailability and QueryBatch calls run at once.
+// safe for concurrent use: it serves Service.QueryBatch (and so
+// QueryAvailability), any number of which run at once.
 // Cached *AvailabilityReport values are shared between callers and
 // must be treated as read-only.
 type AnswerCache struct {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +15,18 @@ import (
 	"avmon/internal/simnet"
 )
 
-// newMemnetServices boots n real Service instances over an in-process
-// memnet loopback, bootstrapped in a chain, and returns them with the
-// network. Cleanup stops every service and closes the network.
+// newMemnetServices boots n real Service instances on the wall clock
+// over an in-process memnet loopback, bootstrapped in a chain, and
+// returns them with the network. Cleanup stops every service and
+// closes the network.
 func newMemnetServices(t *testing.T, n int, opts NodeOptions, netCfg memnet.Config) ([]*Service, *memnet.Network) {
+	t.Helper()
+	return newMemnetServicesOn(t, nil, n, opts, netCfg)
+}
+
+// newMemnetServicesOn is newMemnetServices with an injected protocol
+// clock (nil = wall clock).
+func newMemnetServicesOn(t *testing.T, clock Clock, n int, opts NodeOptions, netCfg memnet.Config) ([]*Service, *memnet.Network) {
 	t.Helper()
 	net := memnet.New(netCfg)
 	t.Cleanup(net.Close)
@@ -34,6 +43,7 @@ func newMemnetServices(t *testing.T, n int, opts NodeOptions, netCfg memnet.Conf
 			Options:   opts,
 			Seed:      int64(i + 1),
 			Transport: tr,
+			Clock:     clock,
 		}
 		if i > 0 {
 			cfg.Bootstrap = ids.Sim(1 + i/2).String() // binary-ish bootstrap tree
@@ -328,6 +338,304 @@ func TestServiceQueryBatchCachesInSubjectOrder(t *testing.T) {
 	}
 }
 
+// TestServiceQueryAvailabilitySkipsDeadMonitor is the regression test
+// for the serial resolver's shared deadline: asking the monitors one
+// after another let a dead first monitor eat the whole timeout, and the
+// live ones then failed on an already-expired deadline. The one
+// resolver asks every verified monitor at once, so a dead monitor costs
+// its own estimate and nothing else.
+func TestServiceQueryAvailabilitySkipsDeadMonitor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("realnet test")
+	}
+	const n = 12
+	opts := NodeOptions{
+		K:             4,
+		CVS:           6,
+		Period:        50 * time.Millisecond,
+		MonitorPeriod: 50 * time.Millisecond,
+		Hash:          HashFast,
+	}
+	services, _ := newMemnetServices(t, n, opts, memnet.Config{Seed: 13})
+	byID := make(map[ID]*Service, n)
+	for _, s := range services {
+		byID[s.ID()] = s
+	}
+	scheme, err := NewSelector(opts.Hash, opts.K, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A subject is ready once it has discovered its whole hash-defined
+	// pinging set (so the set cannot grow under the test), that set has
+	// at least three members, and each of them has an estimate of it.
+	ready := func(s *Service) bool {
+		want := 0
+		for _, o := range services {
+			if o != s && scheme.Related(o.ID(), s.ID()) {
+				want++
+			}
+		}
+		mons := s.Monitors()
+		if want < 3 || len(mons) != want {
+			return false
+		}
+		for _, mon := range mons {
+			if _, known := byID[mon].EstimateOf(s.ID()); !known {
+				return false
+			}
+		}
+		return true
+	}
+	var subject *Service
+	for deadline := time.Now().Add(30 * time.Second); subject == nil; {
+		for _, s := range services {
+			if ready(s) {
+				subject = s
+				break
+			}
+		}
+		if subject == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("no subject discovered its full pinging set of ≥ 3 monitors")
+			}
+			time.Sleep(25 * time.Millisecond)
+		}
+	}
+
+	ps := subject.ReportMonitors(0)
+	dead := byID[ps[0]]
+	dead.Stop()
+	var querier *Service
+	for _, s := range services {
+		if s != subject && !scheme.Related(s.ID(), subject.ID()) {
+			querier = s // neither the subject nor any of its monitors
+			break
+		}
+	}
+
+	start := time.Now()
+	r, err := querier.QueryAvailability(subject.ID(), 0, 400*time.Millisecond)
+	if err != nil {
+		t.Fatalf("query with first-reported monitor %v dead failed after %v: %v",
+			dead.ID(), time.Since(start), err)
+	}
+	if len(r.Monitors) != len(ps)-1 {
+		t.Errorf("report has %d monitors %v, want the %d live ones of %v",
+			len(r.Monitors), r.Monitors, len(ps)-1, ps)
+	}
+	for i, mon := range r.Monitors {
+		if mon == dead.ID() {
+			t.Errorf("dead monitor %v answered", mon)
+		}
+		if est := r.Estimates[i]; est < 0 || est > 1 {
+			t.Errorf("estimate %v from %v out of [0,1]", est, mon)
+		}
+	}
+}
+
+// TestServiceQueryNoMonitors pins the error for a subject that answers
+// with an empty pinging set: ErrNoMonitors at once, not a timeout.
+func TestServiceQueryNoMonitors(t *testing.T) {
+	// Two nodes that were never introduced (no bootstrap) and never
+	// tick (hour-long periods): neither can discover a monitor.
+	net := memnet.New(memnet.Config{Seed: 1})
+	t.Cleanup(net.Close)
+	var services [2]*Service
+	for i := range services {
+		id := ids.Sim(i + 1)
+		tr, err := net.Listen(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewService(ServiceConfig{
+			Addr:      id.String(),
+			N:         2,
+			Options:   NodeOptions{K: 2, CVS: 4, Period: time.Hour, MonitorPeriod: time.Hour, Hash: HashFast},
+			Seed:      int64(i + 1),
+			Transport: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Stop)
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		services[i] = s
+	}
+	const timeout = 5 * time.Second
+	start := time.Now()
+	r, err := services[0].QueryAvailability(services[1].ID(), 0, timeout)
+	if r != nil || !errors.Is(err, ErrNoMonitors) || errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("query of a monitor-less subject = (%v, %v), want ErrNoMonitors only", r, err)
+	}
+	if took := time.Since(start); took > timeout/5 {
+		t.Errorf("empty report took %v to fail, want well under the %v timeout", took, timeout)
+	}
+}
+
+// freezeClock is the wall clock until freeze stops every ticker it
+// handed out: the fleet's protocol state then stands still while its
+// transports stay open and keep answering queries (Stop would close
+// them).
+type freezeClock struct {
+	mu      sync.Mutex
+	tickers []*time.Ticker
+}
+
+func (c *freezeClock) Now() time.Time { return time.Now() }
+
+func (c *freezeClock) Ticker(period time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTicker(period)
+	c.mu.Lock()
+	c.tickers = append(c.tickers, t)
+	c.mu.Unlock()
+	return t.C, t.Stop
+}
+
+func (c *freezeClock) freeze() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range c.tickers {
+		t.Stop()
+	}
+}
+
+// TestServiceQueryAnswerInvariance resolves one fixed workload against
+// a frozen live fleet six ways — with and without the answer cache,
+// one subject at a time through QueryAvailability and batched 16 and
+// 64 at a time through QueryBatch — and requires the six answer
+// sequences to be identical and every report to re-verify: neither
+// the cache nor the batching may change what a caller is told.
+func TestServiceQueryAnswerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("realnet test")
+	}
+	const n, draws = 24, 240
+	opts := NodeOptions{
+		K:             5,
+		CVS:           8,
+		Period:        50 * time.Millisecond,
+		MonitorPeriod: 50 * time.Millisecond,
+		Hash:          HashFast,
+	}
+	clock := &freezeClock{}
+	services, _ := newMemnetServicesOn(t, clock, n, opts, memnet.Config{Seed: 17})
+	byID := make(map[ID]*Service, n)
+	for _, s := range services {
+		byID[s.ID()] = s
+	}
+
+	// Warm up until every node has a monitor that knows its estimate.
+	answerable := func(s *Service) bool {
+		for _, mon := range s.Monitors() {
+			if _, known := byID[mon].EstimateOf(s.ID()); known {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(25 * time.Millisecond) {
+		pending := 0
+		for _, s := range services {
+			if !answerable(s) {
+				pending++
+			}
+		}
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d nodes never got a monitor with an estimate", pending, n)
+		}
+	}
+
+	// Freeze, then drain: wait until everything an answer is made of —
+	// each node's pinging set and each monitor's estimates — has stood
+	// still for ten polls, so no tick or datagram is still in flight.
+	clock.freeze()
+	state := func() string {
+		var sb strings.Builder
+		for _, s := range services {
+			fmt.Fprintf(&sb, "%v:%v", s.ID(), s.Monitors())
+			for _, target := range s.Targets() {
+				est, known := s.EstimateOf(target)
+				fmt.Fprintf(&sb, " %v=%v/%v", target, est, known)
+			}
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	for last, still := state(), 0; still < 10; {
+		time.Sleep(10 * time.Millisecond)
+		if now := state(); now == last {
+			still++
+		} else {
+			last, still = now, 0
+		}
+	}
+
+	// One seeded workload with repeats, drawn from every node but the
+	// querier. l = 0: each subject reports its whole pinging set, in
+	// table order, so the sequence of monitors is part of the answer.
+	querier := services[0]
+	scheme := querier.scheme()
+	rng := rand.New(rand.NewSource(18))
+	workload := make([]ID, draws)
+	for i := range workload {
+		workload[i] = services[1+rng.Intn(n-1)].ID()
+	}
+	resolve := func(cache *AnswerCache, batch int) string {
+		querier.answers = cache
+		var sb strings.Builder
+		record := func(subject ID, r *AvailabilityReport, err error) {
+			if err != nil {
+				t.Fatalf("cache=%v batch=%d: %v failed: %v", cache != nil, batch, subject, err)
+			}
+			if _, err := VerifyReport(scheme, subject, r.Monitors, len(r.Monitors)); err != nil {
+				t.Errorf("cache=%v batch=%d: report for %v does not re-verify: %v", cache != nil, batch, subject, err)
+			}
+			fmt.Fprintf(&sb, "%v %v %v %v\n", r.Subject, r.Monitors, r.Estimates, r.Mean)
+		}
+		for lo := 0; lo < draws; lo += batch {
+			hi := lo + batch
+			if hi > draws {
+				hi = draws
+			}
+			if batch == 1 {
+				r, err := querier.QueryAvailability(workload[lo], 0, 5*time.Second)
+				record(workload[lo], r, err)
+				continue
+			}
+			for _, a := range querier.QueryBatch(workload[lo:hi], 0, 5*time.Second) {
+				record(a.Subject, a.Report, a.Err)
+			}
+		}
+		if cache != nil {
+			if st := cache.Stats(); st.Hits == 0 {
+				t.Errorf("batch=%d: cached arm recorded no hits: %+v", batch, st)
+			}
+		}
+		return sb.String()
+	}
+	var want string
+	for _, cached := range []bool{false, true} {
+		for _, batch := range []int{1, 16, 64} {
+			var cache *AnswerCache
+			if cached {
+				cache = NewAnswerCache(time.Hour, 0)
+			}
+			got := resolve(cache, batch)
+			if want == "" {
+				want = got // uncached, one by one
+			} else if got != want {
+				t.Errorf("cache=%v batch=%d answers differ from uncached one-by-one:\n got %s\nwant %s",
+					cached, batch, got, want)
+			}
+		}
+	}
+}
+
 // TestServiceDroppedResponsesOverMemnet forces a response to arrive
 // after its query timed out — 40ms of modeled latency against a 1ms
 // query timeout — and asserts the stale answer is accounted.
@@ -444,9 +752,6 @@ func TestServiceAcceleratedClock(t *testing.T) {
 		t.Skip("timing-dependent realnet test")
 	}
 	const n = 6
-	clock := warpClock{start: time.Now(), factor: 50}
-	net := memnet.New(memnet.Config{Seed: 9})
-	t.Cleanup(net.Close)
 	opts := NodeOptions{
 		K:             3,
 		CVS:           4,
@@ -454,34 +759,8 @@ func TestServiceAcceleratedClock(t *testing.T) {
 		MonitorPeriod: 2 * time.Second,
 		Hash:          HashFast,
 	}
-	services := make([]*Service, 0, n)
-	for i := 0; i < n; i++ {
-		id := ids.Sim(i + 1)
-		tr, err := net.Listen(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := ServiceConfig{
-			Addr:      id.String(),
-			N:         n,
-			Options:   opts,
-			Seed:      int64(i + 1),
-			Transport: tr,
-			Clock:     clock,
-		}
-		if i > 0 {
-			cfg.Bootstrap = ids.Sim(1).String()
-		}
-		s, err := NewService(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		services = append(services, s)
-		t.Cleanup(s.Stop)
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	services, _ := newMemnetServicesOn(t, warpClock{start: time.Now(), factor: 50},
+		n, opts, memnet.Config{Seed: 9})
 	// 10s of wall time is 500s ≈ 250 protocol periods at 50× — far
 	// more than discovery needs; without acceleration, 10s of wall
 	// time would cover only 5 periods.
