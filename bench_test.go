@@ -8,7 +8,9 @@ package avmon_test
 
 import (
 	"testing"
+	"time"
 
+	"avmon"
 	"avmon/internal/experiments"
 )
 
@@ -39,6 +41,32 @@ func benchExperiment(b *testing.B, id string) {
 			b.Log("\n" + res.String())
 		}
 	}
+}
+
+// BenchmarkClusterSetupStat20k is the repository benchmark's
+// sim_stat_fast set-up (benchmark/sim.go setupSim) through the public
+// API: STAT N = 20000, fast hash, K 14, cvs 48, two simulated minutes,
+// then 100 control joiners enrolled. One iteration is one set-up; the
+// ns/event metric divides it by the events it executed (1 515 690 at
+// seed 1), the cost item 1(b) of ROADMAP.md tracks against N.
+//
+//	go test -run '^$' -bench ClusterSetupStat20k -benchtime 5x .
+func BenchmarkClusterSetupStat20k(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		c, err := avmon.NewCluster(avmon.ClusterConfig{
+			Seed:    1,
+			Options: avmon.NodeOptions{K: 14, CVS: 48, Hash: avmon.HashFast},
+		}, avmon.NewSTATModel(20000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Run(2 * time.Minute)
+		c.EnrollControl(100)
+		c.ResetTraffic()
+		events += c.Steps()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkTable1 regenerates Table 1 (Broadcast vs AVMON variants:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"avmon/internal/churn"
 	"avmon/internal/core"
@@ -234,16 +235,27 @@ func (s MemberStats) TrueAvailability() float64 {
 	return float64(s.UpTime) / float64(s.LifeTime)
 }
 
-// member is one simulated node plus its harness state. Field ownership
-// follows the engine's lane discipline: lifecycle bookkeeping (born,
-// dead, uptime accounting) belongs to the control lane, protocol state
-// (node, tickers) to the member's own lane, and uselessMonPings is
-// updated atomically from arbitrary destination lanes. Stats reads
-// everything while the engine is quiescent.
+// member is one simulated node's block: everything an event on its lane
+// touches — the endpoint (its lane and the lane's random stream inside
+// it), the protocol node (the coarse-view header inside it, the cvs
+// entries in the cluster's CV slab), the node's own random stream and
+// the harness state — built in place in one piece of slab memory, so a
+// delivered message loads one object instead of chasing ten. *member is
+// the endpoint's receiver and the node's transport and pool, at no
+// closure per node. Blocks never move: the endpoint, the lane and both
+// generators are pointed into.
+//
+// Field ownership follows the engine's lane discipline: lifecycle
+// bookkeeping (born, dead, uptime accounting) belongs to the control
+// lane, protocol state (ep's counters, node, rng, tickers) to the
+// member's own lane, and uselessMonPings is updated atomically from
+// arbitrary destination lanes. Stats reads everything while the engine
+// is quiescent.
 type member struct {
-	node *core.Node
-	ep   *simnet.Endpoint
-	lane *sim.Lane
+	ep   simnet.Endpoint // first: what a delivery loads first
+	node core.Node
+	rng  sim.CompactRNG // the node's private stream
+	c    *Cluster
 
 	// Owned by the member's lane:
 	tick *sim.Ticker
@@ -260,16 +272,48 @@ type member struct {
 	uselessMonPings uint64
 }
 
-// transport adapts a simnet endpoint to core.Transport. Monitoring
-// pings that find their target dead (the "useless pings" of Figure 18)
-// are counted by the cluster's undelivered callback at delivery time.
-type transport struct {
-	ep *simnet.Endpoint
+// Deliver implements simnet.Receiver on the member's lane.
+func (m *member) Deliver(from ids.ID, msg any, _ int, now time.Time) {
+	cm, ok := msg.(*core.Message)
+	if !ok {
+		return
+	}
+	m.node.Handle(from, cm, now)
+	// Receiver-side recycling: protocol envelopes are dead once
+	// Handle returns (handlers copy whatever they keep). Query
+	// messages are exempt — the response callback may retain them —
+	// and are left to the garbage collector.
+	if cm.Type <= core.MsgPR2 {
+		cm.Reset()
+		ws := m.scratch()
+		ws.msgs = append(ws.msgs, cm)
+	}
 }
 
-func (t transport) Send(to ids.ID, m *core.Message) {
-	t.ep.Send(to, m, m.WireSize())
+// Send implements core.Transport. Monitoring pings that find their
+// target dead (the "useless pings" of Figure 18) are counted by the
+// cluster's undelivered callback at delivery time.
+func (m *member) Send(to ids.ID, msg *core.Message) {
+	m.ep.Send(to, msg, msg.WireSize())
 }
+
+// scratch is the scratch of whichever worker is executing the member's
+// lane; like the two core.Pool methods over it, call it only there.
+func (m *member) scratch() *workerScratch { return m.c.scratchFor(m.ep.Lane()) }
+
+// AcquireMessage implements core.Pool.
+func (m *member) AcquireMessage() *core.Message {
+	ws := m.scratch()
+	if k := len(ws.msgs); k > 0 {
+		msg := ws.msgs[k-1]
+		ws.msgs = ws.msgs[:k-1]
+		return msg
+	}
+	return &core.Message{}
+}
+
+// SweepScratch implements core.Pool.
+func (m *member) SweepScratch() *core.SweepScratch { return &m.scratch().sweep }
 
 // Cluster is a fully simulated AVMON deployment: a discrete-event
 // engine (serial or sharded), a simulated network, a churn model, and
@@ -283,8 +327,12 @@ type Cluster struct {
 	scheme  SelectionScheme
 	model   ChurnModel
 	members []*member
-	k       int
-	cvs     int
+	// Slab memory members are built in (see member): the blocks and
+	// coarse-view entries not yet handed out.
+	blocks []member
+	cvSlab []ids.ID
+	k      int
+	cvs    int
 	// colludeFrom is the first colluding index: members with
 	// idx ≥ colludeFrom (among the initial N) run the collusion
 	// attack. Equal to cfg.N when nobody colludes.
@@ -437,8 +485,7 @@ func (s workerScheme) K() int { return s.c.k }
 // scratchFor resolves the scratch of the worker currently executing
 // lane l. Call only from l's own events (or while quiescent).
 func (c *Cluster) scratchFor(l *sim.Lane) *workerScratch {
-	ws, _ := c.eng.WorkerLocal(l).(*workerScratch)
-	return ws
+	return c.eng.WorkerLocal(l).(*workerScratch)
 }
 
 // undelivered runs on the destination's lane whenever a message finds
@@ -450,9 +497,36 @@ func (c *Cluster) undelivered(from *simnet.Endpoint, _ ids.ID, msg any, _ int) {
 	if !ok || cm.Type != core.MsgMonPing {
 		return
 	}
-	if m, ok := from.Tag().(*member); ok {
+	if m, ok := from.Receiver().(*member); ok {
 		atomic.AddUint64(&m.uselessMonPings, 1)
 	}
+}
+
+// slabBytes sizes the slabs members are carved from: large enough that
+// the unused tail of a block slab (less than one block) is under 2 % of
+// it, small enough that a 40-node test cluster does not notice.
+const slabBytes = 64 << 10
+
+// newBlock carves the next member out of the block slab.
+func (c *Cluster) newBlock() *member {
+	if len(c.blocks) == 0 {
+		c.blocks = make([]member, slabBytes/unsafe.Sizeof(member{}))
+	}
+	m := &c.blocks[0]
+	c.blocks = c.blocks[1:]
+	return m
+}
+
+// newCV carves one coarse view's storage out of the CV slab: exactly
+// cvs entries (core.Node.Init), which appends never outgrow into the
+// next node's.
+func (c *Cluster) newCV() []ids.ID {
+	if len(c.cvSlab) < c.cvs {
+		c.cvSlab = make([]ids.ID, max(c.cvs, slabBytes/8))
+	}
+	cv := c.cvSlab[:0:c.cvs]
+	c.cvSlab = c.cvSlab[c.cvs:]
+	return cv
 }
 
 // --- churn.Driver ----------------------------------------------------
@@ -475,61 +549,24 @@ func (c *Cluster) Birth(idx int) {
 		return // model misuse; ignore
 	}
 	id := ids.Sim(idx)
-	m := &member{}
-	ep, err := c.net.Attach(id, func(from ids.ID, msg any, _ int, now time.Time) {
-		cm, ok := msg.(*core.Message)
-		if !ok {
-			return
-		}
-		m.node.Handle(from, cm, now)
-		// Receiver-side recycling: protocol envelopes are dead once
-		// Handle returns (handlers copy whatever they keep). Query
-		// messages are exempt — the response callback may retain them —
-		// and are left to the garbage collector.
-		if cm.Type <= core.MsgPR2 {
-			if ws := c.scratchFor(m.lane); ws != nil {
-				cm.Reset()
-				ws.msgs = append(ws.msgs, cm)
-			}
-		}
-	})
-	if err != nil {
+	m := c.newBlock()
+	if err := c.net.AttachAt(&m.ep, id, m); err != nil {
 		return // duplicate identity; model misuse
 	}
-	ep.SetTag(m)
-	m.ep = ep
-	m.lane = ep.Lane()
-	// One private random source per node: the compact 8-byte source
+	m.c = c
+	// One private random source per node: the compact 32-byte source
 	// keeps 10^5-node populations from burning ~5 KB of generator
 	// state each (≈ 500 MB at N = 100,000 with rand.NewSource).
 	seed := c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D
-	rng := sim.CompactRand(seed)
-	// The node draws envelopes and sweep scratch from whichever worker
-	// is executing its lane; both calls happen only on that lane.
-	acquireMsg := func() *core.Message {
-		if ws := c.scratchFor(m.lane); ws != nil {
-			if k := len(ws.msgs); k > 0 {
-				msg := ws.msgs[k-1]
-				ws.msgs = ws.msgs[:k-1]
-				return msg
-			}
-		}
-		return &core.Message{}
-	}
-	sweepScratch := func() *core.SweepScratch {
-		if ws := c.scratchFor(m.lane); ws != nil {
-			return &ws.sweep
-		}
-		return nil
-	}
+	rng := m.rng.Seed(seed)
 	scheme := c.scheme
 	if c.workerMemos {
-		scheme = workerScheme{c: c, lane: m.lane}
+		scheme = workerScheme{c: c, lane: m.ep.Lane()}
 	}
 	nodeCfg := core.Config{
 		ID:               id,
 		Scheme:           scheme,
-		Transport:        transport{ep: ep},
+		Transport:        m,
 		Rand:             rng,
 		CVS:              c.cvs,
 		Period:           c.cfg.Options.Period,
@@ -539,8 +576,7 @@ func (c *Cluster) Birth(idx int) {
 		ForgetfulC:       c.cfg.Options.ForgetfulC,
 		PR2:              c.cfg.Options.PR2,
 		HistoryStyle:     c.cfg.Options.HistoryStyle,
-		AcquireMessage:   acquireMsg,
-		Scratch:          sweepScratch,
+		Pool:             m,
 		Overreport:       rng.Float64() < c.cfg.OverreportFraction,
 		DisableReshuffle: c.cfg.Options.DisableReshuffle,
 		RejoinFullWeight: c.cfg.Options.RejoinFullWeight,
@@ -568,11 +604,9 @@ func (c *Cluster) Birth(idx int) {
 			return forged, true
 		}
 	}
-	node, err := core.NewNode(nodeCfg)
-	if err != nil {
+	if err := m.node.Init(nodeCfg, c.newCV()); err != nil {
 		return // config was validated at cluster construction
 	}
-	m.node = node
 	c.members[idx] = m
 	c.bringUp(m)
 	m.everBorn = true
@@ -622,11 +656,11 @@ func (c *Cluster) bringUp(m *member) {
 	monPeriod := m.node.Config().MonitorPeriod
 	offTick := time.Duration(c.eng.Rand().Int63n(int64(period)))
 	offMon := time.Duration(c.eng.Rand().Int63n(int64(monPeriod)))
-	c.eng.Post(nil, m.lane, now, func(now time.Time) {
+	c.eng.Post(nil, m.ep.Lane(), now, func(now time.Time) {
 		m.ep.SetAliveFlag(true)
 		m.node.Join(now, bootstrap)
-		m.tick = c.eng.NewLaneTicker(m.lane, period, offTick, m.node.Tick)
-		m.mon = c.eng.NewLaneTicker(m.lane, monPeriod, offMon, m.node.MonitorTick)
+		m.tick = c.eng.NewLaneTicker(m.ep.Lane(), period, offTick, m.node.Tick)
+		m.mon = c.eng.NewLaneTicker(m.ep.Lane(), monPeriod, offMon, m.node.MonitorTick)
 	})
 }
 
@@ -636,7 +670,7 @@ func (c *Cluster) takeDown(m *member) {
 	now := c.eng.Now()
 	m.ep.SetAliveRegistry(false)
 	m.upTotal += now.Sub(m.upSince)
-	c.eng.Post(nil, m.lane, now, func(now time.Time) {
+	c.eng.Post(nil, m.ep.Lane(), now, func(now time.Time) {
 		m.node.Leave(now)
 		m.ep.SetAliveFlag(false)
 		if m.tick != nil {
@@ -798,9 +832,9 @@ func (c *Cluster) Stats(idx int) MemberStats {
 		Alive:          m.ep.Registered(),
 		Dead:           m.dead,
 		EverBorn:       m.everBorn,
-		PSSize:         len(m.node.PS()),
-		TSSize:         len(m.node.TS()),
-		CVSize:         len(m.node.CV()),
+		PSSize:         m.node.PSLen(),
+		TSSize:         m.node.TSLen(),
+		CVSize:         m.node.CVLen(),
 		MemoryEntries:  m.node.MemoryEntries(),
 		HashChecks:     m.node.HashChecks(),
 		DiscoveryTimes: m.node.DiscoveryTimes(),

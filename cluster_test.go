@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func statCluster(t *testing.T, n int, seed int64, opts NodeOptions) *Cluster {
@@ -676,5 +677,48 @@ func TestDiscoveryFasterWithLargerCVS(t *testing.T) {
 	large := mean(24)
 	if large >= small {
 		t.Errorf("cvs=24 discovery %v not faster than cvs=6 discovery %v", large, small)
+	}
+}
+
+// TestBirthAllocs gates the node block: Cluster.Birth builds a node's
+// endpoint, lane, both random streams, protocol node and coarse-view
+// storage in place in slab memory, so a birth allocates bringUp's
+// closure and its share of two slabs and a few growing tables. The
+// same state as separate objects was 13 allocations.
+func TestBirthAllocs(t *testing.T) {
+	c := statCluster(t, 8, 1, NodeOptions{Hash: HashFast})
+	idx := c.Size()
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Birth(idx)
+		idx++
+	})
+	if allocs > 3 {
+		t.Errorf("Cluster.Birth allocates %v objects per node, want ≤ 3", allocs)
+	}
+	if c.Size() != idx || c.AliveCount() != idx {
+		t.Fatalf("gate measured nothing: %d members, %d alive after %d births", c.Size(), c.AliveCount(), idx)
+	}
+}
+
+// TestNodeBlockBytes pins the bytes the cluster holds per node — a slab's
+// share of one block and of exactly cvs coarse-view entries — at no more
+// than the same state cost as separately allocated objects, each
+// rounded up to its allocator size class: Endpoint 144, Lane 24, two
+// rand.Rand 48 and their sources 32, member 112, the handler, envelope
+// and scratch closures 24 each, Node 640, view 32, and a CV slice grown
+// to at least the class that holds cvs entries (it was often the next
+// power of two). A block that outgrows this shows as heap_live_mb on
+// the repository benchmark's simulator workloads.
+func TestNodeBlockBytes(t *testing.T) {
+	const separate = 144 + 24 + 2*(48+32) + 112 + 3*24 + 640 + 32
+	// A slab's bytes over the items of the given size it yields.
+	share := func(size uintptr) uintptr { return (slabBytes + slabBytes/size - 1) / (slabBytes / size) }
+	block := share(unsafe.Sizeof(member{}))
+	for _, c := range []struct{ cvs, cvClass uintptr }{{27, 224}, {48, 384}} {
+		got, was := block+share(c.cvs*8), separate+c.cvClass
+		t.Logf("cvs %d: %d bytes per node (block %d), separate objects %d", c.cvs, got, block, was)
+		if got > was {
+			t.Errorf("cvs %d: the cluster holds %d bytes per node, more than the %d of separate objects", c.cvs, got, was)
+		}
 	}
 }

@@ -139,11 +139,13 @@ func TestZeroAllocCVRespSweep(t *testing.T) {
 	}
 }
 
-// TestNodeSizeClass pins Node inside the allocator's 640-byte class: a
-// million-node simulation holds one per member, so a field that tips it
-// into the next class (768, then 896) costs 128 MB there and shows as
-// heap_live_mb on the repository benchmark. Sweep buffers belong in
-// the per-worker SweepScratch, not in the node.
+// TestNodeSizeClass pins Node — the coarse view's header by value
+// inside it — at the allocator's 640-byte class, the one it filled when
+// the view was a second, 32-byte object. NewNode allocates exactly that;
+// a simulated cluster builds the node inside its member block, whose
+// size the root package's TestNodeBlockBytes pins, and a million-node
+// run pays 1 MB per byte added here. Sweep buffers belong in the
+// per-worker SweepScratch, not in the node.
 func TestNodeSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Node{}); size > 640 {
 		t.Errorf("Node is %d bytes, want ≤ 640", size)

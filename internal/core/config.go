@@ -61,6 +61,12 @@ type Config struct {
 	// "recent:<dur>", or "aged:<alpha>" (Section 1, sub-problem II).
 	HistoryStyle string
 
+	// Pool, when non-nil, is where the node gets its recycled memory;
+	// it then takes precedence over AcquireMessage and Scratch. An owner
+	// holding one object per node implements it there, at no closure per
+	// node.
+	Pool Pool
+
 	// AcquireMessage, when non-nil, supplies outgoing message
 	// envelopes — typically from a recycling pool owned by the thread
 	// executing the node — instead of allocating one per send. Supplied
@@ -112,8 +118,47 @@ type Config struct {
 	RejoinFullWeight bool
 }
 
+// Pool supplies a node's recycled memory, under the contracts written
+// at Config.AcquireMessage and Config.Scratch. Both methods are called
+// only from the thread executing the node.
+type Pool interface {
+	AcquireMessage() *Message
+	SweepScratch() *SweepScratch
+}
+
+// funcPool is the Pool of a Config that names none: the two func
+// fields where set, a fresh envelope per send and a private scratch
+// (allocated on first use) where not.
+type funcPool struct {
+	acquire func() *Message
+	scratch func() *SweepScratch
+	own     *SweepScratch
+}
+
+func (p *funcPool) AcquireMessage() *Message {
+	if p.acquire != nil {
+		return p.acquire()
+	}
+	return &Message{}
+}
+
+func (p *funcPool) SweepScratch() *SweepScratch {
+	if p.scratch != nil {
+		if sc := p.scratch(); sc != nil {
+			return sc
+		}
+	}
+	if p.own == nil {
+		p.own = new(SweepScratch)
+	}
+	return p.own
+}
+
 func (c *Config) withDefaults() Config {
 	out := *c
+	if out.Pool == nil {
+		out.Pool = &funcPool{acquire: out.AcquireMessage, scratch: out.Scratch}
+	}
 	if out.Period <= 0 {
 		out.Period = DefaultPeriod
 	}

@@ -23,7 +23,7 @@ type Node struct {
 	// dense order slices hold the membership in discovery order — the
 	// documented iteration order — with open-addressing index tables
 	// for O(1) lookup and the target state by value in a flat arena.
-	cv      *view
+	cv      view
 	psIdx   idTable     // monitor → index into psOrder
 	tsIdx   idTable     // monitored node → arena slot
 	targets targetArena // by-value target state
@@ -52,11 +52,6 @@ type Node struct {
 
 	hashChecks uint64 // consistency-condition evaluations performed
 
-	// ownScratch backs sweepScratch when the owner does not supply a
-	// shared instance through Config.Scratch; allocated on first use, so
-	// nodes that share a worker's scratch carry a pointer, not buffers.
-	ownScratch *SweepScratch
-
 	// onResponse, when set via SetResponseHandler, receives
 	// REPORT-RESP and AVAIL-BATCH-RESP messages for application queries.
 	onResponse func(from ids.ID, m *Message)
@@ -65,15 +60,27 @@ type Node struct {
 // NewNode validates cfg, applies defaults, and returns a node in the
 // "never joined" state. Call Join to enter the system.
 func NewNode(cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	n := new(Node)
+	if err := n.Init(cfg, nil); err != nil {
 		return nil, err
 	}
-	return &Node{
-		cfg: cfg,
-		id:  cfg.ID,
-		cv:  newView(cfg.CVS),
-	}, nil
+	return n, nil
+}
+
+// Init is NewNode in place: n is memory the caller owns (a simulated
+// node's block). cv is the coarse view's storage, which the view never
+// outgrows: capacity exactly cfg.CVS, or anything else (nil, say) to
+// have Init allocate it.
+func (n *Node) Init(cfg Config, cv []ids.ID) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if cap(cv) != cfg.CVS {
+		cv = make([]ids.ID, 0, cfg.CVS)
+	}
+	*n = Node{cfg: cfg, id: cfg.ID, cv: view{items: cv[:0]}}
+	return nil
 }
 
 // SweepScratch holds the reusable buffers of the discovery sweep
@@ -88,28 +95,11 @@ type SweepScratch struct {
 	hits       []int32
 }
 
-// sweepScratch resolves the scratch instance for the current call:
-// the owner-supplied shared one, or the node's own.
-func (n *Node) sweepScratch() *SweepScratch {
-	if n.cfg.Scratch != nil {
-		if sc := n.cfg.Scratch(); sc != nil {
-			return sc
-		}
-	}
-	if n.ownScratch == nil {
-		n.ownScratch = new(SweepScratch)
-	}
-	return n.ownScratch
-}
+// sweepScratch resolves the scratch instance for the current call.
+func (n *Node) sweepScratch() *SweepScratch { return n.cfg.Pool.SweepScratch() }
 
-// newMsg returns a zeroed outgoing message envelope: pooled when the
-// owner supplies Config.AcquireMessage, freshly allocated otherwise.
-func (n *Node) newMsg() *Message {
-	if n.cfg.AcquireMessage != nil {
-		return n.cfg.AcquireMessage()
-	}
-	return &Message{}
-}
+// newMsg returns a zeroed outgoing message envelope.
+func (n *Node) newMsg() *Message { return n.cfg.Pool.AcquireMessage() }
 
 // ID returns the node's identity.
 func (n *Node) ID() ids.ID { return n.id }
@@ -268,37 +258,44 @@ func (n *Node) answerBatch(m *Message) *Message {
 
 // --- Join sub-protocol (Figure 1, receiver side) ---------------------
 
+// maxJoinWeight bounds the spread budget a JOIN may carry. An honest
+// weight is at most the sender's cvs, which maxSweepFetched's reasoning
+// keeps under 1024; a forged 2^30 would otherwise fan out into that
+// many datagrams.
+const maxJoinWeight = 1024
+
 func (n *Node) handleJoin(m *Message) {
 	c := m.Weight
-	if c <= 0 || m.Subject == n.id {
+	// A JOIN naming nobody could never be deduplicated: the view refuses
+	// to hold None, so every hop would forward it twice more.
+	if c <= 0 || m.Subject.IsNone() || m.Subject == n.id {
 		return
 	}
-	if !n.cv.contains(m.Subject) {
-		if n.cv.size() >= n.cfg.CVS {
-			// Make room: the joining node's entry replaces a random
-			// one, keeping the expected indegree at cvs.
-			n.cv.addEvict(m.Subject, n.cfg.Rand)
-		} else {
-			n.cv.add(m.Subject)
+	if c > maxJoinWeight {
+		c = maxJoinWeight
+	}
+	// The walk's one scan of the view: a node that already holds the
+	// joiner ends its branch.
+	if n.cv.contains(m.Subject) {
+		return
+	}
+	// When the view is full the joiner's entry replaces a random one,
+	// keeping the expected indegree at cvs.
+	n.cv.appendEvict(m.Subject, n.cfg.Rand)
+	others := n.cv.size() - 1
+	c--
+	left := c / 2
+	for _, w := range [2]int{left, c - left} {
+		if w <= 0 || others == 0 {
+			continue
 		}
-		c--
-		left := c / 2
-		right := c - left
-		for _, w := range []int{left, right} {
-			if w <= 0 {
-				continue
-			}
-			// Forward to a random coarse-view member other than the
-			// joiner itself, so the spread budget is not wasted on a
-			// self-delivery.
-			dst := n.cv.randomExcluding(n.cfg.Rand, m.Subject)
-			if dst.IsNone() {
-				continue
-			}
-			fwd := n.newMsg()
-			fwd.Type, fwd.Subject, fwd.Weight = MsgJoin, m.Subject, w
-			n.send(dst, fwd)
-		}
+		// Forward to a random coarse-view member other than the joiner
+		// itself, so the spread budget is not wasted on a self-delivery:
+		// it sits in the last slot, so the draw is over the ones before.
+		dst := n.cv.items[n.cfg.Rand.Intn(others)]
+		fwd := n.newMsg()
+		fwd.Type, fwd.Subject, fwd.Weight = MsgJoin, m.Subject, w
+		n.send(dst, fwd)
 	}
 }
 
@@ -635,6 +632,12 @@ func (n *Node) TS() []ids.ID {
 
 // CV returns the node's current coarse view.
 func (n *Node) CV() []ids.ID { return n.cv.snapshot() }
+
+// PSLen, TSLen and CVLen are len(PS()), len(TS()) and len(CV()) without
+// the copies.
+func (n *Node) PSLen() int { return len(n.psOrder) }
+func (n *Node) TSLen() int { return len(n.tsOrder) }
+func (n *Node) CVLen() int { return n.cv.size() }
 
 // MemoryEntries is the paper's memory metric |CV|+|PS|+|TS|.
 func (n *Node) MemoryEntries() int { return n.cv.size() + len(n.psOrder) + len(n.tsOrder) }

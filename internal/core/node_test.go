@@ -497,3 +497,31 @@ func TestMsgTypeStrings(t *testing.T) {
 		t.Error("unknown type not UNKNOWN")
 	}
 }
+
+// TestJoinRejectsForgedSubjectAndWeight: netstack.Decode accepts a JOIN
+// with an all-zero subject and any int32 weight. The view refuses to
+// hold None, so such a walk never deduplicates and every hop would
+// forward two more — ≈ Weight datagrams from one forged one. The
+// receiver drops it, and clamps the weight of a JOIN that does name
+// somebody.
+func TestJoinRejectsForgedSubjectAndWeight(t *testing.T) {
+	fn := newFakeNet(t)
+	nodes := populate(t, fn, 40, noneRelated{}, nil)
+	forger := ids.New(203, 0, 113, 9, 4000)
+	nodes[0].Handle(forger, &Message{Type: MsgJoin, Subject: ids.None, Weight: 1 << 30}, fn.now)
+	if got := fn.sent[MsgJoin]; got != 0 {
+		t.Fatalf("a JOIN naming nobody was forwarded %d times, want dropped", got)
+	}
+	nodes[0].Handle(forger, &Message{Type: MsgJoin, Subject: ids.Sim(500), Weight: 1 << 30}, fn.now)
+	if len(fn.queue) != 2 {
+		t.Fatalf("a JOIN for a new subject forwarded %d times, want 2", len(fn.queue))
+	}
+	if l, r := fn.queue[0].msg.Weight, fn.queue[1].msg.Weight; l+r != maxJoinWeight-1 {
+		t.Errorf("forged weight 2^30 forwarded as %d + %d, want the clamped %d split", l, r, maxJoinWeight-1)
+	}
+	fn.flush()
+	// Every node accepts the subject once and forwards at most twice.
+	if got := fn.sent[MsgJoin]; got > 2*len(nodes) {
+		t.Errorf("the clamped walk sent %d JOINs across %d nodes", got, len(nodes))
+	}
+}

@@ -56,7 +56,7 @@ func sweepByPair(n *Node, w ids.ID, fetched []ids.ID, now time.Time) {
 		n.cv.add(w)
 		return
 	}
-	reshuffleByScan(n.cv, fetched, w, n.id, n.cfg.Rand)
+	reshuffleByScan(&n.cv, fetched, w, n.id, n.cfg.Rand)
 }
 
 // sentLog records what a node sends.

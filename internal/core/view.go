@@ -12,13 +12,12 @@ import (
 // where a scan of a contiguous ID array beats a map lookup — and
 // dropping the map halves the per-node footprint that dominated
 // large-N runs (a 71-entry map costs ~3 KB/node ≈ 300 MB at 10^5).
+//
+// The bound cvs is the capacity of items: the owner hands the view
+// storage of exactly that many entries (Node.Init) and no operation
+// grows it, so a simulated node's view lives wherever its owner put it.
 type view struct {
-	max   int
 	items []ids.ID
-}
-
-func newView(max int) *view {
-	return &view{max: max}
 }
 
 func (v *view) size() int { return len(v.items) }
@@ -38,7 +37,7 @@ func (v *view) contains(id ids.ID) bool { return v.indexOf(id) >= 0 }
 // add inserts id if absent and below capacity; it reports whether the
 // view changed.
 func (v *view) add(id ids.ID) bool {
-	if id.IsNone() || len(v.items) >= v.max || v.contains(id) {
+	if id.IsNone() || len(v.items) >= cap(v.items) || v.contains(id) {
 		return false
 	}
 	v.items = append(v.items, id)
@@ -46,15 +45,23 @@ func (v *view) add(id ids.ID) bool {
 }
 
 // addEvict inserts id, evicting a uniformly random entry if the view
-// is full (used by PR2). It reports whether id is now present.
+// is full (used by PR2). It reports whether the view changed.
 func (v *view) addEvict(id ids.ID, rng *rand.Rand) bool {
 	if id.IsNone() || v.contains(id) {
 		return false
 	}
-	if len(v.items) >= v.max && len(v.items) > 0 {
+	v.appendEvict(id, rng)
+	return true
+}
+
+// appendEvict is addEvict for a caller that has already established id
+// is a real identity the view does not hold: no scan. id takes the last
+// position.
+func (v *view) appendEvict(id ids.ID, rng *rand.Rand) {
+	if len(v.items) >= cap(v.items) {
 		v.removeAt(rng.Intn(len(v.items)))
 	}
-	return v.add(id)
+	v.items = append(v.items, id)
 }
 
 func (v *view) remove(id ids.ID) bool {
@@ -80,26 +87,6 @@ func (v *view) random(rng *rand.Rand) ids.ID {
 	return v.items[rng.Intn(len(v.items))]
 }
 
-// randomExcluding returns a uniformly random member other than
-// exclude, or None if no such member exists.
-func (v *view) randomExcluding(rng *rand.Rand, exclude ids.ID) ids.ID {
-	n := len(v.items)
-	if n == 0 {
-		return ids.None
-	}
-	if i := v.indexOf(exclude); i >= 0 {
-		if n == 1 {
-			return ids.None
-		}
-		j := rng.Intn(n - 1)
-		if j >= i {
-			j++
-		}
-		return v.items[j]
-	}
-	return v.items[rng.Intn(n)]
-}
-
 // snapshot returns a copy of the membership.
 func (v *view) snapshot() []ids.ID {
 	out := make([]ids.ID, len(v.items))
@@ -121,7 +108,7 @@ func (v *view) clear() { v.items = v.items[:0] }
 // permuted in place.
 func (v *view) resample(union []ids.ID, rng *rand.Rand) {
 	// Partial Fisher-Yates: choose max entries uniformly at random.
-	k := v.max
+	k := cap(v.items)
 	if k > len(union) {
 		k = len(union)
 	}

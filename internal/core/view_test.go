@@ -8,6 +8,10 @@ import (
 	"avmon/internal/ids"
 )
 
+// newView returns an empty view bounded at max entries, over storage of
+// its own (Node.Init's allocating branch).
+func newView(max int) *view { return &view{items: make([]ids.ID, 0, max)} }
+
 func TestViewAddRemoveContains(t *testing.T) {
 	v := newView(3)
 	a, b, c, d := ids.Sim(1), ids.Sim(2), ids.Sim(3), ids.Sim(4)

@@ -86,7 +86,7 @@ func NewSharded(seed int64, shards int, lookahead time.Duration) (*ShardedEngine
 		now:       Epoch,
 		lookahead: int64(lookahead),
 		seed:      seed,
-		control:   &Lane{id: 0, rng: rand.New(rand.NewSource(seed))},
+		control:   newControlLane(seed),
 		done:      make(chan struct{}),
 	}
 	for i := 0; i < shards; i++ {
@@ -125,7 +125,7 @@ func (e *ShardedEngine) Now() time.Time {
 func (e *ShardedEngine) Elapsed() time.Duration { return time.Duration(e.controlNow) }
 
 // Rand returns the control-lane random source.
-func (e *ShardedEngine) Rand() *rand.Rand { return e.control.rng }
+func (e *ShardedEngine) Rand() *rand.Rand { return e.control.Rand() }
 
 // Steps returns the number of events executed across all shards and
 // the control lane. Valid while quiescent.
@@ -204,12 +204,16 @@ func (e *ShardedEngine) Control() *Lane { return e.control }
 // AddLane registers a new node lane, assigned round-robin to a shard
 // for life. Call from control events or while quiescent only.
 func (e *ShardedEngine) AddLane() *Lane {
+	l := new(Lane)
+	e.InitLane(l)
+	return l
+}
+
+// InitLane implements Sched.
+func (e *ShardedEngine) InitLane(l *Lane) {
 	e.lanes++
-	return &Lane{
-		id:    e.lanes,
-		shard: (e.lanes - 1) % int32(len(e.shards)),
-		rng:   CompactRand(laneSeed(e.seed, e.lanes)),
-	}
+	*l = Lane{LaneRef: LaneRef{id: e.lanes, shard: (e.lanes - 1) % int32(len(e.shards))}}
+	l.rng.Seed(laneSeed(e.seed, e.lanes))
 }
 
 // LaneNow returns the lane's current virtual time: the executing
@@ -242,6 +246,11 @@ func (e *ShardedEngine) PostEvent(src, dst *Lane, at time.Time, h Handler, arg E
 	if dst == nil {
 		dst = e.control
 	}
+	e.PostEventTo(src, dst.LaneRef, at, h, arg)
+}
+
+// PostEventTo implements Sched; see Post for the routing rules.
+func (e *ShardedEngine) PostEventTo(src *Lane, dst LaneRef, at time.Time, h Handler, arg EventArg) {
 	nanos := int64(at.Sub(Epoch))
 	if src.id == 0 {
 		if e.inPhase {

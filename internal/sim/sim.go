@@ -50,10 +50,18 @@ var Epoch = time.Date(2007, 1, 1, 0, 0, 0, 0, time.UTC)
 // lanes. A Lane's seq counter and random source are owned by the
 // scheduler thread that executes the lane's events.
 type Lane struct {
+	LaneRef
+	seq uint64
+	rng CompactRNG // inline: a draw costs no load beyond the lane itself
+}
+
+// LaneRef is all a poster needs of a destination lane, by value, so a
+// dense table of destinations (simnet's route table) can be posted to
+// without loading each peer's Lane. It never changes once the lane
+// exists.
+type LaneRef struct {
 	id    int32
 	shard int32 // owning shard index (sharded engine only)
-	seq   uint64
-	rng   *rand.Rand
 }
 
 // ID returns the lane's stable identifier (0 = control lane).
@@ -61,7 +69,16 @@ func (l *Lane) ID() int { return int(l.id) }
 
 // Rand returns the lane's private deterministic random source. It must
 // only be used while one of the lane's events is executing.
-func (l *Lane) Rand() *rand.Rand { return l.rng }
+func (l *Lane) Rand() *rand.Rand { return &l.rng.rng }
+
+// newControlLane returns lane 0. Its stream is math/rand's own source,
+// not the compact one: every recorded fingerprint draws bootstrap
+// contacts and churn from it.
+func newControlLane(seed int64) *Lane {
+	l := new(Lane)
+	l.rng.rng = *rand.New(rand.NewSource(seed))
+	return l
+}
 
 // laneSeed derives a lane's random stream from the engine seed. The
 // mixing constant differs from the one cluster code uses for per-node
@@ -96,6 +113,9 @@ type Sched interface {
 	// AddLane registers a new node lane. Call from control events or
 	// while quiescent only.
 	AddLane() *Lane
+	// InitLane is AddLane in place: l is memory the caller owns (a
+	// simulated node's block) and must not move or copy afterwards.
+	InitLane(l *Lane)
 	// LaneNow returns the lane's current virtual time: the timestamp
 	// of the lane's executing event, or the engine time while
 	// quiescent. Call only from the lane's own events or quiescent.
@@ -109,6 +129,9 @@ type Sched interface {
 	// EventArg, both stored directly in the heap entry. Ordering and
 	// clamping semantics are identical to Post.
 	PostEvent(src, dst *Lane, at time.Time, h Handler, arg EventArg)
+	// PostEventTo is PostEvent with the destination named by value; src
+	// must not be nil.
+	PostEventTo(src *Lane, dst LaneRef, at time.Time, h Handler, arg EventArg)
 	// SetWorkerLocal registers a factory for per-worker scratch state:
 	// one instance per execution worker (the whole engine when serial,
 	// one per shard when sharded), created on first use. Worker-local
@@ -222,7 +245,7 @@ func New(seed int64) *Engine {
 	return &Engine{
 		now:     Epoch,
 		seed:    seed,
-		control: &Lane{id: 0, rng: rand.New(rand.NewSource(seed))},
+		control: newControlLane(seed),
 	}
 }
 
@@ -233,7 +256,7 @@ func (e *Engine) Now() time.Time { return e.now }
 func (e *Engine) Elapsed() time.Duration { return e.now.Sub(Epoch) }
 
 // Rand returns the control-lane deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.control.rng }
+func (e *Engine) Rand() *rand.Rand { return e.control.Rand() }
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
@@ -243,8 +266,16 @@ func (e *Engine) Control() *Lane { return e.control }
 
 // AddLane registers a new node lane.
 func (e *Engine) AddLane() *Lane {
+	l := new(Lane)
+	e.InitLane(l)
+	return l
+}
+
+// InitLane implements Sched.
+func (e *Engine) InitLane(l *Lane) {
 	e.lanes++
-	return &Lane{id: e.lanes, rng: CompactRand(laneSeed(e.seed, e.lanes))}
+	*l = Lane{LaneRef: LaneRef{id: e.lanes}}
+	l.rng.Seed(laneSeed(e.seed, e.lanes))
 }
 
 // LaneNow returns the current virtual time (the serial engine has one
@@ -264,6 +295,11 @@ func (e *Engine) PostEvent(src, dst *Lane, at time.Time, h Handler, arg EventArg
 	if dst == nil {
 		dst = e.control
 	}
+	e.PostEventTo(src, dst.LaneRef, at, h, arg)
+}
+
+// PostEventTo implements Sched.
+func (e *Engine) PostEventTo(src *Lane, dst LaneRef, at time.Time, h Handler, arg EventArg) {
 	nanos := int64(at.Sub(Epoch))
 	if nanos < e.nowNanos {
 		nanos = e.nowNanos

@@ -25,6 +25,11 @@
 //     lifecycle events) and the per-endpoint delivery flag (mutated
 //     only on the endpoint's own lane). Both transition at the same
 //     virtual times; each is read only by its owner.
+//   - What a sender or a delivery needs of the *peer* — its lane to post
+//     to, its identity — comes from dense tables indexed by interned
+//     endpoint index, never from the peer's Endpoint. They grow only in
+//     Attach (a barrier) and their entries never change, so any lane
+//     may read them.
 //   - Whether a message was "useless" (sent toward a dead node) is
 //     decided at delivery time on the destination lane — the only
 //     point where the destination's liveness is deterministically
@@ -42,9 +47,18 @@ import (
 	"avmon/internal/sim"
 )
 
-// Handler receives a delivered message at an endpoint, on the
-// endpoint's lane, at virtual time now.
+// Receiver is what an endpoint delivers to: Deliver runs on the
+// endpoint's lane at virtual time now. A per-node object implements it
+// directly, so attaching costs no closure.
+type Receiver interface {
+	Deliver(from ids.ID, msg any, size int, now time.Time)
+}
+
+// Handler is the function form of Receiver.
 type Handler func(from ids.ID, msg any, size int, now time.Time)
+
+// Deliver implements Receiver.
+func (h Handler) Deliver(from ids.ID, msg any, size int, now time.Time) { h(from, msg, size, now) }
 
 // UndeliveredFunc observes a message that could not be delivered (the
 // "useless" traffic of Figure 18). For a known-but-dead destination it
@@ -80,8 +94,10 @@ type Network struct {
 	// those indexes, and delivery events reference endpoints by index —
 	// two packed words instead of a captured closure per message.
 	interner ids.Interner
-	eps      []*Endpoint // dense table indexed by interned index (= attachment order)
-	alive    []*Endpoint // registry: current alive set, swap-remove maintained
+	eps      []*Endpoint   // dense table indexed by interned index (= attachment order)
+	lanes    []sim.LaneRef // route table: where to post for endpoint i
+	up       []bool        // delivery flags; entry i is read and written on endpoint i's lane only
+	alive    []*Endpoint   // registry: current alive set, swap-remove maintained
 
 	lossErr error // deferred WithLoss validation error, surfaced by New
 }
@@ -172,24 +188,37 @@ func (n *Network) lookup(id ids.ID) *Endpoint {
 // control-lane events or while the engine is quiescent. Attaching a
 // duplicate identity is a programming error.
 func (n *Network) Attach(id ids.ID, h Handler) (*Endpoint, error) {
+	ep := new(Endpoint)
+	if err := n.AttachAt(ep, id, h); err != nil {
+		return nil, err
+	}
+	return ep, nil
+}
+
+// AttachAt is Attach in place: ep is memory the caller owns (the head
+// of a simulated node's block) and must not move or copy afterwards;
+// its lane is built inside it.
+func (n *Network) AttachAt(ep *Endpoint, id ids.ID, r Receiver) error {
 	if id.IsNone() {
-		return nil, fmt.Errorf("simnet: cannot attach the None identity")
+		return fmt.Errorf("simnet: cannot attach the None identity")
 	}
 	if n.lookup(id) != nil {
-		return nil, fmt.Errorf("simnet: endpoint %v already attached", id)
+		return fmt.Errorf("simnet: endpoint %v already attached", id)
 	}
-	ep := &Endpoint{net: n, id: id, handler: h, lane: n.eng.AddLane(), alivePos: -1}
-	ep.idx = n.interner.Intern(id)
+	*ep = Endpoint{net: n, id: id, recv: r, alivePos: -1, idx: n.interner.Intern(id)}
+	n.eng.InitLane(&ep.lane)
 	n.eps = append(n.eps, ep)
-	return ep, nil
+	n.lanes = append(n.lanes, ep.lane.LaneRef)
+	n.up = append(n.up, false)
+	return nil
 }
 
 // Alive reports whether the identified endpoint exists and is up. It
 // is the experiment oracle; protocol code must not use it, and under a
 // sharded engine it is valid only while the engine is quiescent.
 func (n *Network) Alive(id ids.ID) bool {
-	ep := n.lookup(id)
-	return ep != nil && ep.alive
+	idx, ok := n.interner.Index(id)
+	return ok && n.up[idx]
 }
 
 // AliveCount returns the number of endpoints in the alive registry.
@@ -236,31 +265,26 @@ func (n *Network) RandomAlive(exclude ids.ID) ids.ID {
 type Endpoint struct {
 	net      *Network
 	id       ids.ID
-	idx      uint32 // interned index in net.eps
-	lane     *sim.Lane
-	alive    bool      // delivery flag, owned by the endpoint's lane
+	idx      uint32    // interned index in net.eps (the delivery flag is net.up[idx])
 	alivePos int       // registry: index in net.alive while alive, -1 otherwise
 	lossSt   LossState // loss-process state, owned by the endpoint's lane
-	handler  Handler
+	recv     Receiver
 	counters Counters
-	tag      any
+	lane     sim.Lane
 }
 
 // ID returns the endpoint's identity.
 func (ep *Endpoint) ID() ids.ID { return ep.id }
 
 // Lane returns the endpoint's execution lane.
-func (ep *Endpoint) Lane() *sim.Lane { return ep.lane }
+func (ep *Endpoint) Lane() *sim.Lane { return &ep.lane }
 
-// SetTag attaches opaque caller state to the endpoint (readable from
-// UndeliveredFunc callbacks). Set it before the endpoint first sends.
-func (ep *Endpoint) SetTag(tag any) { ep.tag = tag }
-
-// Tag returns the caller state attached with SetTag.
-func (ep *Endpoint) Tag() any { return ep.tag }
+// Receiver returns what the endpoint was attached with — the caller's
+// own per-node state, for UndeliveredFunc callbacks to recover.
+func (ep *Endpoint) Receiver() Receiver { return ep.recv }
 
 // Alive reports the endpoint's delivery flag.
-func (ep *Endpoint) Alive() bool { return ep.alive }
+func (ep *Endpoint) Alive() bool { return ep.net.up[ep.idx] }
 
 // Registered reports whether the endpoint is in the alive registry
 // (the control-lane view of its liveness).
@@ -292,7 +316,7 @@ func (ep *Endpoint) SetAliveRegistry(alive bool) {
 // endpoint's own lane (or while quiescent). Messages in flight toward
 // a downed endpoint are silently dropped at delivery time (crash-stop,
 // Section 3).
-func (ep *Endpoint) SetAliveFlag(alive bool) { ep.alive = alive }
+func (ep *Endpoint) SetAliveFlag(alive bool) { ep.net.up[ep.idx] = alive }
 
 // SetAlive updates the registry and the delivery flag together — the
 // convenience form for tests and single-threaded harnesses, valid
@@ -324,30 +348,32 @@ func (ep *Endpoint) ResetCounters() { ep.counters = Counters{} }
 // destination is alive at that time; a dead (or unknown) destination
 // is charged to the sender's useless counters at that point.
 func (ep *Endpoint) Send(to ids.ID, msg any, size int) {
-	if !ep.alive {
+	n := ep.net
+	if !n.up[ep.idx] {
 		return
 	}
 	ep.counters.MsgsOut++
 	ep.counters.BytesOut += uint64(size)
-	dst := ep.net.lookup(to)
-	if dst == nil {
+	dst, ok := n.interner.Index(to)
+	if !ok {
 		// The message still leaves the sender's NIC; there is no lane
 		// to deliver on, so the useless classification happens here.
 		ep.chargeUseless(to, msg, size)
 		return
 	}
-	if ep.net.loss != nil && ep.net.loss.Drop(&ep.lossSt, ep.lane.Rand()) {
+	if n.loss != nil && n.loss.Drop(&ep.lossSt, ep.lane.Rand()) {
 		ep.counters.Dropped++
 		return
 	}
-	now := ep.net.eng.LaneNow(ep.lane)
-	d := ep.net.latency.Latency(ep.id, to, ep.lane.Rand())
+	now := n.eng.LaneNow(&ep.lane)
+	d := n.latency.Latency(ep.id, to, ep.lane.Rand())
 	// Deliveries are posted as handler events keyed by interned endpoint
 	// indexes — two packed words plus the payload — so the steady-state
-	// send path allocates nothing.
-	ep.net.eng.PostEvent(ep.lane, dst.lane, now.Add(d), ep.net, sim.EventArg{
+	// send path allocates nothing, and to the route table's by-value lane
+	// reference, so it loads nothing of the peer's either.
+	n.eng.PostEventTo(&ep.lane, n.lanes[dst], now.Add(d), n, sim.EventArg{
 		A: uint64(size),
-		B: uint64(ep.idx)<<32 | uint64(dst.idx),
+		B: uint64(ep.idx)<<32 | uint64(dst),
 		P: msg,
 	})
 }
@@ -355,16 +381,16 @@ func (ep *Endpoint) Send(to ids.ID, msg any, size int) {
 // Fire delivers one in-flight message (posted by Send) on the
 // destination's lane: sim.Handler implementation.
 func (n *Network) Fire(now time.Time, arg sim.EventArg) {
-	from := n.eps[arg.B>>32]
-	dst := n.eps[uint32(arg.B)]
+	from, to := uint32(arg.B>>32), uint32(arg.B)
 	size := int(arg.A)
-	if !dst.alive {
-		from.chargeUseless(dst.id, arg.P, size)
+	if !n.up[to] {
+		n.eps[from].chargeUseless(n.interner.ID(to), arg.P, size)
 		return
 	}
+	dst := n.eps[to]
 	dst.counters.MsgsIn++
 	dst.counters.BytesIn += uint64(size)
-	dst.handler(from.id, arg.P, size, now)
+	dst.recv.Deliver(n.interner.ID(from), arg.P, size, now)
 }
 
 // chargeUseless records an undeliverable message on the sender's

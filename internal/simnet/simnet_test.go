@@ -113,7 +113,6 @@ func TestUndeliveredCallback(t *testing.T) {
 	_, a, b, _ := newPair(t, eng, WithUndelivered(func(from *Endpoint, to ids.ID, _ any, size int) {
 		misses = append(misses, miss{from, to, size})
 	}))
-	a.SetTag("sender-a")
 	b.SetAlive(false)
 	a.Send(b.ID(), "x", 8)      // known but dead: classified at delivery
 	a.Send(ids.Sim(99), "y", 4) // unknown: classified at send
@@ -122,8 +121,10 @@ func TestUndeliveredCallback(t *testing.T) {
 		t.Fatalf("undelivered callback fired %d times, want 2", len(misses))
 	}
 	for _, m := range misses {
-		if m.from != a || m.from.Tag() != "sender-a" {
-			t.Errorf("undelivered from = %v (tag %v), want endpoint a", m.from.ID(), m.from.Tag())
+		// The callback recovers the sender's own state through what it
+		// attached with.
+		if _, ok := m.from.Receiver().(Handler); m.from != a || !ok {
+			t.Errorf("undelivered from = %v (receiver %T), want endpoint a and its Handler", m.from.ID(), m.from.Receiver())
 		}
 	}
 	if misses[0].to != ids.Sim(99) || misses[1].to != b.ID() {
