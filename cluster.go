@@ -1,7 +1,11 @@
 package avmon
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -854,6 +858,39 @@ func (c *Cluster) Stats(idx int) MemberStats {
 		UpTime:          up,
 		LifeTime:        life,
 	}
+}
+
+// WriteState writes the canonical text of everything an experiment can
+// observe of the run so far: the engine's step count, the population,
+// and per member its lifecycle flags, PS, TS and CV, hash checks,
+// discovery times, traffic and monitoring counters, useless pings,
+// uptime and lifetime. Two clusters that write equal text render
+// byte-identical experiment output; the text itself is for locating a
+// divergence, Fingerprint for comparing. Valid while the engine is
+// quiescent.
+func (c *Cluster) WriteState(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "steps=%d alive=%d size=%d\n", c.Steps(), c.AliveCount(), c.Size())
+	for i := range c.members {
+		s := c.Stats(i)
+		fmt.Fprintf(bw, "%d: alive=%t dead=%t born=%t ps=%v ts=%v cv=%v checks=%d disc=%v\n",
+			i, s.Alive, s.Dead, s.EverBorn,
+			c.MonitorsOf(i), c.TargetsOf(i), c.CoarseViewOf(i),
+			s.HashChecks, s.DiscoveryTimes)
+		fmt.Fprintf(bw, "   traffic=%+v monpings=%d acks=%d saved=%d useless=%d up=%v life=%v\n",
+			s.Traffic, s.MonPingsSent, s.MonAcks, s.PingsSaved,
+			s.UselessMonPings, s.UpTime, s.LifeTime)
+	}
+	return bw.Flush()
+}
+
+// Fingerprint is the cluster's canonical protocol digest: the hex
+// SHA-256 of WriteState. The serial-vs-sharded, zero-magnitude-control
+// and parent-vs-change gates all compare it.
+func (c *Cluster) Fingerprint() string {
+	h := sha256.New()
+	_ = c.WriteState(h) // a hash.Hash's Write never fails
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ResetTraffic zeroes every node's traffic counters (call at the end

@@ -1,7 +1,10 @@
 package avmon
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -262,11 +265,14 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 }
 
-// clusterFingerprint runs one simulation and captures everything an
-// experiment could observe: per-node protocol sets, traffic counters,
-// uptime accounting, and the engine step count. Two runs with equal
-// fingerprints produce byte-identical experiment output.
-func clusterFingerprint(t *testing.T, cfg ClusterConfig, mk func() (ChurnModel, error)) string {
+// updateGolden rewrites the golden files under testdata/ from this
+// run instead of comparing against them.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+// fingerprintRun runs the simulation every row of
+// TestShardedClusterMatchesSerial is fingerprinted after: 25 minutes,
+// five control joiners enrolled, 20 minutes more.
+func fingerprintRun(t *testing.T, cfg ClusterConfig, mk func() (ChurnModel, error)) (*Cluster, []int) {
 	t.Helper()
 	model, err := mk()
 	if err != nil {
@@ -279,18 +285,15 @@ func clusterFingerprint(t *testing.T, cfg ClusterConfig, mk func() (ChurnModel, 
 	c.Run(25 * time.Minute)
 	control := c.EnrollControl(5)
 	c.Run(20 * time.Minute)
+	return c, control
+}
+
+// stateText is WriteState as a string, for firstDiff.
+func stateText(t *testing.T, c *Cluster) string {
+	t.Helper()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "steps=%d alive=%d size=%d control=%v\n",
-		c.Steps(), c.AliveCount(), c.Size(), control)
-	for i := 0; i < c.Size(); i++ {
-		s := c.Stats(i)
-		fmt.Fprintf(&sb, "%d: alive=%t dead=%t born=%t ps=%v ts=%v cv=%v checks=%d disc=%v\n",
-			i, s.Alive, s.Dead, s.EverBorn,
-			c.MonitorsOf(i), c.TargetsOf(i), c.CoarseViewOf(i),
-			s.HashChecks, s.DiscoveryTimes)
-		fmt.Fprintf(&sb, "   traffic=%+v monpings=%d acks=%d saved=%d useless=%d up=%v life=%v\n",
-			s.Traffic, s.MonPingsSent, s.MonAcks, s.PingsSaved,
-			s.UselessMonPings, s.UpTime, s.LifeTime)
+	if err := c.WriteState(&sb); err != nil {
+		t.Fatal(err)
 	}
 	return sb.String()
 }
@@ -323,6 +326,12 @@ func mustLoss(t *testing.T, mk func() (LossModel, error)) LossModel {
 // latency with adaptive lookahead, Gilbert-Elliott burst loss), which
 // together exercise every random stream and lifecycle path.
 func TestShardedClusterMatchesSerial(t *testing.T) {
+	// Each row's serial digest is pinned: a change that moves one moved
+	// the protocol (or the simulator under it), and says so by rerunning
+	// with -update.
+	const goldenPath = "testdata/cluster_fingerprints.golden"
+	pinned, _ := os.ReadFile(goldenPath)
+	var golden strings.Builder
 	for _, tc := range []struct {
 		name string
 		cfg  ClusterConfig
@@ -465,17 +474,31 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want := clusterFingerprint(t, tc.cfg, tc.mk)
+			serial, control := fingerprintRun(t, tc.cfg, tc.mk)
+			want := serial.Fingerprint()
+			line := tc.name + " " + want + "\n"
+			golden.WriteString(line)
+			if !*updateGolden && !strings.Contains(string(pinned), line) {
+				t.Errorf("serial fingerprint %s is not the one pinned in %s", want, goldenPath)
+			}
 			for _, shards := range []int{1, 2, 8} {
 				cfg := tc.cfg
 				cfg.Shards = shards
-				got := clusterFingerprint(t, cfg, tc.mk)
-				if got != want {
+				sharded, shControl := fingerprintRun(t, cfg, tc.mk)
+				if !reflect.DeepEqual(shControl, control) {
+					t.Errorf("shards=%d enrolled control group %v, serial %v", shards, shControl, control)
+				}
+				if sharded.Fingerprint() != want {
 					t.Errorf("shards=%d diverged from serial run (fingerprints differ)\n%s",
-						shards, firstDiff(want, got))
+						shards, firstDiff(stateText(t, serial), stateText(t, sharded)))
 				}
 			}
 		})
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -13,9 +13,16 @@
 // Scale 1.0 approximates the paper's methodology (hour-scale warm-up
 // and multi-hour measurement windows); smaller scales shrink the
 // simulated horizon proportionally, with floors that keep results
-// meaningful. Sweep points run concurrently (-parallel, default
-// GOMAXPROCS); output is byte-identical at any parallelism because
-// every point derives its own seed from -seed and its sweep position.
+// meaningful. The paper reads several figures off one experiment set,
+// and so does -run all: it simulates each set (sweep) once, prints
+// every table and figure that reads it, in paper order, and a figure
+// run alone prints the same bytes as it does under all. Sweep points
+// run concurrently (-parallel, default GOMAXPROCS); output is
+// byte-identical at any parallelism because every point derives its
+// own seed from -seed and its position in its sweep. Invalid options
+// (a negative -scale, -parallel or -shards, a malformed, non-positive
+// or repeated -ns entry, an unknown -chaos name) are rejected before
+// anything runs.
 // Independently, -shards partitions each single simulation across P
 // engine shards (conservative parallel discrete-event simulation);
 // output is byte-identical at any shard count, so -shards is purely a
@@ -30,34 +37,25 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
 	"avmon/internal/experiments"
 )
 
-// parseChaos resolves the -chaos flag into the scenario subset the
-// chaos experiment should run (nil = all). Unknown names are rejected
-// with the full valid list.
-func parseChaos(arg string) ([]string, error) {
-	arg = strings.TrimSpace(arg)
-	if arg == "" {
-		return nil, nil
+// parseChaos splits the -chaos flag into the scenario subset the chaos
+// experiment should run (nil = all). The names are validated with the
+// rest of the options, by experiments.RunAll.
+func parseChaos(arg string) []string {
+	if strings.TrimSpace(arg) == "" {
+		return nil
 	}
-	valid := make(map[string]bool)
-	for _, name := range experiments.ChaosScenarioNames() {
-		valid[name] = true
+	names := strings.Split(arg, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-	var out []string
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if !valid[tok] {
-			return nil, fmt.Errorf("unknown -chaos scenario %q (valid scenarios: %s)",
-				tok, strings.Join(experiments.ChaosScenarioNames(), ", "))
-		}
-		out = append(out, tok)
-	}
-	return out, nil
+	return names
 }
 
 func main() {
@@ -132,25 +130,25 @@ func run(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fmt.Errorf("outdir: %w", err)
 	}
-	chaosNames, err := parseChaos(*chaos)
-	if err != nil {
-		return err
-	}
 	opts := experiments.Options{
 		Scale: *scale, Seed: *seed, Parallelism: *parallel,
-		Shards: *shards, Chaos: chaosNames,
+		Shards: *shards, Chaos: parseChaos(*chaos),
 	}
 	if *ns != "" {
 		for _, part := range strings.Split(*ns, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n <= 0 {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
 				return fmt.Errorf("bad -ns entry %q", part)
 			}
 			opts.Ns = append(opts.Ns, n)
 		}
 	}
-	registry := experiments.Registry()
-	var toRun []string
+	if *progress {
+		opts.Progress = func(done, total int, label string) {
+			fmt.Fprintf(os.Stderr, "%d/%d %s\n", done, total, label)
+		}
+	}
+	toRun := []string{*runID}
 	if *runID == "all" {
 		// "all" is the paper-reproduction flow. The beyond-paper
 		// sweeps are excluded: the large-N scale sweep because its N
@@ -165,38 +163,27 @@ func run(args []string) error {
 		excluded := map[string]bool{
 			"scale": true, "wan": true, "chaos": true, "realnet": true,
 		}
+		toRun = nil
 		for _, id := range experiments.IDs() {
 			if !excluded[id] {
 				toRun = append(toRun, id)
 			}
 		}
-	} else {
-		if registry[*runID] == nil {
-			return fmt.Errorf("unknown experiment %q (use -list)", *runID)
-		}
-		toRun = []string{*runID}
 	}
-	for _, id := range toRun {
-		start := time.Now()
-		if *progress {
-			id := id
-			opts.Progress = func(done, total int, label string) {
-				fmt.Fprintf(os.Stderr, "%s: %d/%d %s\n", id, done, total, label)
-			}
-		}
-		res, err := registry[id](opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
+	// Each footer times what its id added: the sweep for the first id
+	// that reads it, nothing for the ids rendered from the same runs.
+	start := time.Now()
+	return experiments.RunAll(toRun, opts, func(res *experiments.Result) error {
 		fmt.Print(res.String())
 		for name, data := range res.Artifacts {
 			path := filepath.Join(*outDir, name)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return fmt.Errorf("%s: write artifact %s: %w", id, path, err)
+				return fmt.Errorf("%s: write artifact %s: %w", res.ID, path, err)
 			}
-			fmt.Fprintf(os.Stderr, "%s: wrote %s (%d bytes)\n", id, path, len(data))
+			fmt.Fprintf(os.Stderr, "%s: wrote %s (%d bytes)\n", res.ID, path, len(data))
 		}
-		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+		fmt.Printf("(%s completed in %v)\n\n", res.ID, time.Since(start).Round(time.Millisecond))
+		start = time.Now()
+		return nil
+	})
 }

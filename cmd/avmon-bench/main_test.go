@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,16 +42,64 @@ func TestRunBadNs(t *testing.T) {
 	}
 }
 
-func TestParseChaos(t *testing.T) {
-	names := experiments.ChaosScenarioNames()
-	for _, arg := range []string{"", "  ", names[0], strings.Join(names, ","),
-		" " + names[0] + " , " + names[len(names)-1]} {
-		if _, err := parseChaos(arg); err != nil {
-			t.Errorf("parseChaos(%q) failed: %v", arg, err)
+// TestRunRejectsBadInputBeforeRunning: each of these used to start
+// simulating — "40x,5e1" as N = 40 and N = 5, the negative counts as
+// given, -scale -1 as paper scale.
+func TestRunRejectsBadInputBeforeRunning(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ns", "40x,5e1"},
+		{"-shards", "-3", "-parallel", "-2"},
+		{"-scale", "-1"},
+		{"-ns", "40,40"},
+	} {
+		err := run(append([]string{"-run", "figure3", "-scale", "0.01", "-ns", "40"}, args...))
+		if err == nil {
+			t.Errorf("%v accepted", args)
+		} else if args[0] != "-ns" && !errors.Is(err, experiments.ErrInvalidOptions) {
+			t.Errorf("%v: err = %v, want one wrapping ErrInvalidOptions", args, err)
 		}
 	}
-	if got, _ := parseChaos(""); got != nil {
-		t.Error("empty -chaos should select all scenarios (nil)")
+}
+
+// TestRunSingleSizeEdgeView: with one swept size the "smallest" and
+// "largest" N of a CDF figure are one N, so it prints one table (it
+// used to print two same-titled tables from two different runs).
+func TestRunSingleSizeEdgeView(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run([]string{"-run", "figure4", "-scale", "0.01", "-ns", "40"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(printed), "## STAT, N = 40"); got != 1 {
+		t.Errorf("figure4 at one size printed %d tables, want 1:\n%s", got, printed)
+	}
+}
+
+func TestParseChaos(t *testing.T) {
+	for arg, want := range map[string][]string{
+		"":                           nil,
+		"  ":                         nil,
+		"collusion":                  {"collusion"},
+		" collusion , zone-outage ":  {"collusion", "zone-outage"},
+		"collusion,,zone-outage":     {"collusion", "", "zone-outage"},
+		"flash-crowd,meteor-strike ": {"flash-crowd", "meteor-strike"},
+	} {
+		if got := parseChaos(arg); !reflect.DeepEqual(got, want) {
+			t.Errorf("parseChaos(%q) = %q, want %q", arg, got, want)
+		}
 	}
 }
 
@@ -60,9 +110,9 @@ func TestRunBadChaos(t *testing.T) {
 	}
 	// The error is the discovery surface: it must name every valid
 	// scenario.
-	for _, name := range experiments.ChaosScenarioNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("-chaos error %q does not list valid scenario %q", err, name)
+	for _, s := range experiments.ChaosScenarios() {
+		if !strings.Contains(err.Error(), s.Name) {
+			t.Errorf("-chaos error %q does not list valid scenario %q", err, s.Name)
 		}
 	}
 	if err := run([]string{"-run", "chaos", "-chaos", "collusion,,zone-outage"}); err == nil {

@@ -84,8 +84,8 @@
 // Subpackages under internal implement the protocol core, the serial
 // and sharded discrete-event engines (internal/sim), the simulated
 // network and its WAN models (internal/simnet), churn models and trace
-// substrates, the baseline schemes the paper compares against, and one
-// experiment generator per table and figure in the paper plus the
-// beyond-paper scale and wan sweeps (see DESIGN.md and
-// EXPERIMENTS.md).
+// substrates, the baseline schemes the paper compares against, and the
+// experiment sweeps every table and figure in the paper is a view of,
+// plus the beyond-paper scale, wan, chaos and realnet harnesses (see
+// DESIGN.md and EXPERIMENTS.md).
 package avmon

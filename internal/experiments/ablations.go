@@ -16,59 +16,44 @@ import (
 // go beyond the paper's figures: each switches off (or swaps) one
 // mechanism and measures what degrades.
 
-// AblationReshuffle measures the coarse-view reshuffle step of
-// Figure 2: without it, coarse views freeze and discovery of monitors
-// for late-joining nodes slows dramatically.
-func AblationReshuffle(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	n := ns[len(ns)-1]
-	table := &Table{
-		Title:  fmt.Sprintf("Coarse-view reshuffle ablation (STAT, N = %d)", n),
-		Header: []string{"variant", "discovered", "missed", "mean discovery (s)"},
-	}
-	variants := []bool{false, true}
-	scens := make([]scenario, len(variants))
-	for i, disable := range variants {
-		s := synthScenario(o, modelSTAT, n, 45*time.Minute)
-		s.opts.DisableReshuffle = disable
-		scens[i] = s
-	}
-	// Paired seeds: both variants see the same realization, so the
-	// delta is the reshuffle step alone.
-	outs, err := runAllPaired(o, scens, func(int) int { return 0 })
-	if err != nil {
-		return nil, err
-	}
-	for i, disable := range variants {
-		out := outs[i]
-		times, missed := out.firstDiscoveries(out.controlOrLateBorn())
-		var w stats.Welford
-		for _, d := range times {
-			w.Add(d.Seconds())
-		}
-		name := "reshuffle (paper)"
-		if disable {
-			name = "no reshuffle"
-		}
-		table.AddRow(name, itoa(len(times)), itoa(missed), f2(w.Mean()))
-	}
-	return &Result{
-		ID:     "ablation-reshuffle",
-		Title:  "Why the coarse view is re-randomized every round",
-		Tables: []*Table{table},
-	}, nil
+// reshuffleScens is the reshuffle ablation's set: STAT at the largest
+// swept N with the coarse-view reshuffle on, then off. Both variants
+// see the same realization, so the delta is the reshuffle step alone.
+func reshuffleScens(o Options) []scenario {
+	on := synthScenario(o, modelSTAT, o.largestN(), 45*time.Minute)
+	off := on
+	off.opts.DisableReshuffle = true
+	return []scenario{on, off}
 }
 
-// AblationRejoinWeight measures the rejoin-weight rule of Figure 1:
+// ablationReshuffle measures the coarse-view reshuffle step of
+// Figure 2: without it, coarse views freeze and discovery of monitors
+// for late-joining nodes slows dramatically.
+func ablationReshuffle(o Options, outs []*outcome) []*Table {
+	table := &Table{
+		Title:  fmt.Sprintf("Coarse-view reshuffle ablation (STAT, N = %d)", o.largestN()),
+		Header: []string{"variant", "discovered", "missed", "mean discovery (s)"},
+	}
+	for _, out := range outs {
+		times, missed := out.firstDiscoveries(out.controlOrLateBorn())
+		name := "reshuffle (paper)"
+		if out.s.opts.DisableReshuffle {
+			name = "no reshuffle"
+		}
+		table.AddRow(name, itoa(len(times)), itoa(missed),
+			f2(welford(in(time.Duration.Seconds, times)).Mean()))
+	}
+	return []*Table{table}
+}
+
+// ablationRejoinWeight measures the rejoin-weight rule of Figure 1:
 // rejoining with the full cvs weight (instead of min(cvs, downtime))
 // inflates the rejoining node's coarse-view indegree beyond cvs,
 // breaking the load-balance invariant. The rule only bites when
 // downtimes are SHORT relative to cvs protocol periods (otherwise
 // min(cvs, downtime) = cvs), so this workload uses frequent 3-minute
 // outages.
-func AblationRejoinWeight(o Options) (*Result, error) {
-	o = o.withDefaults()
+func ablationRejoinWeight(o Options) (*Result, error) {
 	const n = 600
 	table := &Table{
 		Title: fmt.Sprintf(
@@ -153,79 +138,48 @@ func AblationRejoinWeight(o Options) (*Result, error) {
 	}, nil
 }
 
-// AblationForgetful sweeps the forgetful-pinging parameters c and τ:
-// the accuracy / useless-ping tradeoff of Section 3.3.
-func AblationForgetful(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	n := ns[len(ns)-1]
-	table := &Table{
-		Title:  fmt.Sprintf("Forgetful-pinging parameter sweep (SYNTH, N = %d)", n),
-		Header: []string{"c", "tau", "useless pings/min/node", "mean |rel err|"},
-	}
-	type params struct {
+// forgetfulParamScens is the (c, τ) set: SYNTH at the largest swept N
+// under four forgetful-pinging settings. Every setting observes the
+// same churn, so the sweep isolates the parameters.
+func forgetfulParamScens(o Options) []scenario {
+	var scens []scenario
+	for _, p := range []struct {
 		c   float64
 		tau time.Duration
-	}
-	sweep := []params{
+	}{
 		{1, 2 * time.Minute},  // paper default
 		{1, 10 * time.Minute}, // lazier threshold
 		{3, 2 * time.Minute},  // more persistent pinging
 		{0.25, 2 * time.Minute},
-	}
-	scens := make([]scenario, len(sweep))
-	for i, p := range sweep {
-		s := synthScenario(o, modelSYNTH, n, 3*time.Hour)
+	} {
+		s := synthScenario(o, modelSYNTH, o.largestN(), 3*time.Hour)
 		s.opts.Forgetful = true
 		s.opts.ForgetfulC = p.c
 		s.opts.ForgetfulTau = p.tau
-		scens[i] = s
+		scens = append(scens, s)
 	}
-	// Paired seeds: every (c, τ) setting observes the same churn, so
-	// the sweep isolates the parameters.
-	outs, err := runAllPaired(o, scens, func(int) int { return 0 })
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range sweep {
-		out := outs[i]
-		minutes := out.measure.Minutes()
-		var useless stats.Welford
-		for _, idx := range out.aliveIndexes() {
-			delta := out.c.Stats(idx).UselessMonPings - out.uselessAtW[idx]
-			useless.Add(float64(delta) / minutes)
-		}
-		errSum, count := 0.0, 0
-		for _, idx := range out.controlOrLateBorn() {
-			r, ok := estimateRatio(out.c, idx)
-			if !ok {
-				continue
-			}
-			e := r - 1
-			if e < 0 {
-				e = -e
-			}
-			errSum += e
-			count++
-		}
-		meanErr := 0.0
-		if count > 0 {
-			meanErr = errSum / float64(count)
-		}
-		table.AddRow(f2(p.c), p.tau.String(), f4(useless.Mean()), f4(meanErr))
-	}
-	return &Result{
-		ID:     "ablation-forgetful",
-		Title:  "Forgetful pinging: accuracy vs wasted bandwidth",
-		Tables: []*Table{table},
-	}, nil
+	return scens
 }
 
-// AblationConsistency contrasts AVMON's churn-proof selection with the
+// ablationForgetful sweeps the forgetful-pinging parameters c and τ:
+// the accuracy / useless-ping tradeoff of Section 3.3.
+func ablationForgetful(o Options, outs []*outcome) []*Table {
+	table := &Table{
+		Title:  fmt.Sprintf("Forgetful-pinging parameter sweep (SYNTH, N = %d)", o.largestN()),
+		Header: []string{"c", "tau", "useless pings/min/node", "mean |rel err|"},
+	}
+	for _, out := range outs {
+		meanErr, _ := absRelErr(out.estimateRatios())
+		table.AddRow(f2(out.s.opts.ForgetfulC), out.s.opts.ForgetfulTau.String(),
+			f4(welford(out.uselessPerMinute(out.aliveIndexes())).Mean()), f4(meanErr))
+	}
+	return []*Table{table}
+}
+
+// ablationConsistency contrasts AVMON's churn-proof selection with the
 // DHT replica-set approach: monitor-set damage per join/leave and the
 // monitor-pair correlation statistic (randomness condition 3(b)).
-func AblationConsistency(o Options) (*Result, error) {
-	o = o.withDefaults()
+func ablationConsistency(Options) (*Result, error) {
 	const (
 		n = 500
 		k = 8
@@ -279,18 +233,18 @@ func AblationConsistency(o Options) (*Result, error) {
 	}, nil
 }
 
-// AblationHash compares the hash functions behind the consistency
-// condition: all must yield the same expected PS sizes; they differ
-// only in evaluation cost.
-func AblationHash(o Options) (*Result, error) {
-	o = o.withDefaults()
+// ablationHash compares the hash functions behind the consistency
+// condition: all must yield the same expected PS sizes. (What they
+// cost per evaluation is the repository benchmark's
+// hashing.related_*_ns.)
+func ablationHash(Options) (*Result, error) {
 	const (
 		n = 2000
 		k = 11
 	)
 	table := &Table{
 		Title:  fmt.Sprintf("Hash function comparison (N = %d, K = %d)", n, k),
-		Header: []string{"hash", "mean |PS|", "max |PS|", "ns/check (approx)"},
+		Header: []string{"hash", "mean |PS|", "max |PS|"},
 	}
 	for _, h := range []hashing.Hasher{hashing.MD5Hasher{}, hashing.SHA1Hasher{}, hashing.FastHasher{}} {
 		sel, err := hashing.NewSelector(h, k, n)
@@ -298,25 +252,17 @@ func AblationHash(o Options) (*Result, error) {
 			return nil, err
 		}
 		var sizes stats.Welford
-		maxPS := 0
-		start := time.Now()
-		checks := 0
 		for xi := 0; xi < 300; xi++ {
 			x := ids.Sim(xi)
 			count := 0
 			for yi := 0; yi < n; yi++ {
-				checks++
 				if sel.Related(ids.Sim(yi), x) {
 					count++
 				}
 			}
 			sizes.Add(float64(count))
-			if count > maxPS {
-				maxPS = count
-			}
 		}
-		perCheck := float64(time.Since(start).Nanoseconds()) / float64(checks)
-		table.AddRow(h.Name(), f2(sizes.Mean()), itoa(maxPS), f2(perCheck))
+		table.AddRow(h.Name(), f2(sizes.Mean()), itoa(int(sizes.Max())))
 	}
 	return &Result{
 		ID:     "ablation-hash",

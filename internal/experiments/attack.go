@@ -1,116 +1,50 @@
 package experiments
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // overreportFractions are the x-axis of Figure 20.
 var overreportFractions = []float64{0, 0.05, 0.10, 0.15, 0.20}
 
-// affectedFraction returns the fraction of measured nodes whose
-// monitor-averaged estimated availability differs from their true
-// availability by more than 0.2 (the paper's "negatively affected"
-// criterion).
-func (o *outcome) affectedFraction() float64 {
-	affected, measured := 0, 0
-	for _, idx := range o.aliveIndexes() {
-		st := o.c.Stats(idx)
-		truth := st.TrueAvailability()
-		if truth <= 0 {
-			continue
-		}
-		var sum float64
-		count := 0
-		for _, mon := range o.c.MonitorsOf(idx) {
-			monIdx, ok := o.c.IndexOf(mon)
-			if !ok {
-				continue
-			}
-			est, known := o.c.EstimateBy(monIdx, o.c.IDOf(idx))
-			if !known {
-				continue
-			}
-			sum += est
-			count++
-		}
-		if count == 0 {
-			continue
-		}
-		measured++
-		if math.Abs(sum/float64(count)-truth) > 0.2 {
-			affected++
-		}
-	}
-	if measured == 0 {
-		return 0
-	}
-	return float64(affected) / float64(measured)
+// overreportWorkloads are Figure 20's columns: each builds its workload
+// at the largest swept N (the traces at their own sizes).
+var overreportWorkloads = []func(Options) scenario{
+	func(o Options) scenario { return synthScenario(o, modelSYNTH, o.largestN(), 3*time.Hour) },
+	func(o Options) scenario { return synthScenario(o, modelSYNTHBD, o.largestN(), 3*time.Hour) },
+	func(o Options) scenario { return traceScenario(o, modelPL, traceNPL) },
+	func(o Options) scenario { return traceScenario(o, modelOV, traceNOV) },
 }
 
-// Figure20 reproduces the overreporting attack: a fraction of nodes
+// overreportScens is Figure 20's set: every workload under every
+// misreporting fraction, fraction-major. Seeds pair per workload
+// column: each column sweeps the fraction over one fixed realization
+// (the misreporting sets even nest as the fraction grows), so the
+// dose-response trend isolates the attack.
+func overreportScens(o Options) []scenario {
+	var scens []scenario
+	for _, frac := range overreportFractions {
+		for _, mk := range overreportWorkloads {
+			s := mk(o)
+			s.overreport = frac
+			scens = append(scens, s)
+		}
+	}
+	return scens
+}
+
+// figure20 reproduces the overreporting attack: a fraction of nodes
 // report 100% availability for all their targets; the y-axis is the
 // fraction of nodes whose measured availability is off by > 0.2.
-func Figure20(o Options) (*Result, error) {
-	o = o.withDefaults()
+func figure20(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Fraction of nodes negatively affected by overreporting monitors",
 		Header: []string{"fraction misreporting", "SYNTH", "SYNTH-BD", "PL", "OV"},
 	}
-	type workload struct {
-		kind modelKind
-		mk   func(frac float64) scenario
-	}
-	ns := o.ns()
-	n := ns[len(ns)-1]
-	workloads := []workload{
-		{modelSYNTH, func(f float64) scenario {
-			s := synthScenario(o, modelSYNTH, n, 3*time.Hour)
-			s.overreport = f
-			return s
-		}},
-		{modelSYNTHBD, func(f float64) scenario {
-			s := synthScenario(o, modelSYNTHBD, n, 3*time.Hour)
-			s.overreport = f
-			return s
-		}},
-		{modelPL, func(f float64) scenario {
-			s := traceScenario(o, modelPL, 239)
-			s.overreport = f
-			return s
-		}},
-		{modelOV, func(f float64) scenario {
-			s := traceScenario(o, modelOV, 550)
-			s.overreport = f
-			return s
-		}},
-	}
-	var scens []scenario
-	for _, frac := range overreportFractions {
-		for _, w := range workloads {
-			scens = append(scens, w.mk(frac))
+	for _, row := range chunks(outs, len(overreportWorkloads)) {
+		cells := []string{f2(row[0].s.overreport)}
+		for _, out := range row {
+			cells = append(cells, f4(affectedFraction(out.c)))
 		}
+		table.AddRow(cells...)
 	}
-	// Pair seeds per workload column: each column sweeps the
-	// misreporting fraction over one fixed realization (the
-	// misreporting sets even nest as the fraction grows), so the
-	// dose-response trend isolates the attack.
-	outs, err := runAllPaired(o, scens, func(i int) int { return i % len(workloads) })
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, frac := range overreportFractions {
-		row := []string{f2(frac)}
-		for range workloads {
-			row = append(row, f4(outs[i].affectedFraction()))
-			i++
-		}
-		table.AddRow(row...)
-	}
-	return &Result{
-		ID:     "figure20",
-		Title:  "Effect of the overreporting attack (Section 5.4)",
-		Tables: []*Table{table},
-	}, nil
+	return []*Table{table}
 }

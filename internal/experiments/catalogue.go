@@ -1,0 +1,197 @@
+package experiments
+
+// The catalogue: which simulations each experiment id reads. The
+// paper's evaluation is a handful of experiment sets — one run per
+// (availability model, N) in Section 5.1, from which Figures 3-10 are
+// all read, and likewise for Sections 5.2-5.4 — so a set is data here
+// (a sweep), a table or figure is a function of a finished set (a
+// view), and RunAll simulates each set once however many of its views
+// are asked for.
+
+import (
+	"fmt"
+	"time"
+)
+
+// sweep is one experiment set: the simulations to run and how their
+// seeds pair up. Point i runs on deriveSeed(Options.Seed, group(i)), so
+// a sweep's output depends on its own layout only — never on which
+// views read it or what ran before it.
+type sweep struct {
+	name  string // progress-line prefix
+	scens func(Options) []scenario
+	// group maps a point to its seed position. Points sharing one run
+	// against the same churn realization (common random numbers), so
+	// an A/B delta isolates the variant; nil gives every point its own.
+	group func(i int) int
+}
+
+// view renders one experiment's tables from its sweep's outcomes, which
+// arrive in scens order.
+type view func(Options, []*outcome) []*Table
+
+// experiment is one catalogue row. An id either reads a sweep through
+// a view or runs itself (the harnesses that measure the host, write an
+// artifact, or simulate nothing).
+type experiment struct {
+	id, title string
+	sweep     *sweep
+	view      view
+	self      func(Options) (*Result, error)
+}
+
+// Seed pairings of the A/B sweeps.
+func oneRealization(int) int { return 0 }
+func pairs(i int) int        { return i / 2 }
+func perCVSSet(i int) int    { return i / len(cvsMultipliers) }
+
+var (
+	// Section 5.1: each (N, model) once per measurement window.
+	synth45 = &sweep{name: "synthetic-45m", scens: synthScens(45 * time.Minute)}
+	synth60 = &sweep{name: "synthetic-60m", scens: synthScens(60 * time.Minute)}
+	// Section 5.2: four coarse-view sizes per N on one realization.
+	cvs45 = &sweep{name: "cvs-45m", scens: cvsScens(45*time.Minute, cvsSweepNs), group: perCVSSet}
+	cvs60 = &sweep{name: "cvs-60m", group: perCVSSet,
+		scens: cvsScens(60*time.Minute, func(o Options) []int { return edgeNs(cvsSweepNs(o)) })}
+	// Section 5.3: the two traces, then (BD, BD2) pairs per N.
+	traces   = &sweep{name: "traces", scens: traceScens}
+	bdVsBD2  = &sweep{name: "bd-vs-bd2", scens: bdScens, group: pairs}
+	forgetAB = &sweep{name: "forgetful-ab", scens: forgetfulScens, group: pairs}
+	// Section 5.4 and the sets only one id reads.
+	bandwidth  = &sweep{name: "bandwidth", scens: bandwidthScens, group: pairs}
+	overreport = &sweep{name: "overreport", scens: overreportScens,
+		group: func(i int) int { return i % len(overreportWorkloads) }}
+	variants        = &sweep{name: "table1", scens: variantScens, group: oneRealization}
+	reshuffleAB     = &sweep{name: "ablation-reshuffle", scens: reshuffleScens, group: oneRealization}
+	forgetfulParams = &sweep{name: "ablation-forgetful", scens: forgetfulParamScens, group: oneRealization}
+)
+
+// catalogue lists every experiment in paper order: Table 1 and
+// Figures 3-20, the design-choice ablations, then the beyond-paper
+// harnesses.
+var catalogue = []experiment{
+	{id: "table1", title: "AVMON variants vs Broadcast: M, D, C", sweep: variants, view: table1},
+	{id: "figure3", title: "Discovery time of first monitors vs N (synthetic models)", sweep: synth45, view: figure3},
+	{id: "figure4", title: "CDF of first-monitor discovery time, STAT", sweep: synth45, view: discoveryCDFs(modelSTAT)},
+	{id: "figure5", title: "CDF of first-monitor discovery time, SYNTH-BD", sweep: synth45, view: discoveryCDFs(modelSYNTHBD)},
+	{id: "figure6", title: "Time to discovery of first L monitors", sweep: synth60, view: figure6},
+	{id: "figure7", title: "Computational overhead vs N (synthetic models)", sweep: synth60, view: figure7},
+	{id: "figure8", title: "CDF of per-node computations per second", sweep: synth60,
+		view: edgeCDFs("computations/s", (*outcome).compsPerSecond)},
+	{id: "figure9", title: "Memory overhead vs N (synthetic models)", sweep: synth60, view: figure9},
+	{id: "figure10", title: "CDF of per-node memory entries", sweep: synth60,
+		view: edgeCDFs("|PS|+|TS|+|CV|", (*outcome).memoryEntries)},
+	{id: "figure11", title: "Discovery time vs coarse-view size", sweep: cvs45, view: figure11},
+	{id: "figure12", title: "Memory and computation vs coarse-view size", sweep: cvs60, view: figure12},
+	{id: "figure13", title: "CDF of first-monitor discovery time, PL and OV", sweep: traces, view: figure13},
+	{id: "figure14", title: "CDF of per-node memory entries, PL and OV", sweep: traces, view: figure14},
+	{id: "figure15", title: "Discovery under doubled birth/death churn", sweep: bdVsBD2, view: figure15},
+	{id: "figure16", title: "Memory entries under doubled birth/death churn", sweep: bdVsBD2, view: figure16},
+	{id: "figure17", title: "Availability estimation accuracy under forgetful pinging", sweep: forgetAB, view: figure17},
+	{id: "figure18", title: "Useless-ping reduction from forgetful pinging", sweep: forgetAB, view: figure18},
+	{id: "figure19", title: "CDF of per-node outgoing bandwidth (Bps)", sweep: bandwidth, view: figure19},
+	{id: "figure20", title: "Effect of the overreporting attack (Section 5.4)", sweep: overreport, view: figure20},
+
+	// Ablations of the design choices DESIGN.md calls out (not in the
+	// paper; they justify its mechanisms quantitatively).
+	{id: "ablation-reshuffle", title: "Why the coarse view is re-randomized every round",
+		sweep: reshuffleAB, view: ablationReshuffle},
+	{id: "ablation-rejoin-weight", self: ablationRejoinWeight},
+	{id: "ablation-forgetful", title: "Forgetful pinging: accuracy vs wasted bandwidth",
+		sweep: forgetfulParams, view: ablationForgetful},
+	{id: "ablation-consistency", self: ablationConsistency},
+	{id: "ablation-hash", self: ablationHash},
+
+	{id: "scale", self: scale},
+	{id: "wan", self: wan},
+	{id: "chaos", self: chaos},
+	{id: "realnet", self: realnet},
+}
+
+// IDs returns the experiment ids in catalogue (paper) order.
+func IDs() []string {
+	out := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		out[i] = e.id
+	}
+	return out
+}
+
+// Runner runs one experiment.
+type Runner func(Options) (*Result, error)
+
+// Registry maps every experiment id to RunAll of that one id.
+func Registry() map[string]Runner {
+	reg := make(map[string]Runner, len(catalogue))
+	for _, id := range IDs() {
+		id := id
+		reg[id] = func(o Options) (res *Result, err error) {
+			err = RunAll([]string{id}, o, func(r *Result) error { res = r; return nil })
+			return res, err
+		}
+	}
+	return reg
+}
+
+// RunAll runs the named experiments and hands each Result to emit in
+// the order asked. Options are validated once, before anything runs
+// (ErrInvalidOptions). Each distinct sweep is simulated once, every
+// requested view of it is rendered, and its outcomes are released
+// before the next sweep starts, so ids that share a sweep report the
+// same runs and peak memory stays one sweep's. Nothing is kept between
+// calls.
+func RunAll(ids []string, o Options, emit func(*Result) error) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
+	o = o.withDefaults()
+	rows := make([]*experiment, len(ids))
+	for i, id := range ids {
+		for j := range catalogue {
+			if catalogue[j].id == id {
+				rows[i] = &catalogue[j]
+				break
+			}
+		}
+		if rows[i] == nil {
+			return fmt.Errorf("experiments: unknown experiment %q", id)
+		}
+	}
+	rendered := make(map[string]*Result, len(rows))
+	for _, e := range rows {
+		if rendered[e.id] == nil {
+			if err := e.render(o, rows, rendered); err != nil {
+				return fmt.Errorf("%s: %w", e.id, err)
+			}
+		}
+		if err := emit(rendered[e.id]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// render produces e's Result into rendered — and, when e reads a
+// sweep, the Result of every other wanted row reading the same one,
+// while its outcomes are at hand.
+func (e *experiment) render(o Options, wanted []*experiment, rendered map[string]*Result) error {
+	if e.sweep == nil {
+		res, err := e.self(o)
+		rendered[e.id] = res
+		return err
+	}
+	scens := e.sweep.scens(o)
+	for i := range scens {
+		scens[i].label = e.sweep.name + " " + pointLabel(scens[i])
+	}
+	outs, err := runAllPaired(o, scens, e.sweep.group)
+	if err != nil {
+		return err
+	}
+	for _, w := range wanted {
+		if w.sweep == e.sweep {
+			rendered[w.id] = &Result{ID: w.id, Title: w.title, Tables: w.view(o, outs)}
+		}
+	}
+	return nil
+}

@@ -17,15 +17,13 @@ package experiments
 //   - attack: the fault injected, same 24 sampling steps.
 //
 // The experiment FAILS (returns an error) unless baseline and control
-// report byte-identical protocol metrics. That single gate proves two
+// end in fingerprint-identical clusters. That single gate proves two
 // non-trivial properties at once: the zero-magnitude plumbing draws no
 // stray randomness and schedules no perturbing events, and chopping a
 // run into RunFor steps at sample boundaries cannot change results.
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -208,34 +206,26 @@ func ChaosScenarios() []ChaosScenarioInfo {
 	return out
 }
 
-// ChaosScenarioNames lists the valid -chaos scenario names in run
-// order.
-func ChaosScenarioNames() []string {
-	specs := chaosSpecs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.name
-	}
-	return out
-}
-
 // chaosSelect resolves Options.Chaos to scenario specs, rejecting
-// unknown names with the full valid list in the error.
+// unknown names with the full valid list in the error (the discovery
+// surface of avmon-bench -chaos). Options.validate calls it before
+// anything runs.
 func chaosSelect(names []string) ([]chaosSpec, error) {
 	specs := chaosSpecs()
 	if len(names) == 0 {
 		return specs, nil
 	}
 	byName := make(map[string]chaosSpec, len(specs))
-	for _, s := range specs {
-		byName[s.name] = s
+	valid := make([]string, len(specs))
+	for i, s := range specs {
+		byName[s.name], valid[i] = s, s.name
 	}
 	out := make([]chaosSpec, 0, len(names))
 	for _, name := range names {
 		s, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("chaos: unknown scenario %q (valid: %s)",
-				name, strings.Join(ChaosScenarioNames(), ", "))
+			return nil, fmt.Errorf("%w: unknown chaos scenario %q (valid: %s)",
+				ErrInvalidOptions, name, strings.Join(valid, ", "))
 		}
 		out = append(out, s)
 	}
@@ -243,9 +233,8 @@ func chaosSelect(names []string) ([]chaosSpec, error) {
 }
 
 // chaosProto is the aggregate protocol-visible state of one finished
-// arm. Every field is a deterministic function of (scenario, arm,
-// seed, shard count); the baseline/control gate compares these
-// exactly.
+// arm, as the artifact and the gate table report it. Every field is a
+// deterministic function of (scenario, arm, seed, shard count).
 type chaosProto struct {
 	Events     uint64 `json:"events"`
 	Alive      int    `json:"alive"`
@@ -272,104 +261,36 @@ func chaosProtoOf(c *avmon.Cluster) chaosProto {
 	return p
 }
 
-// chaosMonFill returns the mean, over alive honest nodes, of the
-// number of alive honest monitors each has discovered divided by the
-// target monitor count K — the system's useful monitoring capacity.
-// It dips when monitors die (zone outage), when they defect
-// (collusion), and when newcomers have not been discovered yet (flash
-// crowd), and climbs back as the protocol self-repairs.
-func chaosMonFill(c *avmon.Cluster) float64 {
-	honest, fill := 0, 0.0
+// chaosCoverage measures the system's useful monitoring capacity over
+// alive honest nodes: fill is the mean of (alive honest monitors
+// discovered) / K, eclipsed the fraction with none — nobody trustworthy
+// measures them. Fill dips when monitors die (zone outage), when they
+// defect (collusion), and when newcomers have not been discovered yet
+// (flash crowd), and climbs back as the protocol self-repairs.
+func chaosCoverage(c *avmon.Cluster) (fill, eclipsed float64) {
+	trusted := func(i int) bool { return !c.IsColluder(i) && c.Stats(i).Alive }
+	honest, dark := 0, 0
 	k := float64(c.K())
 	for i := 0; i < c.Size(); i++ {
-		if c.IsColluder(i) || !c.Stats(i).Alive {
+		if !trusted(i) {
 			continue
 		}
 		honest++
 		useful := 0
 		for _, mon := range c.MonitorsOf(i) {
-			mi, ok := c.IndexOf(mon)
-			if !ok || c.IsColluder(mi) || !c.Stats(mi).Alive {
-				continue
+			if mi, ok := c.IndexOf(mon); ok && trusted(mi) {
+				useful++
 			}
-			useful++
 		}
 		fill += float64(useful) / k
-	}
-	if honest == 0 {
-		return 0
-	}
-	return fill / float64(honest)
-}
-
-// chaosEclipsed returns the fraction of alive honest nodes with zero
-// alive honest monitors — fully eclipsed: nobody trustworthy measures
-// them.
-func chaosEclipsed(c *avmon.Cluster) float64 {
-	honest, eclipsed := 0, 0
-	for i := 0; i < c.Size(); i++ {
-		if c.IsColluder(i) || !c.Stats(i).Alive {
-			continue
-		}
-		honest++
-		seen := false
-		for _, mon := range c.MonitorsOf(i) {
-			mi, ok := c.IndexOf(mon)
-			if ok && !c.IsColluder(mi) && c.Stats(mi).Alive {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			eclipsed++
+		if useful == 0 {
+			dark++
 		}
 	}
 	if honest == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(eclipsed) / float64(honest)
-}
-
-// chaosAffected is the Figure 20 criterion over a whole cluster: the
-// fraction of measured honest nodes whose monitor-averaged estimate is
-// off from their true availability by more than 0.2.
-func chaosAffected(c *avmon.Cluster) float64 {
-	affected, measured := 0, 0
-	for i := 0; i < c.Size(); i++ {
-		st := c.Stats(i)
-		if c.IsColluder(i) || !st.Alive {
-			continue
-		}
-		truth := st.TrueAvailability()
-		if truth <= 0 {
-			continue
-		}
-		var sum float64
-		count := 0
-		for _, mon := range c.MonitorsOf(i) {
-			mi, ok := c.IndexOf(mon)
-			if !ok {
-				continue
-			}
-			est, known := c.EstimateBy(mi, c.IDOf(i))
-			if !known {
-				continue
-			}
-			sum += est
-			count++
-		}
-		if count == 0 {
-			continue
-		}
-		measured++
-		if math.Abs(sum/float64(count)-truth) > 0.2 {
-			affected++
-		}
-	}
-	if measured == 0 {
-		return 0
-	}
-	return float64(affected) / float64(measured)
+	return fill / float64(honest), float64(dark) / float64(honest)
 }
 
 // ChaosPoint is one (scenario, arm) cell as serialized into
@@ -400,27 +321,31 @@ type ChaosPoint struct {
 	Affected float64 `json:"affected_fraction"`
 
 	Proto chaosProto `json:"proto"`
+
+	// fingerprint is the finished arm's Cluster.Fingerprint, which the
+	// control-arm gate compares.
+	fingerprint string
 }
 
 // chaosRunArm simulates one arm of one scenario and extracts its
 // metrics.
-func chaosRunArm(spec chaosSpec, arm chaosArm, o Options, n int, seed int64, tl chaosTimeline) (*ChaosPoint, error) {
+func chaosRunArm(spec chaosSpec, arm chaosArm, o Options, n int, seed int64, tl chaosTimeline) (ChaosPoint, error) {
+	pt := ChaosPoint{Scenario: spec.name, Arm: arm.String(), N: n, RecoverySeconds: -1}
 	c, err := spec.build(o, n, seed, tl, arm)
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s/%s: %w", spec.name, arm, err)
+		return pt, fmt.Errorf("chaos %s/%s: %w", spec.name, arm, err)
 	}
-	pt := &ChaosPoint{Scenario: spec.name, Arm: arm.String(), N: n, RecoverySeconds: -1}
 	if arm == armBaseline {
 		// One uninterrupted run: the reference the stepped control arm
 		// must match byte-for-byte.
 		c.Run(tl.total)
-		pt.Proto = chaosProtoOf(c)
+		pt.Proto, pt.fingerprint = chaosProtoOf(c), c.Fingerprint()
 		return pt, nil
 	}
 	fill := make([]float64, chaosSamples)
 	for i := 0; i < chaosSamples; i++ {
 		c.Run(tl.step)
-		fill[i] = chaosMonFill(c)
+		fill[i], pt.Eclipsed = chaosCoverage(c)
 	}
 	pt.MonFill = fill
 	// Sample i lands at (i+1)·step; the fault spans steps
@@ -442,9 +367,8 @@ func chaosRunArm(spec chaosSpec, arm chaosArm, o Options, n int, seed int64, tl 
 			break
 		}
 	}
-	pt.Eclipsed = chaosEclipsed(c)
-	pt.Affected = chaosAffected(c)
-	pt.Proto = chaosProtoOf(c)
+	pt.Affected = affectedFraction(c)
+	pt.Proto, pt.fingerprint = chaosProtoOf(c), c.Fingerprint()
 	return pt, nil
 }
 
@@ -463,17 +387,16 @@ type chaosArtifact struct {
 	Points      []ChaosPoint `json:"points"`
 }
 
-// Chaos runs the adversarial and correlated-failure scenario suite:
+// chaos runs the adversarial and correlated-failure scenario suite:
 // collusion/eclipse, zone outage with partition heal, flash crowd, and
 // mass leave. Every scenario runs three arms on one derived seed —
 // baseline (no chaos plumbing, uninterrupted), control (plumbing at
 // magnitude zero, stepped), attack (fault on, stepped) — and the
 // experiment returns an error unless each scenario's control arm is
-// byte-identical to its baseline, proving the plumbing itself perturbs
-// nothing. Options.Chaos selects a scenario subset; Options.Ns[0]
+// fingerprint-identical to its baseline, proving the plumbing itself
+// perturbs nothing. Options.Chaos selects a scenario subset; Options.Ns[0]
 // overrides the population (default 240).
-func Chaos(o Options) (*Result, error) {
-	o = o.withDefaults()
+func chaos(o Options) (*Result, error) {
 	specs, err := chaosSelect(o.Chaos)
 	if err != nil {
 		return nil, err
@@ -483,11 +406,11 @@ func Chaos(o Options) (*Result, error) {
 		n = o.Ns[0]
 	}
 	if n < 20 {
-		return nil, fmt.Errorf("chaos: N=%d too small (need ≥ 20 for meaningful cohorts)", n)
+		return nil, fmt.Errorf("%w: N=%d too small (need ≥ 20 for meaningful cohorts)", ErrInvalidOptions, n)
 	}
 	tl := chaosTimes(o)
 	arms := []chaosArm{armBaseline, armControl, armAttack}
-	pts := make([]*ChaosPoint, len(specs)*len(arms))
+	pts := make([]ChaosPoint, len(specs)*len(arms))
 	err = forEachPoint(o, len(pts),
 		func(i int) string {
 			return fmt.Sprintf("chaos %s/%s", specs[i/len(arms)].name, arms[i%len(arms)])
@@ -496,12 +419,9 @@ func Chaos(o Options) (*Result, error) {
 			spec, arm := specs[i/len(arms)], arms[i%len(arms)]
 			// All three arms share the scenario's derived seed: the
 			// attack delta is a paired comparison on one realization.
-			pt, err := chaosRunArm(spec, arm, o, n, deriveSeed(o.Seed, i/len(arms)), tl)
-			if err != nil {
-				return err
-			}
-			pts[i] = pt
-			return nil
+			var err error
+			pts[i], err = chaosRunArm(spec, arm, o, n, deriveSeed(o.Seed, i/len(arms)), tl)
+			return err
 		})
 	if err != nil {
 		return nil, err
@@ -512,9 +432,9 @@ func Chaos(o Options) (*Result, error) {
 	}
 	for si, spec := range specs {
 		base, ctrl := pts[si*len(arms)], pts[si*len(arms)+1]
-		if base.Proto != ctrl.Proto {
-			return nil, fmt.Errorf("chaos %s: control arm diverged from the no-attack baseline: %+v vs %+v",
-				spec.name, base.Proto, ctrl.Proto)
+		if base.fingerprint != ctrl.fingerprint {
+			return nil, fmt.Errorf("chaos %s: control arm diverged from the no-attack baseline: fingerprint %s vs %s (%+v vs %+v)",
+				spec.name, ctrl.fingerprint, base.fingerprint, ctrl.Proto, base.Proto)
 		}
 		gate.AddRow(spec.name, u64(base.Proto.Events), u64(base.Proto.MonPings),
 			u64(base.Proto.BytesOut), "identical")
@@ -524,9 +444,7 @@ func Chaos(o Options) (*Result, error) {
 		Header: []string{"scenario", "arm", "fill pre-fault", "fill dip", "fill end",
 			"recovery (min)", "eclipsed", "affected", "alive", "events"},
 	}
-	flat := make([]ChaosPoint, 0, len(pts))
 	for _, pt := range pts {
-		flat = append(flat, *pt)
 		if pt.Arm == armBaseline.String() {
 			continue
 		}
@@ -537,7 +455,7 @@ func Chaos(o Options) (*Result, error) {
 		cover.AddRow(pt.Scenario, pt.Arm, f4(pt.FillPreFault), f4(pt.FillDip), f4(pt.FillEnd),
 			rec, f4(pt.Eclipsed), f4(pt.Affected), itoa(pt.Proto.Alive), u64(pt.Proto.Events))
 	}
-	artifact, err := json.MarshalIndent(chaosArtifact{
+	artifacts, err := artifact("chaos", ChaosArtifactName, chaosArtifact{
 		Experiment:  "chaos",
 		Seed:        o.Seed,
 		Scale:       o.Scale,
@@ -548,16 +466,15 @@ func Chaos(o Options) (*Result, error) {
 		FaultStartS: tl.faultStart.Seconds(),
 		FaultEndS:   tl.faultEnd.Seconds(),
 		Host:        collectHostStats(),
-		Points:      flat,
-	}, "", "  ")
+		Points:      pts,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("chaos: marshal artifact: %w", err)
+		return nil, err
 	}
-	artifact = append(artifact, '\n')
 	return &Result{
 		ID:        "chaos",
 		Title:     "Adversarial & chaos scenario suite (paired-seed A/B with a control-arm gate)",
 		Tables:    []*Table{cover, gate},
-		Artifacts: map[string][]byte{ChaosArtifactName: artifact},
+		Artifacts: artifacts,
 	}, nil
 }

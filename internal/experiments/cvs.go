@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"time"
-
-	"avmon/internal/stats"
 )
 
 // cvsMultipliers are the coarse-view sizes swept by Section 5.2:
@@ -26,91 +23,51 @@ func cvsSweepNs(o Options) []int {
 	return ns
 }
 
-// Figure11 reproduces "Average discovery time vs cvs" on the STAT
+// cvsScens is the Section 5.2 set: STAT at each of ns under the four
+// coarse-view sizes. Points differ only in cvs within each N; pairing
+// their seeds per N isolates the coarse-view size.
+func cvsScens(measure time.Duration, ns func(Options) []int) func(Options) []scenario {
+	return func(o Options) []scenario {
+		var scens []scenario
+		for _, n := range ns(o) {
+			for _, mult := range cvsMultipliers {
+				s := synthScenario(o, modelSTAT, n, measure)
+				s.opts.CVS = cvsFor(mult, n)
+				scens = append(scens, s)
+			}
+		}
+		return scens
+	}
+}
+
+// figure11 reproduces "Average discovery time vs cvs" on the STAT
 // model.
-func Figure11(o Options) (*Result, error) {
-	o = o.withDefaults()
+func figure11(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Average discovery time vs cvs (STAT)",
 		Header: []string{"N", "cvs", "mean discovery (s)", "stddev (s)"},
 	}
-	var scens []scenario
-	var cvsVals []int
-	for _, n := range cvsSweepNs(o) {
-		for _, mult := range cvsMultipliers {
-			s := synthScenario(o, modelSTAT, n, 45*time.Minute)
-			s.opts.CVS = cvsFor(mult, n)
-			scens = append(scens, s)
-			cvsVals = append(cvsVals, s.opts.CVS)
-		}
+	for _, out := range outs {
+		times, _ := out.firstDiscoveries(out.controlOrLateBorn())
+		w := welford(in(time.Duration.Seconds, times))
+		table.AddRow(itoa(out.s.n), itoa(out.s.opts.CVS), f2(w.Mean()), f2(w.Stddev()))
 	}
-	// Points differ only in cvs within each N; pairing seeds per N
-	// isolates the coarse-view size.
-	outs, err := runAllPaired(o, scens, func(i int) int { return i / len(cvsMultipliers) })
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, n := range cvsSweepNs(o) {
-		for range cvsMultipliers {
-			out := outs[i]
-			times, _ := out.firstDiscoveries(out.controlOrLateBorn())
-			var w stats.Welford
-			for _, d := range times {
-				w.Add(d.Seconds())
-			}
-			table.AddRow(itoa(n), itoa(cvsVals[i]), f2(w.Mean()), f2(w.Stddev()))
-			i++
-		}
-	}
-	return &Result{
-		ID:     "figure11",
-		Title:  "Discovery time vs coarse-view size",
-		Tables: []*Table{table},
-	}, nil
+	return []*Table{table}
 }
 
-// Figure12 reproduces "Memory entries vs cvs, and computations per
-// second vs cvs" on the STAT model.
-func Figure12(o Options) (*Result, error) {
-	o = o.withDefaults()
+// figure12 reproduces "Memory entries vs cvs, and computations per
+// second vs cvs" on the STAT model. The paper plots N = 500 and
+// N = 2000 to show N has no influence at fixed cvs; its sweep keeps the
+// first and last sizes.
+func figure12(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Memory and computations vs cvs (STAT)",
 		Header: []string{"N", "cvs", "mean memory entries", "mean computations/s"},
 	}
-	ns := cvsSweepNs(o)
-	// The paper plots N = 500 and N = 2000 to show N has no influence
-	// at fixed cvs; keep the first and last sizes.
-	edge := []int{ns[0], ns[len(ns)-1]}
-	var scens []scenario
-	var cvsVals []int
-	for _, n := range edge {
-		for _, mult := range cvsMultipliers {
-			s := synthScenario(o, modelSTAT, n, 60*time.Minute)
-			s.opts.CVS = cvsFor(mult, n)
-			scens = append(scens, s)
-			cvsVals = append(cvsVals, s.opts.CVS)
-		}
-	}
-	outs, err := runAllPaired(o, scens, func(i int) int { return i / len(cvsMultipliers) })
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, n := range edge {
-		for range cvsMultipliers {
-			out := outs[i]
-			alive := out.aliveIndexes()
-			var mem, comps stats.Welford
-			for _, v := range out.memoryEntries(alive) {
-				mem.Add(v)
-			}
-			for _, v := range out.compsPerSecond(alive) {
-				comps.Add(v)
-			}
-			table.AddRow(itoa(n), itoa(cvsVals[i]), f2(mem.Mean()), f2(comps.Mean()))
-			i++
-		}
+	for _, out := range outs {
+		alive := out.aliveIndexes()
+		mem, comps := welford(out.memoryEntries(alive)), welford(out.compsPerSecond(alive))
+		table.AddRow(itoa(out.s.n), itoa(out.s.opts.CVS), f2(mem.Mean()), f2(comps.Mean()))
 	}
 	note := &Table{
 		Title:  "Reference points (Section 5.2)",
@@ -118,10 +75,6 @@ func Figure12(o Options) (*Result, error) {
 	}
 	note.AddRow("paper: memory varies linearly with cvs", "yes")
 	note.AddRow("paper: N has no influence at fixed cvs", "compare rows above")
-	note.AddRow("knee of discovery curve", fmt.Sprintf("cvs = 8·N^(1/4) (see %s)", "figure11"))
-	return &Result{
-		ID:     "figure12",
-		Title:  "Memory and computation vs coarse-view size",
-		Tables: []*Table{table, note},
-	}, nil
+	note.AddRow("knee of discovery curve", "cvs = 8·N^(1/4) (see figure11)")
+	return []*Table{table, note}
 }

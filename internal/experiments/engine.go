@@ -1,13 +1,12 @@
 package experiments
 
-// The parallel experiment engine. Every generator decomposes its
-// sweep into independent points — one isolated simulation per
-// N × scheme × seed combination — and hands the whole list to runAll,
-// which fans the points across a bounded worker pool. Determinism is
-// preserved by construction: point i always runs with the seed
-// deriveSeed(o.Seed, i), and outcomes are returned in input order, so
-// serial (Parallelism: 1) and parallel runs produce byte-identical
-// tables and figures.
+// The parallel experiment engine. A sweep is a list of independent
+// points — one isolated simulation per N × scheme × seed combination —
+// handed whole to runAllPaired, which fans the points across a bounded
+// worker pool. Determinism is preserved by construction: a point's seed
+// is deriveSeed(o.Seed, its seed position in the sweep), and outcomes
+// are returned in input order, so serial (Parallelism: 1) and parallel
+// runs produce byte-identical tables and figures.
 
 import (
 	"fmt"
@@ -17,8 +16,8 @@ import (
 )
 
 // ProgressFunc receives a completion update each time a sweep point
-// finishes: done points so far, the total for the current experiment
-// sweep, and a short label naming the finished point. Calls are
+// finishes: done points so far, the total for the current sweep, and a
+// short label naming the sweep and the finished point. Calls are
 // serialized and done increases by one per call; it reaches total
 // only on success (a failing sweep aborts without running its
 // remaining points).
@@ -110,31 +109,28 @@ func forEachPoint(o Options, total int, label func(int) string, fn func(int) err
 
 // pointLabel names one scenario for progress output.
 func pointLabel(s scenario) string {
+	if s.label != "" {
+		return s.label
+	}
 	return fmt.Sprintf("%v N=%d", s.kind, s.n)
 }
 
-// runAll executes the scenarios as independent sweep points and
+// runAllPaired executes the scenarios as independent sweep points and
 // returns their outcomes in input order. Point i runs with seed
-// deriveSeed(o.Seed, i), overriding whatever seed the scenario
-// carried, so each point is an independent replication and the full
-// sweep is reproducible from Options.Seed alone.
+// deriveSeed(o.Seed, groupOf(i)), overriding whatever seed the scenario
+// carried, so the full sweep is reproducible from Options.Seed alone.
+// Points in the same group share a derived seed: variants of one
+// workload then run against the same churn realization (common random
+// numbers), so their reported delta isolates the variant rather than
+// seed-to-seed noise. nil groupOf gives every point its own seed, an
+// independent replication.
 //
-// All outcomes are held until the sweep completes (tables are
-// assembled serially in sweep order afterwards); peak memory is
-// therefore proportional to the sweep size rather than Parallelism.
-// Sweeps top out at ~24 points, which keeps this bounded; a generator
-// that needed more should reduce points to rows inside the worker, as
-// AblationRejoinWeight does with forEachPoint directly.
-func runAll(o Options, scens []scenario) ([]*outcome, error) {
-	return runAllPaired(o, scens, nil)
-}
-
-// runAllPaired is runAll for A/B comparison sweeps: groupOf maps a
-// point to its workload group, and points in the same group share a
-// derived seed. Variants of one workload then run against the same
-// churn realization (common random numbers), so their reported delta
-// isolates the variant rather than seed-to-seed noise. nil groupOf
-// gives every point its own seed.
+// All outcomes are held until the sweep completes (views read them
+// serially in sweep order afterwards); peak memory is therefore
+// proportional to the sweep size rather than Parallelism. Sweeps top
+// out at ~24 points, which keeps this bounded; a harness that needed
+// more should reduce points to rows inside the worker, as
+// ablation-rejoin-weight does with forEachPoint directly.
 func runAllPaired(o Options, scens []scenario, groupOf func(int) int) ([]*outcome, error) {
 	seedIdx := func(i int) int {
 		if groupOf != nil {

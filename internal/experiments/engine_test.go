@@ -142,7 +142,7 @@ func TestRunAllPairedSharesRealization(t *testing.T) {
 	if a, b := totalChecks(paired[0]), totalChecks(paired[1]); a != b {
 		t.Errorf("paired points diverged: %d vs %d hash checks", a, b)
 	}
-	unpaired, err := runAll(o, []scenario{s, s})
+	unpaired, err := runAllPaired(o, []scenario{s, s}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	for _, id := range []string{"table1", "figure3"} {
+	for _, id := range []string{"table1", "figure3", "figure8"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			render := func(parallelism int) string {
@@ -193,7 +193,7 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	for _, id := range []string{"table1", "figure3", "wan", "chaos"} {
+	for _, id := range []string{"table1", "figure3", "figure8", "wan", "chaos"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			render := func(shards int) string {
@@ -225,7 +225,7 @@ func TestScaleShardedSpeedupColumns(t *testing.T) {
 	}
 	o := tinyOptions()
 	o.Shards = 2
-	res, err := Scale(o)
+	res, err := Registry()["scale"](o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,29 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Table 1, Figures 3-20). Each experiment is a
-// function from Options to a Result holding one or more text tables;
-// cmd/avmon-bench runs them from the command line and bench_test.go
-// wraps each in a testing.B benchmark.
+// paper's evaluation (Table 1, Figures 3-20). The paper runs a handful
+// of experiment sets and reads several figures off each; so does this
+// package: a sweep is one set of simulations, a view renders one
+// table or figure from a finished sweep, and the catalogue
+// (catalogue.go) says which sweep each experiment id reads. RunAll
+// runs each distinct sweep once and renders every requested view;
+// cmd/avmon-bench drives it from the command line and bench_test.go
+// wraps each id in a testing.B benchmark.
 //
 // Durations scale with Options.Scale: 1.0 approximates the paper's
 // methodology (hour-scale warm-up, multi-hour measurement; the paper
 // ran 48h wall-clock per point, which changes none of the reported
 // steady-state metrics), while small values give quick smoke runs.
 //
-// Each experiment's sweep points (N × scheme × seed combinations) are
-// independent simulations; the engine in engine.go fans them across
+// A sweep's points (N × scheme × seed combinations) are independent
+// simulations; the engine in engine.go fans them across
 // Options.Parallelism workers with per-point seed derivation, so
 // parallel and serial runs produce identical output. See EXPERIMENTS.md
-// for the paper-claim → generator map.
+// for the paper-claim → experiment id map.
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -59,8 +65,41 @@ type Options struct {
 	Chaos []string
 }
 
+// ErrInvalidOptions is wrapped by every error that rejects an Options
+// value before anything runs.
+var ErrInvalidOptions = errors.New("experiments: invalid options")
+
+// validate rejects Options no experiment can run under. RunAll calls it
+// once, before the first simulation.
+func (o Options) validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{ErrInvalidOptions}, args...)...)
+	}
+	if !(o.Scale >= 0) || math.IsInf(o.Scale, 1) {
+		return bad("Scale %v is not a finite non-negative factor (0 = the default 1.0)", o.Scale)
+	}
+	if o.Parallelism < 0 {
+		return bad("Parallelism %d is negative (0 = GOMAXPROCS)", o.Parallelism)
+	}
+	if o.Shards < 0 {
+		return bad("Shards %d is negative (0 = the serial engine)", o.Shards)
+	}
+	seen := make(map[int]bool, len(o.Ns))
+	for _, n := range o.Ns {
+		if n <= 0 {
+			return bad("system size %d in Ns is not positive", n)
+		}
+		if seen[n] {
+			return bad("system size %d appears twice in Ns", n)
+		}
+		seen[n] = true
+	}
+	_, err := chaosSelect(o.Chaos)
+	return err
+}
+
 func (o Options) withDefaults() Options {
-	if o.Scale <= 0 {
+	if o.Scale == 0 {
 		o.Scale = 1
 	}
 	if o.Seed == 0 {
@@ -84,6 +123,22 @@ func (o Options) ns() []int {
 		return o.Ns
 	}
 	return []int{100, 500, 1000, 2000}
+}
+
+// largestN is the last swept size, the one single-size figures use.
+func (o Options) largestN() int {
+	ns := o.ns()
+	return ns[len(ns)-1]
+}
+
+// edgeNs picks the smallest and largest of ns, the two sizes the
+// paper's per-node CDFs are drawn for — one size when only one is
+// swept.
+func edgeNs(ns []int) []int {
+	if len(ns) == 1 {
+		return ns
+	}
+	return []int{ns[0], ns[len(ns)-1]}
 }
 
 // Table is one titled text table.
@@ -156,57 +211,6 @@ func (r *Result) String() string {
 	return sb.String()
 }
 
-// Runner is an experiment entry point.
-type Runner func(Options) (*Result, error)
-
-// Registry maps experiment IDs (table1, figure3..figure20) to their
-// runners.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"table1":   Table1,
-		"scale":    Scale,
-		"wan":      Wan,
-		"chaos":    Chaos,
-		"realnet":  Realnet,
-		"figure3":  Figure3,
-		"figure4":  Figure4,
-		"figure5":  Figure5,
-		"figure6":  Figure6,
-		"figure7":  Figure7,
-		"figure8":  Figure8,
-		"figure9":  Figure9,
-		"figure10": Figure10,
-		"figure11": Figure11,
-		"figure12": Figure12,
-		"figure13": Figure13,
-		"figure14": Figure14,
-		"figure15": Figure15,
-		"figure16": Figure16,
-		"figure17": Figure17,
-		"figure18": Figure18,
-		"figure19": Figure19,
-		"figure20": Figure20,
-		// Ablations of the design choices DESIGN.md calls out (not in
-		// the paper; they justify its mechanisms quantitatively).
-		"ablation-reshuffle":     AblationReshuffle,
-		"ablation-rejoin-weight": AblationRejoinWeight,
-		"ablation-forgetful":     AblationForgetful,
-		"ablation-consistency":   AblationConsistency,
-		"ablation-hash":          AblationHash,
-	}
-}
-
-// IDs returns the registry keys in a stable order.
-func IDs() []string {
-	reg := Registry()
-	out := make([]string, 0, len(reg))
-	for id := range reg {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // --- shared scenario machinery ---------------------------------------
 
 // modelKind names the availability models of Section 5.
@@ -250,21 +254,21 @@ type scenario struct {
 	measure     time.Duration
 	controlFrac float64 // fraction of N enrolled after warm-up
 	seed        int64
-	loss        float64
 	latModel    avmon.LatencyModel // nil = constant 50ms
-	lossModel   avmon.LossModel    // nil = Bernoulli(loss)
+	lossModel   avmon.LossModel    // nil = lossless
 	shards      int                // engine shards for this one run (0/1 = serial)
+	label       string             // names the point in progress output ("" = kind and N)
 }
 
 // outcome is the state captured from one finished run.
 type outcome struct {
-	c           *avmon.Cluster
-	control     []int // enrolled control nodes (synthetic models)
-	warmupEnd   time.Duration
-	measure     time.Duration
-	checksAtW   map[int]uint64 // hash checks at warm-up end
-	monPingsAtW map[int]uint64
-	uselessAtW  map[int]uint64
+	s          scenario // as run: seed and shards resolved
+	c          *avmon.Cluster
+	control    []int // enrolled control nodes (synthetic models)
+	warmupEnd  time.Duration
+	wall       time.Duration  // host time the run took
+	checksAtW  map[int]uint64 // hash checks at warm-up end
+	uselessAtW map[int]uint64
 }
 
 func (s scenario) model(horizon time.Duration) (avmon.ChurnModel, error) {
@@ -288,6 +292,7 @@ func (s scenario) model(horizon time.Duration) (avmon.ChurnModel, error) {
 
 // run executes the scenario: build, warm up, enroll control, measure.
 func run(s scenario) (*outcome, error) {
+	start := time.Now()
 	horizon := s.warmup + s.measure + time.Hour
 	model, err := s.model(horizon)
 	if err != nil {
@@ -299,7 +304,6 @@ func run(s scenario) (*outcome, error) {
 		Shards:             s.shards,
 		Options:            s.opts,
 		OverreportFraction: s.overreport,
-		Loss:               s.loss,
 		LatencyModel:       s.latModel,
 		LossModel:          s.lossModel,
 	}, model)
@@ -308,12 +312,11 @@ func run(s scenario) (*outcome, error) {
 	}
 	c.Run(s.warmup)
 	o := &outcome{
-		c:           c,
-		warmupEnd:   c.Elapsed(),
-		measure:     s.measure,
-		checksAtW:   make(map[int]uint64),
-		monPingsAtW: make(map[int]uint64),
-		uselessAtW:  make(map[int]uint64),
+		s:          s,
+		c:          c,
+		warmupEnd:  c.Elapsed(),
+		checksAtW:  make(map[int]uint64),
+		uselessAtW: make(map[int]uint64),
 	}
 	if s.controlFrac > 0 {
 		o.control = c.EnrollControl(int(float64(s.n)*s.controlFrac + 0.5))
@@ -321,11 +324,11 @@ func run(s scenario) (*outcome, error) {
 	for i := 0; i < c.Size(); i++ {
 		st := c.Stats(i)
 		o.checksAtW[i] = st.HashChecks
-		o.monPingsAtW[i] = st.MonPingsSent
 		o.uselessAtW[i] = st.UselessMonPings
 	}
 	c.ResetTraffic()
 	c.Run(s.measure)
+	o.wall = time.Since(start)
 	return o, nil
 }
 

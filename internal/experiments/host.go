@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bufio"
+	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -73,4 +75,14 @@ func peakRSSMB() float64 {
 		return kb / 1024
 	}
 	return 0
+}
+
+// artifact renders v as the one machine-readable file of experiment id,
+// the way every BENCH_*.json is written: indented, newline-terminated.
+func artifact(id, name string, v any) (map[string][]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("%s: marshal artifact: %w", id, err)
+	}
+	return map[string][]byte{name: append(data, '\n')}, nil
 }

@@ -2,202 +2,97 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
-
-	"avmon"
-	"avmon/internal/stats"
 )
 
-// estimateRatio computes, for one node, the ratio of its
-// monitor-averaged estimated availability to its true availability.
-// ok is false if no monitor has an estimate yet.
-func estimateRatio(c *avmon.Cluster, idx int) (float64, bool) {
-	st := c.Stats(idx)
-	truth := st.TrueAvailability()
-	if truth <= 0 {
-		return 0, false
-	}
-	var sum float64
-	count := 0
-	for _, mon := range c.MonitorsOf(idx) {
-		monIdx, ok := c.IndexOf(mon)
-		if !ok {
-			continue
-		}
-		est, known := c.EstimateBy(monIdx, c.IDOf(idx))
-		if !known {
-			continue
-		}
-		sum += est
-		count++
-	}
-	if count == 0 {
-		return 0, false
-	}
-	return (sum / float64(count)) / truth, true
-}
-
-// Figure17 reproduces "Ratio of estimated availability to actual
-// availability, with and without forgetful pinging" on SYNTH at the
-// largest swept N.
-func Figure17(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	n := ns[len(ns)-1]
-	table := &Table{
-		Title:  fmt.Sprintf("Estimated/actual availability ratio, SYNTH N = %d", n),
-		Header: []string{"variant", "nodes", "mean ratio", "mean |rel err|", "max |rel err|"},
-	}
-	variants := []bool{true, false}
-	scens := make([]scenario, len(variants))
-	for i, forgetful := range variants {
-		s := synthScenario(o, modelSYNTH, n, 4*time.Hour)
-		s.opts.Forgetful = forgetful
-		scens[i] = s
-	}
-	// Paired seeds: forgetful vs non-forgetful observe the same churn,
-	// so the accuracy comparison isolates the optimization.
-	outs, err := runAllPaired(o, scens, func(int) int { return 0 })
-	if err != nil {
-		return nil, err
-	}
-	for i, forgetful := range variants {
-		out := outs[i]
-		var ratios stats.Welford
-		maxErr, meanErrSum := 0.0, 0.0
-		count := 0
-		for _, idx := range out.controlOrLateBorn() {
-			r, ok := estimateRatio(out.c, idx)
-			if !ok {
-				continue
-			}
-			ratios.Add(r)
-			e := math.Abs(r - 1)
-			meanErrSum += e
-			if e > maxErr {
-				maxErr = e
-			}
-			count++
-		}
-		name := "NON-Forgetful ping"
-		if forgetful {
-			name = "Forgetful ping"
-		}
-		meanErr := 0.0
-		if count > 0 {
-			meanErr = meanErrSum / float64(count)
-		}
-		table.AddRow(name, itoa(count), f4(ratios.Mean()), f4(meanErr), f4(maxErr))
-	}
-	return &Result{
-		ID:     "figure17",
-		Title:  "Availability estimation accuracy under forgetful pinging",
-		Tables: []*Table{table},
-	}, nil
-}
-
-// Figure18 reproduces "Forgetful pinging reduces useless pings sent to
-// absent nodes" across the N sweep on SYNTH.
-func Figure18(o Options) (*Result, error) {
-	o = o.withDefaults()
-	table := &Table{
-		Title:  "Average useless monitoring pings per node per minute (SYNTH)",
-		Header: []string{"N", "Forgetful", "NON-Forgetful", "reduction factor"},
-	}
-	variants := []bool{true, false}
+// forgetfulScens is the Section 5.4 forgetful-pinging set: SYNTH at
+// each swept N with the optimization on, then off. The pair shares a
+// seed — both observe the same churn — so accuracy and useless-ping
+// deltas isolate the optimization.
+func forgetfulScens(o Options) []scenario {
 	var scens []scenario
 	for _, n := range o.ns() {
-		for _, forgetful := range variants {
+		for _, forgetful := range []bool{true, false} {
 			s := synthScenario(o, modelSYNTH, n, 4*time.Hour)
 			s.opts.Forgetful = forgetful
 			scens = append(scens, s)
 		}
 	}
-	// Points come in (forgetful, non-forgetful) pairs per N; pairing
-	// their seeds makes each reduction factor a same-realization
-	// comparison.
-	outs, err := runAllPaired(o, scens, func(i int) int { return i / 2 })
-	if err != nil {
-		return nil, err
+	return scens
+}
+
+// figure17 reproduces "Ratio of estimated availability to actual
+// availability, with and without forgetful pinging" on SYNTH at the
+// largest swept N.
+func figure17(o Options, outs []*outcome) []*Table {
+	table := &Table{
+		Title:  fmt.Sprintf("Estimated/actual availability ratio, SYNTH N = %d", o.largestN()),
+		Header: []string{"variant", "nodes", "mean ratio", "mean |rel err|", "max |rel err|"},
 	}
-	next := 0
-	for _, n := range o.ns() {
+	for _, out := range outs[len(outs)-2:] {
+		ratios := out.estimateRatios()
+		meanErr, maxErr := absRelErr(ratios)
+		name := "NON-Forgetful ping"
+		if out.s.opts.Forgetful {
+			name = "Forgetful ping"
+		}
+		table.AddRow(name, itoa(len(ratios)), f4(welford(ratios).Mean()), f4(meanErr), f4(maxErr))
+	}
+	return []*Table{table}
+}
+
+// figure18 reproduces "Forgetful pinging reduces useless pings sent to
+// absent nodes" across the N sweep on SYNTH.
+func figure18(_ Options, outs []*outcome) []*Table {
+	table := &Table{
+		Title:  "Average useless monitoring pings per node per minute (SYNTH)",
+		Header: []string{"N", "Forgetful", "NON-Forgetful", "reduction factor"},
+	}
+	for _, pair := range chunks(outs, 2) {
 		var rates [2]float64
-		for i := range variants {
-			out := outs[next]
-			next++
-			minutes := out.measure.Minutes()
-			var w stats.Welford
-			for _, idx := range out.aliveIndexes() {
-				delta := out.c.Stats(idx).UselessMonPings - out.uselessAtW[idx]
-				w.Add(float64(delta) / minutes)
-			}
-			rates[i] = w.Mean()
+		for i, out := range pair {
+			rates[i] = welford(out.uselessPerMinute(out.aliveIndexes())).Mean()
 		}
 		factor := 0.0
 		if rates[0] > 0 {
 			factor = rates[1] / rates[0]
 		}
-		table.AddRow(itoa(n), f4(rates[0]), f4(rates[1]), f2(factor))
+		table.AddRow(itoa(pair[0].s.n), f4(rates[0]), f4(rates[1]), f2(factor))
 	}
-	return &Result{
-		ID:     "figure18",
-		Title:  "Useless-ping reduction from forgetful pinging",
-		Tables: []*Table{table},
-	}, nil
+	return []*Table{table}
 }
 
-// Figure19 reproduces the "CDF of per-node outgoing bandwidth" for
-// STAT, STAT-PR2, and OV.
-func Figure19(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	n := ns[len(ns)-1]
-	res := &Result{ID: "figure19", Title: "CDF of per-node outgoing bandwidth (Bps)"}
-	type variant struct {
-		label string
-		s     scenario
-	}
-	statS := synthScenario(o, modelSTAT, n, 2*time.Hour)
-	statS.controlFrac = 0
-	pr2S := statS
-	pr2S.opts.PR2 = true
-	ovS := traceScenario(o, modelOV, 550)
+// bandwidthScens is Figure 19's set: STAT and STAT-PR2 at the largest
+// swept N (an A/B pair on one seed), then the OV trace.
+func bandwidthScens(o Options) []scenario {
+	stat := synthScenario(o, modelSTAT, o.largestN(), 2*time.Hour)
+	stat.controlFrac = 0
+	pr2 := stat
+	pr2.opts.PR2 = true
 	// For OV, measure bandwidth over the post-warm-up half of the run.
-	ovS.warmup = ovS.measure / 2
-	ovS.measure = ovS.measure / 2
-	variants := []variant{
-		{fmt.Sprintf("STAT, N=%d", n), statS},
-		{fmt.Sprintf("STAT-PR2, N=%d", n), pr2S},
-		{"OV", ovS},
-	}
-	scens := make([]scenario, len(variants))
-	for i, v := range variants {
-		scens[i] = v.s
-	}
-	// STAT and STAT-PR2 (points 0 and 1) are an A/B pair; OV is its
-	// own workload.
-	outs, err := runAllPaired(o, scens, func(i int) int {
-		if i == 2 {
-			return 1
+	ov := traceScenario(o, modelOV, traceNOV)
+	ov.warmup = ov.measure / 2
+	ov.measure = ov.measure / 2
+	return []scenario{stat, pr2, ov}
+}
+
+// figure19 reproduces the "CDF of per-node outgoing bandwidth" for
+// STAT, STAT-PR2, and OV.
+func figure19(_ Options, outs []*outcome) []*Table {
+	var tables []*Table
+	for _, out := range outs {
+		label := "OV"
+		if out.s.kind == modelSTAT {
+			label = fmt.Sprintf("STAT, N=%d", out.s.n)
+			if out.s.opts.PR2 {
+				label = fmt.Sprintf("STAT-PR2, N=%d", out.s.n)
+			}
 		}
-		return 0
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		out := outs[i]
-		secs := out.measure.Seconds()
-		var c stats.CDF
-		for _, idx := range out.aliveIndexes() {
-			c.Add(float64(out.c.Stats(idx).Traffic.BytesOut) / secs)
-		}
-		t := cdfTable(v.label, "outgoing Bps", &c, 13)
+		c := cdfOf(out.bytesOutPer(out.s.measure.Seconds(), out.aliveIndexes()))
+		t := cdfTable(label, "outgoing Bps", c, 13)
 		t.AddRow("fraction below 10 Bps", f4(c.FractionBelow(10)))
 		t.AddRow("p99.85 (Bps)", f2(c.Percentile(99.85)))
-		res.Tables = append(res.Tables, t)
+		tables = append(tables, t)
 	}
-	return res, nil
+	return tables
 }

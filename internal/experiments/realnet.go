@@ -16,7 +16,6 @@ package experiments
 // behavior.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -318,23 +317,16 @@ func realnetSim(n int, seed int64) (*RealnetPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	control := out.controlOrLateBorn()
-	times, missed := out.firstDiscoveries(control)
-	p := &RealnetPoint{
-		SimControlSize: len(control),
-		SimDiscovered:  len(control) - missed,
+	d := out.discovery()
+	alive := out.aliveIndexes()
+	return &RealnetPoint{
+		SimControlSize: d.control,
+		SimDiscovered:  d.discovered,
 		// Period = 1 virtual minute, so discovery minutes ARE periods.
-		SimMeanDiscoveryPeriods: meanDiscoveryMinutes(times),
-	}
-	var fill, bw stats.Welford
-	for _, idx := range out.aliveIndexes() {
-		st := out.c.Stats(idx)
-		fill.Add(float64(st.PSSize) / float64(out.c.K()))
-		bw.Add(float64(st.Traffic.BytesOut) / out.measure.Minutes())
-	}
-	p.SimCoverage = fill.Mean()
-	p.SimBytesPerNodePeriod = bw.Mean()
-	return p, nil
+		SimMeanDiscoveryPeriods: d.meanMin,
+		SimCoverage:             welford(out.psFill(alive)).Mean(),
+		SimBytesPerNodePeriod:   welford(out.bytesOutPer(out.s.measure.Minutes(), alive)).Mean(),
+	}, nil
 }
 
 // realnetGate evaluates one mode's real arm against the sim
@@ -385,19 +377,18 @@ func realnetGate(p *RealnetPoint, tol RealnetTolerances) {
 	p.GateDetail = detail
 }
 
-// Realnet boots the real deployment arms (memnet loopback, then
+// realnet boots the real deployment arms (memnet loopback, then
 // 127.0.0.1 UDP), runs the matching simulation, and fails unless
 // reality lands within the stated tolerances of the prediction.
 // Options.Ns[0] overrides the deployment size; Options.Scale scales
 // the real-arm protocol period (floor 60ms).
-func Realnet(o Options) (*Result, error) {
-	o = o.withDefaults()
+func realnet(o Options) (*Result, error) {
 	n := realnetDefaultN
 	if len(o.Ns) > 0 {
 		n = o.Ns[0]
 	}
 	if n < 20 {
-		return nil, fmt.Errorf("realnet: N must be ≥ 20, got %d", n)
+		return nil, fmt.Errorf("%w: N must be ≥ 20, got %d", ErrInvalidOptions, n)
 	}
 	period := o.scaled(200*time.Millisecond, 60*time.Millisecond)
 	tol := realnetTolerances
@@ -520,7 +511,7 @@ func Realnet(o Options) (*Result, error) {
 			gate)
 	}
 
-	artifact, err := json.MarshalIndent(realnetArtifact{
+	artifacts, err := artifact("realnet", RealnetArtifactName, realnetArtifact{
 		Experiment:    "realnet",
 		Seed:          o.Seed,
 		Scale:         o.Scale,
@@ -530,17 +521,15 @@ func Realnet(o Options) (*Result, error) {
 		Tolerances:    tol,
 		Host:          collectHostStats(),
 		Points:        pts,
-	}, "", "  ")
+	})
 	if err != nil {
-		return nil, fmt.Errorf("realnet: marshal artifact: %w", err)
+		return nil, err
 	}
-	artifact = append(artifact, '\n')
-
 	res := &Result{
 		ID:        "realnet",
 		Title:     "Real multi-node deployments (memnet + UDP) vs simulator predictions",
 		Tables:    []*Table{cmp},
-		Artifacts: map[string][]byte{RealnetArtifactName: artifact},
+		Artifacts: artifacts,
 	}
 	for _, p := range pts {
 		if !p.GatePass {

@@ -10,14 +10,11 @@ package experiments
 // future PRs can track the perf trajectory via BENCH_scale.json.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
-
-	"avmon/internal/stats"
 )
 
 // ScaleArtifactName is the machine-readable output written by the
@@ -79,10 +76,10 @@ type ScalePoint struct {
 	NumGC        uint32  `json:"num_gc"`
 
 	// Sharded rerun of the same point (present when the sweep ran with
-	// Options.Shards > 1). The run is asserted byte-identical on every
-	// protocol metric above — the sharded engine's determinism
-	// contract, checked here at full scale — so only the host cost is
-	// reported. Speedup = WallSeconds / WallSecondsSharded; it exceeds
+	// Options.Shards > 1). The run is asserted fingerprint-identical to
+	// the serial one (Cluster.Fingerprint) — the sharded engine's
+	// determinism contract, checked here at full scale — so only the
+	// host cost is reported. Speedup = WallSeconds / WallSecondsSharded; it exceeds
 	// 1 only when the host has cores to spare (see HostCores in the
 	// envelope).
 	Shards             int     `json:"shards,omitempty"`
@@ -120,14 +117,13 @@ type scaleArtifact struct {
 	Points     []ScalePoint `json:"points"`
 }
 
-// Scale sweeps a static system to N = 100,000 (by default) and
+// scale sweeps a static system to N = 100,000 (by default) and
 // reports discovery time, per-node bandwidth, and the host cost of
 // the run. Unlike the paper experiments, each sweep point's cluster
 // is released as soon as its metrics are extracted — at 10^5 nodes
 // the cluster itself is the dominant allocation, and the sweep must
 // not hold three of them to the end.
-func Scale(o Options) (*Result, error) {
-	o = o.withDefaults()
+func scale(o Options) (*Result, error) {
 	// Points run serially regardless of Options.Parallelism: the host
 	// metrics (wall, heap, peak RSS) are process-wide measurements,
 	// and concurrent 10^4–10^5-node clusters would cross-contaminate
@@ -197,9 +193,11 @@ func Scale(o Options) (*Result, error) {
 			}
 			// Rerun the identical point on the sharded engine. Beyond
 			// the speedup measurement this is the determinism contract
-			// checked at full scale: every protocol metric must match
-			// the serial run exactly, or the sweep fails.
+			// checked at full scale: the whole cluster state must
+			// fingerprint the same as the serial run's, or the sweep
+			// fails.
 			s.shards = o.Shards
+			serial := out.c.Fingerprint()
 			out = nil // release the serial cluster before building the next
 			runtime.ReadMemStats(&before)
 			start = time.Now()
@@ -209,8 +207,9 @@ func Scale(o Options) (*Result, error) {
 			}
 			sharded := scalePointMetrics(s.n, shardedOut, time.Since(start), before)
 			scaleProgress(s.n, "sharded rerun done in %.0fs", sharded.WallSeconds)
-			if err := sameProtocolMetrics(pts[i], sharded); err != nil {
-				return fmt.Errorf("scale: sharded run diverged from serial at N=%d: %w", s.n, err)
+			if got := shardedOut.c.Fingerprint(); got != serial {
+				return fmt.Errorf("scale: sharded run diverged from serial at N=%d: fingerprint %s vs %s",
+					s.n, got, serial)
 			}
 			pts[i].Shards = o.Shards
 			pts[i].WallSecondsSharded = sharded.WallSeconds
@@ -255,7 +254,7 @@ func Scale(o Options) (*Result, error) {
 			shards, wallSharded, speedup, barriers, windows)
 	}
 
-	artifact, err := json.MarshalIndent(scaleArtifact{
+	artifacts, err := artifact("scale", ScaleArtifactName, scaleArtifact{
 		Experiment: "scale",
 		Seed:       o.Seed,
 		Scale:      o.Scale,
@@ -263,45 +262,16 @@ func Scale(o Options) (*Result, error) {
 		HostCores:  runtime.NumCPU(),
 		Host:       collectHostStats(),
 		Points:     pts,
-	}, "", "  ")
+	})
 	if err != nil {
-		return nil, fmt.Errorf("scale: marshal artifact: %w", err)
+		return nil, err
 	}
-	artifact = append(artifact, '\n')
-
 	return &Result{
 		ID:        "scale",
 		Title:     "Scalability of discovery, bandwidth, and simulation cost to N = 1,000,000",
 		Tables:    []*Table{proto, host},
-		Artifacts: map[string][]byte{ScaleArtifactName: artifact},
+		Artifacts: artifacts,
 	}, nil
-}
-
-// sameProtocolMetrics checks the deterministic fields of two runs of
-// one sweep point; a mismatch means the sharded engine broke its
-// byte-identical contract.
-func sameProtocolMetrics(a, b ScalePoint) error {
-	type pair struct {
-		name string
-		a, b any
-	}
-	for _, p := range []pair{
-		{"k", a.K, b.K},
-		{"cvs", a.CVS, b.CVS},
-		{"control_size", a.ControlSize, b.ControlSize},
-		{"discovered", a.Discovered, b.Discovered},
-		{"mean_discovery_minutes", a.MeanDiscoveryMin, b.MeanDiscoveryMin},
-		{"p93_discovery_seconds", a.P93DiscoverySec, b.P93DiscoverySec},
-		{"bytes_out_per_node_per_second", a.BytesPerNodeSec, b.BytesPerNodeSec},
-		{"hash_checks_per_node_per_second", a.ChecksPerNodeSec, b.ChecksPerNodeSec},
-		{"memory_entries_mean", a.MemoryEntriesMean, b.MemoryEntriesMean},
-		{"events", a.Events, b.Events},
-	} {
-		if p.a != p.b {
-			return fmt.Errorf("%s: serial %v vs sharded %v", p.name, p.a, p.b)
-		}
-	}
-	return nil
 }
 
 // shardedRerunMaxN caps the sharded determinism rerun: the equivalence
@@ -326,31 +296,14 @@ func scalePointMetrics(n int, out *outcome, wall time.Duration, before runtime.M
 		WallSeconds: wall.Seconds(),
 	}
 
-	control := out.controlOrLateBorn()
-	p.ControlSize = len(control)
-	times, missed := out.firstDiscoveries(control)
-	p.Discovered = len(control) - missed
-	var cdf stats.CDF
-	for _, d := range times {
-		cdf.Add(d.Seconds())
-	}
-	p.P93DiscoverySec = cdf.Percentile(93)
-	p.MeanDiscoveryMin = meanDiscoveryMinutes(times)
+	d := out.discovery()
+	p.ControlSize, p.Discovered = d.control, d.discovered
+	p.MeanDiscoveryMin, p.P93DiscoverySec = d.meanMin, d.p93Sec
 
-	secs := out.measure.Seconds()
 	alive := out.aliveIndexes()
-	var bw, checks, mem stats.Welford
-	for _, idx := range alive {
-		st := c.Stats(idx)
-		bw.Add(float64(st.Traffic.BytesOut) / secs)
-		mem.Add(float64(st.MemoryEntries))
-	}
-	for _, v := range out.compsPerSecond(alive) {
-		checks.Add(v)
-	}
-	p.BytesPerNodeSec = bw.Mean()
-	p.ChecksPerNodeSec = checks.Mean()
-	p.MemoryEntriesMean = mem.Mean()
+	p.BytesPerNodeSec = welford(out.bytesOutPer(out.s.measure.Seconds(), alive)).Mean()
+	p.ChecksPerNodeSec = welford(out.compsPerSecond(alive)).Mean()
+	p.MemoryEntriesMean = welford(out.memoryEntries(alive)).Mean()
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -20,7 +20,6 @@ func synthScenario(o Options, kind modelKind, n int, measure time.Duration) scen
 		n:       n,
 		warmup:  o.scaled(time.Hour, 10*time.Minute),
 		measure: o.scaled(measure, 10*time.Minute),
-		seed:    o.Seed,
 	}
 	if kind == modelSTAT || kind == modelSYNTH {
 		s.controlFrac = 0.10
@@ -28,307 +27,155 @@ func synthScenario(o Options, kind modelKind, n int, measure time.Duration) scen
 	return s
 }
 
-// Figure3 reproduces "Average discovery times of first monitors for
+// synthScens is the Section 5.1 set: every swept N under each of the
+// three synthetic models, size-major, measured for the given window.
+func synthScens(measure time.Duration) func(Options) []scenario {
+	return func(o Options) []scenario {
+		var scens []scenario
+		for _, n := range o.ns() {
+			for _, kind := range syntheticKinds {
+				scens = append(scens, synthScenario(o, kind, n, measure))
+			}
+		}
+		return scens
+	}
+}
+
+// chunks cuts a sweep's outcomes into consecutive rows of per: one row
+// per swept N in a size-major sweep.
+func chunks(outs []*outcome, per int) [][]*outcome {
+	var rows [][]*outcome
+	for ; len(outs) >= per; outs = outs[per:] {
+		rows = append(rows, outs[:per])
+	}
+	return rows
+}
+
+// pick returns the sweep's outcome for (kind, n).
+func pick(outs []*outcome, kind modelKind, n int) *outcome {
+	for _, out := range outs {
+		if out.s.kind == kind && out.s.n == n {
+			return out
+		}
+	}
+	panic(fmt.Sprintf("experiments: sweep has no %v N=%d point", kind, n))
+}
+
+// figure3 reproduces "Average discovery times of first monitors for
 // the control group nodes" across STAT, SYNTH, and SYNTH-BD for N in
 // 100..2000.
-func Figure3(o Options) (*Result, error) {
-	o = o.withDefaults()
+func figure3(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Average discovery time of first monitor (minutes)",
 		Header: []string{"N", "STAT", "SYNTH", "SYNTH-BD"},
 	}
-	var scens []scenario
-	for _, n := range o.ns() {
-		for _, kind := range syntheticKinds {
-			scens = append(scens, synthScenario(o, kind, n, 45*time.Minute))
+	for _, row := range chunks(outs, len(syntheticKinds)) {
+		cells := []string{itoa(row[0].s.n)}
+		for _, out := range row {
+			times, _ := out.firstDiscoveries(out.controlOrLateBorn())
+			cells = append(cells, f2(meanDiscoveryMinutes(times)))
 		}
+		table.AddRow(cells...)
 	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, n := range o.ns() {
-		row := []string{itoa(n)}
-		for range syntheticKinds {
-			times, _ := outs[i].firstDiscoveries(outs[i].controlOrLateBorn())
-			row = append(row, f2(meanDiscoveryMinutes(times)))
-			i++
+	return []*Table{table}
+}
+
+// discoveryCDFs reproduces the CDF of one model's first-monitor
+// discovery times at the smallest and largest swept N (Figure 4: STAT,
+// Figure 5: SYNTH-BD).
+func discoveryCDFs(kind modelKind) view {
+	return func(o Options, outs []*outcome) []*Table {
+		var tables []*Table
+		for _, n := range edgeNs(o.ns()) {
+			out := pick(outs, kind, n)
+			times, missed := out.firstDiscoveries(out.controlOrLateBorn())
+			cdf := cdfOf(in(time.Duration.Seconds, times))
+			t := cdfTable(
+				fmt.Sprintf("%v, N = %d (%d samples, %d undiscovered)", kind, n, cdf.N(), missed),
+				"discovery time (s)", cdf, 13)
+			t.AddRow("p93 (s)", f2(cdf.Percentile(93)))
+			tables = append(tables, t)
 		}
-		table.AddRow(row...)
+		return tables
 	}
-	return &Result{
-		ID:     "figure3",
-		Title:  "Discovery time of first monitors vs N (synthetic models)",
-		Tables: []*Table{table},
-	}, nil
 }
 
-// discoveryCDF extracts the CDF of first-monitor discovery times in
-// seconds from one finished run.
-func discoveryCDF(out *outcome) (*stats.CDF, int) {
-	times, missed := out.firstDiscoveries(out.controlOrLateBorn())
-	var c stats.CDF
-	for _, d := range times {
-		c.Add(d.Seconds())
-	}
-	return &c, missed
-}
-
-// Figure4 reproduces the CDF of STAT discovery times (N = 100, 2000).
-func Figure4(o Options) (*Result, error) {
-	return discoveryCDFResult(o, "figure4", modelSTAT)
-}
-
-// Figure5 reproduces the CDF of SYNTH-BD discovery times.
-func Figure5(o Options) (*Result, error) {
-	return discoveryCDFResult(o, "figure5", modelSYNTHBD)
-}
-
-func discoveryCDFResult(o Options, id string, kind modelKind) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	edge := []int{ns[0], ns[len(ns)-1]}
-	res := &Result{
-		ID:    id,
-		Title: fmt.Sprintf("CDF of first-monitor discovery time, %v", kind),
-	}
-	scens := make([]scenario, len(edge))
-	for i, n := range edge {
-		scens[i] = synthScenario(o, kind, n, 45*time.Minute)
-	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range edge {
-		cdf, missed := discoveryCDF(outs[i])
-		t := cdfTable(
-			fmt.Sprintf("%v, N = %d (%d samples, %d undiscovered)", kind, n, cdf.N(), missed),
-			"discovery time (s)", cdf, 13)
-		t.AddRow("p93 (s)", f2(cdf.Percentile(93)))
-		res.Tables = append(res.Tables, t)
-	}
-	return res, nil
-}
-
-// Figure6 reproduces "Average discovery times of first L monitors",
+// figure6 reproduces "Average discovery times of first L monitors",
 // L = 1..3, for the largest swept N across the three models.
-func Figure6(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	n := ns[len(ns)-1]
+func figure6(o Options, outs []*outcome) []*Table {
+	n := o.largestN()
 	table := &Table{
 		Title:  fmt.Sprintf("Average time to discover first L monitors, N = %d (minutes)", n),
 		Header: []string{"L", "STAT", "SYNTH", "SYNTH-BD"},
 	}
-	scens := make([]scenario, len(syntheticKinds))
-	for i, kind := range syntheticKinds {
-		scens[i] = synthScenario(o, kind, n, 60*time.Minute)
-	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	perKind := make(map[modelKind][]float64)
-	for i, kind := range syntheticKinds {
-		out := outs[i]
-		group := out.controlOrLateBorn()
-		for l := 1; l <= 3; l++ {
+	for l := 1; l <= 3; l++ {
+		cells := []string{itoa(l)}
+		for _, kind := range syntheticKinds {
+			out := pick(outs, kind, n)
 			var w stats.Welford
-			for _, idx := range group {
-				dts := out.c.Stats(idx).DiscoveryTimes
-				if len(dts) >= l {
+			for _, idx := range out.controlOrLateBorn() {
+				if dts := out.c.Stats(idx).DiscoveryTimes; len(dts) >= l {
 					w.Add(dts[l-1].Minutes())
 				}
 			}
-			perKind[kind] = append(perKind[kind], w.Mean())
+			cells = append(cells, f2(w.Mean()))
 		}
+		table.AddRow(cells...)
 	}
-	for l := 1; l <= 3; l++ {
-		table.AddRow(itoa(l),
-			f2(perKind[modelSTAT][l-1]),
-			f2(perKind[modelSYNTH][l-1]),
-			f2(perKind[modelSYNTHBD][l-1]))
-	}
-	return &Result{
-		ID:     "figure6",
-		Title:  "Time to discovery of first L monitors",
-		Tables: []*Table{table},
-	}, nil
+	return []*Table{table}
 }
 
-// compsPerSecond returns each group node's consistency-condition
-// evaluations per second over the measurement window. Nodes born
-// during the window are rated over their own lifetime, not the whole
-// window, so late-born nodes are not under-counted.
-func (o *outcome) compsPerSecond(group []int) []float64 {
-	windowEnd := o.warmupEnd + o.measure
-	out := make([]float64, 0, len(group))
-	for _, idx := range group {
-		st := o.c.Stats(idx)
-		secs := o.measure.Seconds()
-		if st.BornAtOffset > o.warmupEnd {
-			secs = (windowEnd - st.BornAtOffset).Seconds()
-		}
-		if secs <= 0 {
-			continue
-		}
-		delta := st.HashChecks - o.checksAtW[idx]
-		out = append(out, float64(delta)/secs)
-	}
-	return out
-}
-
-// Figure7 reproduces "Average computations per second per node" vs N.
-func Figure7(o Options) (*Result, error) {
-	o = o.withDefaults()
+// figure7 reproduces "Average computations per second per node" vs N.
+func figure7(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Average consistency-condition computations per second per node",
 		Header: []string{"N", "STAT", "STAT stddev", "SYNTH", "SYNTH stddev", "SYNTH-BD", "SYNTH-BD stddev"},
 	}
-	var scens []scenario
-	for _, n := range o.ns() {
-		for _, kind := range syntheticKinds {
-			scens = append(scens, synthScenario(o, kind, n, 60*time.Minute))
-		}
-	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, n := range o.ns() {
-		row := []string{itoa(n)}
-		for range syntheticKinds {
-			out := outs[i]
-			i++
+	for _, row := range chunks(outs, len(syntheticKinds)) {
+		cells := []string{itoa(row[0].s.n)}
+		for _, out := range row {
 			group := out.controlOrLateBorn()
 			if len(group) == 0 {
 				group = out.aliveIndexes()
 			}
-			var w stats.Welford
-			for _, v := range out.compsPerSecond(group) {
-				w.Add(v)
+			w := welford(out.compsPerSecond(group))
+			cells = append(cells, f2(w.Mean()), f2(w.Stddev()))
+		}
+		table.AddRow(cells...)
+	}
+	return []*Table{table}
+}
+
+// edgeCDFs reproduces a per-node CDF over every alive node, for each
+// synthetic model at the smallest and largest swept N (Figure 8:
+// computations per second, Figure 10: memory entries).
+func edgeCDFs(xLabel string, measure func(*outcome, []int) []float64) view {
+	return func(o Options, outs []*outcome) []*Table {
+		var tables []*Table
+		for _, kind := range syntheticKinds {
+			for _, n := range edgeNs(o.ns()) {
+				out := pick(outs, kind, n)
+				tables = append(tables, cdfTable(fmt.Sprintf("%v, N = %d", kind, n),
+					xLabel, cdfOf(measure(out, out.aliveIndexes())), 9))
 			}
-			row = append(row, f2(w.Mean()), f2(w.Stddev()))
 		}
-		table.AddRow(row...)
+		return tables
 	}
-	return &Result{
-		ID:     "figure7",
-		Title:  "Computational overhead vs N (synthetic models)",
-		Tables: []*Table{table},
-	}, nil
 }
 
-// Figure8 reproduces the CDF of per-node computations per second.
-func Figure8(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	edge := []int{ns[0], ns[len(ns)-1]}
-	res := &Result{ID: "figure8", Title: "CDF of per-node computations per second"}
-	var scens []scenario
-	for _, kind := range syntheticKinds {
-		for _, n := range edge {
-			scens = append(scens, synthScenario(o, kind, n, 60*time.Minute))
-		}
-	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, kind := range syntheticKinds {
-		for _, n := range edge {
-			out := outs[i]
-			i++
-			var c stats.CDF
-			c.AddAll(out.compsPerSecond(out.aliveIndexes()))
-			res.Tables = append(res.Tables,
-				cdfTable(fmt.Sprintf("%v, N = %d", kind, n), "computations/s", &c, 9))
-		}
-	}
-	return res, nil
-}
-
-// memoryEntries returns |PS|+|TS|+|CV| for each node in group.
-func (o *outcome) memoryEntries(group []int) []float64 {
-	out := make([]float64, 0, len(group))
-	for _, idx := range group {
-		out = append(out, float64(o.c.Stats(idx).MemoryEntries))
-	}
-	return out
-}
-
-// Figure9 reproduces "Average number of memory entries per node" vs N.
-func Figure9(o Options) (*Result, error) {
-	o = o.withDefaults()
+// figure9 reproduces "Average number of memory entries per node" vs N.
+func figure9(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Average memory entries per node (|PS|+|TS|+|CV|)",
 		Header: []string{"N", "expected (2K+cvs)", "STAT", "SYNTH", "SYNTH-BD"},
 	}
-	var scens []scenario
-	for _, n := range o.ns() {
-		for _, kind := range syntheticKinds {
-			scens = append(scens, synthScenario(o, kind, n, 60*time.Minute))
+	for _, row := range chunks(outs, len(syntheticKinds)) {
+		cells := []string{itoa(row[0].s.n), itoa(row[0].expectedEntries())}
+		for _, out := range row {
+			w := welford(out.memoryEntries(out.aliveIndexes()))
+			cells = append(cells, f2(w.Mean()))
 		}
+		table.AddRow(cells...)
 	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, n := range o.ns() {
-		var row []string
-		for range syntheticKinds {
-			out := outs[i]
-			i++
-			if row == nil {
-				expected := 2*out.c.K() + out.c.CVS()
-				row = []string{itoa(n), itoa(expected)}
-			}
-			var w stats.Welford
-			for _, v := range out.memoryEntries(out.aliveIndexes()) {
-				w.Add(v)
-			}
-			row = append(row, f2(w.Mean()))
-		}
-		table.AddRow(row...)
-	}
-	return &Result{
-		ID:     "figure9",
-		Title:  "Memory overhead vs N (synthetic models)",
-		Tables: []*Table{table},
-	}, nil
-}
-
-// Figure10 reproduces the CDF of per-node memory entries.
-func Figure10(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	edge := []int{ns[0], ns[len(ns)-1]}
-	res := &Result{ID: "figure10", Title: "CDF of per-node memory entries"}
-	var scens []scenario
-	for _, kind := range syntheticKinds {
-		for _, n := range edge {
-			scens = append(scens, synthScenario(o, kind, n, 60*time.Minute))
-		}
-	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, kind := range syntheticKinds {
-		for _, n := range edge {
-			out := outs[i]
-			i++
-			var c stats.CDF
-			c.AddAll(out.memoryEntries(out.aliveIndexes()))
-			res.Tables = append(res.Tables,
-				cdfTable(fmt.Sprintf("%v, N = %d", kind, n), "|PS|+|TS|+|CV|", &c, 9))
-		}
-	}
-	return res, nil
+	return []*Table{table}
 }

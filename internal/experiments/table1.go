@@ -9,17 +9,39 @@ import (
 	"avmon/internal/hashing"
 	"avmon/internal/ids"
 	"avmon/internal/membership"
-	"avmon/internal/stats"
 )
 
-// Table1 reproduces the paper's Table 1: memory/bandwidth per round
+// table1N is the population Table 1's measured half runs at.
+const table1N = 512
+
+// table1Variants are the AVMON rows of Table 1's measured half.
+var table1Variants = []struct {
+	name    string
+	variant avmon.Variant
+}{
+	{"AVMON generic, cvs=log N", avmon.VariantGeneric},
+	{"AVMON Optimal-MD", avmon.VariantMD},
+	{"AVMON Optimal-MDC", avmon.VariantMDC},
+}
+
+// variantScens is Table 1's measured set: one STAT run per variant, all
+// against the same (static) realization, so M/D/C differences isolate
+// the cvs policy.
+func variantScens(o Options) []scenario {
+	scens := make([]scenario, len(table1Variants))
+	for i, v := range table1Variants {
+		scens[i] = synthScenario(o, modelSTAT, table1N, 45*time.Minute)
+		scens[i].opts.Variant = v.variant
+	}
+	return scens
+}
+
+// table1 reproduces the paper's Table 1: memory/bandwidth per round
 // (M), expected discovery time (D), and computations per round (C)
 // for Broadcast [11] and the AVMON variants. It emits both the
 // analytical values at N = 1 million (the paper's running example) and
 // measured values from a small live simulation.
-func Table1(o Options) (*Result, error) {
-	o = o.withDefaults()
-
+func table1(_ Options, outs []*outcome) []*Table {
 	analytic := &Table{
 		Title:  "Analytical comparison at N = 1,000,000 (Table 1)",
 		Header: []string{"approach", "cvs", "M (entries/round)", "E[D] (rounds)", "C (checks/round)"},
@@ -38,18 +60,15 @@ func Table1(o Options) (*Result, error) {
 	addVariant("AVMON Optimal-MDC/DC, cvs=N^(1/4)", avmon.VariantMDC.CVS(bigN))
 
 	// Measured comparison on a small population.
-	const n = 512
+	const n = table1N
 	measured := &Table{
 		Title:  fmt.Sprintf("Measured comparison at N = %d", n),
 		Header: []string{"approach", "cvs", "bytes/round/node", "mean discovery (rounds)", "checks/round/node"},
 	}
 	// Broadcast: N joins, each costing N-1 messages of 8 bytes;
-	// discovery is immediate.
-	sel, err := hashing.NewSelector(hashing.FastHasher{}, hashing.DefaultK(n), n)
-	if err != nil {
-		return nil, err
-	}
-	b := membership.NewBroadcastDiscovery(sel)
+	// discovery is immediate. It applies the same consistency condition
+	// as the simulated clusters, so it borrows one's scheme.
+	b := membership.NewBroadcastDiscovery(outs[0].c.Scheme())
 	for i := 0; i < n; i++ {
 		b.Join(ids.Sim(i))
 	}
@@ -58,47 +77,21 @@ func Table1(o Options) (*Result, error) {
 		"0 (immediate)",
 		f2(float64(b.HashChecks)/float64(n)))
 
-	variants := []struct {
-		name    string
-		variant avmon.Variant
-	}{
-		{"AVMON generic, cvs=log N", avmon.VariantGeneric},
-		{"AVMON Optimal-MD", avmon.VariantMD},
-		{"AVMON Optimal-MDC", avmon.VariantMDC},
-	}
-	scens := make([]scenario, len(variants))
-	for i, v := range variants {
-		s := synthScenario(o, modelSTAT, n, 45*time.Minute)
-		s.opts.Variant = v.variant
-		scens[i] = s
-	}
-	// One seed group: all three variants run against the same (static)
-	// realization, so M/D/C differences isolate the cvs policy.
-	outs, err := runAllPaired(o, scens, func(int) int { return 0 })
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
+	for i, v := range table1Variants {
 		out := outs[i]
-		period := time.Minute
-		rounds := out.measure.Minutes()
-		var bytesPer, checksPer stats.Welford
-		for _, idx := range out.aliveIndexes() {
-			st := out.c.Stats(idx)
-			bytesPer.Add(float64(st.Traffic.BytesOut) / rounds)
-			checksPer.Add(float64(st.HashChecks-out.checksAtW[idx]) / rounds)
+		// Rounds are the default one-minute protocol period.
+		inRounds := func(d time.Duration) float64 { return float64(d) / float64(time.Minute) }
+		rounds := out.s.measure.Minutes()
+		alive := out.aliveIndexes()
+		var checksPer []float64
+		for _, idx := range alive {
+			checksPer = append(checksPer, float64(out.c.Stats(idx).HashChecks-out.checksAtW[idx])/rounds)
 		}
 		times, _ := out.firstDiscoveries(out.controlOrLateBorn())
-		var disc stats.Welford
-		for _, d := range times {
-			disc.Add(float64(d) / float64(period))
-		}
 		measured.AddRow(v.name, itoa(out.c.CVS()),
-			f2(bytesPer.Mean()), f2(disc.Mean()), f2(checksPer.Mean()))
+			f2(welford(out.bytesOutPer(rounds, alive)).Mean()),
+			f2(welford(in(inRounds, times)).Mean()),
+			f2(welford(checksPer).Mean()))
 	}
-	return &Result{
-		ID:     "table1",
-		Title:  "AVMON variants vs Broadcast: M, D, C",
-		Tables: []*Table{analytic, measured},
-	}, nil
+	return []*Table{analytic, measured}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"avmon/internal/stats"
 )
 
 // traceScenario builds the Section 5.3 trace-driven scenario: no
@@ -16,178 +14,100 @@ func traceScenario(o Options, kind modelKind, n int) scenario {
 		n:       n,
 		warmup:  0,
 		measure: o.scaled(48*time.Hour, 2*time.Hour),
-		seed:    o.Seed,
 	}
 }
 
-// tracePairs returns the two trace workloads with the paper's sizes:
-// PL with N = 239 (K = 8, cvs = 16) and OV with N = 550 (K = 9,
-// cvs = 19).
-func tracePairs() []struct {
-	kind modelKind
-	n    int
-} {
-	return []struct {
-		kind modelKind
-		n    int
-	}{
-		{modelPL, 239},
-		{modelOV, 550},
-	}
+// The two trace workloads at the paper's sizes: PL with N = 239 (K = 8,
+// cvs = 16) and OV with N = 550 (K = 9, cvs = 19).
+const (
+	traceNPL = 239
+	traceNOV = 550
+)
+
+// traceScens is the Section 5.3 trace set: PL, then OV.
+func traceScens(o Options) []scenario {
+	return []scenario{traceScenario(o, modelPL, traceNPL), traceScenario(o, modelOV, traceNOV)}
 }
 
-// allBorn returns every node that was ever born (the Nlongterm
-// population of Section 5.3).
-func (o *outcome) allBorn() []int {
-	var out []int
-	for i := 0; i < o.c.Size(); i++ {
-		if o.c.Stats(i).EverBorn {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Figure13 reproduces "CDF of discovery time of first monitors, PL and
+// figure13 reproduces "CDF of discovery time of first monitors, PL and
 // OV traces".
-func Figure13(o Options) (*Result, error) {
-	o = o.withDefaults()
-	res := &Result{ID: "figure13", Title: "CDF of first-monitor discovery time, PL and OV"}
-	pairs := tracePairs()
-	scens := make([]scenario, len(pairs))
-	for i, tp := range pairs {
-		scens[i] = traceScenario(o, tp.kind, tp.n)
-	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	for i, tp := range pairs {
-		out := outs[i]
+func figure13(_ Options, outs []*outcome) []*Table {
+	var tables []*Table
+	for _, out := range outs {
 		born := out.allBorn()
 		times, missed := out.firstDiscoveries(born)
-		var c stats.CDF
-		for _, d := range times {
-			c.Add(d.Minutes())
-		}
+		c := cdfOf(in(time.Duration.Minutes, times))
 		t := cdfTable(
-			fmt.Sprintf("%v (N=%d, Nlongterm=%d, %d undiscovered)", tp.kind, tp.n, len(born), missed),
-			"discovery time (min)", &c, 13)
+			fmt.Sprintf("%v (N=%d, Nlongterm=%d, %d undiscovered)", out.s.kind, out.s.n, len(born), missed),
+			"discovery time (min)", c, 13)
 		t.AddRow("fraction within 63s", f4(c.FractionBelow(63.0/60)))
-		res.Tables = append(res.Tables, t)
+		tables = append(tables, t)
 	}
-	return res, nil
+	return tables
 }
 
-// Figure14 reproduces "CDF of number of memory entries per node, PL
+// figure14 reproduces "CDF of number of memory entries per node, PL
 // and OV traces".
-func Figure14(o Options) (*Result, error) {
-	o = o.withDefaults()
-	res := &Result{ID: "figure14", Title: "CDF of per-node memory entries, PL and OV"}
-	pairs := tracePairs()
-	scens := make([]scenario, len(pairs))
-	for i, tp := range pairs {
-		scens[i] = traceScenario(o, tp.kind, tp.n)
-	}
-	outs, err := runAll(o, scens)
-	if err != nil {
-		return nil, err
-	}
-	for i, tp := range pairs {
-		out := outs[i]
-		var c stats.CDF
-		c.AddAll(out.memoryEntries(out.aliveIndexes()))
-		expected := 2*out.c.K() + out.c.CVS()
+func figure14(_ Options, outs []*outcome) []*Table {
+	var tables []*Table
+	for _, out := range outs {
+		c := cdfOf(out.memoryEntries(out.aliveIndexes()))
 		t := cdfTable(
-			fmt.Sprintf("%v (N=%d, expected %d entries)", tp.kind, tp.n, expected),
-			"|PS|+|TS|+|CV|", &c, 11)
+			fmt.Sprintf("%v (N=%d, expected %d entries)", out.s.kind, out.s.n, out.expectedEntries()),
+			"|PS|+|TS|+|CV|", c, 11)
 		t.AddRow("max entries", f2(c.Max()))
-		res.Tables = append(res.Tables, t)
+		tables = append(tables, t)
 	}
-	return res, nil
+	return tables
 }
 
-// Figure15 reproduces "CDFs of discovery time of first monitors,
+// bdKinds are the birth/death rates Section 5.3 contrasts: SYNTH-BD
+// and, at double the rate, SYNTH-BD2.
+var bdKinds = []modelKind{modelSYNTHBD, modelSYNTHBD2}
+
+// bdScens is the doubled-churn set: a (BD, BD2) pair per swept N. The
+// pair shares a seed, so each comparison is of one realization.
+func bdScens(o Options) []scenario {
+	var scens []scenario
+	for _, n := range o.ns() {
+		for _, kind := range bdKinds {
+			scens = append(scens, synthScenario(o, kind, n, 2*time.Hour))
+		}
+	}
+	return scens
+}
+
+// figure15 reproduces "CDFs of discovery time of first monitors,
 // SYNTH-BD vs SYNTH-BD2" at the largest swept N: doubling the
 // birth/death rate must not noticeably change discovery.
-func Figure15(o Options) (*Result, error) {
-	o = o.withDefaults()
-	ns := o.ns()
-	n := ns[len(ns)-1]
-	res := &Result{ID: "figure15", Title: "Discovery under doubled birth/death churn"}
-	kinds := []modelKind{modelSYNTHBD, modelSYNTHBD2}
-	scens := make([]scenario, len(kinds))
-	for i, kind := range kinds {
-		scens[i] = synthScenario(o, kind, n, 2*time.Hour)
-	}
-	// Paired seeds: BD vs BD2 differ only in birth/death rate; the
-	// shared realization isolates that doubling.
-	outs, err := runAllPaired(o, scens, func(int) int { return 0 })
-	if err != nil {
-		return nil, err
-	}
-	for i, kind := range kinds {
-		out := outs[i]
-		born := out.controlOrLateBorn()
-		times, missed := out.firstDiscoveries(born)
-		var c stats.CDF
-		for _, d := range times {
-			c.Add(d.Minutes())
-		}
-		t := cdfTable(
+func figure15(_ Options, outs []*outcome) []*Table {
+	var tables []*Table
+	for _, out := range outs[len(outs)-len(bdKinds):] {
+		times, missed := out.firstDiscoveries(out.controlOrLateBorn())
+		tables = append(tables, cdfTable(
 			fmt.Sprintf("%v, N = %d (Nlongterm = %d, %d undiscovered)",
-				kind, n, out.c.Size(), missed),
-			"discovery time (min)", &c, 11)
-		res.Tables = append(res.Tables, t)
+				out.s.kind, out.s.n, out.c.Size(), missed),
+			"discovery time (min)", cdfOf(in(time.Duration.Minutes, times)), 11))
 	}
-	return res, nil
+	return tables
 }
 
-// Figure16 reproduces "Average number of memory entries, SYNTH-BD vs
+// figure16 reproduces "Average number of memory entries, SYNTH-BD vs
 // SYNTH-BD2" across the N sweep: doubling births/deaths adds under 10%
 // of garbage entries.
-func Figure16(o Options) (*Result, error) {
-	o = o.withDefaults()
+func figure16(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Average memory entries per node",
 		Header: []string{"N", "SYNTH-BD", "SYNTH-BD stddev", "SYNTH-BD2", "SYNTH-BD2 stddev", "increase %"},
 	}
-	kinds := []modelKind{modelSYNTHBD, modelSYNTHBD2}
-	var scens []scenario
-	for _, n := range o.ns() {
-		for _, kind := range kinds {
-			scens = append(scens, synthScenario(o, kind, n, 2*time.Hour))
-		}
-	}
-	// Points come in (BD, BD2) pairs per N; pairing their seeds makes
-	// each "increase %" a same-realization comparison.
-	outs, err := runAllPaired(o, scens, func(i int) int { return i / 2 })
-	if err != nil {
-		return nil, err
-	}
-	next := 0
-	for _, n := range o.ns() {
-		var means [2]float64
-		var stds [2]float64
-		for i := range kinds {
-			out := outs[next]
-			next++
-			var w stats.Welford
-			for _, v := range out.memoryEntries(out.aliveIndexes()) {
-				w.Add(v)
-			}
-			means[i] = w.Mean()
-			stds[i] = w.Stddev()
-		}
+	for _, pair := range chunks(outs, len(bdKinds)) {
+		bd := welford(pair[0].memoryEntries(pair[0].aliveIndexes()))
+		bd2 := welford(pair[1].memoryEntries(pair[1].aliveIndexes()))
 		inc := 0.0
-		if means[0] > 0 {
-			inc = (means[1] - means[0]) / means[0] * 100
+		if bd.Mean() > 0 {
+			inc = (bd2.Mean() - bd.Mean()) / bd.Mean() * 100
 		}
-		table.AddRow(itoa(n), f2(means[0]), f2(stds[0]), f2(means[1]), f2(stds[1]), f2(inc))
+		table.AddRow(itoa(pair[0].s.n), f2(bd.Mean()), f2(bd.Stddev()), f2(bd2.Mean()), f2(bd2.Stddev()), f2(inc))
 	}
-	return &Result{
-		ID:     "figure16",
-		Title:  "Memory entries under doubled birth/death churn",
-		Tables: []*Table{table},
-	}, nil
+	return []*Table{table}
 }

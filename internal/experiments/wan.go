@@ -14,13 +14,11 @@ package experiments
 // lookahead adapts to each latency model's MinLatency floor.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
 
 	"avmon"
-	"avmon/internal/stats"
 )
 
 // WanArtifactName is the machine-readable output of the wan experiment
@@ -152,13 +150,12 @@ func wanRegimes() ([]wanRegime, error) {
 	return out, nil
 }
 
-// Wan sweeps heterogeneous WAN latency models against loss regimes on
+// wan sweeps heterogeneous WAN latency models against loss regimes on
 // a static system and reports discovery time and monitoring coverage
 // per regime, plus the BENCH_wan.json artifact. Every regime runs the
 // same workload with the same derived seed (common random numbers);
 // Options.Shards applies per run and never changes the results.
-func Wan(o Options) (*Result, error) {
-	o = o.withDefaults()
+func wan(o Options) (*Result, error) {
 	n := wanDefaultN
 	if len(o.Ns) > 0 {
 		n = o.Ns[0]
@@ -177,28 +174,19 @@ func Wan(o Options) (*Result, error) {
 			controlFrac: 0.1,
 			latModel:    r.latency,
 			lossModel:   r.loss,
+			label:       fmt.Sprintf("wan %s/%s", r.latName, r.lossName),
 		}
 	}
-	pts := make([]WanPoint, len(scens))
-	err = forEachPoint(o, len(scens),
-		func(i int) string { return fmt.Sprintf("wan %s/%s", regimes[i].latName, regimes[i].lossName) },
-		func(i int) error {
-			s := scens[i]
-			// One shared seed group: every regime faces the identical
-			// population and control-group draw, so regime deltas are
-			// paired comparisons.
-			s.seed = deriveSeed(o.Seed, 0)
-			s.shards = o.Shards
-			start := time.Now()
-			out, err := run(s)
-			if err != nil {
-				return err
-			}
-			pts[i] = wanPointMetrics(regimes[i], s.n, out, time.Since(start))
-			return nil
-		})
+	// One shared seed group: every regime faces the identical
+	// population and control-group draw, so regime deltas are paired
+	// comparisons.
+	outs, err := runAllPaired(o, scens, oneRealization)
 	if err != nil {
 		return nil, err
+	}
+	pts := make([]WanPoint, len(outs))
+	for i, out := range outs {
+		pts[i] = wanPointMetrics(regimes[i], out)
 	}
 
 	disc := &Table{
@@ -218,7 +206,7 @@ func Wan(o Options) (*Result, error) {
 			f2(p.BytesPerNodeSec), f4(p.UselessPerNodeMin), fmt.Sprintf("%d", p.Events))
 	}
 
-	artifact, err := json.MarshalIndent(wanArtifact{
+	artifacts, err := artifact("wan", WanArtifactName, wanArtifact{
 		Experiment: "wan",
 		Seed:       o.Seed,
 		Scale:      o.Scale,
@@ -227,31 +215,29 @@ func Wan(o Options) (*Result, error) {
 		HostCores:  runtime.NumCPU(),
 		Host:       collectHostStats(),
 		Points:     pts,
-	}, "", "  ")
+	})
 	if err != nil {
-		return nil, fmt.Errorf("wan: marshal artifact: %w", err)
+		return nil, err
 	}
-	artifact = append(artifact, '\n')
-
 	return &Result{
 		ID:        "wan",
 		Title:     "Heterogeneous WAN latency and loss vs discovery and monitoring coverage",
 		Tables:    []*Table{disc, mon},
-		Artifacts: map[string][]byte{WanArtifactName: artifact},
+		Artifacts: artifacts,
 	}, nil
 }
 
 // wanPointMetrics extracts one regime's metrics from a finished run.
-func wanPointMetrics(r wanRegime, n int, out *outcome, wall time.Duration) WanPoint {
+func wanPointMetrics(r wanRegime, out *outcome) WanPoint {
 	c := out.c
 	p := WanPoint{
 		Latency:      r.latName,
 		Loss:         r.lossName,
 		MinLatencyMS: float64(r.latency.MinLatency()) / float64(time.Millisecond),
-		N:            n,
+		N:            out.s.n,
 		K:            c.K(),
 		Events:       c.Steps(),
-		WallSeconds:  wall.Seconds(),
+		WallSeconds:  out.wall.Seconds(),
 	}
 	if st, ok := c.SchedStats(); ok {
 		p.Barriers = st.Barriers
@@ -261,32 +247,20 @@ func wanPointMetrics(r wanRegime, n int, out *outcome, wall time.Duration) WanPo
 		}
 	}
 
-	control := out.controlOrLateBorn()
-	p.ControlSize = len(control)
-	times, missed := out.firstDiscoveries(control)
-	p.Discovered = len(control) - missed
-	var cdf stats.CDF
-	for _, d := range times {
-		cdf.Add(d.Seconds())
-	}
-	p.P93DiscoverySec = cdf.Percentile(93)
-	p.MeanDiscoveryMin = meanDiscoveryMinutes(times)
+	d := out.discovery()
+	p.ControlSize, p.Discovered = d.control, d.discovered
+	p.MeanDiscoveryMin, p.P93DiscoverySec = d.meanMin, d.p93Sec
 
-	secs := out.measure.Seconds()
-	mins := out.measure.Minutes()
-	var fill, bw, useless stats.Welford
+	alive := out.aliveIndexes()
 	var pings, acks uint64
-	for _, idx := range out.aliveIndexes() {
+	for _, idx := range alive {
 		st := c.Stats(idx)
-		fill.Add(float64(st.PSSize) / float64(c.K()))
-		bw.Add(float64(st.Traffic.BytesOut) / secs)
-		useless.Add(float64(st.UselessMonPings-out.uselessAtW[idx]) / mins)
 		pings += st.MonPingsSent
 		acks += st.MonAcks
 	}
-	p.PSFill = fill.Mean()
-	p.BytesPerNodeSec = bw.Mean()
-	p.UselessPerNodeMin = useless.Mean()
+	p.PSFill = welford(out.psFill(alive)).Mean()
+	p.BytesPerNodeSec = welford(out.bytesOutPer(out.s.measure.Seconds(), alive)).Mean()
+	p.UselessPerNodeMin = welford(out.uselessPerMinute(alive)).Mean()
 	if pings > 0 {
 		p.AckRatio = float64(acks) / float64(pings)
 	}

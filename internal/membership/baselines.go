@@ -5,14 +5,6 @@ import (
 	"avmon/internal/ids"
 )
 
-// Scheme names for experiment output.
-const (
-	NameBroadcast = "Broadcast"
-	NameCentral   = "Central"
-	NameSelf      = "Self-report"
-	NameDHT       = "DHT"
-)
-
 // BroadcastDiscovery models the AVCast [11] approach the paper labels
 // "Broadcast" (Table 1): the selection scheme is the same consistent
 // hash condition as AVMON's, but discovery floods every join to all
@@ -85,102 +77,3 @@ func (b *BroadcastDiscovery) MonitorsOf(x ids.ID) []ids.ID {
 
 // Alive returns the current population size.
 func (b *BroadcastDiscovery) Alive() int { return len(b.alive) }
-
-// CentralMonitor models the central-server approach: PS(x) = {server}
-// for every x. The scheme is consistent and verifiable but places the
-// entire monitoring load on one node — the load-imbalance failure of
-// Section 1.
-type CentralMonitor struct {
-	server  ids.ID
-	members map[ids.ID]struct{}
-	// ServerPingsPerPeriod counts monitoring pings the server must
-	// send each period (= population size).
-	ServerPingsPerPeriod uint64
-}
-
-// NewCentralMonitor builds a central monitoring scheme around server.
-func NewCentralMonitor(server ids.ID) *CentralMonitor {
-	return &CentralMonitor{server: server, members: make(map[ids.ID]struct{})}
-}
-
-// Join registers a node with the server.
-func (c *CentralMonitor) Join(x ids.ID) {
-	if x == c.server {
-		return
-	}
-	c.members[x] = struct{}{}
-	c.ServerPingsPerPeriod = uint64(len(c.members))
-}
-
-// Leave deregisters a node.
-func (c *CentralMonitor) Leave(x ids.ID) {
-	delete(c.members, x)
-	c.ServerPingsPerPeriod = uint64(len(c.members))
-}
-
-// MonitorsOf implements the PS(x) = {server} rule.
-func (c *CentralMonitor) MonitorsOf(x ids.ID) []ids.ID {
-	if x == c.server {
-		return nil
-	}
-	return []ids.ID{c.server}
-}
-
-// LoadShare returns the fraction of system-wide monitoring load borne
-// by the given node: 1 for the server, 0 for everyone else. AVMON's
-// analogue is ≈ 1/N per node.
-func (c *CentralMonitor) LoadShare(x ids.ID) float64 {
-	if x == c.server {
-		return 1
-	}
-	return 0
-}
-
-// SelfReport models PS(x) = {x}: every node is its own monitor. It
-// trivially violates randomness, and a selfish node's reported
-// availability is whatever it chooses — ReportedAvailability
-// demonstrates the unbounded lie.
-type SelfReport struct {
-	// Lie is the availability a selfish node claims regardless of
-	// truth (paper: "arbitrarily high values").
-	Lie float64
-}
-
-// MonitorsOf implements the PS(x) = {x} rule.
-func (s *SelfReport) MonitorsOf(x ids.ID) []ids.ID { return []ids.ID{x} }
-
-// ReportedAvailability returns the node's claim, which no third party
-// can refute under self-reporting.
-func (s *SelfReport) ReportedAvailability(_ ids.ID, truth float64) float64 {
-	if s.Lie > 0 {
-		return s.Lie
-	}
-	return truth
-}
-
-// DHTScheme adapts a Ring to core.SelectionScheme so the AVMON
-// discovery machinery (or the verifier) can be pointed at DHT-style
-// selection. Note the relation depends on current ring membership —
-// precisely why it is NOT consistent under churn, which
-// Ring.ConsistencyDamage measures.
-type DHTScheme struct {
-	ring *Ring
-}
-
-var _ core.SelectionScheme = (*DHTScheme)(nil)
-
-// NewDHTScheme wraps a ring.
-func NewDHTScheme(r *Ring) *DHTScheme { return &DHTScheme{ring: r} }
-
-// Related reports whether y is currently in the replica set of x.
-func (d *DHTScheme) Related(y, x ids.ID) bool {
-	for _, m := range d.ring.MonitorsOf(x) {
-		if m == y {
-			return true
-		}
-	}
-	return false
-}
-
-// K returns the replica-set size.
-func (d *DHTScheme) K() int { return d.ring.K() }

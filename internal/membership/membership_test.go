@@ -220,70 +220,3 @@ func TestBroadcastDiscovery(t *testing.T) {
 		t.Error("Leave did not shrink population")
 	}
 }
-
-func TestCentralMonitor(t *testing.T) {
-	server := ids.Sim(0)
-	c := NewCentralMonitor(server)
-	for i := 1; i <= 50; i++ {
-		c.Join(ids.Sim(i))
-	}
-	c.Join(server) // server never registers itself
-	if c.ServerPingsPerPeriod != 50 {
-		t.Errorf("server load = %d pings/period, want 50", c.ServerPingsPerPeriod)
-	}
-	if got := c.MonitorsOf(ids.Sim(7)); len(got) != 1 || got[0] != server {
-		t.Errorf("MonitorsOf = %v, want [server]", got)
-	}
-	if c.MonitorsOf(server) != nil {
-		t.Error("server has a monitor")
-	}
-	if c.LoadShare(server) != 1 || c.LoadShare(ids.Sim(3)) != 0 {
-		t.Error("LoadShare distribution wrong: all load must fall on the server")
-	}
-	c.Leave(ids.Sim(1))
-	if c.ServerPingsPerPeriod != 49 {
-		t.Error("Leave did not reduce server load")
-	}
-}
-
-func TestSelfReport(t *testing.T) {
-	s := &SelfReport{}
-	x := ids.Sim(9)
-	if got := s.MonitorsOf(x); len(got) != 1 || got[0] != x {
-		t.Errorf("MonitorsOf = %v, want [self]", got)
-	}
-	if got := s.ReportedAvailability(x, 0.4); got != 0.4 {
-		t.Errorf("honest self-report = %v, want 0.4", got)
-	}
-	s.Lie = 1.0
-	if got := s.ReportedAvailability(x, 0.4); got != 1.0 {
-		t.Errorf("selfish self-report = %v; the lie is unverifiable by design", got)
-	}
-}
-
-func TestDHTSchemeAdapter(t *testing.T) {
-	r, pop := newTestRing(t, 3, 40)
-	scheme := NewDHTScheme(r)
-	if scheme.K() != 3 {
-		t.Errorf("K = %d, want 3", scheme.K())
-	}
-	x := pop[5]
-	mons := r.MonitorsOf(x)
-	for _, m := range mons {
-		if !scheme.Related(m, x) {
-			t.Errorf("monitor %v not Related to %v", m, x)
-		}
-	}
-	// A non-monitor is not related.
-	for _, y := range pop {
-		isMon := false
-		for _, m := range mons {
-			if m == y {
-				isMon = true
-			}
-		}
-		if !isMon && scheme.Related(y, x) {
-			t.Errorf("non-monitor %v reported Related to %v", y, x)
-		}
-	}
-}

@@ -1,13 +1,12 @@
 // Package membership implements the competing availability-monitoring
-// overlay schemes that the paper positions AVMON against (Section 1):
-// self-reporting, central monitoring, the DHT/replica-set approach,
-// and the Broadcast discovery of AVCast [11] (Table 1's baseline).
+// overlay schemes that the evaluation measures AVMON against: the
+// DHT/replica-set approach (Section 1) and the Broadcast discovery of
+// AVCast [11] (Table 1's baseline).
 //
 // These exist so the evaluation can measure, not just assert, the
 // failures the paper attributes to each: broadcast's O(N) join
-// bandwidth, the DHT approach's consistency violations under churn and
-// its correlated (non-random) monitor sets, and central monitoring's
-// load imbalance.
+// bandwidth, and the DHT approach's consistency violations under churn
+// and its correlated (non-random) monitor sets.
 package membership
 
 import (

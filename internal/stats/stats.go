@@ -1,13 +1,11 @@
 // Package stats provides the small statistics toolkit used to produce
-// every figure in the paper's evaluation: empirical CDFs, streaming
-// mean/stddev, and fixed-width histograms.
+// every figure in the paper's evaluation: empirical CDFs and streaming
+// mean/stddev.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Welford accumulates a streaming mean and variance using Welford's
@@ -164,59 +162,4 @@ func (c *CDF) Points(n int) []Point {
 // Point is one (x, y) plot point.
 type Point struct {
 	X, Y float64
-}
-
-// Histogram counts observations in fixed-width bins over [lo, hi);
-// out-of-range observations land in the first/last bin.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-}
-
-// NewHistogram builds a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: hi (%v) must exceed lo (%v)", hi, lo)
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, bins)}, nil
-}
-
-// Add folds one observation into the histogram.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
-// Bins returns a copy of the bin counts.
-func (h *Histogram) Bins() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// FormatSeries renders plot points as two aligned columns, one point
-// per line, for pasting into gnuplot or a spreadsheet.
-func FormatSeries(points []Point) string {
-	var sb strings.Builder
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%g\t%g\n", p.X, p.Y)
-	}
-	return sb.String()
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -149,50 +148,5 @@ func TestCDFPointsDegenerate(t *testing.T) {
 	pts := c.Points(10)
 	if len(pts) != 1 || pts[0].X != 7 || pts[0].Y != 1 {
 		t.Errorf("degenerate Points = %+v", pts)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	want := []int{3, 1, 1, 0, 2} // -3 clamps low, 42 clamps high
-	got := h.Bins()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d (bins=%v)", i, got[i], want[i], got)
-		}
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d, want 7", h.N())
-	}
-	if h.Bin(0) != 3 {
-		t.Errorf("Bin(0) = %d, want 3", h.Bin(0))
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(10, 0, 3); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
-func TestFormatSeries(t *testing.T) {
-	s := FormatSeries([]Point{{1, 0.5}, {2.5, 1}})
-	if !strings.Contains(s, "1\t0.5\n") || !strings.Contains(s, "2.5\t1\n") {
-		t.Errorf("FormatSeries output:\n%s", s)
-	}
-	if FormatSeries(nil) != "" {
-		t.Error("empty series not empty string")
 	}
 }
