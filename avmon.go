@@ -1,8 +1,11 @@
 package avmon
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
+	"avmon/internal/availability"
 	"avmon/internal/core"
 	"avmon/internal/hashing"
 	"avmon/internal/ids"
@@ -128,6 +131,44 @@ type NodeOptions struct {
 	// the evaluation; they switch off parts of the published protocol.
 	DisableReshuffle bool
 	RejoinFullWeight bool
+}
+
+// ErrInvalidConfig is wrapped by every error with which
+// ClusterConfig.Validate, ServiceConfig.Validate, NewCluster and
+// NewService reject a configuration, before anything is started.
+var ErrInvalidConfig = errors.New("avmon: invalid config")
+
+func badConfig(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidConfig}, args...)...)
+}
+
+// validate rejects option values no node can run under. Zero values
+// keep meaning "default"; n is the system size, 0 while still unknown.
+func (o NodeOptions) validate(n int) error {
+	switch {
+	case o.K < 0 || (n > 0 && o.K > n):
+		return badConfig("K %d outside [0, N = %d] (0 = log2 N)", o.K, n)
+	case o.CVS < 0 || o.CVS == 1:
+		return badConfig("CVS %d: a coarse view holds at least 2 entries (0 = the variant's default)", o.CVS)
+	case o.Variant < 0 || o.Variant > VariantDC:
+		return badConfig("unknown Variant %d", o.Variant)
+	case o.Period < 0 || o.MonitorPeriod < 0 || o.ForgetfulTau < 0:
+		return badConfig("negative duration (Period %v, MonitorPeriod %v, ForgetfulTau %v; 0 = default)",
+			o.Period, o.MonitorPeriod, o.ForgetfulTau)
+	case !(o.ForgetfulC >= 0):
+		return badConfig("ForgetfulC %v is not a non-negative factor (0 = 1)", o.ForgetfulC)
+	}
+	switch o.Hash {
+	case "", HashMD5, HashSHA1, HashFast:
+	default:
+		return badConfig("unknown Hash %q (md5, sha1, fast)", o.Hash)
+	}
+	if o.HistoryStyle != "" {
+		if _, err := availability.NewStore(o.HistoryStyle); err != nil {
+			return badConfig("HistoryStyle: %v", err)
+		}
+	}
+	return nil
 }
 
 // memoized reports whether a simulated cluster puts a pair-verdict

@@ -61,7 +61,7 @@ func BenchmarkExperiment(b *testing.B) {
 // API: STAT N = 20000, fast hash, K 14, cvs 48, two simulated minutes,
 // then 100 control joiners enrolled. One iteration is one set-up; the
 // ns/event metric divides it by the events it executed (1 515 690 at
-// seed 1), the cost item 1(b) of ROADMAP.md tracks against N.
+// seed 1), the cost item 7 of ROADMAP.md tracks against N.
 //
 //	go test -run '^$' -bench ClusterSetupStat20k -benchtime 5x .
 func BenchmarkClusterSetupStat20k(b *testing.B) {

@@ -348,33 +348,54 @@ type Cluster struct {
 
 var _ churn.Driver = (*Cluster)(nil)
 
-// NewCluster builds a cluster driven by the given churn model. The
-// model must be freshly constructed (Install is called here).
-func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
-	if model == nil {
-		return nil, fmt.Errorf("avmon: nil churn model")
-	}
-	if cfg.N <= 0 {
-		cfg.N = model.StableN()
-	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("avmon: cannot determine system size N")
-	}
-	if cfg.Latency <= 0 {
-		cfg.Latency = 50 * time.Millisecond
-	}
-	if cfg.OverreportFraction < 0 || cfg.OverreportFraction > 1 {
-		return nil, fmt.Errorf("avmon: OverreportFraction %v outside [0,1]", cfg.OverreportFraction)
+// Validate reports whether NewCluster would accept the configuration,
+// wrapping ErrInvalidConfig when not. Zero values keep meaning
+// "default"; while N is 0 (taken from the churn model), K is not
+// checked against it.
+func (cfg ClusterConfig) Validate() error {
+	switch {
+	case cfg.N < 0:
+		return badConfig("N %d is negative (0 = the churn model's stable size)", cfg.N)
+	case cfg.Shards < 0:
+		return badConfig("Shards %d is negative (0 = the serial engine)", cfg.Shards)
+	case cfg.Latency < 0:
+		return badConfig("Latency %v is negative (0 = 50ms)", cfg.Latency)
+	case !(cfg.Loss >= 0 && cfg.Loss < 1):
+		return badConfig("Loss %v outside [0, 1)", cfg.Loss)
+	case !(cfg.OverreportFraction >= 0 && cfg.OverreportFraction <= 1):
+		return badConfig("OverreportFraction %v outside [0, 1]", cfg.OverreportFraction)
 	}
 	if cc := cfg.Collusion; cc != nil {
-		if cc.Fraction < 0 || cc.Fraction > 1 {
-			return nil, fmt.Errorf("avmon: collusion Fraction %v outside [0,1]", cc.Fraction)
+		if !(cc.Fraction >= 0 && cc.Fraction <= 1) {
+			return badConfig("collusion Fraction %v outside [0, 1]", cc.Fraction)
 		}
-		if cc.ForgedAvail > 1 {
-			return nil, fmt.Errorf("avmon: ForgedAvail %v exceeds 1", cc.ForgedAvail)
+		if !(cc.ForgedAvail <= 1) {
+			return badConfig("ForgedAvail %v exceeds 1", cc.ForgedAvail)
 		}
 	}
-	if cfg.Shards <= 0 {
+	return cfg.Options.validate(cfg.N)
+}
+
+// NewCluster builds a cluster driven by the given churn model. The
+// model must be freshly constructed (Install is called here). A
+// configuration Validate rejects is refused before anything is built.
+func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
+	if model == nil {
+		return nil, badConfig("nil churn model")
+	}
+	if cfg.N == 0 {
+		cfg.N = model.StableN()
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.N == 0 {
+		return nil, badConfig("cannot determine system size N")
+	}
+	if cfg.Latency == 0 {
+		cfg.Latency = 50 * time.Millisecond
+	}
+	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
 	k := cfg.Options.kFor(cfg.N)
@@ -609,7 +630,7 @@ func (c *Cluster) Birth(idx int) {
 		}
 	}
 	if err := m.node.Init(nodeCfg, c.newCV()); err != nil {
-		return // config was validated at cluster construction
+		panic(err) // unreachable: NewCluster validated the configuration
 	}
 	c.members[idx] = m
 	c.bringUp(m)

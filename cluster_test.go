@@ -611,15 +611,6 @@ func TestClusterVariantCVS(t *testing.T) {
 	}
 }
 
-func TestClusterConfigValidation(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{}, nil); err == nil {
-		t.Error("nil model accepted")
-	}
-	if _, err := NewCluster(ClusterConfig{OverreportFraction: 2}, NewSTATModel(10)); err == nil {
-		t.Error("bad overreport fraction accepted")
-	}
-}
-
 func TestTheorem1EventualCompleteDiscovery(t *testing.T) {
 	// Theorem 1: if (x, y) satisfy the consistency condition and both
 	// stay alive long enough, y eventually lands in TS(x). PR 2 had to

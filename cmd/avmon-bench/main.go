@@ -8,7 +8,6 @@
 //	avmon-bench -run all -scale 1.0 -progress -parallel 8
 //	avmon-bench -run scale -shards 8 -cpuprofile scale.pprof
 //	avmon-bench -run wan -shards 2
-//	avmon-bench -run chaos -chaos collusion,zone-outage
 //
 // Scale 1.0 approximates the paper's methodology (hour-scale warm-up
 // and multi-hour measurement windows); smaller scales shrink the
@@ -21,8 +20,9 @@
 // byte-identical at any parallelism because every point derives its
 // own seed from -seed and its position in its sweep. Invalid options
 // (a negative -scale, -parallel or -shards, a malformed, non-positive
-// or repeated -ns entry, an unknown -chaos name) are rejected before
-// anything runs.
+// or repeated -ns entry) are rejected before anything runs. The ids
+// that write a checked-in BENCH_*.json (scale, wan, chaos, realnet)
+// are not part of all: run each by name, deliberately scaled.
 // Independently, -shards partitions each single simulation across P
 // engine shards (conservative parallel discrete-event simulation);
 // output is byte-identical at any shard count, so -shards is purely a
@@ -44,20 +44,6 @@ import (
 	"avmon/internal/experiments"
 )
 
-// parseChaos splits the -chaos flag into the scenario subset the chaos
-// experiment should run (nil = all). The names are validated with the
-// rest of the options, by experiments.RunAll.
-func parseChaos(arg string) []string {
-	if strings.TrimSpace(arg) == "" {
-		return nil
-	}
-	names := strings.Split(arg, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	return names
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "avmon-bench:", err)
@@ -75,7 +61,6 @@ func run(args []string) error {
 		ns       = fs.String("ns", "", "comma-separated N sweep override (e.g. 100,500,1000,2000)")
 		parallel = fs.Int("parallel", 0, "concurrent sweep points per experiment (0 = GOMAXPROCS; results are identical at any setting)")
 		shards   = fs.Int("shards", 0, "parallel engine shards within each single simulation (0/1 = serial; results are identical at any setting; 'scale' also reruns each point sharded and reports the speedup)")
-		chaos    = fs.String("chaos", "", "comma-separated chaos scenario subset for -run chaos (empty = all; see -run list)")
 		progress = fs.Bool("progress", false, "report sweep-point completion on stderr")
 		outDir   = fs.String("outdir", ".", "directory for machine-readable artifacts (e.g. BENCH_scale.json)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -115,10 +100,6 @@ func run(args []string) error {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		fmt.Println("\nchaos scenarios (select with -chaos name[,name...]):")
-		for _, s := range experiments.ChaosScenarios() {
-			fmt.Printf("  %-12s %s\n", s.Name, s.Summary)
-		}
 		return nil
 	}
 	if *runID == "" {
@@ -130,10 +111,7 @@ func run(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fmt.Errorf("outdir: %w", err)
 	}
-	opts := experiments.Options{
-		Scale: *scale, Seed: *seed, Parallelism: *parallel,
-		Shards: *shards, Chaos: parseChaos(*chaos),
-	}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel, Shards: *shards}
 	if *ns != "" {
 		for _, part := range strings.Split(*ns, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -148,32 +126,10 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "%d/%d %s\n", done, total, label)
 		}
 	}
-	toRun := []string{*runID}
-	if *runID == "all" {
-		// "all" is the paper-reproduction flow. The beyond-paper
-		// sweeps are excluded: the large-N scale sweep because its N
-		// is fixed at 10k/30k/100k regardless of -scale (a 100k point
-		// costs minutes of wall time and gigabytes of RSS), and wan,
-		// chaos, and realnet because all four write checked-in JSON
-		// artifacts that must only be regenerated by explicit,
-		// deliberately-scaled runs (realnet additionally boots
-		// hundreds of real wall-clock Service nodes, so its results
-		// are machine-load dependent). Run them with -run scale /
-		// -run wan / -run chaos / -run realnet.
-		excluded := map[string]bool{
-			"scale": true, "wan": true, "chaos": true, "realnet": true,
-		}
-		toRun = nil
-		for _, id := range experiments.IDs() {
-			if !excluded[id] {
-				toRun = append(toRun, id)
-			}
-		}
-	}
 	// Each footer times what its id added: the sweep for the first id
 	// that reads it, nothing for the ids rendered from the same runs.
 	start := time.Now()
-	return experiments.RunAll(toRun, opts, func(res *experiments.Result) error {
+	return experiments.RunAll([]string{*runID}, opts, func(res *experiments.Result) error {
 		fmt.Print(res.String())
 		for name, data := range res.Artifacts {
 			path := filepath.Join(*outDir, name)

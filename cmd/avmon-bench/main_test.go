@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -85,38 +84,6 @@ func TestRunSingleSizeEdgeView(t *testing.T) {
 	}
 	if got := strings.Count(string(printed), "## STAT, N = 40"); got != 1 {
 		t.Errorf("figure4 at one size printed %d tables, want 1:\n%s", got, printed)
-	}
-}
-
-func TestParseChaos(t *testing.T) {
-	for arg, want := range map[string][]string{
-		"":                           nil,
-		"  ":                         nil,
-		"collusion":                  {"collusion"},
-		" collusion , zone-outage ":  {"collusion", "zone-outage"},
-		"collusion,,zone-outage":     {"collusion", "", "zone-outage"},
-		"flash-crowd,meteor-strike ": {"flash-crowd", "meteor-strike"},
-	} {
-		if got := parseChaos(arg); !reflect.DeepEqual(got, want) {
-			t.Errorf("parseChaos(%q) = %q, want %q", arg, got, want)
-		}
-	}
-}
-
-func TestRunBadChaos(t *testing.T) {
-	err := run([]string{"-run", "chaos", "-chaos", "meteor-strike"})
-	if err == nil {
-		t.Fatal("unknown -chaos scenario accepted")
-	}
-	// The error is the discovery surface: it must name every valid
-	// scenario.
-	for _, s := range experiments.ChaosScenarios() {
-		if !strings.Contains(err.Error(), s.Name) {
-			t.Errorf("-chaos error %q does not list valid scenario %q", err, s.Name)
-		}
-	}
-	if err := run([]string{"-run", "chaos", "-chaos", "collusion,,zone-outage"}); err == nil {
-		t.Error("empty entry in -chaos list accepted")
 	}
 }
 

@@ -1,0 +1,253 @@
+package avmon
+
+import (
+	"errors"
+	"math"
+	"testing"
+	"time"
+
+	"avmon/internal/churn"
+	"avmon/internal/ids"
+	"avmon/internal/memnet"
+	"avmon/internal/netstack"
+	"avmon/internal/sim"
+)
+
+// installSpy is a churn model that records whether a cluster got as far
+// as installing it — the step that creates the first lane.
+type installSpy struct {
+	ChurnModel
+	installed bool
+}
+
+func (m *installSpy) Install(eng sim.Sched, d churn.Driver) {
+	m.installed = true
+	m.ChurnModel.Install(eng, d)
+}
+
+// brokenNodeOptions breaks one NodeOptions field per entry; both config
+// surfaces share NodeOptions.validate, so both tables range over it.
+var brokenNodeOptions = map[string]func(*NodeOptions){
+	"negative K":              func(o *NodeOptions) { o.K = -1 },
+	"K above N":               func(o *NodeOptions) { o.K = 1000 },
+	"CVS of one":              func(o *NodeOptions) { o.CVS = 1 },
+	"negative CVS":            func(o *NodeOptions) { o.CVS = -4 },
+	"unknown variant":         func(o *NodeOptions) { o.CVS, o.Variant = 0, 9 },
+	"negative period":         func(o *NodeOptions) { o.Period = -time.Second },
+	"negative monitor period": func(o *NodeOptions) { o.MonitorPeriod = -time.Second },
+	"negative forgetful tau":  func(o *NodeOptions) { o.ForgetfulTau = -time.Minute },
+	"negative forgetful c":    func(o *NodeOptions) { o.ForgetfulC = -1 },
+	"NaN forgetful c":         func(o *NodeOptions) { o.ForgetfulC = math.NaN() },
+	"unknown hash":            func(o *NodeOptions) { o.Hash = "sha256" },
+	"unknown history style":   func(o *NodeOptions) { o.HistoryStyle = "bogus" },
+	"malformed history style": func(o *NodeOptions) { o.HistoryStyle = "recent:soon" },
+}
+
+// TestClusterConfigValidation: one valid ClusterConfig, one field
+// broken per subtest; Validate and NewCluster both reject it under
+// ErrInvalidConfig, and no cluster, lane or event exists afterwards.
+func TestClusterConfigValidation(t *testing.T) {
+	valid := func() ClusterConfig {
+		return ClusterConfig{
+			N: 50, Seed: 3, Shards: 2, Loss: 0.01, Latency: 20 * time.Millisecond,
+			OverreportFraction: 0.1,
+			Collusion:          &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: -1},
+			Options: NodeOptions{K: 6, CVS: 8, Variant: VariantMD, Hash: HashMD5,
+				Period: time.Minute, MonitorPeriod: time.Minute, Forgetful: true,
+				ForgetfulTau: time.Minute, ForgetfulC: 2, HistoryStyle: "aged:0.05"},
+		}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	if err := (ClusterConfig{}).Validate(); err != nil {
+		t.Fatalf("zero config (all defaults) rejected: %v", err)
+	}
+	broken := map[string]func(*ClusterConfig){
+		"negative N":           func(c *ClusterConfig) { c.N = -5 },
+		"negative shards":      func(c *ClusterConfig) { c.Shards = -2 },
+		"negative latency":     func(c *ClusterConfig) { c.Latency = -time.Millisecond },
+		"negative loss":        func(c *ClusterConfig) { c.Loss = -0.1 },
+		"certain loss":         func(c *ClusterConfig) { c.Loss = 1 },
+		"overreport above one": func(c *ClusterConfig) { c.OverreportFraction = 2 },
+		"NaN overreport":       func(c *ClusterConfig) { c.OverreportFraction = math.NaN() },
+		"collusion above one":  func(c *ClusterConfig) { c.Collusion.Fraction = 1.5 },
+		"forged above one":     func(c *ClusterConfig) { c.Collusion.ForgedAvail = 1.01 },
+	}
+	for name, breakIt := range brokenNodeOptions {
+		breakIt := breakIt
+		broken[name] = func(c *ClusterConfig) { breakIt(&c.Options) }
+	}
+	for name, breakIt := range broken {
+		breakIt := breakIt
+		t.Run(name, func(t *testing.T) {
+			cfg := valid()
+			breakIt(&cfg)
+			if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("Validate() = %v, want an error wrapping ErrInvalidConfig", err)
+			}
+			model := &installSpy{ChurnModel: NewSTATModel(50)}
+			c, err := NewCluster(cfg, model)
+			if c != nil || !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("NewCluster = %v, %v; want nil and an error wrapping ErrInvalidConfig", c, err)
+			}
+			if model.installed {
+				t.Error("the churn model was installed under an invalid config")
+			}
+		})
+	}
+}
+
+// TestNewClusterConstruction is the should-construct / should-fail
+// table: the shapes of config the examples, the benchmark and the
+// experiments pass, and the nonsense that used to simulate anyway —
+// CVS 1 ran an empty system, an unknown hash ran the fast mixer.
+func TestNewClusterConstruction(t *testing.T) {
+	lognormal, err := NewLognormalLatency(5*time.Millisecond, 60*time.Millisecond, 0.6, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []ClusterConfig{
+		{},
+		{Seed: 1, Options: NodeOptions{K: 14, CVS: 48, Hash: HashFast}},
+		{N: 40, Shards: 2, Options: NodeOptions{Hash: HashMD5, NoHashMemo: true}},
+		{N: 40, Options: NodeOptions{Variant: VariantGeneric, Forgetful: true, PR2: true}},
+		{N: 40, Options: NodeOptions{HistoryStyle: "recent:30m", RejoinFullWeight: true}},
+		{N: 40, Shards: 8, LatencyModel: lognormal, Loss: 0.05},
+		{N: 40, Collusion: &CollusionConfig{}, OverreportFraction: 1},
+	}
+	for i, cfg := range good {
+		c, err := NewCluster(cfg, NewSTATModel(40))
+		if c == nil || err != nil {
+			t.Errorf("good[%d] should have constructed: %v", i, err)
+			continue
+		}
+		c.Run(2 * time.Minute)
+		if c.AliveCount() != 40 {
+			t.Errorf("good[%d]: %d of 40 nodes alive after two minutes", i, c.AliveCount())
+		}
+	}
+	bad := []ClusterConfig{
+		{Options: NodeOptions{CVS: 1}},
+		{Options: NodeOptions{Hash: "sha256"}},
+		{Options: NodeOptions{HistoryStyle: "bogus"}},
+		{Options: NodeOptions{K: 41}},
+		{N: -1},
+		{Loss: -0.5},
+		{Shards: -1},
+	}
+	for i, cfg := range bad {
+		c, err := NewCluster(cfg, NewSTATModel(40))
+		if c != nil || !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("bad[%d] should have failed to construct under ErrInvalidConfig: %v", i, err)
+		}
+	}
+	for name, model := range map[string]ChurnModel{"nil model": nil, "empty model": NewSTATModel(0)} {
+		if c, err := NewCluster(ClusterConfig{}, model); c != nil || !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s should have failed to construct under ErrInvalidConfig: %v", name, err)
+		}
+	}
+}
+
+// TestServiceConfigValidation: one valid ServiceConfig, one field
+// broken per subtest; Validate and NewService both reject it under
+// ErrInvalidConfig, and the address was never bound.
+func TestServiceConfigValidation(t *testing.T) {
+	const addr = "127.0.0.1:19997"
+	valid := func() ServiceConfig {
+		return ServiceConfig{
+			Addr: addr, Bootstrap: "127.0.0.1:19996", N: 50, Seed: 1,
+			QueryCache: true, QueryCacheTTL: time.Second, QueryCacheEntries: 64,
+			Options: NodeOptions{K: 6, CVS: 8, Hash: HashSHA1, Period: time.Second,
+				MonitorPeriod: time.Second, HistoryStyle: "recent:30m"},
+		}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	broken := map[string]func(*ServiceConfig){
+		"missing N":              func(c *ServiceConfig) { c.N = 0 },
+		"negative N":             func(c *ServiceConfig) { c.N = -3 },
+		"bad addr":               func(c *ServiceConfig) { c.Addr = "nonsense" },
+		"bad bootstrap":          func(c *ServiceConfig) { c.Bootstrap = "xyz" },
+		"negative cache TTL":     func(c *ServiceConfig) { c.QueryCacheTTL = -time.Second },
+		"negative cache entries": func(c *ServiceConfig) { c.QueryCacheEntries = -1 },
+	}
+	for name, breakIt := range brokenNodeOptions {
+		breakIt := breakIt
+		broken[name] = func(c *ServiceConfig) { breakIt(&c.Options) }
+	}
+	for name, breakIt := range broken {
+		breakIt := breakIt
+		t.Run(name, func(t *testing.T) {
+			cfg := valid()
+			breakIt(&cfg)
+			if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("Validate() = %v, want an error wrapping ErrInvalidConfig", err)
+			}
+			s, err := NewService(cfg)
+			if s != nil || !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("NewService = %v, %v; want nil and an error wrapping ErrInvalidConfig", s, err)
+			}
+			// Nothing was bound: the address is still free.
+			tr, err := netstack.Listen(ids.MustParse(addr))
+			if err != nil {
+				t.Fatalf("the rejected config left %s bound: %v", addr, err)
+			}
+			tr.Close()
+		})
+	}
+}
+
+// TestNewServiceConstruction is NewService's should-construct /
+// should-fail table, over memnet so no port is at stake.
+func TestNewServiceConstruction(t *testing.T) {
+	net := memnet.New(memnet.Config{Seed: 1})
+	defer net.Close()
+	listen := func(i int) Transport {
+		tr, err := net.Listen(ids.Sim(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	good := []ServiceConfig{
+		{N: 10},
+		{N: 10, Bootstrap: ids.Sim(1).String(), Seed: 7, QueryCache: true},
+		{N: 240, Options: NodeOptions{K: 8, CVS: 10, Hash: HashFast, Period: 60 * time.Millisecond}},
+		{N: 10, Options: NodeOptions{Forgetful: true, PR2: true, HistoryStyle: "aged:0.1"}},
+	}
+	for i, cfg := range good {
+		cfg.Addr, cfg.Transport = ids.Sim(i+1).String(), listen(i+1)
+		s, err := NewService(cfg)
+		if s == nil || err != nil {
+			t.Errorf("good[%d] should have constructed: %v", i, err)
+			continue
+		}
+		s.Stop()
+	}
+	bad := []ServiceConfig{
+		{},
+		{N: 10, Options: NodeOptions{CVS: 1}},
+		{N: 10, Options: NodeOptions{Hash: "sha256"}},
+		{N: 10, Options: NodeOptions{HistoryStyle: "bogus"}},
+		{N: 10, Options: NodeOptions{MonitorPeriod: -time.Second}},
+		{N: 10, Addr: ids.Sim(99).String()}, // a transport bound to another identity
+	}
+	for i, cfg := range bad {
+		tr := listen(100 + i)
+		if cfg.Addr == "" {
+			cfg.Addr = ids.Sim(100 + i).String()
+		}
+		cfg.Transport = tr
+		s, err := NewService(cfg)
+		if s != nil || !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("bad[%d] should have failed to construct under ErrInvalidConfig: %v", i, err)
+		}
+		// A rejected config leaves an injected transport open and the
+		// caller's to close.
+		if err := tr.Close(); err != nil {
+			t.Errorf("bad[%d]: closing the caller's transport: %v", i, err)
+		}
+	}
+}

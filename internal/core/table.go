@@ -194,8 +194,8 @@ func (a *targetArena) at(idx uint32) *target { return &a.slots[idx] }
 // init prepares a freshly allocated slot for monitored node id. The
 // default "raw" history is inlined in the target (store stays nil);
 // other styles allocate their Store. An unknown style falls back to
-// raw rather than dropping the monitoring duty (config validation
-// accepts any non-empty style string).
+// raw rather than dropping the monitoring duty (avmon's config
+// surfaces reject one; core.Config carries the string unchecked).
 func (t *target) init(id ids.ID, historyStyle string, now time.Time) {
 	t.id = id
 	t.discovered = now.UnixNano()

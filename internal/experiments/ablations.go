@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"avmon"
-	"avmon/internal/churn"
 	"avmon/internal/hashing"
 	"avmon/internal/ids"
 	"avmon/internal/membership"
@@ -46,96 +45,62 @@ func ablationReshuffle(o Options, outs []*outcome) []*Table {
 	return []*Table{table}
 }
 
+// rejoinN is the population of the rejoin-weight ablation.
+const rejoinN = 600
+
+// rejoinScens is the rejoin-weight ablation's set: flappy SYNTH with
+// the paper's min(cvs, downtime) rejoin weight, then with the full cvs
+// every time. Both variants see the identical flap pattern, so the
+// indegree and traffic deltas isolate the rule. It only bites when
+// downtimes are SHORT relative to cvs protocol periods (otherwise
+// min(cvs, downtime) = cvs), hence the frequent 3-minute outages.
+func rejoinScens(o Options) []scenario {
+	capped := scenario{kind: modelFlappy, n: rejoinN, measure: o.scaled(3*time.Hour, 45*time.Minute)}
+	full := capped
+	full.opts.RejoinFullWeight = true
+	return []scenario{capped, full}
+}
+
 // ablationRejoinWeight measures the rejoin-weight rule of Figure 1:
 // rejoining with the full cvs weight (instead of min(cvs, downtime))
 // inflates the rejoining node's coarse-view indegree beyond cvs,
-// breaking the load-balance invariant. The rule only bites when
-// downtimes are SHORT relative to cvs protocol periods (otherwise
-// min(cvs, downtime) = cvs), so this workload uses frequent 3-minute
-// outages.
-func ablationRejoinWeight(o Options) (*Result, error) {
-	const n = 600
+// breaking the load-balance invariant.
+func ablationRejoinWeight(_ Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title: fmt.Sprintf(
-			"Rejoin-weight ablation (flappy SYNTH: 3-minute downtimes, N = %d)", n),
+			"Rejoin-weight ablation (flappy SYNTH: 3-minute downtimes, N = %d)", rejoinN),
 		Header: []string{"variant", "mean CV size", "mean indegree", "p99 indegree", "msgs/node/min"},
 	}
-	variants := []bool{false, true}
-	rows := make([][]string, len(variants))
-	err := forEachPoint(o, len(variants),
-		func(i int) string {
-			return fmt.Sprintf("flappy SYNTH N=%d full=%v", n, variants[i])
-		},
-		func(vi int) error {
-			full := variants[vi]
-			model, err := churn.NewSYNTH(churn.SynthConfig{
-				N:            n,
-				ChurnPerHour: 2.0, // mean session 30 min: nodes flap constantly
-				MeanDowntime: 3 * time.Minute,
-			})
-			if err != nil {
-				return err
+	for _, out := range outs {
+		c := out.c
+		// Aggregate message volume: the rejoin cascade costs ≈weight
+		// JOIN forwards, so capping the weight cuts system traffic.
+		var totalMsgs uint64
+		for i := 0; i < c.Size(); i++ {
+			totalMsgs += c.Stats(i).Traffic.MsgsOut
+		}
+		msgsPerNodeMin := float64(totalMsgs) / float64(c.Size()) / out.s.measure.Minutes()
+		// Indegree: how many alive coarse views contain each node.
+		indegree := make(map[avmon.ID]int)
+		alive := out.aliveIndexes()
+		var cvSize stats.Welford
+		for _, idx := range alive {
+			cvSize.Add(float64(c.Stats(idx).CVSize))
+			for _, member := range c.CoarseViewOf(idx) {
+				indegree[member]++
 			}
-			c, err := avmon.NewCluster(avmon.ClusterConfig{
-				N: n,
-				// Paired seeds (group 0 for both variants): identical
-				// flap pattern, so indegree/traffic deltas isolate
-				// the rejoin-weight rule.
-				Seed: deriveSeed(o.Seed, 0),
-				Options: avmon.NodeOptions{
-					RejoinFullWeight: full,
-				},
-			}, model)
-			if err != nil {
-				return err
-			}
-			horizon := o.scaled(3*time.Hour, 45*time.Minute)
-			c.Run(horizon)
-			// Aggregate message volume: the rejoin cascade costs ≈weight
-			// JOIN forwards, so capping the weight cuts system traffic.
-			var totalMsgs uint64
-			for i := 0; i < c.Size(); i++ {
-				totalMsgs += c.Stats(i).Traffic.MsgsOut
-			}
-			msgsPerNodeMin := float64(totalMsgs) / float64(c.Size()) / horizon.Minutes()
-			// Indegree: how many alive coarse views contain each node.
-			indegree := make(map[avmon.ID]int)
-			var alive []int
-			for i := 0; i < c.Size(); i++ {
-				if c.Stats(i).Alive {
-					alive = append(alive, i)
-				}
-			}
-			var cvSize stats.Welford
-			for _, idx := range alive {
-				cvSize.Add(float64(c.Stats(idx).CVSize))
-				for _, member := range c.CoarseViewOf(idx) {
-					indegree[member]++
-				}
-			}
-			var deg stats.CDF
-			for _, idx := range alive {
-				deg.Add(float64(indegree[c.IDOf(idx)]))
-			}
-			name := "min(cvs, downtime) (paper)"
-			if full {
-				name = "always cvs"
-			}
-			rows[vi] = []string{name, f2(cvSize.Mean()), f2(deg.Mean()),
-				f2(deg.Percentile(99)), f2(msgsPerNodeMin)}
-			return nil
-		})
-	if err != nil {
-		return nil, err
+		}
+		var deg stats.CDF
+		for _, idx := range alive {
+			deg.Add(float64(indegree[c.IDOf(idx)]))
+		}
+		name := "min(cvs, downtime) (paper)"
+		if out.s.opts.RejoinFullWeight {
+			name = "always cvs"
+		}
+		table.AddRow(name, f2(cvSize.Mean()), f2(deg.Mean()), f2(deg.Percentile(99)), f2(msgsPerNodeMin))
 	}
-	for _, row := range rows {
-		table.AddRow(row...)
-	}
-	return &Result{
-		ID:     "ablation-rejoin-weight",
-		Title:  "Why rejoin weight is capped by downtime",
-		Tables: []*Table{table},
-	}, nil
+	return []*Table{table}
 }
 
 // forgetfulParamScens is the (c, τ) set: SYNTH at the largest swept N

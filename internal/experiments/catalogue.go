@@ -13,30 +13,47 @@ import (
 	"time"
 )
 
-// sweep is one experiment set: the simulations to run and how their
-// seeds pair up. Point i runs on deriveSeed(Options.Seed, group(i)), so
-// a sweep's output depends on its own layout only — never on which
-// views read it or what ran before it.
+// sweep is one experiment set: the simulations to run and the rules
+// runAllPaired applies to them. Point i runs on a seed derived from
+// Options.Seed and its seed position, so a sweep's output depends on its
+// own layout only — never on which views read it or what ran before it.
 type sweep struct {
 	name  string // progress-line prefix
 	scens func(Options) []scenario
 	// group maps a point to its seed position. Points sharing one run
 	// against the same churn realization (common random numbers), so
-	// an A/B delta isolates the variant; nil gives every point its own.
+	// an A/B delta isolates the variant; nil gives every point its own
+	// (and a twin its twin's).
 	group func(i int) int
+	minN  int // smallest population the sweep's cohorts mean anything at
+	// serial marks a host-measured sweep: one point at a time, each at
+	// the shard count its scenario names, a memory reading around each.
+	serial bool
+	// reduce, when set, turns each finished run into the row the sweep's
+	// report reads, inside the worker; the cluster is released there.
+	reduce func(*outcome) any
 }
 
 // view renders one experiment's tables from its sweep's outcomes, which
 // arrive in scens order.
 type view func(Options, []*outcome) []*Table
 
-// experiment is one catalogue row. An id either reads a sweep through
-// a view or runs itself (the harnesses that measure the host, write an
-// artifact, or simulate nothing).
+// report is the view of a row that also writes an artifact: its tables,
+// and the params and points of the artifact's envelope (host.go).
+type report func(Options, []*outcome) (tables []*Table, params, points any)
+
+// experiment is one catalogue row. An id reads a sweep through a view,
+// or through a report when it writes the artifact named beside it; self
+// is for the few that simulate no cluster through a sweep. `-run all`,
+// the paper-reproduction flow, is every row without an artifact: those
+// files are checked in and regenerated only by an explicit,
+// deliberately scaled run of their id.
 type experiment struct {
 	id, title string
 	sweep     *sweep
 	view      view
+	report    report
+	artifact  string
 	self      func(Options) (*Result, error)
 }
 
@@ -63,7 +80,15 @@ var (
 		group: func(i int) int { return i % len(overreportWorkloads) }}
 	variants        = &sweep{name: "table1", scens: variantScens, group: oneRealization}
 	reshuffleAB     = &sweep{name: "ablation-reshuffle", scens: reshuffleScens, group: oneRealization}
+	rejoinAB        = &sweep{name: "ablation-rejoin-weight", scens: rejoinScens, group: oneRealization}
 	forgetfulParams = &sweep{name: "ablation-forgetful", scens: forgetfulParamScens, group: oneRealization}
+	// Beyond the paper: each N serial then sharded, host-measured and
+	// reduced in the worker; nine network regimes on one realization;
+	// four faults, three arms each on one realization per fault.
+	scaleSweep = &sweep{name: "scale", scens: scaleScens, serial: true, reduce: scalePoint}
+	wanSweep   = &sweep{name: "wan", scens: wanScens, group: oneRealization}
+	chaosSweep = &sweep{name: "chaos", scens: chaosScens, minN: 20,
+		group: func(i int) int { return i / len(chaosArms) }}
 )
 
 // catalogue lists every experiment in paper order: Table 1 and
@@ -96,16 +121,20 @@ var catalogue = []experiment{
 	// paper; they justify its mechanisms quantitatively).
 	{id: "ablation-reshuffle", title: "Why the coarse view is re-randomized every round",
 		sweep: reshuffleAB, view: ablationReshuffle},
-	{id: "ablation-rejoin-weight", self: ablationRejoinWeight},
+	{id: "ablation-rejoin-weight", title: "Why rejoin weight is capped by downtime",
+		sweep: rejoinAB, view: ablationRejoinWeight},
 	{id: "ablation-forgetful", title: "Forgetful pinging: accuracy vs wasted bandwidth",
 		sweep: forgetfulParams, view: ablationForgetful},
 	{id: "ablation-consistency", self: ablationConsistency},
 	{id: "ablation-hash", self: ablationHash},
 
-	{id: "scale", self: scale},
-	{id: "wan", self: wan},
-	{id: "chaos", self: chaos},
-	{id: "realnet", self: realnet},
+	{id: "scale", title: "Scalability of discovery, bandwidth, and simulation cost to N = 1,000,000",
+		sweep: scaleSweep, report: scaleReport, artifact: ScaleArtifactName},
+	{id: "wan", title: "Heterogeneous WAN latency and loss vs discovery and monitoring coverage",
+		sweep: wanSweep, report: wanReport, artifact: WanArtifactName},
+	{id: "chaos", title: "Adversarial & chaos scenario suite (paired-seed A/B with a control-arm gate)",
+		sweep: chaosSweep, report: chaosReport, artifact: ChaosArtifactName},
+	{id: "realnet", self: realnet, artifact: RealnetArtifactName},
 }
 
 // IDs returns the experiment ids in catalogue (paper) order.
@@ -134,26 +163,27 @@ func Registry() map[string]Runner {
 }
 
 // RunAll runs the named experiments and hands each Result to emit in
-// the order asked. Options are validated once, before anything runs
-// (ErrInvalidOptions). Each distinct sweep is simulated once, every
-// requested view of it is rendered, and its outcomes are released
-// before the next sweep starts, so ids that share a sweep report the
-// same runs and peak memory stays one sweep's. Nothing is kept between
-// calls.
+// the order asked; the id "all" stands for every row that writes no
+// artifact, in catalogue order. Options are validated once, before
+// anything runs (ErrInvalidOptions). Each distinct sweep is simulated
+// once, every requested view of it is rendered, and its outcomes are
+// released before the next sweep starts, so ids that share a sweep
+// report the same runs and peak memory stays one sweep's. Nothing is
+// kept between calls.
 func RunAll(ids []string, o Options, emit func(*Result) error) error {
 	if err := o.validate(); err != nil {
 		return err
 	}
 	o = o.withDefaults()
-	rows := make([]*experiment, len(ids))
-	for i, id := range ids {
+	var rows []*experiment
+	for _, id := range ids {
+		found := false
 		for j := range catalogue {
-			if catalogue[j].id == id {
-				rows[i] = &catalogue[j]
-				break
+			if e := &catalogue[j]; e.id == id || (id == "all" && e.artifact == "") {
+				rows, found = append(rows, e), true
 			}
 		}
-		if rows[i] == nil {
+		if !found {
 			return fmt.Errorf("experiments: unknown experiment %q", id)
 		}
 	}
@@ -180,18 +210,31 @@ func (e *experiment) render(o Options, wanted []*experiment, rendered map[string
 		rendered[e.id] = res
 		return err
 	}
-	scens := e.sweep.scens(o)
-	for i := range scens {
-		scens[i].label = e.sweep.name + " " + pointLabel(scens[i])
-	}
-	outs, err := runAllPaired(o, scens, e.sweep.group)
+	outs, err := runAllPaired(o, e.sweep)
 	if err != nil {
 		return err
 	}
 	for _, w := range wanted {
-		if w.sweep == e.sweep {
-			rendered[w.id] = &Result{ID: w.id, Title: w.title, Tables: w.view(o, outs)}
+		if w.sweep != e.sweep {
+			continue
 		}
+		res := &Result{ID: w.id, Title: w.title}
+		if w.report == nil {
+			res.Tables = w.view(o, outs)
+		} else {
+			var params, points any
+			res.Tables, params, points = w.report(o, outs)
+			var ns []int
+			for _, out := range outs {
+				if len(ns) == 0 || ns[len(ns)-1] != out.s.n {
+					ns = append(ns, out.s.n)
+				}
+			}
+			if res.Artifacts, err = artifact(o, w.id, w.artifact, ns, params, points); err != nil {
+				return err
+			}
+		}
+		rendered[w.id] = res
 	}
 	return nil
 }

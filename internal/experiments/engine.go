@@ -11,6 +11,8 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -107,7 +109,7 @@ func forEachPoint(o Options, total int, label func(int) string, fn func(int) err
 	return nil
 }
 
-// pointLabel names one scenario for progress output.
+// pointLabel names one scenario within its sweep.
 func pointLabel(s scenario) string {
 	if s.label != "" {
 		return s.label
@@ -115,43 +117,119 @@ func pointLabel(s scenario) string {
 	return fmt.Sprintf("%v N=%d", s.kind, s.n)
 }
 
-// runAllPaired executes the scenarios as independent sweep points and
-// returns their outcomes in input order. Point i runs with seed
-// deriveSeed(o.Seed, groupOf(i)), overriding whatever seed the scenario
-// carried, so the full sweep is reproducible from Options.Seed alone.
-// Points in the same group share a derived seed: variants of one
-// workload then run against the same churn realization (common random
-// numbers), so their reported delta isolates the variant rather than
-// seed-to-seed noise. nil groupOf gives every point its own seed, an
-// independent replication.
+// hugeN and hugeMemLimit: a host-measured point of hugeN nodes or more
+// runs under a Go soft memory limit of 7.5 GiB, leaving headroom under
+// the 8 GiB peak-RSS budget the 10^6 point is held to. The limit turns
+// "heap grows to 2× live" into "GC runs harder near the ceiling" — the
+// right trade where doubling the live set would cost more RSS than the
+// extra GC cycles cost wall-clock.
+const (
+	hugeN        = 300_000
+	hugeMemLimit = int64(7680) << 20
+)
+
+// runAllPaired executes a sweep's scenarios as independent points and
+// returns their outcomes in input order. It is the one place a sweep's
+// rules are applied:
 //
-// All outcomes are held until the sweep completes (views read them
-// serially in sweep order afterwards); peak memory is therefore
-// proportional to the sweep size rather than Parallelism. Sweeps top
-// out at ~24 points, which keeps this bounded; a harness that needed
-// more should reduce points to rows inside the worker, as
-// ablation-rejoin-weight does with forEachPoint directly.
-func runAllPaired(o Options, scens []scenario, groupOf func(int) int) ([]*outcome, error) {
-	seedIdx := func(i int) int {
-		if groupOf != nil {
-			return groupOf(i)
+//   - Seeds. Point i runs with deriveSeed(o.Seed, its seed position),
+//     overriding whatever seed the scenario carried. The position is
+//     sw.group(i) when the sweep pairs its points — those sharing one
+//     run against the same churn realization (common random numbers), so
+//     their delta isolates the variant rather than seed-to-seed noise —
+//     and otherwise the point's rank among the sweep's non-twin points,
+//     a twin taking its twin's.
+//   - The fingerprint gate. A point with scenario.twin set must end
+//     with the Cluster.Fingerprint of the point that many places before
+//     it, or the sweep fails naming both. scale's sharded rerun against
+//     its serial run and the chaos suite's stepped zero-magnitude
+//     control against its uninterrupted baseline are this one rule.
+//   - Host-measured sweeps (sw.serial) run one point at a time whatever
+//     Options.Parallelism says — wall, heap and peak RSS are process-wide
+//     and concurrent clusters would cross-contaminate them — keep the
+//     shard count each scenario names instead of Options.Shards, and
+//     take a memory reading around every point.
+//   - Reduction. sw.reduce, when set, runs in the worker as soon as the
+//     point finishes and only its row is kept, so a sweep of 10^5–10^6-
+//     node clusters holds one at a time. Otherwise every outcome is held
+//     until the sweep completes (views read them afterwards): at most 24
+//     points of a few thousand nodes.
+func runAllPaired(o Options, sw *sweep) ([]*outcome, error) {
+	scens := sw.scens(o)
+	pos := make([]int, len(scens))
+	gated := make([]bool, len(scens))
+	ranked := 0
+	for i, s := range scens {
+		if s.n < sw.minN {
+			return nil, fmt.Errorf("%w: %s needs N ≥ %d, got %d", ErrInvalidOptions, sw.name, sw.minN, s.n)
 		}
-		return i
+		switch {
+		case sw.group != nil:
+			pos[i] = sw.group(i)
+		case s.twin > 0:
+			pos[i] = pos[i-s.twin]
+		default:
+			pos[i] = ranked
+			ranked++
+		}
+		if s.twin > 0 {
+			gated[i], gated[i-s.twin] = true, true
+		}
+	}
+	if sw.serial {
+		o.Parallelism = 1
+	}
+	label := func(i int) string { return strings.TrimSpace(sw.name + " " + pointLabel(scens[i])) }
+	var mu sync.Mutex
+	prints := make([]string, len(scens))
+	// settle records point i's fingerprint and fails once both ends of a
+	// twin pair it belongs to are in and differ.
+	settle := func(i int, print string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		prints[i] = print
+		for k, s := range scens {
+			j := k - s.twin
+			if s.twin > 0 && (k == i || j == i) && prints[j] != "" && prints[k] != "" && prints[j] != prints[k] {
+				return fmt.Errorf("%s ended with fingerprint %s, its twin %s with %s: they must be identical",
+					label(k), prints[k], label(j), prints[j])
+			}
+		}
+		return nil
 	}
 	outs := make([]*outcome, len(scens))
-	err := forEachPoint(o, len(scens),
-		func(i int) string { return pointLabel(scens[i]) },
-		func(i int) error {
-			s := scens[i]
-			s.seed = deriveSeed(o.Seed, seedIdx(i))
+	err := forEachPoint(o, len(scens), label, func(i int) error {
+		s := scens[i]
+		s.seed = deriveSeed(o.Seed, pos[i])
+		var before memUsage
+		if sw.serial {
+			if s.n >= hugeN {
+				defer debug.SetMemoryLimit(debug.SetMemoryLimit(hugeMemLimit))
+			}
+			before = readMemUsage()
+		} else {
 			s.shards = o.Shards // byte-identical at any value
-			out, err := run(s)
-			if err != nil {
+		}
+		out, err := run(s)
+		if err != nil {
+			return err
+		}
+		if sw.serial {
+			out.mem = readMemUsage()
+			out.mem.TotalAllocMB -= before.TotalAllocMB
+			out.mem.NumGC -= before.NumGC
+		}
+		if gated[i] {
+			if err := settle(i, out.c.Fingerprint()); err != nil {
 				return err
 			}
-			outs[i] = out
-			return nil
-		})
+		}
+		if sw.reduce != nil {
+			out = &outcome{s: s, row: sw.reduce(out)} // the cluster goes unreferenced here
+		}
+		outs[i] = out
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

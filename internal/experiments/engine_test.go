@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -135,14 +136,15 @@ func TestRunAllPairedSharesRealization(t *testing.T) {
 		}
 		return sum
 	}
-	paired, err := runAllPaired(o, []scenario{s, s}, func(int) int { return 0 })
+	two := func(Options) []scenario { return []scenario{s, s} }
+	paired, err := runAllPaired(o, &sweep{scens: two, group: oneRealization})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := totalChecks(paired[0]), totalChecks(paired[1]); a != b {
 		t.Errorf("paired points diverged: %d vs %d hash checks", a, b)
 	}
-	unpaired, err := runAllPaired(o, []scenario{s, s}, nil)
+	unpaired, err := runAllPaired(o, &sweep{scens: two})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +236,10 @@ func TestScaleShardedSpeedupColumns(t *testing.T) {
 		t.Fatal("scale artifact missing")
 	}
 	var art struct {
-		HostCores int `json:"host_cores"`
-		Points    []struct {
+		Host struct {
+			HostCores int `json:"host_cores"`
+		} `json:"host"`
+		Points []struct {
 			Shards             int     `json:"shards"`
 			WallSecondsSharded float64 `json:"wall_seconds_sharded"`
 			Speedup            float64 `json:"speedup"`
@@ -244,8 +248,8 @@ func TestScaleShardedSpeedupColumns(t *testing.T) {
 	if err := json.Unmarshal(data, &art); err != nil {
 		t.Fatalf("artifact not valid JSON: %v", err)
 	}
-	if art.HostCores < 1 {
-		t.Errorf("host_cores = %d", art.HostCores)
+	if art.Host.HostCores < 1 {
+		t.Errorf("host_cores = %d", art.Host.HostCores)
 	}
 	for i, p := range art.Points {
 		if p.Shards != 2 {
@@ -253,6 +257,46 @@ func TestScaleShardedSpeedupColumns(t *testing.T) {
 		}
 		if p.WallSecondsSharded <= 0 || p.Speedup <= 0 {
 			t.Errorf("point %d: wall_seconds_sharded = %v, speedup = %v", i, p.WallSecondsSharded, p.Speedup)
+		}
+	}
+}
+
+// TestFingerprintGateCanFail shows the engine's one gate rejecting
+// something: a twin that differs from its original by one option fails
+// the sweep with both points named, whether the pair runs serially or
+// side by side — and the same twin passes once the difference is only
+// that it runs in steps, on the seed it inherits.
+func TestFingerprintGateCanFail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	published := synthScenario(Options{Scale: 0.01}, modelSTAT, 40, 0)
+	published.label = "as-published"
+	twin := published
+	twin.twin, twin.samples, twin.label = 1, 5, "stepped-twin"
+	pair := func(b scenario) *sweep {
+		return &sweep{name: "gate", scens: func(Options) []scenario { return []scenario{published, b} }}
+	}
+	for _, parallelism := range []int{1, 2} {
+		o := Options{Seed: 3, Parallelism: parallelism}.withDefaults()
+		outs, err := runAllPaired(o, pair(twin))
+		if err != nil {
+			t.Fatalf("parallelism %d: an identical twin was rejected: %v", parallelism, err)
+		}
+		if outs[0].s.seed != outs[1].s.seed || len(outs[1].fill) != 5 {
+			t.Errorf("parallelism %d: twin ran on seed %d (original %d) with %d samples",
+				parallelism, outs[1].s.seed, outs[0].s.seed, len(outs[1].fill))
+		}
+		frozen := twin
+		frozen.opts.DisableReshuffle = true
+		_, err = runAllPaired(o, pair(frozen))
+		if err == nil {
+			t.Fatalf("parallelism %d: a twin with the reshuffle off passed the gate", parallelism)
+		}
+		for _, name := range []string{"gate as-published", "gate stepped-twin", "fingerprint"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("parallelism %d: gate error %q does not mention %q", parallelism, err, name)
+			}
 		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"avmon"
+	"avmon/internal/churn"
 	"avmon/internal/stats"
 )
 
@@ -52,17 +53,13 @@ type Options struct {
 	// contract — so this is purely a wall-clock knob, orthogonal to
 	// Parallelism (which runs independent sweep points concurrently).
 	// The scale experiment treats it specially: it runs each point
-	// both serial and sharded and reports the speedup.
+	// serial, then again sharded, and reports the speedup.
 	Shards int
 	// Progress, when non-nil, receives a serialized callback each
 	// time a sweep point completes — useful for long paper-scale
 	// runs. It must not assume any completion order, and done reaches
 	// total only when the sweep succeeds.
 	Progress ProgressFunc
-	// Chaos restricts the chaos experiment to the named scenarios
-	// (avmon-bench -chaos). Empty runs them all; an unknown name is an
-	// error listing the valid ones.
-	Chaos []string
 }
 
 // ErrInvalidOptions is wrapped by every error that rejects an Options
@@ -94,8 +91,7 @@ func (o Options) validate() error {
 		}
 		seen[n] = true
 	}
-	_, err := chaosSelect(o.Chaos)
-	return err
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -123,6 +119,15 @@ func (o Options) ns() []int {
 		return o.Ns
 	}
 	return []int{100, 500, 1000, 2000}
+}
+
+// firstN is the one size a fixed-population harness (wan, chaos,
+// realnet) runs at: the first of Ns, def when Ns is unset.
+func (o Options) firstN(def int) int {
+	if len(o.Ns) > 0 {
+		return o.Ns[0]
+	}
+	return def
 }
 
 // largestN is the last swept size, the one single-size figures use.
@@ -213,7 +218,8 @@ func (r *Result) String() string {
 
 // --- shared scenario machinery ---------------------------------------
 
-// modelKind names the availability models of Section 5.
+// modelKind names the availability models of Section 5 and the
+// beyond-paper ones the ablations and the chaos suite add.
 type modelKind int
 
 const (
@@ -223,6 +229,9 @@ const (
 	modelSYNTHBD2
 	modelPL
 	modelOV
+	modelFlappy     // SYNTH flapping constantly: 30-minute sessions, 3-minute downtimes
+	modelZoneOutage // static, three zones, scenario.outages takes zones down and back
+	modelStorm      // static, ordered joins, scenario.storm adds join and leave waves
 )
 
 func (k modelKind) String() string {
@@ -239,6 +248,12 @@ func (k modelKind) String() string {
 		return "PL"
 	case modelOV:
 		return "OV"
+	case modelFlappy:
+		return "flappy-SYNTH"
+	case modelZoneOutage:
+		return "ZONE-OUTAGE"
+	case modelStorm:
+		return "STORM"
 	default:
 		return "?"
 	}
@@ -250,23 +265,37 @@ type scenario struct {
 	n           int // stable size / protocol N
 	opts        avmon.NodeOptions
 	overreport  float64
-	warmup      time.Duration
+	collusion   *avmon.CollusionConfig
+	outages     string            // modelZoneOutage: the schedule, in ParseOutageSchedule's format
+	storm       avmon.StormConfig // modelStorm: the waves (N is filled in from n)
+	warmup      time.Duration     // 0 = no warm-up phase: measure starts the run
 	measure     time.Duration
 	controlFrac float64 // fraction of N enrolled after warm-up
-	seed        int64
-	latModel    avmon.LatencyModel // nil = constant 50ms
-	lossModel   avmon.LossModel    // nil = lossless
-	shards      int                // engine shards for this one run (0/1 = serial)
-	label       string             // names the point in progress output ("" = kind and N)
+	// samples > 0 chops measure into that many equal steps and samples
+	// coverage after each; 0 runs it uninterrupted.
+	samples int
+	// twin > 0 makes this point the twin of the one that many places
+	// before it in its sweep: it shares that point's seed, and the sweep
+	// fails unless both end fingerprint-identical.
+	twin      int
+	seed      int64
+	latModel  avmon.LatencyModel // nil = constant 50ms
+	lossModel avmon.LossModel    // nil = lossless
+	shards    int                // engine shards for this one run (0/1 = serial)
+	label     string             // names the point within its sweep ("" = kind and N)
 }
 
 // outcome is the state captured from one finished run.
 type outcome struct {
 	s          scenario // as run: seed and shards resolved
 	c          *avmon.Cluster
+	row        any   // a reducing sweep keeps this of the run, and nothing else but s
 	control    []int // enrolled control nodes (synthetic models)
 	warmupEnd  time.Duration
 	wall       time.Duration  // host time the run took
+	mem        memUsage       // host-measured sweeps: the reading after the run, counters since its start
+	fill       []float64      // stepped runs: coverage fill after each step,
+	eclipsed   float64        // and the eclipsed fraction after the last
 	checksAtW  map[int]uint64 // hash checks at warm-up end
 	uselessAtW map[int]uint64
 }
@@ -285,16 +314,30 @@ func (s scenario) model(horizon time.Duration) (avmon.ChurnModel, error) {
 		return avmon.NewPlanetLabModel(s.n, horizon, s.seed)
 	case modelOV:
 		return avmon.NewOvernetModel(s.n, horizon, s.seed)
+	case modelFlappy:
+		return churn.NewSYNTH(churn.SynthConfig{N: s.n, ChurnPerHour: 2.0, MeanDowntime: 3 * time.Minute})
+	case modelZoneOutage:
+		// The schedule goes through the textual format so the parser the
+		// CLI and the fuzzer exercise is load-bearing here too.
+		schedule, err := avmon.ParseOutageSchedule(s.outages)
+		if err != nil {
+			return nil, err
+		}
+		return avmon.NewZoneOutageModel(s.n, 3, schedule)
+	case modelStorm:
+		cfg := s.storm
+		cfg.N = s.n
+		return avmon.NewStormModel(cfg)
 	default:
 		return nil, fmt.Errorf("experiments: unknown model kind %d", s.kind)
 	}
 }
 
 // run executes the scenario: build, warm up, enroll control, measure.
+// It is the package's one way to a simulated cluster.
 func run(s scenario) (*outcome, error) {
 	start := time.Now()
-	horizon := s.warmup + s.measure + time.Hour
-	model, err := s.model(horizon)
+	model, err := s.model(s.warmup + s.measure + time.Hour)
 	if err != nil {
 		return nil, err
 	}
@@ -304,30 +347,37 @@ func run(s scenario) (*outcome, error) {
 		Shards:             s.shards,
 		Options:            s.opts,
 		OverreportFraction: s.overreport,
+		Collusion:          s.collusion,
 		LatencyModel:       s.latModel,
 		LossModel:          s.lossModel,
 	}, model)
 	if err != nil {
 		return nil, err
 	}
-	c.Run(s.warmup)
-	o := &outcome{
-		s:          s,
-		c:          c,
-		warmupEnd:  c.Elapsed(),
-		checksAtW:  make(map[int]uint64),
-		uselessAtW: make(map[int]uint64),
+	o := &outcome{s: s, c: c}
+	if s.warmup > 0 {
+		c.Run(s.warmup)
+		o.warmupEnd = c.Elapsed()
+		o.checksAtW = make(map[int]uint64)
+		o.uselessAtW = make(map[int]uint64)
+		if s.controlFrac > 0 {
+			o.control = c.EnrollControl(int(float64(s.n)*s.controlFrac + 0.5))
+		}
+		for i := 0; i < c.Size(); i++ {
+			st := c.Stats(i)
+			o.checksAtW[i] = st.HashChecks
+			o.uselessAtW[i] = st.UselessMonPings
+		}
+		c.ResetTraffic()
 	}
-	if s.controlFrac > 0 {
-		o.control = c.EnrollControl(int(float64(s.n)*s.controlFrac + 0.5))
+	if s.samples == 0 {
+		c.Run(s.measure)
 	}
-	for i := 0; i < c.Size(); i++ {
-		st := c.Stats(i)
-		o.checksAtW[i] = st.HashChecks
-		o.uselessAtW[i] = st.UselessMonPings
+	for i := 0; i < s.samples; i++ {
+		c.Run(s.measure / time.Duration(s.samples))
+		fill, eclipsed := coverage(c)
+		o.fill, o.eclipsed = append(o.fill, fill), eclipsed
 	}
-	c.ResetTraffic()
-	c.Run(s.measure)
 	o.wall = time.Since(start)
 	return o, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -25,10 +26,14 @@ func tinyOptions() Options {
 	return Options{Scale: 0.01, Seed: 7, Ns: []int{60, 120}}
 }
 
-// hostBound are the ids whose rendered tables carry host measurements
-// (wall clock, RSS, a live deployment): run and smoke-checked like the
-// rest, but never compared byte for byte.
-var hostBound = map[string]bool{"scale": true, "realnet": true}
+// hostBound reports whether a row's rendered tables carry host
+// measurements (wall clock, RSS, a live deployment): such ids are run
+// and smoke-checked like the rest, but never compared byte for byte.
+// The catalogue says which: the host-measured sweep and the artifact
+// writer that reads no sweep.
+func hostBound(e experiment) bool {
+	return e.artifact != "" && (e.sweep == nil || e.sweep.serial)
+}
 
 // tinyAll is one RunAll of every deterministic id at tinyOptions,
 // shared by the tests that read it.
@@ -46,9 +51,9 @@ func runTinyAll(t *testing.T) map[string]*Result {
 	}
 	tinyAll.once.Do(func() {
 		var ids []string
-		for _, id := range IDs() {
-			if !hostBound[id] {
-				ids = append(ids, id)
+		for _, e := range catalogue {
+			if !hostBound(e) {
+				ids = append(ids, e.id)
 			}
 		}
 		o := tinyOptions()
@@ -91,10 +96,35 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("missing experiment %q", id)
 		}
 	}
+	var selfRunning, artifactRows []string
 	for _, e := range catalogue {
-		if (e.self == nil) == (e.sweep == nil || e.view == nil) {
-			t.Errorf("%s: a row either runs itself or reads a sweep through a view", e.id)
+		readers := 0
+		for _, set := range []bool{e.view != nil, e.report != nil, e.self != nil} {
+			if set {
+				readers++
+			}
 		}
+		if readers != 1 || (e.self == nil) != (e.sweep != nil) {
+			t.Errorf("%s: a row reads a sweep through one view or report, or runs itself", e.id)
+		}
+		if e.sweep != nil && (e.report != nil) != (e.artifact != "") {
+			t.Errorf("%s: a sweep row has a report exactly when it names an artifact", e.id)
+		}
+		if e.self != nil {
+			selfRunning = append(selfRunning, e.id)
+		}
+		if e.artifact != "" {
+			artifactRows = append(artifactRows, e.id)
+		}
+	}
+	// self is for what simulates no cluster through a sweep — and for
+	// realnet's wall-clock arms.
+	if want := []string{"ablation-consistency", "ablation-hash", "realnet"}; !reflect.DeepEqual(selfRunning, want) {
+		t.Errorf("self-running rows = %v, want exactly %v", selfRunning, want)
+	}
+	// The rows "all" leaves out are read off the same table.
+	if want := []string{"scale", "wan", "chaos", "realnet"}; !reflect.DeepEqual(artifactRows, want) {
+		t.Errorf("rows that write an artifact = %v, want %v", artifactRows, want)
 	}
 	if err := RunAll([]string{"figure99"}, Options{}, nil); err == nil {
 		t.Error("unknown experiment id accepted")
@@ -106,18 +136,25 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	const goldenPath = "testdata/rendered.golden"
 	pinned, _ := os.ReadFile(goldenPath)
 	var golden strings.Builder
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			res := shared[id]
-			if hostBound[id] {
+	pin := func(t *testing.T, name string, content []byte, shown string) {
+		line := fmt.Sprintf("%s %x\n", name, sha256.Sum256(content))
+		golden.WriteString(line)
+		if !*updateGolden && !strings.Contains(string(pinned), line) {
+			t.Errorf("%s is not the one pinned in %s:\n%s", name, goldenPath, shown)
+		}
+	}
+	for _, e := range catalogue {
+		e := e
+		t.Run(e.id, func(t *testing.T) {
+			res := shared[e.id]
+			if hostBound(e) {
 				var err error
-				if res, err = Registry()[id](tinyOptions()); err != nil {
-					t.Fatalf("%s failed: %v", id, err)
+				if res, err = Registry()[e.id](tinyOptions()); err != nil {
+					t.Fatalf("%s failed: %v", e.id, err)
 				}
 			}
-			if res.ID != id {
-				t.Errorf("result ID = %q, want %q", res.ID, id)
+			if res.ID != e.id {
+				t.Errorf("result ID = %q, want %q", res.ID, e.id)
 			}
 			if len(res.Tables) == 0 {
 				t.Fatal("no tables produced")
@@ -131,17 +168,41 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 					t.Errorf("table %q empty", tb.Title)
 				}
 			}
-			if hostBound[id] {
+			if (e.artifact != "") != (len(res.Artifacts[e.artifact]) > 0) {
+				t.Errorf("artifacts %v, the catalogue names %q", len(res.Artifacts), e.artifact)
+			}
+			if hostBound(e) {
 				return
 			}
 			// Every other rendering is a pure function of Options, so
 			// its digest is pinned: a PR that moves one says so by
 			// rerunning with -update.
-			line := fmt.Sprintf("%s %x\n", id, sha256.Sum256([]byte(text)))
-			golden.WriteString(line)
-			if !*updateGolden && !strings.Contains(string(pinned), line) {
-				t.Errorf("rendering is not the one pinned in %s:\n%s", goldenPath, text)
+			pin(t, e.id, []byte(text), text)
+		})
+	}
+	// So are the points of the artifacts the deterministic sweeps write,
+	// outside the host's wall clock: an envelope or metric drift that
+	// leaves the tables alone still moves a line here.
+	for _, e := range catalogue {
+		if e.artifact == "" || hostBound(e) {
+			continue
+		}
+		e := e
+		t.Run(e.artifact, func(t *testing.T) {
+			var art struct {
+				Points []map[string]any `json:"points"`
 			}
+			if err := json.Unmarshal(shared[e.id].Artifacts[e.artifact], &art); err != nil || len(art.Points) == 0 {
+				t.Fatalf("artifact has no points (%v)", err)
+			}
+			for _, p := range art.Points {
+				p["wall_seconds"], p["shard_busy_ns"] = 0, 0
+			}
+			points, err := json.Marshal(art.Points) // map keys marshal sorted
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin(t, e.artifact+":points", points, "(its points; the tables above are pinned separately)")
 		})
 	}
 	if *updateGolden {
@@ -153,36 +214,43 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 
 // TestRunAllMatchesSingleRuns is the catalogue's contract: what an id
 // renders does not depend on what it is run with — one RunAll of
-// everything prints, for every id, the bytes Registry()[id] prints
-// alone — and a sweep several ids read is simulated once.
+// everything prints, for every id, the bytes it prints in a RunAll of
+// just the ids that read its sweep — and a sweep several ids read is
+// simulated once. (Each distinct sweep is re-simulated once here, not
+// once per id.)
 func TestRunAllMatchesSingleRuns(t *testing.T) {
 	shared := runTinyAll(t)
 	wantPoints := 0
 	ran := make(map[*sweep]bool)
 	for _, e := range catalogue {
-		if hostBound[e.id] {
+		if hostBound(e) || ran[e.sweep] {
 			continue
 		}
-		o := tinyOptions()
-		points := 0
-		o.Progress = func(done, total int, _ string) {
-			if done == total {
-				points += total
-			}
-		}
-		alone, err := Registry()[e.id](o)
-		if err != nil {
-			t.Fatalf("%s alone: %v", e.id, err)
-		}
-		if got, want := shared[e.id].String(), alone.String(); got != want {
-			t.Errorf("%s renders differently under RunAll of everything\n--- all ---\n%s\n--- alone ---\n%s",
-				e.id, got, want)
-		}
-		if e.sweep == nil || !ran[e.sweep] {
-			wantPoints += points
-		}
+		ids := []string{e.id}
 		if e.sweep != nil {
 			ran[e.sweep] = true
+			ids = ids[:0]
+			for _, w := range catalogue {
+				if w.sweep == e.sweep {
+					ids = append(ids, w.id)
+				}
+			}
+		}
+		o := tinyOptions()
+		o.Progress = func(done, total int, _ string) {
+			if done == total {
+				wantPoints += total
+			}
+		}
+		err := RunAll(ids, o, func(alone *Result) error {
+			if got, want := shared[alone.ID].String(), alone.String(); got != want {
+				t.Errorf("%s renders differently under RunAll of everything\n--- all ---\n%s\n--- its sweep alone ---\n%s",
+					alone.ID, got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v alone: %v", ids, err)
 		}
 	}
 	if tinyAll.points != wantPoints {
@@ -202,7 +270,7 @@ func TestSharedViewsReadTheSameRun(t *testing.T) {
 	}
 	o := tinyOptions().withDefaults()
 	run := func(sw *sweep) []*outcome {
-		outs, err := runAllPaired(o, sw.scens(o), sw.group)
+		outs, err := runAllPaired(o, sw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,8 +303,7 @@ func TestSharedViewsReadTheSameRun(t *testing.T) {
 // anything runs.
 func TestOptionsValidation(t *testing.T) {
 	valid := func() Options {
-		return Options{Scale: 0.01, Seed: 7, Ns: []int{60, 120}, Parallelism: 2, Shards: 2,
-			Chaos: []string{"collusion"}}
+		return Options{Scale: 0.01, Seed: 7, Ns: []int{60, 120}, Parallelism: 2, Shards: 2}
 	}
 	if err := valid().validate(); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
@@ -253,8 +320,6 @@ func TestOptionsValidation(t *testing.T) {
 		"zero N":               func(o *Options) { o.Ns = []int{60, 0} },
 		"negative N":           func(o *Options) { o.Ns = []int{-5} },
 		"duplicate N":          func(o *Options) { o.Ns = []int{60, 120, 60} },
-		"unknown chaos name":   func(o *Options) { o.Chaos = []string{"collusion", "meteor-strike"} },
-		"empty chaos name":     func(o *Options) { o.Chaos = []string{""} },
 	} {
 		breakIt := breakIt
 		t.Run(name, func(t *testing.T) {
@@ -276,14 +341,6 @@ func TestOptionsValidation(t *testing.T) {
 	for _, id := range []string{"chaos", "realnet"} {
 		if _, err := Registry()[id](Options{Ns: []int{10}}); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("%s at N=10: err = %v, want one wrapping ErrInvalidOptions", id, err)
-		}
-	}
-	// An unknown scenario's error is the discovery surface: it lists
-	// every valid name.
-	_, err := chaosSelect([]string{"meteor-strike"})
-	for _, s := range ChaosScenarios() {
-		if err == nil || !strings.Contains(err.Error(), s.Name) {
-			t.Errorf("unknown-scenario error %v does not list %q", err, s.Name)
 		}
 	}
 }
@@ -331,7 +388,8 @@ func TestMeanDiscoveryDropsOutlier(t *testing.T) {
 }
 
 func TestModelKindStrings(t *testing.T) {
-	kinds := []modelKind{modelSTAT, modelSYNTH, modelSYNTHBD, modelSYNTHBD2, modelPL, modelOV}
+	kinds := []modelKind{modelSTAT, modelSYNTH, modelSYNTHBD, modelSYNTHBD2, modelPL, modelOV,
+		modelFlappy, modelZoneOutage, modelStorm}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -10,41 +10,45 @@ import (
 	"strings"
 )
 
-// HostStats is the shared host section of every BENCH artifact: a
-// snapshot of the process's memory and GC behaviour taken when the
-// artifact is assembled, plus the machine shape. All fields describe
-// the machine that produced the file and vary run to run; consumers
-// comparing artifacts across PRs must never gate on them, only track
-// them (peak RSS and GC counts are the perf trajectory the memory-diet
-// work is measured by).
-type HostStats struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	HostCores  int `json:"host_cores"`
-
-	// Go heap at collection time, cumulative allocation, and completed
-	// GC cycles (runtime.MemStats HeapAlloc / TotalAlloc / NumGC).
+// memUsage is one reading of the process's memory: a host-measured
+// sweep takes it around every point, and every artifact's host section
+// ends with one.
+type memUsage struct {
+	// Go heap now, cumulative allocation, and completed GC cycles
+	// (runtime.MemStats HeapAlloc / TotalAlloc / NumGC).
 	HeapAllocMB  float64 `json:"heap_alloc_mb"`
 	TotalAllocMB float64 `json:"total_alloc_mb"`
 	NumGC        uint32  `json:"num_gc"`
-
 	// Peak resident set size of the whole process (Linux VmHWM;
 	// 0 = not measured on this platform).
 	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
-// collectHostStats snapshots the process for an artifact's host
-// section.
-func collectHostStats() HostStats {
+func readMemUsage() memUsage {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return HostStats{
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		HostCores:    runtime.NumCPU(),
+	return memUsage{
 		HeapAllocMB:  float64(ms.HeapAlloc) / (1 << 20),
 		TotalAllocMB: float64(ms.TotalAlloc) / (1 << 20),
 		NumGC:        ms.NumGC,
 		PeakRSSMB:    peakRSSMB(),
 	}
+}
+
+// HostStats is the host section of every BENCH artifact: the machine
+// shape and the process's memory and GC behaviour when the artifact is
+// assembled. All of it describes the machine that produced the file and
+// varies run to run; consumers comparing artifacts across PRs must
+// never gate on it, only track it (peak RSS and GC counts are the perf
+// trajectory the memory-diet work is measured by).
+type HostStats struct {
+	GOMAXPROCS int `json:"gomaxprocs"`
+	HostCores  int `json:"host_cores"`
+	memUsage
+}
+
+func collectHostStats() HostStats {
+	return HostStats{GOMAXPROCS: runtime.GOMAXPROCS(0), HostCores: runtime.NumCPU(), memUsage: readMemUsage()}
 }
 
 // peakRSSMB reads the process's peak resident set size from
@@ -77,10 +81,35 @@ func peakRSSMB() float64 {
 	return 0
 }
 
-// artifact renders v as the one machine-readable file of experiment id,
-// the way every BENCH_*.json is written: indented, newline-terminated.
-func artifact(id, name string, v any) (map[string][]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
+// envelopeSchema versions the envelope; a consumer that finds another
+// number is reading a layout it does not know.
+const envelopeSchema = 1
+
+// envelope is the one layout of every BENCH_*.json: what was asked
+// (experiment, seed, scale, shards), the system sizes it resolved to,
+// the host that produced it, then what the harness itself adds —
+// params, the constants its points are to be read against, and points,
+// its result rows (ScalePoint, WanPoint, ChaosPoint, RealnetPoint).
+type envelope struct {
+	Schema     int       `json:"schema"`
+	Experiment string    `json:"experiment"`
+	Seed       int64     `json:"seed"`
+	Scale      float64   `json:"scale"`
+	Ns         []int     `json:"ns"`
+	Shards     int       `json:"shards"`
+	Host       HostStats `json:"host"`
+	Params     any       `json:"params,omitempty"`
+	Points     any       `json:"points"`
+}
+
+// artifact renders experiment id's one machine-readable file, the way
+// every BENCH_*.json is written: the envelope, indented,
+// newline-terminated.
+func artifact(o Options, id, name string, ns []int, params, points any) (map[string][]byte, error) {
+	data, err := json.MarshalIndent(envelope{
+		Schema: envelopeSchema, Experiment: id, Seed: o.Seed, Scale: o.Scale, Ns: ns, Shards: o.Shards,
+		Host: collectHostStats(), Params: params, Points: points,
+	}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("%s: marshal artifact: %w", id, err)
 	}

@@ -1,6 +1,6 @@
 package experiments
 
-// What views and the self-running harnesses read off a finished run.
+// What views and reports read off a run.
 // Each quantity is computed here once, in one floating-point order, so
 // two tables that print "the same quantity" cannot disagree.
 
@@ -56,6 +56,17 @@ func (o *outcome) discovery() discoverySummary {
 		p93Sec:     cdfOf(in(time.Duration.Seconds, times)).Percentile(93),
 		meanMin:    meanDiscoveryMinutes(times),
 	}
+}
+
+// shardCost is what a sharded run's scheduler reports: windows executed
+// (deterministic) and per-shard busy wall-clock (a host metric). Both
+// are zero after a serial run.
+func shardCost(c *avmon.Cluster) (windows uint64, busyNS []int64) {
+	st, _ := c.SchedStats()
+	for _, sh := range st.PerShard {
+		busyNS = append(busyNS, sh.BusyNS)
+	}
+	return st.Windows, busyNS
 }
 
 // allBorn returns every node that was ever born (the Nlongterm
@@ -211,4 +222,37 @@ func affectedFraction(c *avmon.Cluster) float64 {
 		return 0
 	}
 	return float64(affected) / float64(measured)
+}
+
+// coverage measures the system's useful monitoring capacity over alive
+// honest nodes, the quantity a stepped run samples: fill is the mean of
+// (alive honest monitors discovered) / K, eclipsed the fraction with
+// none — nobody trustworthy measures them. Fill dips when monitors die
+// (zone outage), when they defect (collusion), and when newcomers have
+// not been discovered yet (flash crowd), and climbs back as the
+// protocol self-repairs.
+func coverage(c *avmon.Cluster) (fill, eclipsed float64) {
+	trusted := func(i int) bool { return !c.IsColluder(i) && c.Stats(i).Alive }
+	honest, dark := 0, 0
+	k := float64(c.K())
+	for i := 0; i < c.Size(); i++ {
+		if !trusted(i) {
+			continue
+		}
+		honest++
+		useful := 0
+		for _, mon := range c.MonitorsOf(i) {
+			if mi, ok := c.IndexOf(mon); ok && trusted(mi) {
+				useful++
+			}
+		}
+		fill += float64(useful) / k
+		if useful == 0 {
+			dark++
+		}
+	}
+	if honest == 0 {
+		return 0, 0
+	}
+	return fill / float64(honest), float64(dark) / float64(honest)
 }

@@ -26,7 +26,8 @@ func TestMemoizedSelectorChangesNoTable(t *testing.T) {
 
 	// One seed group: both variants run against the same churn
 	// realization, so any divergence is the memo's doing.
-	outs, err := runAllPaired(o, []scenario{memoized, plain}, func(int) int { return 0 })
+	outs, err := runAllPaired(o, &sweep{group: oneRealization,
+		scens: func(Options) []scenario { return []scenario{memoized, plain} }})
 	if err != nil {
 		t.Fatal(err)
 	}

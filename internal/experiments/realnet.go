@@ -16,10 +16,10 @@ package experiments
 // behavior.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"strings"
+	"syscall"
 	"time"
 
 	"avmon"
@@ -121,31 +121,6 @@ type RealnetPoint struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// realnetArtifact is the BENCH_realnet.json envelope.
-type realnetArtifact struct {
-	Experiment    string            `json:"experiment"`
-	Seed          int64             `json:"seed"`
-	Scale         float64           `json:"scale"`
-	N             int               `json:"n"`
-	GOMAXPROCS    int               `json:"gomaxprocs"`
-	Deterministic bool              `json:"deterministic"` // always false: half is wall clock
-	Tolerances    RealnetTolerances `json:"tolerances"`
-	Host          HostStats         `json:"host"`
-	Points        []RealnetPoint    `json:"points"`
-}
-
-// realnetArm is everything measured from one real deployment.
-type realnetArm struct {
-	discovered             int
-	controlSize            int
-	meanDiscoveryPeriods   float64
-	coverage               float64
-	bytesPerNodePeriod     float64
-	datagramsPerNodePeriod float64
-	droppedDatagrams       uint64
-	inboxOverflows         uint64
-}
-
 // realnetOpts are the per-node protocol knobs shared by both arms
 // (periods differ: the sim keeps its 1-virtual-minute default, the
 // real arm compresses the period to wall-clock milliseconds — all
@@ -160,14 +135,16 @@ func realnetOpts(period time.Duration) avmon.NodeOptions {
 	}
 }
 
-// runRealnetArm boots n real services over the transports produced by
-// listen, measures discovery of the late-joining control group and
-// steady-state coverage/bandwidth, and tears everything down. stats is
-// called at the end for network-level drop counters (nil-able).
-func runRealnetArm(n int, period time.Duration, seed int64,
+// runRealnetArm boots p.N real services over the transports produced
+// by listen, measures discovery of the late-joining control group and
+// steady-state coverage/bandwidth into p's real-arm fields, and tears
+// everything down. netStats is called at the end for network-level drop
+// counters.
+func runRealnetArm(p *RealnetPoint, period time.Duration, seed int64,
 	listen func(i int) (id ids.ID, tr avmon.Transport, traffic observer.Traffic, err error),
-	netStats func() (dropped, overflows uint64)) (*realnetArm, error) {
+	netStats func() (dropped, overflows uint64)) error {
 
+	n := p.N
 	ctl := n / 10
 	if ctl < 1 {
 		ctl = 1
@@ -220,7 +197,7 @@ func runRealnetArm(n int, period time.Duration, seed int64,
 			bs = addrs[i/2]
 		}
 		if err := boot(i, bs); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -244,7 +221,7 @@ func runRealnetArm(n int, period time.Duration, seed int64,
 	obs := observer.New(period / 2)
 	for i := base; i < n; i++ {
 		if err := boot(i, addrs[rng.Intn(base)]); err != nil {
-			return nil, err
+			return err
 		}
 		in := instances[len(instances)-1]
 		obs.Add(observer.Target{Node: in.svc, Traffic: in.traffic})
@@ -266,15 +243,15 @@ func runRealnetArm(n int, period time.Duration, seed int64,
 		time.Sleep(period / 2)
 	}
 
-	arm := &realnetArm{controlSize: ctl}
+	p.ControlSize = ctl
 	var disc stats.Welford
 	for i := 0; i < ctl; i++ {
 		if d, ok := obs.DiscoveryTime(i); ok {
-			arm.discovered++
+			p.Discovered++
 			disc.Add(float64(d) / float64(period))
 		}
 	}
-	arm.meanDiscoveryPeriods = disc.Mean()
+	p.MeanDiscoveryPeriods = disc.Mean()
 
 	// Steady-state measurement window: snapshot traffic, wait, diff.
 	type snap struct{ bytes, datagrams uint64 }
@@ -292,13 +269,11 @@ func runRealnetArm(n int, period time.Duration, seed int64,
 		bw.Add(float64(in.traffic.WireBytesSent()-before[i].bytes) / measurePeriods)
 		dg.Add(float64(in.traffic.DatagramsSent()-before[i].datagrams) / measurePeriods)
 	}
-	arm.coverage = fill.Mean()
-	arm.bytesPerNodePeriod = bw.Mean()
-	arm.datagramsPerNodePeriod = dg.Mean()
-	if netStats != nil {
-		arm.droppedDatagrams, arm.inboxOverflows = netStats()
-	}
-	return arm, nil
+	p.Coverage = fill.Mean()
+	p.BytesPerNodePeriod = bw.Mean()
+	p.DatagramsPerNodePeriod = dg.Mean()
+	p.DroppedDatagrams, p.InboxOverflows = netStats()
+	return nil
 }
 
 // realnetSim runs the simulator's prediction for the same regime: a
@@ -383,15 +358,11 @@ func realnetGate(p *RealnetPoint, tol RealnetTolerances) {
 // Options.Ns[0] overrides the deployment size; Options.Scale scales
 // the real-arm protocol period (floor 60ms).
 func realnet(o Options) (*Result, error) {
-	n := realnetDefaultN
-	if len(o.Ns) > 0 {
-		n = o.Ns[0]
-	}
+	n := o.firstN(realnetDefaultN)
 	if n < 20 {
 		return nil, fmt.Errorf("%w: N must be ≥ 20, got %d", ErrInvalidOptions, n)
 	}
 	period := o.scaled(200*time.Millisecond, 60*time.Millisecond)
-	tol := realnetTolerances
 
 	progress := func(done int, label string) {
 		if o.Progress != nil {
@@ -411,36 +382,22 @@ func realnet(o Options) (*Result, error) {
 		listen func(i int) (ids.ID, avmon.Transport, observer.Traffic, error),
 		netStats func() (uint64, uint64)) error {
 		start := time.Now()
-		arm, err := runRealnetArm(n, period, deriveSeed(o.Seed, modeSeedIndex(mode)), listen, netStats)
-		if err != nil {
+		p := *sim
+		p.Mode, p.N, p.K = mode, n, realnetK
+		p.PeriodMS = float64(period) / float64(time.Millisecond)
+		if err := runRealnetArm(&p, period, deriveSeed(o.Seed, modeSeedIndex(mode)), listen, netStats); err != nil {
 			return fmt.Errorf("realnet: %s arm: %w", mode, err)
 		}
-		p := *sim
-		p.Mode = mode
-		p.N = n
-		p.K = realnetK
-		p.PeriodMS = float64(period) / float64(time.Millisecond)
-		p.ControlSize = arm.controlSize
-		p.Discovered = arm.discovered
-		p.MeanDiscoveryPeriods = arm.meanDiscoveryPeriods
-		p.Coverage = arm.coverage
-		p.BytesPerNodePeriod = arm.bytesPerNodePeriod
-		p.DatagramsPerNodePeriod = arm.datagramsPerNodePeriod
-		p.DroppedDatagrams = arm.droppedDatagrams
-		p.InboxOverflows = arm.inboxOverflows
 		p.WallSeconds = time.Since(start).Seconds()
-		realnetGate(&p, tol)
+		realnetGate(&p, realnetTolerances)
 		pts = append(pts, p)
 		progress(done, "realnet "+mode)
 		return nil
 	}
 
 	// Mode 1: memnet loopback with a 2ms constant modeled latency.
-	lat, err := simnet.NewConstantLatency(2 * time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	memNet := memnet.New(memnet.Config{Latency: lat, Seed: deriveSeed(o.Seed, 1), InboxDepth: 8192})
+	memNet := memnet.New(memnet.Config{Latency: mustModel(simnet.NewConstantLatency(2 * time.Millisecond)),
+		Seed: deriveSeed(o.Seed, 1), InboxDepth: 8192})
 	memTransports := make(map[int]*memnet.Transport)
 	err = runMode("memnet", 2, func(i int) (ids.ID, avmon.Transport, observer.Traffic, error) {
 		id := ids.Sim(i + 1)
@@ -484,7 +441,8 @@ func realnet(o Options) (*Result, error) {
 			}
 			return dropped, 0
 		})
-		if udpErr == nil || !isBindError(udpErr) {
+		// An occupied port is the only UDP-arm error worth retrying.
+		if !errors.Is(udpErr, syscall.EADDRINUSE) {
 			break
 		}
 		portBase = (portBase+2048-20000)%40000 + 20000
@@ -511,17 +469,7 @@ func realnet(o Options) (*Result, error) {
 			gate)
 	}
 
-	artifacts, err := artifact("realnet", RealnetArtifactName, realnetArtifact{
-		Experiment:    "realnet",
-		Seed:          o.Seed,
-		Scale:         o.Scale,
-		N:             n,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Deterministic: false,
-		Tolerances:    tol,
-		Host:          collectHostStats(),
-		Points:        pts,
-	})
+	artifacts, err := artifact(o, "realnet", RealnetArtifactName, []int{n}, realnetTolerances, pts)
 	if err != nil {
 		return nil, err
 	}
@@ -548,12 +496,4 @@ func modeSeedIndex(mode string) int {
 		sum += int(r)
 	}
 	return sum
-}
-
-// isBindError reports whether err looks like a socket bind failure
-// (address in use), the only UDP-arm error worth retrying on a
-// different port block.
-func isBindError(err error) bool {
-	return err != nil && (strings.Contains(err.Error(), "address already in use") ||
-		strings.Contains(err.Error(), "bind"))
 }

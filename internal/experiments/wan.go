@@ -14,8 +14,7 @@ package experiments
 // lookahead adapts to each latency model's MinLatency floor.
 
 import (
-	"fmt"
-	"runtime"
+	"strings"
 	"time"
 
 	"avmon"
@@ -32,8 +31,8 @@ const WanArtifactName = "BENCH_wan.json"
 const wanDefaultN = 300
 
 // WanPoint is one (latency model × loss regime) cell of the wan sweep
-// as serialized into BENCH_wan.json. All fields except WallSeconds
-// are deterministic functions of (Options, regime).
+// as serialized into BENCH_wan.json. All fields except WallSeconds and
+// ShardBusyNS are deterministic functions of (Options, regime).
 type WanPoint struct {
 	Latency      string  `json:"latency"`
 	Loss         string  `json:"loss"`
@@ -57,138 +56,82 @@ type WanPoint struct {
 
 	// Scheduler counters, present only when the sweep ran sharded
 	// (avmon-bench -shards): executed windows per regime (deterministic;
-	// barriers always equal them — the narrower the latency floor, the
-	// more windows the same events cost), and per-shard busy wall-clock
-	// (host metric). They live in the artifact only, so the rendered
-	// tables stay byte-identical at any shard count.
-	Barriers    uint64  `json:"barriers,omitempty"`
+	// the narrower the latency floor, the more windows the same events
+	// cost), and per-shard busy wall-clock (host metric). They live in
+	// the artifact only, so the rendered tables stay byte-identical at
+	// any shard count.
 	Windows     uint64  `json:"windows,omitempty"`
 	ShardBusyNS []int64 `json:"shard_busy_ns,omitempty"`
 }
 
-// wanArtifact is the BENCH_wan.json envelope.
-type wanArtifact struct {
-	Experiment string     `json:"experiment"`
-	Seed       int64      `json:"seed"`
-	Scale      float64    `json:"scale"`
-	N          int        `json:"n"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	HostCores  int        `json:"host_cores,omitempty"`
-	Host       HostStats  `json:"host"`
-	Points     []WanPoint `json:"points"`
+// mustModel unwraps a network-model constructor called with constants.
+func mustModel[M any](m M, err error) M {
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
-// wanRegime names one cell of the latency × loss cross product.
-type wanRegime struct {
-	latName  string
-	latency  avmon.LatencyModel
-	lossName string
-	loss     avmon.LossModel
-}
-
-// wanRegimes builds the sweep: three latency models (the constant
+// wanScens builds the sweep: three latency models (the constant
 // baseline, a heavy-tailed lognormal, a 3-zone matrix) crossed with
 // three loss regimes (lossless, 1% independent, Gilbert-Elliott
-// burst). Models are immutable, so sharing them across concurrently
-// running sweep points is safe.
-func wanRegimes() ([]wanRegime, error) {
+// burst), each labelled "latency/loss", all on the same static
+// workload at Options.Ns[0] (default 300). Models are immutable, so
+// sharing them across concurrently running points is safe.
+func wanScens(o Options) []scenario {
 	ms := time.Millisecond
-	constant, err := avmon.NewConstantLatency(50 * ms)
-	if err != nil {
-		return nil, err
-	}
-	// Floor 5ms (continental propagation), median 5+60ms, heavy tail
-	// capped at 2s: the shape of measured WAN RTT distributions. The
-	// sharded lookahead shrinks from 50ms to the 5ms floor.
-	lognormal, err := avmon.NewLognormalLatency(5*ms, 60*ms, 0.6, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	// Three zones (think continents): cheap intra-zone links, 80–220ms
-	// inter-zone base latency, 20% jitter. Lookahead = 10ms.
-	zones, err := avmon.NewZoneLatency([][]time.Duration{
-		{10 * ms, 90 * ms, 160 * ms},
-		{95 * ms, 15 * ms, 210 * ms},
-		{150 * ms, 220 * ms, 12 * ms},
-	}, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	bernoulli, err := avmon.NewBernoulliLoss(0.01)
-	if err != nil {
-		return nil, err
-	}
-	// Bursts average 4 messages (exit 0.25) at 30% in-burst loss, with
-	// a near-lossless good state: the same mean rate territory as the
-	// 1% Bernoulli regime, but correlated.
-	burst, err := avmon.NewGilbertElliottLoss(0.02, 0.25, 0.001, 0.3)
-	if err != nil {
-		return nil, err
-	}
 	lats := []struct {
 		name string
 		m    avmon.LatencyModel
 	}{
-		{"const-50ms", constant},
-		{"lognormal", lognormal},
-		{"zones-3", zones},
+		{"const-50ms", mustModel(avmon.NewConstantLatency(50 * ms))},
+		// Floor 5ms (continental propagation), median 5+60ms, heavy tail
+		// capped at 2s: the shape of measured WAN RTT distributions. The
+		// sharded lookahead shrinks from 50ms to the 5ms floor.
+		{"lognormal", mustModel(avmon.NewLognormalLatency(5*ms, 60*ms, 0.6, 2*time.Second))},
+		// Three zones (think continents): cheap intra-zone links, 80–220ms
+		// inter-zone base latency, 20% jitter. Lookahead = 10ms.
+		{"zones-3", mustModel(avmon.NewZoneLatency([][]time.Duration{
+			{10 * ms, 90 * ms, 160 * ms},
+			{95 * ms, 15 * ms, 210 * ms},
+			{150 * ms, 220 * ms, 12 * ms},
+		}, 0.2))},
 	}
 	losses := []struct {
 		name string
 		m    avmon.LossModel
 	}{
 		{"lossless", nil},
-		{"bernoulli-1%", bernoulli},
-		{"ge-burst", burst},
+		{"bernoulli-1%", mustModel(avmon.NewBernoulliLoss(0.01))},
+		// Bursts average 4 messages (exit 0.25) at 30% in-burst loss, with
+		// a near-lossless good state: the same mean rate territory as the
+		// 1% Bernoulli regime, but correlated.
+		{"ge-burst", mustModel(avmon.NewGilbertElliottLoss(0.02, 0.25, 0.001, 0.3))},
 	}
-	var out []wanRegime
+	var scens []scenario
 	for _, l := range lats {
 		for _, p := range losses {
-			out = append(out, wanRegime{latName: l.name, latency: l.m, lossName: p.name, loss: p.m})
+			scens = append(scens, scenario{
+				kind:        modelSTAT,
+				n:           o.firstN(wanDefaultN),
+				warmup:      o.scaled(20*time.Minute, 5*time.Minute),
+				measure:     o.scaled(2*time.Hour, 10*time.Minute),
+				controlFrac: 0.1,
+				latModel:    l.m,
+				lossModel:   p.m,
+				label:       l.name + "/" + p.name,
+			})
 		}
 	}
-	return out, nil
+	return scens
 }
 
-// wan sweeps heterogeneous WAN latency models against loss regimes on
-// a static system and reports discovery time and monitoring coverage
-// per regime, plus the BENCH_wan.json artifact. Every regime runs the
-// same workload with the same derived seed (common random numbers);
-// Options.Shards applies per run and never changes the results.
-func wan(o Options) (*Result, error) {
-	n := wanDefaultN
-	if len(o.Ns) > 0 {
-		n = o.Ns[0]
-	}
-	regimes, err := wanRegimes()
-	if err != nil {
-		return nil, fmt.Errorf("wan: %w", err)
-	}
-	scens := make([]scenario, len(regimes))
-	for i, r := range regimes {
-		scens[i] = scenario{
-			kind:        modelSTAT,
-			n:           n,
-			warmup:      o.scaled(20*time.Minute, 5*time.Minute),
-			measure:     o.scaled(2*time.Hour, 10*time.Minute),
-			controlFrac: 0.1,
-			latModel:    r.latency,
-			lossModel:   r.loss,
-			label:       fmt.Sprintf("wan %s/%s", r.latName, r.lossName),
-		}
-	}
-	// One shared seed group: every regime faces the identical
-	// population and control-group draw, so regime deltas are paired
-	// comparisons.
-	outs, err := runAllPaired(o, scens, oneRealization)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]WanPoint, len(outs))
-	for i, out := range outs {
-		pts[i] = wanPointMetrics(regimes[i], out)
-	}
-
+// wanReport renders discovery time and monitoring coverage per regime;
+// the regimes are BENCH_wan.json's points. Every regime ran the same
+// workload on the same derived seed (common random numbers), so every
+// delta isolates the network model; Options.Shards applies per run and
+// never changes the results.
+func wanReport(_ Options, outs []*outcome) ([]*Table, any, any) {
 	disc := &Table{
 		Title: "WAN regimes: discovery of new joiners (paired seeds)",
 		Header: []string{"latency", "loss", "floor (ms)", "control", "discovered",
@@ -199,53 +142,30 @@ func wan(o Options) (*Result, error) {
 		Header: []string{"latency", "loss", "|PS|/K", "ack ratio", "B/s/node",
 			"useless/node/min", "events"},
 	}
-	for _, p := range pts {
+	pts := make([]WanPoint, len(outs))
+	for i, out := range outs {
+		p := wanPoint(out)
+		pts[i] = p
 		disc.AddRow(p.Latency, p.Loss, f2(p.MinLatencyMS), itoa(p.ControlSize),
 			itoa(p.Discovered), f2(p.MeanDiscoveryMin), f2(p.P93DiscoverySec))
 		mon.AddRow(p.Latency, p.Loss, f2(p.PSFill), f4(p.AckRatio),
-			f2(p.BytesPerNodeSec), f4(p.UselessPerNodeMin), fmt.Sprintf("%d", p.Events))
+			f2(p.BytesPerNodeSec), f4(p.UselessPerNodeMin), u64(p.Events))
 	}
-
-	artifacts, err := artifact("wan", WanArtifactName, wanArtifact{
-		Experiment: "wan",
-		Seed:       o.Seed,
-		Scale:      o.Scale,
-		N:          n,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		HostCores:  runtime.NumCPU(),
-		Host:       collectHostStats(),
-		Points:     pts,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID:        "wan",
-		Title:     "Heterogeneous WAN latency and loss vs discovery and monitoring coverage",
-		Tables:    []*Table{disc, mon},
-		Artifacts: artifacts,
-	}, nil
+	return []*Table{disc, mon}, nil, pts
 }
 
-// wanPointMetrics extracts one regime's metrics from a finished run.
-func wanPointMetrics(r wanRegime, out *outcome) WanPoint {
+// wanPoint extracts one regime's metrics from a finished run.
+func wanPoint(out *outcome) WanPoint {
 	c := out.c
 	p := WanPoint{
-		Latency:      r.latName,
-		Loss:         r.lossName,
-		MinLatencyMS: float64(r.latency.MinLatency()) / float64(time.Millisecond),
+		MinLatencyMS: float64(out.s.latModel.MinLatency()) / float64(time.Millisecond),
 		N:            out.s.n,
 		K:            c.K(),
 		Events:       c.Steps(),
 		WallSeconds:  out.wall.Seconds(),
 	}
-	if st, ok := c.SchedStats(); ok {
-		p.Barriers = st.Barriers
-		p.Windows = st.Windows
-		for _, sh := range st.PerShard {
-			p.ShardBusyNS = append(p.ShardBusyNS, sh.BusyNS)
-		}
-	}
+	p.Latency, p.Loss, _ = strings.Cut(out.s.label, "/")
+	p.Windows, p.ShardBusyNS = shardCost(c)
 
 	d := out.discovery()
 	p.ControlSize, p.Discovered = d.control, d.discovered

@@ -119,21 +119,41 @@ type Service struct {
 	done     sync.WaitGroup
 }
 
-// NewService validates the configuration and binds the UDP socket.
-func NewService(cfg ServiceConfig) (*Service, error) {
+// Validate reports whether NewService would accept the configuration,
+// wrapping ErrInvalidConfig when not; it binds and starts nothing.
+func (cfg ServiceConfig) Validate() error {
 	if cfg.N <= 0 {
-		return nil, fmt.Errorf("avmon: ServiceConfig.N must be positive")
+		return badConfig("ServiceConfig.N must be positive, got %d", cfg.N)
 	}
 	id, err := ids.Parse(cfg.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("avmon: bad Addr: %w", err)
+		return badConfig("bad Addr: %v", err)
 	}
+	if cfg.Bootstrap != "" {
+		if _, err := ids.Parse(cfg.Bootstrap); err != nil {
+			return badConfig("bad Bootstrap: %v", err)
+		}
+	}
+	if cfg.QueryCacheTTL < 0 || cfg.QueryCacheEntries < 0 {
+		return badConfig("negative QueryCacheTTL %v or QueryCacheEntries %d (0 = default)",
+			cfg.QueryCacheTTL, cfg.QueryCacheEntries)
+	}
+	if ident, ok := cfg.Transport.(interface{ ID() ids.ID }); ok && ident.ID() != id {
+		return badConfig("injected transport is bound to %v, not Addr %v", ident.ID(), id)
+	}
+	return cfg.Options.validate(cfg.N)
+}
+
+// NewService validates the configuration (see Validate) and binds the
+// UDP socket.
+func NewService(cfg ServiceConfig) (*Service, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	id := ids.MustParse(cfg.Addr)
 	var bootstrap ids.ID
 	if cfg.Bootstrap != "" {
-		bootstrap, err = ids.Parse(cfg.Bootstrap)
-		if err != nil {
-			return nil, fmt.Errorf("avmon: bad Bootstrap: %w", err)
-		}
+		bootstrap = ids.MustParse(cfg.Bootstrap)
 	}
 	if cfg.Options.Hash == "" {
 		cfg.Options.Hash = HashMD5
@@ -151,8 +171,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}
 		transport = t
 		ownsTransport = true
-	} else if ident, ok := transport.(interface{ ID() ids.ID }); ok && ident.ID() != id {
-		return nil, fmt.Errorf("avmon: injected transport is bound to %v, not Addr %v", ident.ID(), id)
 	}
 	// From here on every failure must release a transport we created,
 	// or the socket leaks and the address stays unbindable.

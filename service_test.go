@@ -115,24 +115,6 @@ func TestServiceMonitoringOverUDP(t *testing.T) {
 	}
 }
 
-func TestServiceConfigValidation(t *testing.T) {
-	tests := []struct {
-		name string
-		cfg  ServiceConfig
-	}{
-		{"missing N", ServiceConfig{Addr: "127.0.0.1:19999"}},
-		{"bad addr", ServiceConfig{Addr: "nonsense", N: 10}},
-		{"bad bootstrap", ServiceConfig{Addr: "127.0.0.1:19998", Bootstrap: "xyz", N: 10}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewService(tt.cfg); err == nil {
-				t.Error("invalid config accepted")
-			}
-		})
-	}
-}
-
 func TestServiceDoubleStart(t *testing.T) {
 	s, err := NewService(ServiceConfig{
 		Addr: fmt.Sprintf("127.0.0.1:%d", 28000+rand.Intn(1000)),
