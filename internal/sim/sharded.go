@@ -9,8 +9,8 @@ import (
 )
 
 // ShardedEngine is the conservative parallel scheduler: node lanes are
-// partitioned round-robin across P worker shards, each owning a flat
-// event heap, and all shards advance in lockstep windows at most one
+// partitioned round-robin across P worker shards, each owning an
+// event queue, and all shards advance in lockstep windows at most one
 // lookahead wide (the lookahead is the minimum cross-lane message
 // latency): an event executing at time t can only affect another shard
 // at ≥ t plus the lookahead, so every cross-shard post lands at or
@@ -139,9 +139,9 @@ func (e *ShardedEngine) Steps() uint64 {
 
 // Pending returns the number of queued events. Valid while quiescent.
 func (e *ShardedEngine) Pending() int {
-	n := len(e.controlQ)
+	n := e.controlQ.len()
 	for _, s := range e.shards {
-		n += len(s.queue)
+		n += s.queue.len()
 	}
 	return n
 }
@@ -228,9 +228,9 @@ func (e *ShardedEngine) LaneNow(l *Lane) time.Time {
 }
 
 // Post implements Sched. Posts attributed to the control lane (src nil
-// or the control lane) go straight into the destination's heap — they
+// or the control lane) go straight into the destination's queue — they
 // happen at barriers or while quiescent, when every worker is parked.
-// Posts from a node lane stay in the owning shard's heap when the
+// Posts from a node lane stay in the owning shard's queue when the
 // destination shares the shard, and are routed through an outbox —
 // after a deterministic check against the destination's execution
 // frontier — otherwise.
@@ -262,9 +262,9 @@ func (e *ShardedEngine) PostEventTo(src *Lane, dst LaneRef, at time.Time, h Hand
 		src.seq++
 		ev := event{at: nanos, lane: dst.id, src: 0, seq: src.seq, h: h, arg: arg}
 		if dst.id == 0 {
-			e.controlQ.push(ev)
+			e.controlQ.push(ev, e.controlNow)
 		} else {
-			e.shards[dst.shard].queue.push(ev)
+			e.shards[dst.shard].queue.push(ev, e.controlNow)
 		}
 		return
 	}
@@ -286,8 +286,8 @@ func (e *ShardedEngine) PostEventTo(src *Lane, dst LaneRef, at time.Time, h Hand
 	ev := event{at: nanos, lane: dst.id, src: src.id, seq: src.seq, h: h, arg: arg}
 	if dst.shard == src.shard || !e.inPhase {
 		// Same shard, or a quiescent post (e.g. a test sending between
-		// Run calls): the destination heap is safe to touch directly.
-		e.shards[dst.shard].queue.push(ev)
+		// Run calls): the destination queue is safe to touch directly.
+		e.shards[dst.shard].queue.push(ev, floor)
 		return
 	}
 	d := e.shards[dst.shard]
@@ -343,17 +343,14 @@ func (e *ShardedEngine) NewLaneTicker(l *Lane, period, offset time.Duration, fn 
 // drained at each barrier).
 func (e *ShardedEngine) minPending() (int64, bool) {
 	min, ok := int64(0), false
-	consider := func(q eventQueue) {
-		if len(q) == 0 {
-			return
-		}
-		if !ok || q[0].at < min {
-			min, ok = q[0].at, true
+	consider := func(q *eventQueue) {
+		if at, some := q.minAt(); some && (!ok || at < min) {
+			min, ok = at, true
 		}
 	}
-	consider(e.controlQ)
+	consider(&e.controlQ)
 	for _, s := range e.shards {
-		consider(s.queue)
+		consider(&s.queue)
 	}
 	return min, ok
 }
@@ -366,8 +363,8 @@ func (e *ShardedEngine) minPending() (int64, bool) {
 func (e *ShardedEngine) windowEnd(limit int64) (int64, bool) {
 	g1 := int64(math.MaxInt64)
 	for _, s := range e.shards {
-		if len(s.queue) > 0 && s.queue[0].at < g1 {
-			g1 = s.queue[0].at
+		if at, ok := s.queue.minAt(); ok && at < g1 {
+			g1 = at
 		}
 	}
 	if g1 == math.MaxInt64 {
@@ -377,8 +374,8 @@ func (e *ShardedEngine) windowEnd(limit int64) (int64, bool) {
 	if end > limit+1 {
 		end = limit + 1
 	}
-	if len(e.controlQ) > 0 && e.controlQ[0].at < end {
-		end = e.controlQ[0].at
+	if at, ok := e.controlQ.minAt(); ok && at < end {
+		end = at
 	}
 	return end, g1 < end
 }
@@ -426,20 +423,19 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 		e.nowNanos = next
 		// Barrier, part 1: the control events due within one lookahead
 		// of the frontier, single-threaded. They may post into shard
-		// heaps (workers are parked).
+		// queues (workers are parked).
 		ctlBound := next + e.lookahead
 		if ctlBound > limit+1 {
 			ctlBound = limit + 1
 		}
-		for len(e.controlQ) > 0 && e.controlQ[0].at < ctlBound {
-			ev := e.controlQ.pop()
+		for ev, ok := e.controlQ.popDue(ctlBound - 1); ok; ev, ok = e.controlQ.popDue(ctlBound - 1) {
 			e.controlNow = ev.at
 			e.steps++
 			ev.fire(Epoch.Add(time.Duration(ev.at)))
 		}
 		end, ok := e.windowEnd(limit)
 		if !ok {
-			if len(e.controlQ) == 0 {
+			if e.controlQ.len() == 0 {
 				break // nothing can run before the deadline
 			}
 			continue // only control events are due; drain more next pass
@@ -470,14 +466,14 @@ func (e *ShardedEngine) RunUntil(deadline time.Time) {
 				panic(s.panicked)
 			}
 		}
-		// Barrier, part 2: merge cross-shard posts into their heaps.
+		// Barrier, part 2: merge cross-shard posts into their residual heaps.
 		for _, s := range e.shards {
 			for d, out := range s.outbox {
 				if len(out) == 0 {
 					continue
 				}
 				for _, ev := range out {
-					e.shards[d].queue.push(ev)
+					e.shards[d].queue.heap.push(ev)
 				}
 				s.outbox[d] = s.outbox[d][:0]
 			}
@@ -511,12 +507,11 @@ func (s *shard) runWindow() {
 		}
 	}()
 	end := s.limit
-	if len(s.queue) == 0 || s.queue[0].at >= end {
+	if at, ok := s.queue.minAt(); !ok || at >= end {
 		return
 	}
 	t0 := time.Now()
-	for len(s.queue) > 0 && s.queue[0].at < end {
-		ev := s.queue.pop()
+	for ev, ok := s.queue.popDue(end - 1); ok; ev, ok = s.queue.popDue(end - 1) {
 		s.nowNanos = ev.at
 		s.steps++
 		ev.fire(Epoch.Add(time.Duration(ev.at)))

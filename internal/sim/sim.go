@@ -3,8 +3,8 @@
 //
 // Two engines share one canonical event order:
 //
-//   - Engine is the serial scheduler: a single flat binary heap of
-//     by-value events, one goroutine, no synchronization.
+//   - Engine is the serial scheduler: one queue of by-value events
+//     (FIFO runs over a residual heap), one goroutine, no synchronization.
 //   - ShardedEngine (sharded.go) is a conservative parallel scheduler:
 //     node lanes are partitioned across P worker shards that advance in
 //     lockstep windows bounded by the engine's lookahead (the minimum
@@ -38,6 +38,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"time"
 )
@@ -126,7 +127,7 @@ type Sched interface {
 	Post(src, dst *Lane, at time.Time, fn func(now time.Time))
 	// PostEvent is the allocation-free form of Post: instead of a
 	// closure it schedules a long-lived Handler with a by-value
-	// EventArg, both stored directly in the heap entry. Ordering and
+	// EventArg, both stored directly in the queue entry. Ordering and
 	// clamping semantics are identical to Post.
 	PostEvent(src, dst *Lane, at time.Time, h Handler, arg EventArg)
 	// PostEventTo is PostEvent with the destination named by value; src
@@ -173,7 +174,7 @@ type EventArg struct {
 // Handler executes handler-based events. Implementations are typically
 // long-lived objects (a network, a ticker) so that posting an event
 // allocates nothing: the event stores the handler interface and its
-// by-value EventArg directly in the heap entry.
+// by-value EventArg directly in the queue entry.
 type Handler interface {
 	Fire(now time.Time, arg EventArg)
 }
@@ -187,7 +188,7 @@ func (funcHandler) Fire(now time.Time, arg EventArg) {
 	arg.P.(func(now time.Time))(now)
 }
 
-// event is one scheduled callback, stored by value in the heaps.
+// event is one scheduled callback, stored by value in the queues.
 type event struct {
 	at   int64 // nanoseconds since Epoch
 	lane int32 // destination lane
@@ -305,7 +306,7 @@ func (e *Engine) PostEventTo(src *Lane, dst LaneRef, at time.Time, h Handler, ar
 		nanos = e.nowNanos
 	}
 	src.seq++
-	e.queue.push(event{at: nanos, lane: dst.id, src: src.id, seq: src.seq, h: h, arg: arg})
+	e.queue.push(event{at: nanos, lane: dst.id, src: src.id, seq: src.seq, h: h, arg: arg}, e.nowNanos)
 }
 
 // SetWorkerLocal implements Sched. The serial engine has exactly one
@@ -347,15 +348,7 @@ func (e *Engine) setNow(nanos int64) {
 // deadline and deadline is in the past).
 func (e *Engine) RunUntil(deadline time.Time) {
 	limit := int64(deadline.Sub(Epoch))
-	for len(e.queue) > 0 {
-		if e.queue[0].at > limit {
-			break
-		}
-		next := e.queue.pop()
-		e.setNow(next.at)
-		e.steps++
-		next.fire(e.now)
-	}
+	e.runDue(limit)
 	if limit > e.nowNanos {
 		e.setNow(limit)
 	}
@@ -365,9 +358,11 @@ func (e *Engine) RunUntil(deadline time.Time) {
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	for len(e.queue) > 0 {
-		next := e.queue.pop()
+func (e *Engine) Run() { e.runDue(math.MaxInt64) }
+
+// runDue executes, in canonical order, every event due by limit.
+func (e *Engine) runDue(limit int64) {
+	for next, ok := e.queue.popDue(limit); ok; next, ok = e.queue.popDue(limit) {
 		e.setNow(next.at)
 		e.steps++
 		next.fire(e.now)
@@ -375,13 +370,181 @@ func (e *Engine) Run() {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.len() }
 
-// eventQueue is a hand-rolled binary min-heap over by-value events
+const numRuns = 3       // the delays a paper-figure run repeats: delivery latency, protocol period, zero
+const blockEvents = 113 // 113 events and a link fill the 8192-byte size class; at 56 twice as many ties straddle a block
+
+// eventRun is a FIFO of events in canonical order, stored in linked
+// blocks and keyed by the posting delay its events share: posts made at
+// non-decreasing times with one delay come due in posting order.
+type eventRun struct {
+	delay      int64
+	n          int
+	head, tail *eventBlock
+	hi, ti     int // first live slot of head, one past the last of tail
+}
+
+type eventBlock struct {
+	ev   [blockEvents]event
+	next *eventBlock
+}
+
+// eventQueue is a k-way merge of delay-keyed FIFO runs over a residual
+// binary heap. Each run and the heap is in canonical order and peek
+// takes the minimum of their heads, so the queue pops exactly what one
+// heap would: where push files an event is a speed hint, checked against
+// the run's tail and never trusted. DESIGN.md, "The event queue".
+type eventQueue struct {
+	heap   eventHeap
+	runs   [numRuns]eventRun
+	missed int64 // delay of the last push that no run was keyed by
+	quiet  int   // pops since the heap was last over a quarter full
+	free   *eventBlock
+	nfree  int // ≤ 2·numRuns: a run at steady length sheds and regains a block or two, and allocates nothing
+}
+
+func (q *eventQueue) len() int {
+	n := len(q.heap)
+	for i := range q.runs {
+		n += q.runs[i].n
+	}
+	return n
+}
+
+// push queues ev, posted at time now. A post with no one clock behind
+// it (a barrier merge) pushes onto q.heap instead.
+func (q *eventQueue) push(ev event, now int64) {
+	delay := ev.at - now
+	for i := range q.runs {
+		r := &q.runs[i]
+		if r.delay != delay {
+			continue
+		}
+		if r.n == 0 || !ev.before(r.tail.ev[r.ti-1]) {
+			q.append(r, ev)
+			return
+		}
+		// ev sorts before the tail: one handler's sends share an at in
+		// any lane order. Insert it if its slot is in the tail block.
+		tb, last, lo := r.tail, r.ti-1, 0
+		if tb == r.head {
+			lo = r.hi
+		}
+		if ev.before(tb.ev[lo]) {
+			q.heap.push(ev)
+			return
+		}
+		j := last
+		for ev.before(tb.ev[j-1]) {
+			j--
+		}
+		q.append(r, tb.ev[last])
+		copy(tb.ev[j+1:last+1], tb.ev[j:last])
+		tb.ev[j] = ev
+		return
+	}
+	if delay == q.missed {
+		// The delay repeats: give it an empty run. One-off delays (a
+		// birth minute's random first offsets) never squat on one.
+		for i := range q.runs {
+			if r := &q.runs[i]; r.n == 0 {
+				r.delay = delay
+				q.append(r, ev)
+				return
+			}
+		}
+	}
+	q.missed = delay
+	q.heap.push(ev)
+}
+
+// append writes ev after r's tail.
+func (q *eventQueue) append(r *eventRun, ev event) {
+	if r.tail == nil || r.ti == blockEvents {
+		b := q.free
+		if b != nil {
+			q.free, b.next, q.nfree = b.next, nil, q.nfree-1
+		} else {
+			b = new(eventBlock)
+		}
+		link := &r.head
+		if r.tail != nil {
+			link = &r.tail.next
+		}
+		*link, r.tail, r.ti = b, b, 0
+	}
+	r.tail.ev[r.ti] = ev
+	r.ti++
+	r.n++
+}
+
+// peek returns which part holds the canonical minimum (a run's index,
+// numRuns for the heap, -1 when the queue is empty) and its time.
+func (q *eventQueue) peek() (src int, at int64) {
+	src = -1
+	var min *event
+	if len(q.heap) > 0 {
+		src, min = numRuns, &q.heap[0]
+	}
+	for i := range q.runs {
+		if r := &q.runs[i]; r.n > 0 {
+			if h := &r.head.ev[r.hi]; min == nil || h.before(*min) {
+				src, min = i, h
+			}
+		}
+	}
+	if min != nil {
+		at = min.at
+	}
+	return src, at
+}
+
+// minAt returns the earliest queued timestamp, or false when empty.
+func (q *eventQueue) minAt() (int64, bool) {
+	src, at := q.peek()
+	return at, src >= 0
+}
+
+// popDue pops the canonical minimum if it is due by limit.
+func (q *eventQueue) popDue(limit int64) (ev event, ok bool) {
+	src, at := q.peek()
+	if src < 0 || at > limit {
+		return ev, false
+	}
+	// Give the heap's array back once it has been at most a quarter full
+	// for cap pops: a drained birth transient, not a fill-and-drain cycle.
+	if c := cap(q.heap); 4*len(q.heap) > c {
+		q.quiet = 0
+	} else if q.quiet++; q.quiet > c && c >= 2*blockEvents {
+		q.heap, q.quiet = append(make(eventHeap, 0, c/2), q.heap...), 0
+	}
+	if src == numRuns {
+		return q.heap.pop(), true
+	}
+	r := &q.runs[src]
+	b := r.head
+	ev = b.ev[r.hi]
+	b.ev[r.hi].h, b.ev[r.hi].arg.P = nil, nil // release the closure for GC
+	r.hi++
+	if r.n--; r.n == 0 {
+		r.hi, r.ti = 0, 0 // head == tail: reuse the block from its start
+	} else if r.hi == blockEvents {
+		// Storage follows what is live: past a few spares, to the collector.
+		r.head, r.hi, b.next = b.next, 0, nil
+		if q.nfree < 2*numRuns {
+			b.next, q.free = q.free, b
+			q.nfree++
+		}
+	}
+	return ev, true
+}
+
+// eventHeap is a hand-rolled binary min-heap over by-value events
 // (container/heap would box every event through interface{}).
-type eventQueue []event
+type eventHeap []event
 
-func (q *eventQueue) push(ev event) {
+func (q *eventHeap) push(ev event) {
 	h := *q
 	h = append(h, ev)
 	i := len(h) - 1
@@ -396,7 +559,7 @@ func (q *eventQueue) push(ev event) {
 	*q = h
 }
 
-func (q *eventQueue) pop() event {
+func (q *eventHeap) pop() event {
 	h := *q
 	top := h[0]
 	last := len(h) - 1
