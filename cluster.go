@@ -103,7 +103,7 @@ func NewOvernetModel(n int, duration time.Duration, seed int64) (ChurnModel, err
 	return trace.NewModel(trace.GenerateOvernet(n, duration, seed))
 }
 
-// SchedStats is a snapshot of the sharded engine's scheduler counters:
+// SchedStats is a snapshot of a sharded cluster's scheduler counters:
 // windows executed (Barriers always equals Windows) and per-shard
 // lanes/steps/busy-time (see Cluster.SchedStats).
 type SchedStats = sim.SchedStats
@@ -119,12 +119,13 @@ type ClusterConfig struct {
 	N int
 	// Seed makes the whole simulation deterministic.
 	Seed int64
-	// Shards is the number of parallel simulation shards for this one
-	// run. 0 or 1 selects the serial engine; higher values partition
-	// nodes across that many worker shards advancing in lockstep
-	// lookahead windows (conservative parallel discrete-event
-	// simulation). For one seed, results are byte-identical at any
-	// value — see DESIGN.md, "Parallel simulation".
+	// Shards is the number of engine shards for this one run. 0 means
+	// 1, the serial case: everything runs on the calling goroutine.
+	// Higher values partition nodes across that many shards advancing
+	// in lockstep lookahead windows (conservative parallel
+	// discrete-event simulation). For one seed, results are
+	// byte-identical at any value — see DESIGN.md, "Parallel
+	// simulation".
 	Shards int
 	// Options are the per-node protocol knobs.
 	Options NodeOptions
@@ -320,13 +321,13 @@ func (m *member) AcquireMessage() *core.Message {
 func (m *member) SweepScratch() *core.SweepScratch { return &m.scratch().sweep }
 
 // Cluster is a fully simulated AVMON deployment: a discrete-event
-// engine (serial or sharded), a simulated network, a churn model, and
+// engine, a simulated network, a churn model, and
 // one protocol node per simulated host. It is the substrate for every
 // experiment in EXPERIMENTS.md and is deterministic for a given seed
 // at any shard count.
 type Cluster struct {
 	cfg     ClusterConfig
-	eng     sim.Sched
+	eng     *sim.Engine
 	net     *simnet.Network
 	scheme  SelectionScheme
 	model   ChurnModel
@@ -357,7 +358,7 @@ func (cfg ClusterConfig) Validate() error {
 	case cfg.N < 0:
 		return badConfig("N %d is negative (0 = the churn model's stable size)", cfg.N)
 	case cfg.Shards < 0:
-		return badConfig("Shards %d is negative (0 = the serial engine)", cfg.Shards)
+		return badConfig("Shards %d is negative (0 = one shard)", cfg.Shards)
 	case cfg.Latency < 0:
 		return badConfig("Latency %v is negative (0 = 50ms)", cfg.Latency)
 	case !(cfg.Loss >= 0 && cfg.Loss < 1):
@@ -404,10 +405,9 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		return nil, err
 	}
 	// The pair-verdict memo of a cryptographic hash is single-threaded:
-	// the serial engine's one memo is the cluster's scheme; a sharded
-	// engine's workers each fill their own (members reach it through
-	// workerScheme) and the cluster's scheme stays the bare,
-	// concurrency-safe selector.
+	// one shard's one memo is the cluster's scheme; several shards each
+	// fill their own (members reach it through workerScheme) and the
+	// cluster's scheme stays the bare, concurrency-safe selector.
 	var scheme SelectionScheme = sel
 	workerMemos := cfg.Options.memoized() && cfg.Shards > 1
 	if cfg.Options.memoized() && !workerMemos {
@@ -425,22 +425,12 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 			return nil, fmt.Errorf("avmon: %w", err)
 		}
 	}
-	var eng sim.Sched
-	if cfg.Shards > 1 {
-		// Adaptive lookahead: the latency model's provable floor is the
-		// minimum cross-node event distance, hence exactly the
-		// conservative window width. A model without a positive floor
-		// cannot run sharded.
-		floor := latency.MinLatency()
-		if floor <= 0 {
-			return nil, fmt.Errorf(
-				"avmon: latency model %T declares no positive MinLatency floor; cannot shard", latency)
-		}
-		if eng, err = sim.NewSharded(cfg.Seed, cfg.Shards, floor); err != nil {
-			return nil, fmt.Errorf("avmon: %w", err)
-		}
-	} else {
-		eng = sim.New(cfg.Seed)
+	// Adaptive lookahead: the latency model's provable floor is the
+	// minimum cross-node event distance, hence exactly the conservative
+	// window width. Only one shard can run without a positive one.
+	eng, err := sim.NewSharded(cfg.Seed, cfg.Shards, latency.MinLatency())
+	if err != nil {
+		return nil, fmt.Errorf("avmon: latency model %T: %w", latency, err)
 	}
 	c := &Cluster{
 		cfg:         cfg,
@@ -459,10 +449,9 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("avmon: %w", err)
 	}
-	// One scratch instance per execution worker (the whole engine when
-	// serial, one per shard when sharded) carries the sweep buffers and
-	// the message freelist for every node that worker executes — per
-	// worker, not per node, so a million-node run pays for a handful.
+	// One scratch instance per engine shard carries the sweep buffers
+	// and the message freelist for every node that shard executes — per
+	// shard, not per node, so a million-node run pays for a handful.
 	eng.SetWorkerLocal(func() any {
 		ws := &workerScratch{}
 		if workerMemos {
@@ -727,19 +716,21 @@ func (c *Cluster) Elapsed() time.Duration { return c.eng.Elapsed() }
 // sharding, the per-shard counters reduced at the last barrier).
 func (c *Cluster) Steps() uint64 { return c.eng.Steps() }
 
-// Shards returns the configured shard count (1 = serial engine).
+// Shards returns the engine's shard count (1 = everything on the
+// calling goroutine).
 func (c *Cluster) Shards() int { return c.cfg.Shards }
 
-// SchedStats returns the sharded engine's scheduler counters (windows,
-// barriers, per-shard lanes, steps and busy time); ok is false for a
-// serial cluster, which has no scheduler. Valid while the engine is
-// quiescent. Windows and barriers are equal, and deterministic for a
-// fixed (Seed, Shards); per-shard busy times are host measurements.
+// SchedStats returns the engine's scheduler counters (windows,
+// barriers, per-shard lanes, steps and busy time); ok is false, and the
+// counters zero, for a one-shard cluster, which has no barrier to count.
+// Valid while the engine is quiescent. Windows and barriers are equal,
+// and deterministic for a fixed (Seed, Shards); per-shard busy times
+// are host measurements.
 func (c *Cluster) SchedStats() (SchedStats, bool) {
-	if e, ok := c.eng.(*sim.ShardedEngine); ok {
-		return e.SchedStats(), true
+	if c.cfg.Shards == 1 {
+		return SchedStats{}, false
 	}
-	return SchedStats{}, false
+	return c.eng.SchedStats(), true
 }
 
 // Scheme returns the cluster's selection scheme.

@@ -20,7 +20,7 @@ type installSpy struct {
 	installed bool
 }
 
-func (m *installSpy) Install(eng sim.Sched, d churn.Driver) {
+func (m *installSpy) Install(eng *sim.Engine, d churn.Driver) {
 	m.installed = true
 	m.ChurnModel.Install(eng, d)
 }

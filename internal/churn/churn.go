@@ -9,7 +9,7 @@
 //     20% per day of the stable size (SYNTH-BD2 doubles that,
 //     Section 5.3).
 //
-// A Model schedules lifecycle events onto a sim.Sched and reports
+// A Model schedules lifecycle events onto a sim.Engine and reports
 // them to a Driver (the cluster under test). All models keep the alive
 // population within a constant factor of the stable size N, matching
 // the paper's system-model assumption.
@@ -45,7 +45,7 @@ type Model interface {
 	StableN() int
 	// Install creates the initial population and schedules all future
 	// churn on eng. Call exactly once.
-	Install(eng sim.Sched, d Driver)
+	Install(eng *sim.Engine, d Driver)
 	// Enroll births one extra (control-group) node immediately and
 	// subjects it to the model's ongoing churn. It returns the new
 	// node's index. Install must have been called first.
@@ -87,7 +87,7 @@ type synthModel struct {
 	// mapping.
 	orderedJoin bool
 
-	eng    sim.Sched
+	eng    *sim.Engine
 	driver Driver
 	rng    *rand.Rand
 	states []nodeState
@@ -169,7 +169,7 @@ func (m *synthModel) Name() string { return m.name }
 func (m *synthModel) StableN() int { return m.n }
 
 // Install implements Model.
-func (m *synthModel) Install(eng sim.Sched, d Driver) {
+func (m *synthModel) Install(eng *sim.Engine, d Driver) {
 	m.eng = eng
 	m.driver = d
 	m.rng = eng.Rand()

@@ -102,7 +102,7 @@ func validateSchedule(schedule []ZoneOutage, zones int) error {
 
 // Install implements Model: the static base population plus one
 // fail/heal event pair per scheduled outage.
-func (m *zoneOutageModel) Install(eng sim.Sched, d Driver) {
+func (m *zoneOutageModel) Install(eng *sim.Engine, d Driver) {
 	m.synthModel.Install(eng, d)
 	for _, o := range m.schedule {
 		o := o

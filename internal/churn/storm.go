@@ -89,7 +89,7 @@ func NewStorm(cfg StormConfig) (Model, error) {
 
 // Install implements Model: the ordered base population plus the
 // scheduled surge and leave/heal waves.
-func (m *stormModel) Install(eng sim.Sched, d Driver) {
+func (m *stormModel) Install(eng *sim.Engine, d Driver) {
 	m.synthModel.Install(eng, d)
 	// Surge indexes are allocated here, before any Enroll call, so the
 	// flash-crowd cohort is always N..N+SurgeNodes-1.

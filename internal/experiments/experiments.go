@@ -48,8 +48,8 @@ type Options struct {
 	// identical either way.
 	Parallelism int
 	// Shards partitions each single simulation across this many
-	// parallel engine shards (0 or 1 = the serial engine). Results are
-	// byte-identical at any value — the sharded engine's determinism
+	// parallel engine shards (0 or 1 = one shard, the serial case).
+	// Results are byte-identical at any value — the engine's determinism
 	// contract — so this is purely a wall-clock knob, orthogonal to
 	// Parallelism (which runs independent sweep points concurrently).
 	// The scale experiment treats it specially: it runs each point
@@ -79,7 +79,7 @@ func (o Options) validate() error {
 		return bad("Parallelism %d is negative (0 = GOMAXPROCS)", o.Parallelism)
 	}
 	if o.Shards < 0 {
-		return bad("Shards %d is negative (0 = the serial engine)", o.Shards)
+		return bad("Shards %d is negative (0 = one shard)", o.Shards)
 	}
 	seen := make(map[int]bool, len(o.Ns))
 	for _, n := range o.Ns {

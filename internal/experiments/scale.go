@@ -77,8 +77,8 @@ type ScalePoint struct {
 }
 
 // scaleScens sweeps a static system to N = 1,000,000 (by default):
-// each N once on the serial engine and, when Options.Shards > 1 and N
-// is within shardedRerunMaxN, again as its twin on the sharded one.
+// each N once on one engine shard and, when Options.Shards > 1 and N
+// is within shardedRerunMaxN, again as its twin on that many.
 func scaleScens(o Options) []scenario {
 	ns := o.Ns
 	if len(ns) == 0 {

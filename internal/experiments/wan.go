@@ -10,8 +10,8 @@ package experiments
 // coverage/cost of steady-state monitoring. All nine regimes run
 // against one derived seed (common random numbers), so every reported
 // delta isolates the network model, not seed noise — and each run is
-// byte-identical serial or sharded, because the sharded engine's
-// lookahead adapts to each latency model's MinLatency floor.
+// byte-identical at any shard count, because the engine's lookahead
+// adapts to each latency model's MinLatency floor.
 
 import (
 	"strings"

@@ -86,8 +86,9 @@ func queueBytes(q *eventQueue) uintptr {
 // periodic source's random first offset and a larger transient of
 // one-off events into the residual heap; ten periods on the periodic
 // events sit in a run, and neither the heap's array nor the runs'
-// blocks may keep the peak. (Power-of-two rings kept 4 % of the whole
-// simulation's live heap.)
+// blocks may keep the peak (power-of-two rings kept 4 % of the whole
+// simulation's live heap) — nor may a control queue that drains and goes
+// idle (its array was 2 % of it).
 func TestEventQueueGivesBackTransient(t *testing.T) {
 	const (
 		periodic = 40_000
@@ -124,5 +125,17 @@ func TestEventQueueGivesBackTransient(t *testing.T) {
 	if held := queueBytes(&q); float64(held) > 1.3*float64(live) {
 		t.Errorf("queue holds %d bytes for %d live (%.2fx, want ≤ 1.3x; peak was %d)",
 			held, live, float64(held)/float64(live), peak)
+	}
+
+	// An engine's control queue takes the one-off births of the first
+	// minute and then goes idle: it has no later pop to shrink on.
+	eng := New(1)
+	for i := 0; i < periodic+random; i++ {
+		eng.After(time.Duration(rng.Int63n(period)), func() {})
+	}
+	peak = queueBytes(&eng.controlQ)
+	eng.RunFor(10 * time.Minute)
+	if held := queueBytes(&eng.controlQ); eng.Pending() != 0 || held > peak/100 {
+		t.Errorf("idle control queue holds %d bytes for %d events (peak was %d)", held, eng.Pending(), peak)
 	}
 }

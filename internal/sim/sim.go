@@ -1,15 +1,13 @@
-// Package sim provides the discrete-event simulation engines that
-// drive AVMON's trace-driven evaluation (paper Section 5).
+// Package sim provides the discrete-event simulation engine that
+// drives AVMON's trace-driven evaluation (paper Section 5).
 //
-// Two engines share one canonical event order:
-//
-//   - Engine is the serial scheduler: one queue of by-value events
-//     (FIFO runs over a residual heap), one goroutine, no synchronization.
-//   - ShardedEngine (sharded.go) is a conservative parallel scheduler:
-//     node lanes are partitioned across P worker shards that advance in
-//     lockstep windows bounded by the engine's lookahead (the minimum
-//     cross-lane message latency), classic conservative PDES with no
-//     rollback.
+// Engine (engine.go) is a conservative parallel scheduler: node lanes
+// are partitioned across P ≥ 1 shards, each with its own queue of
+// by-value events (FIFO runs over a residual heap), that advance in
+// lockstep windows bounded by the engine's lookahead (the minimum
+// cross-lane message latency) — classic conservative PDES with no
+// rollback. One shard (New) is the serial case of the same loop: no
+// worker goroutine, no lookahead, every event in the canonical order.
 //
 // Determinism contract. Every event belongs to a lane — an execution
 // stream owned by exactly one scheduler thread. Events are totally
@@ -19,26 +17,26 @@
 //
 // where "source seq" is a counter the posting lane increments on every
 // post. The key is a pure function of each lane's own execution
-// history, never of scheduler interleaving, so the serial and sharded
-// engines execute byte-identical runs for the same seed at any shard
-// count. The rules that make this sound:
+// history, never of scheduler interleaving, so every lane executes a
+// byte-identical run for the same seed at any shard count. The rules
+// that make this sound, enforced at every shard count:
 //
 //   - A lane's events may post to the lane itself at any time ≥ now.
 //   - A lane's events may post to another lane only at time ≥ the end
 //     of the current window (guaranteed when every cross-lane post is
-//     a message delivery with latency ≥ the lookahead). The sharded
-//     engine panics on violations.
+//     a message delivery with latency ≥ the lookahead). The engine
+//     panics when a post reaches a shard that has executed past it.
 //   - Control-lane events (lane 0) run single-threaded at window
 //     barriers, before the window's node-lane events. They must touch
 //     only control-owned state and may post to any lane at any time
-//     ≥ their own timestamp; they must not read node-lane state.
+//     ≥ their own timestamp; they must not read node-lane state, and
+//     node lanes cannot post to the control lane.
 //   - Randomness is per-lane: draws made while a lane executes must
 //     come from that lane's Rand (or, for control events, from the
 //     engine Rand), never from another lane's.
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"time"
 )
@@ -62,7 +60,7 @@ type Lane struct {
 // exists.
 type LaneRef struct {
 	id    int32
-	shard int32 // owning shard index (sharded engine only)
+	shard int32 // owning shard index
 }
 
 // ID returns the lane's stable identifier (0 = control lane).
@@ -87,79 +85,6 @@ func newControlLane(seed int64) *Lane {
 // never collide; CompactRand scrambles the result through splitmix64.
 func laneSeed(seed int64, id int32) int64 {
 	return seed + (int64(id)+1)*-0x61C8864680B583EB // golden-ratio odd constant
-}
-
-// Sched is the scheduling surface shared by the serial Engine and the
-// ShardedEngine. Clusters, the simulated network, and churn models are
-// written against it so one simulation runs unchanged on either.
-type Sched interface {
-	// Now returns the current virtual time. It is valid while the
-	// engine is quiescent (between Run calls) and inside control-lane
-	// events; node-lane events must use the time passed to their
-	// callback (the sharded engine panics otherwise).
-	Now() time.Time
-	// Elapsed returns Now() - Epoch.
-	Elapsed() time.Duration
-	// Steps returns the number of events executed so far, across all
-	// lanes. Valid while quiescent.
-	Steps() uint64
-	// Pending returns the number of queued events. Valid while
-	// quiescent.
-	Pending() int
-	// Rand returns the control-lane random source (valid from control
-	// events and while quiescent).
-	Rand() *rand.Rand
-	// Control returns the control lane.
-	Control() *Lane
-	// AddLane registers a new node lane. Call from control events or
-	// while quiescent only.
-	AddLane() *Lane
-	// InitLane is AddLane in place: l is memory the caller owns (a
-	// simulated node's block) and must not move or copy afterwards.
-	InitLane(l *Lane)
-	// LaneNow returns the lane's current virtual time: the timestamp
-	// of the lane's executing event, or the engine time while
-	// quiescent. Call only from the lane's own events or quiescent.
-	LaneNow(l *Lane) time.Time
-	// Post schedules fn on lane dst at time at, attributed to lane src
-	// (nil src means the control lane). Times before the source lane's
-	// current time are clamped to it. fn receives its own timestamp.
-	Post(src, dst *Lane, at time.Time, fn func(now time.Time))
-	// PostEvent is the allocation-free form of Post: instead of a
-	// closure it schedules a long-lived Handler with a by-value
-	// EventArg, both stored directly in the queue entry. Ordering and
-	// clamping semantics are identical to Post.
-	PostEvent(src, dst *Lane, at time.Time, h Handler, arg EventArg)
-	// PostEventTo is PostEvent with the destination named by value; src
-	// must not be nil.
-	PostEventTo(src *Lane, dst LaneRef, at time.Time, h Handler, arg EventArg)
-	// SetWorkerLocal registers a factory for per-worker scratch state:
-	// one instance per execution worker (the whole engine when serial,
-	// one per shard when sharded), created on first use. Worker-local
-	// state must never carry information between events — it exists so
-	// per-event scratch buffers need not be owned (and paid for) by
-	// every lane.
-	SetWorkerLocal(factory func() any)
-	// WorkerLocal returns the scratch instance of the worker currently
-	// executing lane l. Call only from l's own events (or while
-	// quiescent). Returns nil when no factory is registered.
-	WorkerLocal(l *Lane) any
-	// After schedules fn on the control lane d from now.
-	After(d time.Duration, fn func())
-	// At schedules fn on the control lane at time t.
-	At(t time.Time, fn func())
-	// NewTicker schedules fn on the control lane every period, first
-	// firing after offset.
-	NewTicker(period, offset time.Duration, fn func(now time.Time)) *Ticker
-	// NewLaneTicker is NewTicker on a node lane. Call from the lane's
-	// own events (or quiescent).
-	NewLaneTicker(l *Lane, period, offset time.Duration, fn func(now time.Time)) *Ticker
-	// RunUntil executes events in canonical order until the queue is
-	// exhausted or the next event is after deadline; the clock is left
-	// at deadline if that is later.
-	RunUntil(deadline time.Time)
-	// RunFor advances the simulation by d of virtual time.
-	RunFor(d time.Duration)
 }
 
 // EventArg is the by-value payload of a handler-based event (see
@@ -204,8 +129,8 @@ func (ev *event) fire(now time.Time) { ev.h.Fire(now, ev.arg) }
 // before is the canonical total order: time, then destination lane,
 // then lane-local posts before cross-lane posts, then posting lane,
 // then the poster's sequence counter. Every component is a pure
-// function of deterministic per-lane execution, so serial and sharded
-// runs sort identically.
+// function of deterministic per-lane execution, so runs at every shard
+// count sort identically.
 func (a event) before(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -222,155 +147,6 @@ func (a event) before(b event) bool {
 	}
 	return a.seq < b.seq
 }
-
-// Engine is the single-threaded scheduler. It is not safe for
-// concurrent use; all node logic runs inside event callbacks.
-type Engine struct {
-	now      time.Time
-	nowNanos int64
-	queue    eventQueue
-	control  *Lane
-	lanes    int32
-	steps    uint64
-	seed     int64
-
-	localFn func() any
-	local   any
-}
-
-var _ Sched = (*Engine)(nil)
-
-// New returns a serial engine whose clock starts at Epoch, with a
-// deterministic control random source derived from seed.
-func New(seed int64) *Engine {
-	return &Engine{
-		now:     Epoch,
-		seed:    seed,
-		control: newControlLane(seed),
-	}
-}
-
-// Now returns the current virtual time.
-func (e *Engine) Now() time.Time { return e.now }
-
-// Elapsed returns the virtual time elapsed since Epoch.
-func (e *Engine) Elapsed() time.Duration { return e.now.Sub(Epoch) }
-
-// Rand returns the control-lane deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.control.Rand() }
-
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Control returns the control lane.
-func (e *Engine) Control() *Lane { return e.control }
-
-// AddLane registers a new node lane.
-func (e *Engine) AddLane() *Lane {
-	l := new(Lane)
-	e.InitLane(l)
-	return l
-}
-
-// InitLane implements Sched.
-func (e *Engine) InitLane(l *Lane) {
-	e.lanes++
-	*l = Lane{LaneRef: LaneRef{id: e.lanes}}
-	l.rng.Seed(laneSeed(e.seed, e.lanes))
-}
-
-// LaneNow returns the current virtual time (the serial engine has one
-// clock for every lane).
-func (e *Engine) LaneNow(*Lane) time.Time { return e.now }
-
-// Post implements Sched.
-func (e *Engine) Post(src, dst *Lane, at time.Time, fn func(now time.Time)) {
-	e.PostEvent(src, dst, at, funcHandler{}, EventArg{P: fn})
-}
-
-// PostEvent implements Sched.
-func (e *Engine) PostEvent(src, dst *Lane, at time.Time, h Handler, arg EventArg) {
-	if src == nil {
-		src = e.control
-	}
-	if dst == nil {
-		dst = e.control
-	}
-	e.PostEventTo(src, dst.LaneRef, at, h, arg)
-}
-
-// PostEventTo implements Sched.
-func (e *Engine) PostEventTo(src *Lane, dst LaneRef, at time.Time, h Handler, arg EventArg) {
-	nanos := int64(at.Sub(Epoch))
-	if nanos < e.nowNanos {
-		nanos = e.nowNanos
-	}
-	src.seq++
-	e.queue.push(event{at: nanos, lane: dst.id, src: src.id, seq: src.seq, h: h, arg: arg}, e.nowNanos)
-}
-
-// SetWorkerLocal implements Sched. The serial engine has exactly one
-// worker, so one instance serves every lane.
-func (e *Engine) SetWorkerLocal(factory func() any) { e.localFn = factory }
-
-// WorkerLocal implements Sched.
-func (e *Engine) WorkerLocal(*Lane) any {
-	if e.local == nil && e.localFn != nil {
-		e.local = e.localFn()
-	}
-	return e.local
-}
-
-// At schedules fn on the control lane at virtual time t. Times in the
-// past are clamped to "now".
-func (e *Engine) At(t time.Time, fn func()) {
-	e.Post(e.control, e.control, t, func(time.Time) { fn() })
-}
-
-// After schedules fn on the control lane d from now. Negative d is
-// clamped to zero.
-func (e *Engine) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now.Add(d), fn)
-}
-
-// setNow moves the clock to nanos past Epoch.
-func (e *Engine) setNow(nanos int64) {
-	e.nowNanos = nanos
-	e.now = Epoch.Add(time.Duration(nanos))
-}
-
-// RunUntil executes events in canonical order until the queue is empty
-// or the next event is after deadline. The clock is left at deadline
-// (or at the last executed event if the queue drained earlier than
-// deadline and deadline is in the past).
-func (e *Engine) RunUntil(deadline time.Time) {
-	limit := int64(deadline.Sub(Epoch))
-	e.runDue(limit)
-	if limit > e.nowNanos {
-		e.setNow(limit)
-	}
-}
-
-// RunFor advances the simulation by d of virtual time.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
-
-// Run executes events until the queue is empty.
-func (e *Engine) Run() { e.runDue(math.MaxInt64) }
-
-// runDue executes, in canonical order, every event due by limit.
-func (e *Engine) runDue(limit int64) {
-	for next, ok := e.queue.popDue(limit); ok; next, ok = e.queue.popDue(limit) {
-		e.setNow(next.at)
-		e.steps++
-		next.fire(e.now)
-	}
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.queue.len() }
 
 const numRuns = 3       // the delays a paper-figure run repeats: delivery latency, protocol period, zero
 const blockEvents = 113 // 113 events and a link fill the 8192-byte size class; at 56 twice as many ties straddle a block
@@ -520,7 +296,15 @@ func (q *eventQueue) popDue(limit int64) (ev event, ok bool) {
 		q.heap, q.quiet = append(make(eventHeap, 0, c/2), q.heap...), 0
 	}
 	if src == numRuns {
-		return q.heap.pop(), true
+		ev = q.heap.pop()
+		// A queue popped empty cannot count quiet pops: a control queue
+		// after the birth minute would hold its array for good. Give it
+		// back at once; a busy node queue's fill-and-drain cycles never
+		// get here, its tickers sit in the runs.
+		if len(q.heap) == 0 && cap(q.heap) >= 2*blockEvents && q.len() == 0 {
+			q.heap = nil
+		}
+		return ev, true
 	}
 	r := &q.runs[src]
 	b := r.head
@@ -594,7 +378,7 @@ func (q *eventHeap) pop() event {
 // bound to one lane; Stop must be called from that lane's events (or
 // while the engine is quiescent).
 type Ticker struct {
-	s       Sched
+	e       *Engine
 	lane    *Lane
 	period  time.Duration
 	fn      func(now time.Time)
@@ -613,12 +397,12 @@ func (e *Engine) NewLaneTicker(l *Lane, period, offset time.Duration, fn func(no
 	return newTicker(e, l, period, offset, fn)
 }
 
-func newTicker(s Sched, l *Lane, period, offset time.Duration, fn func(now time.Time)) *Ticker {
+func newTicker(e *Engine, l *Lane, period, offset time.Duration, fn func(now time.Time)) *Ticker {
 	if offset < 0 {
 		offset = 0
 	}
-	t := &Ticker{s: s, lane: l, period: period, fn: fn}
-	s.PostEvent(l, l, s.LaneNow(l).Add(offset), t, EventArg{})
+	t := &Ticker{e: e, lane: l, period: period, fn: fn}
+	e.PostEvent(l, l, e.LaneNow(l).Add(offset), t, EventArg{})
 	return t
 }
 
@@ -633,7 +417,7 @@ func (t *Ticker) Fire(now time.Time, _ EventArg) {
 	if t.stopped { // fn may have stopped the ticker
 		return
 	}
-	t.s.PostEvent(t.lane, t.lane, now.Add(t.period), t, EventArg{})
+	t.e.PostEvent(t.lane, t.lane, now.Add(t.period), t, EventArg{})
 }
 
 // Stop cancels future firings. It is idempotent.

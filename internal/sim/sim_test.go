@@ -50,6 +50,24 @@ func TestClockAdvances(t *testing.T) {
 	}
 }
 
+// TestRunLeavesClockAtLastEvent: Run has no deadline to rest the clock
+// at, so it rests at the last event executed, on whichever lane.
+func TestRunLeavesClockAtLastEvent(t *testing.T) {
+	e := New(1)
+	l := e.AddLane()
+	e.After(time.Second, func() {})
+	e.Post(nil, l, Epoch.Add(3*time.Second), func(time.Time) {})
+	e.Run()
+	if e.Elapsed() != 3*time.Second || e.Pending() != 0 {
+		t.Errorf("after Run: Elapsed = %v, Pending = %d; want 3s, 0", e.Elapsed(), e.Pending())
+	}
+	e.After(time.Second, func() {})
+	e.Run()
+	if e.Elapsed() != 4*time.Second {
+		t.Errorf("after a second Run: Elapsed = %v, want 4s", e.Elapsed())
+	}
+}
+
 func TestRunUntilLeavesFutureEvents(t *testing.T) {
 	e := New(1)
 	fired := false

@@ -11,7 +11,7 @@
 // The adaptive-lookahead contract: a LatencyModel must never draw
 // below its declared MinLatency(). That floor is what a sharded
 // cluster uses as its conservative lookahead window (see
-// sim.ShardedEngine), so a draw below it would be a determinism
+// sim.NewSharded), so a draw below it would be a determinism
 // violation, not just an inaccuracy — the engine panics on it.
 
 package simnet
@@ -48,7 +48,7 @@ type LatencyModel interface {
 // Implementations must be immutable after construction; all evolving
 // state lives in the per-sender LossState, and all randomness comes
 // from the rng passed in (the sender's lane stream), so loss decisions
-// are deterministic per lane under both engines.
+// are deterministic per lane at any shard count.
 type LossModel interface {
 	// Drop reports whether the message is lost, advancing st (owned by
 	// the sending endpoint, touched only on its lane).

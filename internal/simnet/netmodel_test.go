@@ -290,9 +290,9 @@ func TestShardedNetworkRejectsLowFloor(t *testing.T) {
 	if _, err := New(eng, WithLatencyModel(ok)); err != nil {
 		t.Errorf("matching floor rejected: %v", err)
 	}
-	// Serial engines have no lookahead to violate.
+	// One shard from sim.New has no lookahead to violate.
 	if _, err := New(sim.New(1), WithLatencyModel(low)); err != nil {
-		t.Errorf("serial engine rejected a low-floor model: %v", err)
+		t.Errorf("one-shard engine rejected a low-floor model: %v", err)
 	}
 	// Invalid WithLoss probabilities surface as New errors.
 	if _, err := New(sim.New(1), WithLoss(1.5)); err == nil {

@@ -13,9 +13,9 @@
 // by node number, and the alive population is a swap-remove slice, so
 // lookups and uniform alive draws are O(1) regardless of N.
 //
-// The network runs on any sim.Sched and follows its lane discipline,
-// which is what lets one simulation run serially or sharded with
-// byte-identical results:
+// The network follows the sim.Engine's lane discipline, which is what
+// lets one simulation run at any shard count with byte-identical
+// results:
 //
 //   - Each endpoint owns one lane; its message handler and delivery
 //     events execute on that lane, and its latency/loss draws come
@@ -84,7 +84,7 @@ type Counters struct {
 
 // Network connects endpoints through a shared discrete-event engine.
 type Network struct {
-	eng         sim.Sched
+	eng         *sim.Engine
 	latency     LatencyModel
 	loss        LossModel // nil = lossless (no draw per send)
 	undelivered UndeliveredFunc
@@ -146,13 +146,13 @@ func WithUndelivered(fn UndeliveredFunc) Option {
 }
 
 // New creates a network on the given engine. It enforces the
-// adaptive-lookahead contract at construction time: when the engine is
-// sharded (it exposes a Lookahead), the latency model's MinLatency()
-// must be at least the engine's lookahead window — otherwise a latency
-// draw could post a delivery inside the current window, which the
-// engine would punish with a deterministic panic mid-run. Rejecting
-// the pairing here turns that runtime violation into an error.
-func New(eng sim.Sched, opts ...Option) (*Network, error) {
+// adaptive-lookahead contract at construction time: the latency model's
+// MinLatency() must be at least the engine's lookahead window (zero
+// from sim.New) — otherwise a latency draw could post a delivery inside
+// the current window, which the engine would punish with a
+// deterministic panic mid-run. Rejecting the pairing here turns that
+// runtime violation into an error.
+func New(eng *sim.Engine, opts ...Option) (*Network, error) {
 	n := &Network{eng: eng}
 	n.latency, _ = NewConstantLatency(50 * time.Millisecond)
 	for _, o := range opts {
@@ -161,18 +161,16 @@ func New(eng sim.Sched, opts ...Option) (*Network, error) {
 	if n.lossErr != nil {
 		return nil, n.lossErr
 	}
-	if la, ok := eng.(interface{ Lookahead() time.Duration }); ok {
-		if floor := n.latency.MinLatency(); floor < la.Lookahead() {
-			return nil, fmt.Errorf(
-				"simnet: latency model floor %v below the sharded engine's %v lookahead",
-				floor, la.Lookahead())
-		}
+	if floor := n.latency.MinLatency(); floor < eng.Lookahead() {
+		return nil, fmt.Errorf(
+			"simnet: latency model floor %v below the engine's %v lookahead",
+			floor, eng.Lookahead())
 	}
 	return n, nil
 }
 
 // Engine returns the underlying simulation scheduler.
-func (n *Network) Engine() sim.Sched { return n.eng }
+func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // lookup resolves an identity to its endpoint (nil if unknown).
 func (n *Network) lookup(id ids.ID) *Endpoint {

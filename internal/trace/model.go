@@ -14,7 +14,7 @@ import (
 type Model struct {
 	trace *Trace
 
-	eng    sim.Sched
+	eng    *sim.Engine
 	driver churn.Driver
 	rng    *rand.Rand
 	next   int // next driver index for Enroll-created nodes
@@ -51,7 +51,7 @@ func (m *Model) Trace() *Trace { return m.trace }
 
 // Install implements churn.Model: it schedules every session
 // transition in the trace.
-func (m *Model) Install(eng sim.Sched, d churn.Driver) {
+func (m *Model) Install(eng *sim.Engine, d churn.Driver) {
 	m.eng = eng
 	m.driver = d
 	m.rng = eng.Rand()
