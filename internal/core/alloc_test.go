@@ -63,7 +63,7 @@ func TestZeroAllocMonitorTick(t *testing.T) {
 	for i := 1; i <= 24; i++ {
 		n.handleNotify(n.id, ids.Sim(i), now) // u = self: target added
 	}
-	if got := len(n.tsOrder); got != 24 {
+	if got := len(n.ts); got != 24 {
 		t.Fatalf("targets = %d, want 24", got)
 	}
 	// Warm up: grow the pool and let targets reach the down/re-probe
@@ -99,11 +99,11 @@ func TestZeroAllocMonitorAck(t *testing.T) {
 		n.MonitorTick(now)
 		for i := 1; i <= 8; i++ {
 			id := ids.Sim(i)
-			slot, ok := n.tsIdx.get(id)
+			pos, ok := n.tsIdx.get(id)
 			if !ok {
 				t.Fatal("target vanished")
 			}
-			ack.Seq = n.targets.at(slot).awaitingSeq
+			ack.Seq = n.ts[pos].awaitingSeq
 			n.Handle(id, ack, now)
 		}
 	}
@@ -140,14 +140,13 @@ func TestZeroAllocCVRespSweep(t *testing.T) {
 }
 
 // TestNodeSizeClass pins Node — the coarse view's header by value
-// inside it — at the allocator's 640-byte class, the one it filled when
-// the view was a second, 32-byte object. NewNode allocates exactly that;
-// a simulated cluster builds the node inside its member block, whose
-// size the root package's TestNodeBlockBytes pins, and a million-node
-// run pays 1 MB per byte added here. Sweep buffers belong in the
-// per-worker SweepScratch, not in the node.
+// inside it — at the allocator's 576-byte class. NewNode allocates
+// exactly that; a simulated cluster builds the node inside its member
+// block, whose size the root package's TestNodeBlockBytes pins, and a
+// million-node run pays 1 MB per byte added here. Sweep buffers belong
+// in the per-worker SweepScratch, not in the node.
 func TestNodeSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Node{}); size > 640 {
-		t.Errorf("Node is %d bytes, want ≤ 640", size)
+	if size := unsafe.Sizeof(Node{}); size > 576 {
+		t.Errorf("Node is %d bytes, want ≤ 576", size)
 	}
 }

@@ -62,9 +62,8 @@ type Config struct {
 	HistoryStyle string
 
 	// Pool, when non-nil, is where the node gets its recycled memory;
-	// it then takes precedence over AcquireMessage and Scratch. An owner
-	// holding one object per node implements it there, at no closure per
-	// node.
+	// it then takes precedence over AcquireMessage. An owner holding one
+	// object per node implements it there, at no closure per node.
 	Pool Pool
 
 	// AcquireMessage, when non-nil, supplies outgoing message
@@ -74,13 +73,6 @@ type Config struct {
 	// every field it uses and relinquishes ownership on send. nil means
 	// allocate.
 	AcquireMessage func() *Message
-
-	// Scratch, when non-nil, supplies the discovery-sweep scratch
-	// buffers. The instance must be owned by the thread currently
-	// executing the node (one per simulation worker, say); it carries
-	// no information between calls. nil gives the node a private
-	// scratch.
-	Scratch func() *SweepScratch
 
 	// Overreport makes this node a misbehaving monitor that reports
 	// 100% availability for every node it monitors (the attack of
@@ -118,20 +110,21 @@ type Config struct {
 	RejoinFullWeight bool
 }
 
-// Pool supplies a node's recycled memory, under the contracts written
-// at Config.AcquireMessage and Config.Scratch. Both methods are called
-// only from the thread executing the node.
+// Pool supplies a node's recycled memory. Both methods are called only
+// from the thread executing the node. AcquireMessage is under the
+// contract written at Config.AcquireMessage; SweepScratch's instance
+// must be owned by that thread (one per simulation worker, say), and
+// carries no information between calls.
 type Pool interface {
 	AcquireMessage() *Message
 	SweepScratch() *SweepScratch
 }
 
-// funcPool is the Pool of a Config that names none: the two func
-// fields where set, a fresh envelope per send and a private scratch
-// (allocated on first use) where not.
+// funcPool is the Pool of a Config that names none: AcquireMessage
+// where set, else a fresh envelope per send, and a private scratch
+// allocated on first use.
 type funcPool struct {
 	acquire func() *Message
-	scratch func() *SweepScratch
 	own     *SweepScratch
 }
 
@@ -143,11 +136,6 @@ func (p *funcPool) AcquireMessage() *Message {
 }
 
 func (p *funcPool) SweepScratch() *SweepScratch {
-	if p.scratch != nil {
-		if sc := p.scratch(); sc != nil {
-			return sc
-		}
-	}
 	if p.own == nil {
 		p.own = new(SweepScratch)
 	}
@@ -157,7 +145,7 @@ func (p *funcPool) SweepScratch() *SweepScratch {
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Pool == nil {
-		out.Pool = &funcPool{acquire: out.AcquireMessage, scratch: out.Scratch}
+		out.Pool = &funcPool{acquire: out.AcquireMessage}
 	}
 	if out.Period <= 0 {
 		out.Period = DefaultPeriod

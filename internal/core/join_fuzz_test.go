@@ -96,7 +96,8 @@ func (l *joinLog) Send(to ids.ID, m *Message) {
 // weights from -1 past cvs — through a short run of JOINs each. A
 // swapped or missing draw shows at once: the eviction victim, the two
 // forward destinations and the stream position afterwards all depend on
-// the order the draws were made in.
+// the order the draws were made in. handleJoin's node must pass
+// checkInvariants after every JOIN.
 func FuzzJoinEquivalence(f *testing.F) {
 	for cvs := byte(0); cvs < 4; cvs++ { // cvs 2…5, so cvs+2 stays in the weight range below
 		for fill := byte(0); fill <= cvs+2; fill++ {
@@ -138,6 +139,9 @@ func FuzzJoinEquivalence(f *testing.F) {
 			}
 			if a, b := nodes[0].cfg.Rand.Int63(), nodes[1].cfg.Rand.Int63(); a != b {
 				t.Fatalf("JOIN %d (%v, weight %d): the random streams are at different positions", k/2, m.Subject, m.Weight)
+			}
+			if err := checkInvariants(nodes[0]); err != nil {
+				t.Fatalf("JOIN %d (%v, weight %d): %v", k/2, m.Subject, m.Weight, err)
 			}
 		}
 	})

@@ -9,11 +9,12 @@ import (
 
 // target tracks one monitored node u ∈ TS(x): its availability
 // history, outstanding probe, and the session bookkeeping that drives
-// forgetful pinging (Section 3.3). Targets live by value in the node's
-// targetArena (table.go); timestamps are UnixNano integers rather than
-// time.Time so an entry is pointer-free under the default raw history
-// (every simulated and real instant is far past 1970, so the zero
-// value still means "never").
+// forgetful pinging (Section 3.3). Targets live by value in Node.ts, in
+// discovery order, and are never dropped — forgetful pinging probes a
+// long-absent target less often instead. Timestamps are UnixNano
+// integers rather than time.Time so an entry is pointer-free under the
+// default raw history (every simulated and real instant is far past
+// 1970, so the zero value still means "never").
 type target struct {
 	id ids.ID
 
@@ -22,8 +23,6 @@ type target struct {
 	// object; windowed/aged styles hold their Store here.
 	raw   availability.Raw
 	store availability.Store
-
-	discovered int64 // UnixNano
 
 	awaitingSeq uint64 // outstanding MON-PING sequence (0 = none)
 	awaitingAt  int64  // UnixNano
@@ -36,8 +35,8 @@ type target struct {
 	// Activity counters are uint32 — a target accrues at most one ping
 	// per period, so 2³² covers millennia of simulated time — and sit
 	// with the flags at the tail of the struct so the whole entry packs
-	// into 112 bytes (the arena holds ~K ≈ 21 of these per node at
-	// N = 10⁶; every 8 bytes here is 160 MB there).
+	// into 104 bytes (TS holds ~K ≈ 21 of these per node at N = 10⁶;
+	// every 8 bytes here is 160 MB there).
 	pingsSent       uint32
 	acks            uint32
 	pingsSaved      uint32 // pings skipped by the forgetful optimization
@@ -81,8 +80,8 @@ func (n *Node) MonitorTick(now time.Time) {
 		return
 	}
 	nowNanos := now.UnixNano()
-	for i := range n.tsOrder {
-		t := n.targets.at(n.tsSlots[i])
+	for i := range n.ts {
+		t := &n.ts[i]
 		// 1. An unanswered probe from a previous round is a "down"
 		// observation.
 		if t.awaitingSeq != 0 {
@@ -137,11 +136,11 @@ func (n *Node) MonitorTick(now time.Time) {
 // handleMonAck folds a monitoring acknowledgment into the target's
 // history.
 func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
-	slot, ok := n.tsIdx.get(from)
+	i, ok := n.tsIdx.get(from)
 	if !ok {
 		return
 	}
-	t := n.targets.at(slot)
+	t := &n.ts[i]
 	if seq != t.awaitingSeq {
 		return
 	}
@@ -162,11 +161,11 @@ func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 // monitor's ForgeReport hook gets the final word on what leaves the
 // node.
 func (n *Node) EstimateOf(u ids.ID) (float64, bool) {
-	slot, ok := n.tsIdx.get(u)
+	i, ok := n.tsIdx.get(u)
 	if !ok {
 		return 0, false
 	}
-	t := n.targets.at(slot)
+	t := &n.ts[i]
 	est, known := 0.0, false
 	switch {
 	case n.cfg.Overreport:
@@ -185,8 +184,8 @@ func (n *Node) EstimateOf(u ids.ID) (float64, bool) {
 // last ack or probe time is the best proxy the node has.
 func (n *Node) lastTickTime() time.Time {
 	var latest int64
-	for _, slot := range n.tsSlots {
-		t := n.targets.at(slot)
+	for i := range n.ts {
+		t := &n.ts[i]
 		if t.awaitingAt > latest {
 			latest = t.awaitingAt
 		}
@@ -212,9 +211,9 @@ type MonitoringStats struct {
 // MonitoringStats returns a snapshot of monitoring activity counters.
 func (n *Node) MonitoringStats() MonitoringStats {
 	var s MonitoringStats
-	s.Targets = len(n.tsOrder)
-	for _, slot := range n.tsSlots {
-		t := n.targets.at(slot)
+	s.Targets = len(n.ts)
+	for i := range n.ts {
+		t := &n.ts[i]
 		s.PingsSent += uint64(t.pingsSent)
 		s.Acks += uint64(t.acks)
 		s.PingsSaved += uint64(t.pingsSaved)

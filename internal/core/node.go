@@ -19,17 +19,14 @@ type Node struct {
 	joinedAt  time.Time
 	lastLeave time.Time
 
-	// PS and TS are struct-of-arrays (see DESIGN.md, "Memory diet"):
-	// dense order slices hold the membership in discovery order — the
-	// documented iteration order — with open-addressing index tables
-	// for O(1) lookup and the target state by value in a flat arena.
-	cv      view
-	psIdx   idTable     // monitor → index into psOrder
-	tsIdx   idTable     // monitored node → arena slot
-	targets targetArena // by-value target state
-	tsSlots []uint32    // arena slot of the i-th discovered target
-	tsOrder []ids.ID    // discovery order, for deterministic iteration
-	psOrder []ids.ID    // discovery order, for deterministic iteration
+	// PS and TS only ever grow (see DESIGN.md, "Memory diet"): each is
+	// one slice in discovery order — the documented iteration order —
+	// with an insert-only index table from identity to position.
+	cv    view
+	ps    []monitor // PS(x), with each monitor's discovery time
+	ts    []target  // TS(x), target state by value
+	psIdx idTable   // monitor → position in ps
+	tsIdx idTable   // monitored node → position in ts
 
 	// lastCoarseContact is the last time a message arrived that proves
 	// this node sits in some peer's coarse view (PING, CV-FETCH, a
@@ -37,10 +34,6 @@ type Node struct {
 	// the node's coarse-view indegree has likely dropped to zero — an
 	// absorbing state under STAT — and triggers a re-bootstrap.
 	lastCoarseContact time.Time
-
-	// Discovery bookkeeping for the figures: times (since birth) at
-	// which each successive PS member was discovered.
-	psDiscoveries []time.Duration
 
 	// Outstanding coarse-view liveness probe (Figure 2, first lines).
 	cvPingTarget ids.ID
@@ -86,7 +79,7 @@ func (n *Node) Init(cfg Config, cv []ids.ID) error {
 // SweepScratch holds the reusable buffers of the discovery sweep
 // (handleCVResp) and the coarse-view reshuffle. The buffers carry no
 // information between calls, so one instance may serve every node
-// executing on the same worker thread (Config.Scratch) — which is how
+// executing on the same worker thread (Config.Pool) — which is how
 // million-node simulations avoid paying ~2 KB of scratch per node.
 type SweepScratch struct {
 	a, b       []ids.ID
@@ -169,8 +162,8 @@ func (n *Node) Leave(now time.Time) {
 	n.lastLeave = now
 	n.cvPingTarget = ids.None
 	// Outstanding monitoring probes die with us.
-	for _, slot := range n.tsSlots {
-		n.targets.at(slot).awaitingSeq = 0
+	for i := range n.ts {
+		n.ts[i].awaitingSeq = 0
 	}
 }
 
@@ -214,8 +207,10 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 	case MsgMonAck:
 		n.handleMonAck(from, m.Seq, now)
 	case MsgPR2:
-		n.lastCoarseContact = now // the sender holds us in its CV
-		n.cv.addEvict(from, n.cfg.Rand)
+		if from != n.id { // from is the datagram's claim; never our own view
+			n.lastCoarseContact = now // the sender holds us in its CV
+			n.cv.addEvict(from, n.cfg.Rand)
+		}
 	case MsgReportReq:
 		n.send(from, &Message{
 			Type: MsgReportResp, Seq: m.Seq, Nonce: m.Nonce, View: n.ReportMonitors(m.Count),
@@ -373,14 +368,14 @@ func (n *Node) Tick(now time.Time) {
 func (n *Node) rebootstrap(now time.Time) {
 	target := n.cv.random(n.cfg.Rand)
 	if target.IsNone() {
-		total := len(n.tsOrder) + len(n.psOrder)
+		total := len(n.ts) + len(n.ps)
 		if total == 0 {
 			return
 		}
-		if i := n.cfg.Rand.Intn(total); i < len(n.tsOrder) {
-			target = n.tsOrder[i]
+		if i := n.cfg.Rand.Intn(total); i < len(n.ts) {
+			target = n.ts[i].id
 		} else {
-			target = n.psOrder[i-len(n.tsOrder)]
+			target = n.ps[i-len(n.ts)].id
 		}
 	}
 	// Back off for another starvation window whether or not the walk
@@ -519,7 +514,9 @@ func (n *Node) handleCVResp(w ids.ID, fetched []ids.ID, now time.Time) {
 	sc.hits = hits
 	n.hashChecks += uint64((len(a)-common)*2*len(b) + common*(2*len(b)-1-common))
 	if n.cfg.DisableReshuffle {
-		n.cv.add(w) // only grow into free space; never re-randomize
+		if w != n.id { // only grow into free space; never re-randomize, never self
+			n.cv.add(w)
+		}
 		return
 	}
 	// The reshuffle draws from CV(x) ∪ CV(w) ∪ {w} minus self, in that
@@ -592,10 +589,8 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 		if !n.cfg.Scheme.Related(u, v) {
 			return
 		}
-		n.psIdx.put(u, uint32(len(n.psOrder)))
-		n.psOrder = appendChunked(n.psOrder, u)
-		since := now.Sub(n.bornAt)
-		n.psDiscoveries = appendChunked(n.psDiscoveries, since)
+		n.psIdx.put(u, uint32(len(n.ps)))
+		n.ps = appendChunked(n.ps, monitor{id: u, found: now.Sub(n.bornAt)})
 	case u:
 		if _, known := n.tsIdx.get(v); known {
 			return
@@ -604,11 +599,9 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 		if !n.cfg.Scheme.Related(u, v) {
 			return
 		}
-		slot := n.targets.alloc()
-		n.targets.at(slot).init(v, n.cfg.HistoryStyle, now)
-		n.tsIdx.put(v, slot)
-		n.tsOrder = appendChunked(n.tsOrder, v)
-		n.tsSlots = appendChunked(n.tsSlots, slot)
+		n.tsIdx.put(v, uint32(len(n.ts)))
+		n.ts = appendChunked(n.ts, target{})
+		n.ts[len(n.ts)-1].init(v, n.cfg.HistoryStyle)
 	}
 }
 
@@ -616,16 +609,20 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 
 // PS returns the node's current pinging set (its monitors).
 func (n *Node) PS() []ids.ID {
-	out := make([]ids.ID, len(n.psOrder))
-	copy(out, n.psOrder)
+	out := make([]ids.ID, len(n.ps))
+	for i, m := range n.ps {
+		out[i] = m.id
+	}
 	ids.Sort(out)
 	return out
 }
 
 // TS returns the node's current target set (the nodes it monitors).
 func (n *Node) TS() []ids.ID {
-	out := make([]ids.ID, len(n.tsOrder))
-	copy(out, n.tsOrder)
+	out := make([]ids.ID, len(n.ts))
+	for i := range n.ts {
+		out[i] = n.ts[i].id
+	}
 	ids.Sort(out)
 	return out
 }
@@ -635,12 +632,12 @@ func (n *Node) CV() []ids.ID { return n.cv.snapshot() }
 
 // PSLen, TSLen and CVLen are len(PS()), len(TS()) and len(CV()) without
 // the copies.
-func (n *Node) PSLen() int { return len(n.psOrder) }
-func (n *Node) TSLen() int { return len(n.tsOrder) }
+func (n *Node) PSLen() int { return len(n.ps) }
+func (n *Node) TSLen() int { return len(n.ts) }
 func (n *Node) CVLen() int { return n.cv.size() }
 
 // MemoryEntries is the paper's memory metric |CV|+|PS|+|TS|.
-func (n *Node) MemoryEntries() int { return n.cv.size() + len(n.psOrder) + len(n.tsOrder) }
+func (n *Node) MemoryEntries() int { return n.cv.size() + len(n.ps) + len(n.ts) }
 
 // HashChecks returns how many consistency-condition evaluations the
 // node has performed (the computation metric C).
@@ -649,8 +646,10 @@ func (n *Node) HashChecks() uint64 { return n.hashChecks }
 // DiscoveryTimes returns, for each PS member in discovery order, the
 // elapsed time from the node's birth to that discovery.
 func (n *Node) DiscoveryTimes() []time.Duration {
-	out := make([]time.Duration, len(n.psDiscoveries))
-	copy(out, n.psDiscoveries)
+	out := make([]time.Duration, len(n.ps))
+	for i, m := range n.ps {
+		out[i] = m.found
+	}
 	return out
 }
 

@@ -384,6 +384,33 @@ func TestPR2SuppressedByMonitoringPings(t *testing.T) {
 	}
 }
 
+// TestPR2FromSelfIgnored: a PR2's sender is whatever the datagram
+// claims. One claiming to be the receiver must not put the node into
+// its own coarse view, from where it would ping, fetch from and (under
+// PR2) send PR2 to itself.
+func TestPR2FromSelfIgnored(t *testing.T) {
+	fn := newFakeNet(t)
+	x := fn.addNode(1, noneRelated{}, func(c *Config) { c.PR2 = true })
+	peer := fn.addNode(5, noneRelated{}, nil)
+	x.Join(fn.now, ids.None)
+	peer.Join(fn.now, ids.None)
+	x.cv.add(peer.ID())
+	x.Handle(x.ID(), &Message{Type: MsgPR2}, fn.now)
+	for period := 0; period < 3; period++ {
+		if err := checkInvariants(x); err != nil {
+			t.Fatalf("period %d: %v", period, err)
+		}
+		fn.now = fn.now.Add(DefaultPeriod)
+		x.Tick(fn.now)
+		for _, env := range fn.queue {
+			if env.from == x.ID() && env.to == x.ID() {
+				t.Fatalf("period %d: the node sent itself a %v", period, env.msg.Type)
+			}
+		}
+		fn.flush()
+	}
+}
+
 func TestHandleWhileDeadDropped(t *testing.T) {
 	fn := newFakeNet(t)
 	a := fn.addNode(1, allRelated{}, nil)

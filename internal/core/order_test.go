@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"avmon/internal/ids"
@@ -9,8 +11,8 @@ import (
 
 // discoveryOracle is the pre-flat-table PS/TS implementation — a
 // membership map plus an append-only discovery-order slice — kept here
-// as the reference the struct-of-arrays layout is diffed against. The
-// documented contract (node.go) is that psOrder/tsOrder list members
+// as the reference the indexed slices are diffed against. The
+// documented contract (node.go) is that Node.ps/Node.ts list members
 // in exact discovery order; rebootstrap target choice and the
 // DiscoveryTimes figure depend on it.
 type discoveryOracle struct {
@@ -54,22 +56,62 @@ func (o *discoveryOracle) notify(u, v ids.ID) {
 	}
 }
 
-func sameIDSeq(a, b []ids.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// checkInvariants is the whole-node state check run after every step of
+// the node oracles and fuzzers: PS and TS hold only identities that
+// satisfy the consistency condition in the right direction — never
+// None, self or a duplicate — at exactly the positions their index
+// tables give, and the coarse view stays within cvs with no None, self
+// or duplicate.
+func checkInvariants(n *Node) error {
+	for i, m := range n.ps {
+		if err := checkMember("PS", m.id, i, n.id, &n.psIdx); err != nil {
+			return err
+		}
+		if !n.cfg.Scheme.Related(m.id, n.id) {
+			return fmt.Errorf("PS member %v does not satisfy Related(%v, self %v)", m.id, m.id, n.id)
 		}
 	}
-	return true
+	for i := range n.ts {
+		v := n.ts[i].id
+		if err := checkMember("TS", v, i, n.id, &n.tsIdx); err != nil {
+			return err
+		}
+		if !n.cfg.Scheme.Related(n.id, v) {
+			return fmt.Errorf("TS member %v does not satisfy Related(self %v, %v)", v, n.id, v)
+		}
+	}
+	if n.psIdx.len() != len(n.ps) || n.tsIdx.len() != len(n.ts) {
+		return fmt.Errorf("index tables hold %d and %d entries, PS %d and TS %d", n.psIdx.len(), n.tsIdx.len(), len(n.ps), len(n.ts))
+	}
+	if n.cv.size() > n.cfg.CVS {
+		return fmt.Errorf("CV holds %d entries, cvs %d", n.cv.size(), n.cfg.CVS)
+	}
+	for i, id := range n.cv.items {
+		if id.IsNone() || id == n.id || slices.Contains(n.cv.items[:i], id) {
+			return fmt.Errorf("CV %v holds None, self %v or a duplicate", n.cv.items, n.id)
+		}
+	}
+	return nil
+}
+
+// checkMember checks the i-th member of a set: a real identity other
+// than self that the set's index maps back to i. Two copies of one
+// identity cannot both pass, so this also rules out duplicates.
+func checkMember(set string, id ids.ID, i int, self ids.ID, idx *idTable) error {
+	if id.IsNone() || id == self {
+		return fmt.Errorf("%s[%d] is %v (self %v)", set, i, id, self)
+	}
+	if pos, ok := idx.get(id); !ok || pos != uint32(i) {
+		return fmt.Errorf("%s[%d] = %v is indexed at %d (found %v)", set, i, id, pos, ok)
+	}
+	return nil
 }
 
 // TestDiscoveryOrderMatchesMapOracle drives a node with a long random
 // NOTIFY stream — duplicates, self pairs, forged Nones, unrelated
-// pairs — and asserts after every message that the flat-table psOrder
-// and tsOrder equal the map+order-slice oracle element for element.
+// pairs — and asserts after every message that the identities in ps
+// and ts equal the map+order-slice oracle element for element, and
+// that checkInvariants holds.
 func TestDiscoveryOrderMatchesMapOracle(t *testing.T) {
 	fn := newFakeNet(t)
 	self := ids.Sim(0)
@@ -109,50 +151,30 @@ func TestDiscoveryOrderMatchesMapOracle(t *testing.T) {
 		n.Handle(ids.Sim(1+rng.Intn(39)), msg, fn.now)
 		oracle.notify(u, v)
 
-		if !sameIDSeq(n.psOrder, oracle.psOrder) {
-			t.Fatalf("op %d NOTIFY(%v,%v): psOrder %v, oracle %v", op, u, v, n.psOrder, oracle.psOrder)
+		var ps, ts []ids.ID
+		for _, m := range n.ps {
+			ps = append(ps, m.id)
 		}
-		if !sameIDSeq(n.tsOrder, oracle.tsOrder) {
-			t.Fatalf("op %d NOTIFY(%v,%v): tsOrder %v, oracle %v", op, u, v, n.tsOrder, oracle.tsOrder)
+		for i := range n.ts {
+			ts = append(ts, n.ts[i].id)
 		}
-	}
-
-	// The index tables agree with the order slices: psIdx positions are
-	// the discovery ranks, tsIdx slots resolve to the right targets in
-	// tsOrder sequence.
-	for i, id := range n.psOrder {
-		if pos, ok := n.psIdx.get(id); !ok || pos != uint32(i) {
-			t.Errorf("psIdx[%v] = %d, %v; want rank %d", id, pos, ok, i)
+		if !slices.Equal(ps, oracle.psOrder) || !slices.Equal(ts, oracle.tsOrder) {
+			t.Fatalf("op %d NOTIFY(%v,%v): PS %v and TS %v, oracle %v and %v", op, u, v, ps, ts, oracle.psOrder, oracle.tsOrder)
 		}
-	}
-	if n.psIdx.len() != len(n.psOrder) {
-		t.Errorf("psIdx holds %d entries, psOrder %d", n.psIdx.len(), len(n.psOrder))
-	}
-	for i, id := range n.tsOrder {
-		slot, ok := n.tsIdx.get(id)
-		if !ok || slot != n.tsSlots[i] {
-			t.Errorf("tsIdx[%v] = %d, %v; want slot %d", id, slot, ok, n.tsSlots[i])
+		if err := checkInvariants(n); err != nil {
+			t.Fatalf("op %d NOTIFY(%v,%v): %v", op, u, v, err)
 		}
-		if got := n.targets.at(slot).id; got != id {
-			t.Errorf("arena slot %d holds %v, want %v", slot, got, id)
-		}
-	}
-	if n.tsIdx.len() != len(n.tsOrder) {
-		t.Errorf("tsIdx holds %d entries, tsOrder %d", n.tsIdx.len(), len(n.tsOrder))
 	}
 	if len(oracle.psOrder) == 0 || len(oracle.tsOrder) == 0 {
 		t.Fatal("degenerate run: the stream discovered nothing")
 	}
 	// The sorted public views agree with the oracle membership too.
-	wantPS := append([]ids.ID(nil), oracle.psOrder...)
+	wantPS := slices.Clone(oracle.psOrder)
 	ids.Sort(wantPS)
-	if !sameIDSeq(n.PS(), wantPS) {
-		t.Errorf("PS() = %v, oracle %v", n.PS(), wantPS)
-	}
-	wantTS := append([]ids.ID(nil), oracle.tsOrder...)
+	wantTS := slices.Clone(oracle.tsOrder)
 	ids.Sort(wantTS)
-	if !sameIDSeq(n.TS(), wantTS) {
-		t.Errorf("TS() = %v, oracle %v", n.TS(), wantTS)
+	if !slices.Equal(n.PS(), wantPS) || !slices.Equal(n.TS(), wantTS) {
+		t.Errorf("PS() = %v and TS() = %v, oracle %v and %v", n.PS(), n.TS(), wantPS, wantTS)
 	}
 }
 

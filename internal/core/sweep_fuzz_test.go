@@ -53,7 +53,9 @@ func sweepByPair(n *Node, w ids.ID, fetched []ids.ID, now time.Time) {
 		}
 	}
 	if n.cfg.DisableReshuffle {
-		n.cv.add(w)
+		if w != n.id {
+			n.cv.add(w)
+		}
 		return
 	}
 	reshuffleByScan(&n.cv, fetched, w, n.id, n.cfg.Rand)
@@ -73,13 +75,14 @@ func (l *sentLog) Send(to ids.ID, m *Message) {
 }
 
 // FuzzSweepEquivalence feeds arbitrary own and fetched views —
-// overlapping, with duplicates, None, self and w among the entries,
-// longer than the 1024-entry cap — through three nodes in the same
-// state: one whose scheme has RelatedRow (the fast-hash kernel, or the
-// memo over MD5), one whose scheme hides it behind plain Related (the
-// per-pair adapter), and one that runs sweepByPair. All three must emit
-// the identical message sequence, HashChecks and coarse view, twice in
-// a row (reused scratch, pairs already known).
+// overlapping, with duplicates, None, self (fetched only) and w among
+// the entries, longer than the 1024-entry cap — through three nodes in
+// the same state: one whose scheme has RelatedRow (the fast-hash kernel,
+// or the memo over MD5), one whose scheme hides it behind plain Related
+// (the per-pair adapter), and one that runs sweepByPair. All three must
+// emit the identical message sequence, HashChecks and coarse view, twice
+// in a row (reused scratch, pairs already known), and the first two
+// must pass checkInvariants after each.
 func FuzzSweepEquivalence(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 6}, []byte{5, 6, 7, 8, 8, 0, 1}, byte(9), byte(6), uint16(0), false, false)
 	f.Add([]byte{3, 4, 5, 2}, []byte{2, 2, 4, 1}, byte(2), byte(3), uint16(0), true, true)
@@ -133,7 +136,9 @@ func FuzzSweepEquivalence(f *testing.F) {
 			}
 			n.Join(now, ids.None)
 			for _, b := range own {
-				n.cv.add(id(b))
+				if id(b) != self { // no message puts self in its own view
+					n.cv.add(id(b))
+				}
 			}
 			nodes[i] = n
 		}
@@ -150,6 +155,9 @@ func FuzzSweepEquivalence(f *testing.F) {
 				}
 				if !slices.Equal(nodes[i].cv.items, nodes[2].cv.items) {
 					t.Fatalf("round %d, %s left the view %v, the pair-at-a-time sweep %v", round, name, nodes[i].cv.items, nodes[2].cv.items)
+				}
+				if err := checkInvariants(nodes[i]); err != nil {
+					t.Fatalf("round %d, %s: %v", round, name, err)
 				}
 			}
 			if len(fetched) > 0 {

@@ -8,12 +8,12 @@ import (
 	"avmon/internal/availability"
 )
 
-// This file is the struct-of-arrays storage behind the node's PS and
-// TS (see DESIGN.md, "Memory diet"): an open-addressing index table
-// keyed by identity, and a flat by-value arena for target state. At
-// N = 10^6 the previous map-of-pointers layout cost the garbage
-// collector millions of per-entry heap objects; these tables keep the
-// same information in a handful of contiguous slices per node.
+// This file is the index behind the node's PS and TS (see DESIGN.md,
+// "Memory diet"). The consistency condition is a fixed relation over
+// identities, so both sets only ever grow: each is one slice in
+// discovery order (Node.ps, Node.ts) plus an open-addressing table from
+// identity to slice position — no per-entry heap objects, of which a
+// map of pointers cost the garbage collector millions at N = 10^6.
 
 // idTableMinCap is the smallest non-empty table size (a power of two).
 const idTableMinCap = 8
@@ -33,10 +33,8 @@ func idTableHash(id ids.ID) uint64 {
 
 // idTable maps identities to small payload indexes with open
 // addressing and linear probing. The zero value is an empty table.
-// ids.None marks empty slots and is not a valid key; deletion uses
-// backward-shift compaction, so there are no tombstones and lookups
-// stay O(1 + load) through any churn sequence. Not safe for concurrent
-// use.
+// ids.None marks empty slots and is not a valid key. It is insert-only:
+// PS and TS never shed a member. Not safe for concurrent use.
 type idTable struct {
 	keys []ids.ID // ids.None = empty slot; always a power-of-two length
 	vals []uint32
@@ -90,45 +88,6 @@ func (t *idTable) put(id ids.ID, v uint32) {
 	}
 }
 
-// del removes id, reporting whether it was present.
-func (t *idTable) del(id ids.ID) bool {
-	if t.n == 0 {
-		return false
-	}
-	mask := uint64(len(t.keys) - 1)
-	i := idTableHash(id) & mask
-	for {
-		switch t.keys[i] {
-		case ids.None:
-			return false
-		case id:
-			goto found
-		}
-		i = (i + 1) & mask
-	}
-found:
-	// Backward-shift compaction: walk the rest of the probe chain and
-	// pull back any entry whose home position lies cyclically at or
-	// before the hole, so no probe path is ever broken.
-	j := i
-	for {
-		j = (j + 1) & mask
-		k := t.keys[j]
-		if k == ids.None {
-			break
-		}
-		home := idTableHash(k) & mask
-		if (j-home)&mask >= (j-i)&mask {
-			t.keys[i] = k
-			t.vals[i] = t.vals[j]
-			i = j
-		}
-	}
-	t.keys[i] = ids.None
-	t.n--
-	return true
-}
-
 func (t *idTable) grow() {
 	newCap := idTableMinCap
 	if len(t.keys) > 0 {
@@ -145,34 +104,12 @@ func (t *idTable) grow() {
 	}
 }
 
-// targetArena stores target state by value in one flat slice, with a
-// freelist of released slots. Slot indexes are stable for the life of
-// the entry; pointers returned by at are NOT — alloc may move the
-// backing array — so callers must re-resolve after any alloc and never
-// retain a *target across events.
-type targetArena struct {
-	slots []target
-	free  []uint32
-}
-
-// alloc returns the index of a zeroed slot.
-func (a *targetArena) alloc() uint32 {
-	if n := len(a.free); n > 0 {
-		idx := a.free[n-1]
-		a.free = a.free[:n-1]
-		a.slots[idx] = target{}
-		return idx
-	}
-	a.slots = appendChunked(a.slots, target{})
-	return uint32(len(a.slots) - 1)
-}
-
 // appendChunked appends v, growing capacity by fixed chunks of 8
-// instead of append's doubling. The per-node slices it backs (arena
-// slots, discovery-order slices) plateau near K ≈ 13–21 entries, where
-// doubling strands up to 11 slots per slice — ~1.3 KB/node of arena
-// slack alone at N = 10⁶. Growth events are discovery events (a
-// handful per node, ever), so the extra copies are free.
+// instead of append's doubling. The per-node PS and TS slices plateau
+// near K ≈ 13–21 entries, where doubling strands up to 11 entries per
+// slice — ~1.2 KB/node of TS slack alone at N = 10⁶. Growth events are
+// discovery events (a handful per node, ever), so the extra copies are
+// free.
 func appendChunked[T any](s []T, v T) []T {
 	if len(s) == cap(s) {
 		grown := make([]T, len(s), len(s)+8)
@@ -182,26 +119,23 @@ func appendChunked[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// release returns a slot to the freelist for reuse.
-func (a *targetArena) release(idx uint32) {
-	a.slots[idx] = target{}
-	a.free = append(a.free, idx)
-}
-
-// at resolves a slot index to its entry (valid until the next alloc).
-func (a *targetArena) at(idx uint32) *target { return &a.slots[idx] }
-
-// init prepares a freshly allocated slot for monitored node id. The
-// default "raw" history is inlined in the target (store stays nil);
+// init prepares a freshly appended, zero target for monitored node id.
+// The default "raw" history is inlined in the target (store stays nil);
 // other styles allocate their Store. An unknown style falls back to
 // raw rather than dropping the monitoring duty (avmon's config
 // surfaces reject one; core.Config carries the string unchecked).
-func (t *target) init(id ids.ID, historyStyle string, now time.Time) {
+func (t *target) init(id ids.ID, historyStyle string) {
 	t.id = id
-	t.discovered = now.UnixNano()
 	if historyStyle != "raw" {
 		if store, err := availability.NewStore(historyStyle); err == nil {
 			t.store = store
 		}
 	}
+}
+
+// monitor is one member of PS(x) and when it was found (elapsed since
+// the node's birth, for the discovery-time figures).
+type monitor struct {
+	id    ids.ID
+	found time.Duration
 }

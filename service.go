@@ -371,5 +371,5 @@ func (s *Service) EstimateOf(target ID) (float64, bool) {
 func (s *Service) Stats() (psSize, tsSize, cvSize int, hashChecks uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.node.PS()), len(s.node.TS()), len(s.node.CV()), s.node.HashChecks()
+	return s.node.PSLen(), s.node.TSLen(), s.node.CVLen(), s.node.HashChecks()
 }
