@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"avmon/internal/availability"
 	"avmon/internal/ids"
 )
 
@@ -59,6 +60,7 @@ type Config struct {
 
 	// HistoryStyle selects the availability store: "raw" (default),
 	// "recent:<dur>", or "aged:<alpha>" (Section 1, sub-problem II).
+	// A style availability.NewStore rejects is an ErrConfig.
 	HistoryStyle string
 
 	// Pool, when non-nil, is where the node gets its recycled memory;
@@ -180,6 +182,13 @@ func (c *Config) validate() error {
 	}
 	if c.CVS < 2 {
 		return fmt.Errorf("%w: CVS must be ≥ 2, got %d", ErrConfig, c.CVS)
+	}
+	// Each discovered target builds its Store from the style, so the
+	// style must build one now.
+	if c.HistoryStyle != "raw" {
+		if _, err := availability.NewStore(c.HistoryStyle); err != nil {
+			return fmt.Errorf("%w: HistoryStyle: %v", ErrConfig, err)
+		}
 	}
 	return nil
 }

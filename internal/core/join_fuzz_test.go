@@ -78,18 +78,6 @@ func handleJoinByScan(n *Node, m *Message) {
 	}
 }
 
-// joinLog records the JOINs a node forwards.
-type joinLog struct{ fwd []joinFwd }
-
-type joinFwd struct {
-	to, subject ids.ID
-	weight      int
-}
-
-func (l *joinLog) Send(to ids.ID, m *Message) {
-	l.fwd = append(l.fwd, joinFwd{to, m.Subject, m.Weight})
-}
-
 // FuzzJoinEquivalence drives the single-scan handleJoin and
 // handleJoinByScan from the same state — views empty, holding only the
 // joiner, partly filled and full; the subject absent, present and self;
@@ -111,7 +99,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cvsB, fill byte, script []byte, seed int64) {
 		cvs := int(cvsB%63) + 2
 		var nodes [2]*Node
-		var logs [2]joinLog
+		var logs [2]sentLog
 		for i := range nodes {
 			n, err := NewNode(Config{
 				ID: self, Scheme: noneRelated{}, Transport: &logs[i], Rand: rand.New(rand.NewSource(seed)), CVS: cvs,
@@ -134,13 +122,13 @@ func FuzzJoinEquivalence(f *testing.F) {
 			if !slices.Equal(nodes[0].cv.items, nodes[1].cv.items) {
 				t.Fatalf("JOIN %d (%v, weight %d): view %v, the scanning walk's %v", k/2, m.Subject, m.Weight, nodes[0].cv.items, nodes[1].cv.items)
 			}
-			if !slices.Equal(logs[0].fwd, logs[1].fwd) {
-				t.Fatalf("JOIN %d (%v, weight %d): forwarded %v, the scanning walk %v", k/2, m.Subject, m.Weight, logs[0].fwd, logs[1].fwd)
+			if !slices.Equal(logs[0].msgs, logs[1].msgs) {
+				t.Fatalf("JOIN %d (%v, weight %d): forwarded %v, the scanning walk %v", k/2, m.Subject, m.Weight, logs[0].msgs, logs[1].msgs)
 			}
 			if a, b := nodes[0].cfg.Rand.Int63(), nodes[1].cfg.Rand.Int63(); a != b {
 				t.Fatalf("JOIN %d (%v, weight %d): the random streams are at different positions", k/2, m.Subject, m.Weight)
 			}
-			if err := checkInvariants(nodes[0]); err != nil {
+			if err := checkInvariants(nodes[0], &m); err != nil {
 				t.Fatalf("JOIN %d (%v, weight %d): %v", k/2, m.Subject, m.Weight, err)
 			}
 		}

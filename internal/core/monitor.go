@@ -1,28 +1,27 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"avmon/internal/availability"
 	"avmon/internal/ids"
 )
 
-// target tracks one monitored node u ∈ TS(x): its availability
-// history, outstanding probe, and the session bookkeeping that drives
-// forgetful pinging (Section 3.3). Targets live by value in Node.ts, in
-// discovery order, and are never dropped — forgetful pinging probes a
-// long-absent target less often instead. Timestamps are UnixNano
-// integers rather than time.Time so an entry is pointer-free under the
-// default raw history (every simulated and real instant is far past
-// 1970, so the zero value still means "never").
+// target tracks one monitored node u ∈ TS(x): its outstanding probe and
+// the session bookkeeping that drives forgetful pinging (Section 3.3).
+// Targets live by value in Node.ts, aligned with their identities in
+// Node.tsIDs, in discovery order, and are never dropped — forgetful
+// pinging probes a long-absent target less often instead. Timestamps
+// are UnixNano integers rather than time.Time so the record is
+// pointer-free (every simulated and real instant is far past 1970, so
+// the zero value still means "never"), and the whole record is one
+// 64-byte cache line: TS holds ~K ≈ 21 of these per node at N = 10⁶,
+// where every 8 bytes here is 160 MB.
 type target struct {
-	id ids.ID
-
-	// Availability history. The default "raw" style is inlined (store
-	// stays nil) so the common configuration carries no per-target heap
-	// object; windowed/aged styles hold their Store here.
-	raw   availability.Raw
-	store availability.Store
+	// raw is the availability history under the default "raw" style;
+	// any other style keeps the target's Store in Node.stores instead.
+	raw availability.Raw
 
 	awaitingSeq uint64 // outstanding MON-PING sequence (0 = none)
 	awaitingAt  int64  // UnixNano
@@ -32,44 +31,21 @@ type target struct {
 	downSince    int64         // UnixNano
 	lastSession  time.Duration // most recent completed observed session ts(u)
 
-	// Activity counters are uint32 — a target accrues at most one ping
-	// per period, so 2³² covers millennia of simulated time — and sit
-	// with the flags at the tail of the struct so the whole entry packs
-	// into 104 bytes (TS holds ~K ≈ 21 of these per node at N = 10⁶;
-	// every 8 bytes here is 160 MB there).
-	pingsSent       uint32
-	acks            uint32
-	pingsSaved      uint32 // pings skipped by the forgetful optimization
-	pingsSuppressed uint32 // pings withheld by a colluding monitor
-
 	everAcked bool
 	down      bool
 }
 
-// record folds one ping outcome into the target's history.
-func (t *target) record(at time.Time, up bool) {
-	if t.store != nil {
-		t.store.Record(at, up)
-		return
+// history returns target i's availability history: its Store where the
+// style has one, else the raw history inlined in its record.
+func (n *Node) history(i int) availability.Store {
+	if n.stores != nil {
+		return n.stores[i]
 	}
-	t.raw.Record(at, up)
+	return &n.ts[i].raw
 }
 
-// estimate returns the target's current availability estimate.
-func (t *target) estimate(now time.Time) float64 {
-	if t.store != nil {
-		return t.store.Estimate(now)
-	}
-	return t.raw.Estimate(now)
-}
-
-// samples returns the number of recorded (retained) outcomes.
-func (t *target) samples() int {
-	if t.store != nil {
-		return t.store.Samples()
-	}
-	return t.raw.Samples()
-}
+// observe advances lastObserved, the latest probe or ack time.
+func (n *Node) observe(at int64) { n.lastObserved = max(n.lastObserved, at) }
 
 // MonitorTick runs one monitoring period TA: it resolves last round's
 // outstanding probes as losses, then sends this round's monitoring
@@ -86,7 +62,7 @@ func (n *Node) MonitorTick(now time.Time) {
 		// observation.
 		if t.awaitingSeq != 0 {
 			t.awaitingSeq = 0
-			t.record(now, false)
+			n.history(i).Record(now, false)
 			if !t.down {
 				t.down = true
 				t.downSince = t.awaitingAt
@@ -98,8 +74,8 @@ func (n *Node) MonitorTick(now time.Time) {
 		// 2. A colluding monitor drops its duty towards victims
 		// entirely (the eclipse half of the collusion attack): no
 		// probe, so no observation and no availability history.
-		if n.cfg.SuppressMonPing != nil && n.cfg.SuppressMonPing(t.id) {
-			t.pingsSuppressed++
+		if n.cfg.SuppressMonPing != nil && n.cfg.SuppressMonPing(n.tsIDs[i]) {
+			n.pingsSuppressed++
 			continue
 		}
 		// 3. Decide whether to probe this round.
@@ -117,7 +93,7 @@ func (n *Node) MonitorTick(now time.Time) {
 					p = 1
 				}
 				if n.cfg.Rand.Float64() >= p {
-					t.pingsSaved++
+					n.pingsSaved++
 					continue
 				}
 			}
@@ -125,34 +101,38 @@ func (n *Node) MonitorTick(now time.Time) {
 		// 4. Probe.
 		t.awaitingSeq = n.nextSeq()
 		t.awaitingAt = nowNanos
-		t.pingsSent++
+		n.observe(nowNanos)
+		n.pingsSent++
 		msg := n.newMsg()
 		msg.Type = MsgMonPing
 		msg.Seq = t.awaitingSeq
-		n.send(t.id, msg)
+		n.send(n.tsIDs[i], msg)
 	}
 }
 
 // handleMonAck folds a monitoring acknowledgment into the target's
 // history.
 func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
-	i, ok := n.tsIdx.get(from)
-	if !ok {
+	i := slices.Index(n.tsIDs, from)
+	if i < 0 {
 		return
 	}
 	t := &n.ts[i]
-	if seq != t.awaitingSeq {
+	// Only the outstanding probe's ack counts; seq 0 means none is
+	// outstanding, so a target cannot pad its history with unasked acks.
+	if seq == 0 || seq != t.awaitingSeq {
 		return
 	}
 	t.awaitingSeq = 0
-	t.acks++
-	t.record(now, true)
+	n.acks++
+	n.history(i).Record(now, true)
 	if t.down || !t.everAcked {
 		t.sessionStart = now.UnixNano()
 		t.down = false
 	}
 	t.everAcked = true
 	t.lastAck = now.UnixNano()
+	n.observe(t.lastAck)
 }
 
 // EstimateOf returns this node's availability estimate for a node it
@@ -161,17 +141,16 @@ func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 // monitor's ForgeReport hook gets the final word on what leaves the
 // node.
 func (n *Node) EstimateOf(u ids.ID) (float64, bool) {
-	i, ok := n.tsIdx.get(u)
-	if !ok {
+	i := slices.Index(n.tsIDs, u)
+	if i < 0 {
 		return 0, false
 	}
-	t := &n.ts[i]
 	est, known := 0.0, false
-	switch {
+	switch h := n.history(i); {
 	case n.cfg.Overreport:
 		est, known = 1.0, true
-	case t.samples() > 0:
-		est, known = t.estimate(n.lastTickTime()), true
+	case h.Samples() > 0:
+		est, known = h.Estimate(n.lastTickTime()), true
 	}
 	if n.cfg.ForgeReport != nil {
 		return n.cfg.ForgeReport(u, est, known)
@@ -183,20 +162,10 @@ func (n *Node) EstimateOf(u ids.ID) (float64, bool) {
 // stores age relative to the most recent observation, for which the
 // last ack or probe time is the best proxy the node has.
 func (n *Node) lastTickTime() time.Time {
-	var latest int64
-	for i := range n.ts {
-		t := &n.ts[i]
-		if t.awaitingAt > latest {
-			latest = t.awaitingAt
-		}
-		if t.lastAck > latest {
-			latest = t.lastAck
-		}
-	}
-	if latest == 0 {
+	if n.lastObserved == 0 {
 		return time.Time{}
 	}
-	return time.Unix(0, latest)
+	return time.Unix(0, n.lastObserved)
 }
 
 // MonitoringStats summarizes the node's monitoring activity.
@@ -210,14 +179,11 @@ type MonitoringStats struct {
 
 // MonitoringStats returns a snapshot of monitoring activity counters.
 func (n *Node) MonitoringStats() MonitoringStats {
-	var s MonitoringStats
-	s.Targets = len(n.ts)
-	for i := range n.ts {
-		t := &n.ts[i]
-		s.PingsSent += uint64(t.pingsSent)
-		s.Acks += uint64(t.acks)
-		s.PingsSaved += uint64(t.pingsSaved)
-		s.PingsSuppressed += uint64(t.pingsSuppressed)
+	return MonitoringStats{
+		Targets:         len(n.ts),
+		PingsSent:       n.pingsSent,
+		Acks:            n.acks,
+		PingsSaved:      n.pingsSaved,
+		PingsSuppressed: n.pingsSuppressed,
 	}
-	return s
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
+	"avmon/internal/availability"
 	"avmon/internal/ids"
 )
 
@@ -19,14 +22,27 @@ type Node struct {
 	joinedAt  time.Time
 	lastLeave time.Time
 
-	// PS and TS only ever grow (see DESIGN.md, "Memory diet"): each is
-	// one slice in discovery order — the documented iteration order —
-	// with an insert-only index table from identity to position.
-	cv    view
-	ps    []monitor // PS(x), with each monitor's discovery time
-	ts    []target  // TS(x), target state by value
-	psIdx idTable   // monitor → position in ps
-	tsIdx idTable   // monitored node → position in ts
+	// PS and TS only ever grow (see DESIGN.md, "Memory diet") and are
+	// kept in discovery order — the documented iteration order. Both
+	// plateau near K entries, so, like the coarse view, they are looked
+	// up by a linear scan. TS is aligned columns: the identities, which
+	// lookups scan; the state records; and, for any history style but
+	// "raw" (whose history is inlined in the record), the Stores.
+	cv     view
+	ps     []monitor            // PS(x), with each monitor's discovery time
+	tsIDs  []ids.ID             // TS(x)
+	ts     []target             // state of tsIDs[i], by value
+	stores []availability.Store // history of tsIDs[i]; nil under "raw"
+
+	// Monitoring activity over all targets (MonitoringStats).
+	pingsSent       uint64
+	acks            uint64
+	pingsSaved      uint64 // pings skipped by the forgetful optimization
+	pingsSuppressed uint64 // pings withheld by a colluding monitor
+
+	// lastObserved is the latest probe or ack time over all targets
+	// (UnixNano; 0 = none yet), the "now" of estimate queries.
+	lastObserved int64
 
 	// lastCoarseContact is the last time a message arrived that proves
 	// this node sits in some peer's coarse view (PING, CV-FETCH, a
@@ -373,7 +389,7 @@ func (n *Node) rebootstrap(now time.Time) {
 			return
 		}
 		if i := n.cfg.Rand.Intn(total); i < len(n.ts) {
-			target = n.ts[i].id
+			target = n.tsIDs[i]
 		} else {
 			target = n.ps[i-len(n.ts)].id
 		}
@@ -582,26 +598,33 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 	}
 	switch n.id {
 	case v:
-		if _, known := n.psIdx.get(u); known {
-			return
+		for i := range n.ps {
+			if n.ps[i].id == u {
+				return
+			}
 		}
 		n.hashChecks++
 		if !n.cfg.Scheme.Related(u, v) {
 			return
 		}
-		n.psIdx.put(u, uint32(len(n.ps)))
 		n.ps = appendChunked(n.ps, monitor{id: u, found: now.Sub(n.bornAt)})
 	case u:
-		if _, known := n.tsIdx.get(v); known {
+		if slices.Contains(n.tsIDs, v) {
 			return
 		}
 		n.hashChecks++
 		if !n.cfg.Scheme.Related(u, v) {
 			return
 		}
-		n.tsIdx.put(v, uint32(len(n.ts)))
+		n.tsIDs = appendChunked(n.tsIDs, v)
 		n.ts = appendChunked(n.ts, target{})
-		n.ts[len(n.ts)-1].init(v, n.cfg.HistoryStyle)
+		if n.cfg.HistoryStyle != "raw" {
+			store, err := availability.NewStore(n.cfg.HistoryStyle)
+			if err != nil {
+				panic(fmt.Sprintf("core: a validated history style failed: %v", err))
+			}
+			n.stores = appendChunked(n.stores, store)
+		}
 	}
 }
 
@@ -619,10 +642,8 @@ func (n *Node) PS() []ids.ID {
 
 // TS returns the node's current target set (the nodes it monitors).
 func (n *Node) TS() []ids.ID {
-	out := make([]ids.ID, len(n.ts))
-	for i := range n.ts {
-		out[i] = n.ts[i].id
-	}
+	out := make([]ids.ID, len(n.tsIDs))
+	copy(out, n.tsIDs)
 	ids.Sort(out)
 	return out
 }

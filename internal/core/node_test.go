@@ -30,6 +30,8 @@ func TestNewNodeValidation(t *testing.T) {
 		{"missing transport", func(c *Config) { c.Transport = nil }},
 		{"missing rand", func(c *Config) { c.Rand = nil }},
 		{"cvs too small", func(c *Config) { c.CVS = 1 }},
+		{"unknown history style", func(c *Config) { c.HistoryStyle = "bogus" }},
+		{"malformed history style", func(c *Config) { c.HistoryStyle = "recent:soon" }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -397,7 +399,7 @@ func TestPR2FromSelfIgnored(t *testing.T) {
 	x.cv.add(peer.ID())
 	x.Handle(x.ID(), &Message{Type: MsgPR2}, fn.now)
 	for period := 0; period < 3; period++ {
-		if err := checkInvariants(x); err != nil {
+		if err := checkInvariants(x, nil); err != nil {
 			t.Fatalf("period %d: %v", period, err)
 		}
 		fn.now = fn.now.Add(DefaultPeriod)

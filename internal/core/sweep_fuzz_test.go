@@ -61,19 +61,6 @@ func sweepByPair(n *Node, w ids.ID, fetched []ids.ID, now time.Time) {
 	reshuffleByScan(&n.cv, fetched, w, n.id, n.cfg.Rand)
 }
 
-// sentLog records what a node sends.
-type sentLog struct{ msgs []sentMsg }
-
-type sentMsg struct {
-	to   ids.ID
-	typ  MsgType
-	u, v ids.ID
-}
-
-func (l *sentLog) Send(to ids.ID, m *Message) {
-	l.msgs = append(l.msgs, sentMsg{to, m.Type, m.U, m.V})
-}
-
 // FuzzSweepEquivalence feeds arbitrary own and fetched views —
 // overlapping, with duplicates, None, self (fetched only) and w among
 // the entries, longer than the 1024-entry cap — through three nodes in
@@ -143,8 +130,9 @@ func FuzzSweepEquivalence(f *testing.F) {
 			nodes[i] = n
 		}
 		for round := 0; round < 2; round++ {
-			nodes[0].Handle(w, &Message{Type: MsgCVResp, View: fetched}, now)
-			nodes[1].Handle(w, &Message{Type: MsgCVResp, View: fetched}, now)
+			resp := &Message{Type: MsgCVResp, View: fetched}
+			nodes[0].Handle(w, resp, now)
+			nodes[1].Handle(w, resp, now)
 			sweepByPair(nodes[2], w, fetched, now)
 			for i, name := range []string{"row path", "per-pair adapter"} {
 				if !slices.Equal(logs[i].msgs, logs[2].msgs) {
@@ -156,7 +144,7 @@ func FuzzSweepEquivalence(f *testing.F) {
 				if !slices.Equal(nodes[i].cv.items, nodes[2].cv.items) {
 					t.Fatalf("round %d, %s left the view %v, the pair-at-a-time sweep %v", round, name, nodes[i].cv.items, nodes[2].cv.items)
 				}
-				if err := checkInvariants(nodes[i]); err != nil {
+				if err := checkInvariants(nodes[i], resp); err != nil {
 					t.Fatalf("round %d, %s: %v", round, name, err)
 				}
 			}
