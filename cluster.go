@@ -139,25 +139,18 @@ type ClusterConfig struct {
 	// byte-identical to one without the field (the chaos experiment's
 	// control-arm gate).
 	Collusion *CollusionConfig
-	// Latency is the constant one-way message latency (default 50ms),
-	// used when LatencyModel is nil.
-	Latency time.Duration
-	// LatencyModel, when non-nil, replaces the constant Latency with a
-	// heterogeneous one-way latency distribution (lognormal, zone
-	// matrix, …; see NewLognormalLatency and NewZoneLatency). Under
+	// LatencyModel is the one-way latency distribution: constant (see
+	// NewConstantLatency; nil means a constant 50ms), lognormal, zone
+	// matrix, … (see NewLognormalLatency and NewZoneLatency). Under
 	// sharding the engine's lookahead window adapts to the model's
 	// provable floor, MinLatency() — the adaptive-lookahead contract —
 	// so the floor must be positive for Shards > 1. All draws come
 	// from the sender's lane stream, so results stay byte-identical at
 	// any shard count.
 	LatencyModel LatencyModel
-	// Loss is an independent per-message drop probability, for
-	// failure-injection testing (default 0), used when LossModel is
-	// nil.
-	Loss float64
-	// LossModel, when non-nil, replaces the independent Loss
-	// probability with a stateful loss process (e.g. Gilbert-Elliott
-	// burst loss; see NewGilbertElliottLoss). Per-sender channel state
+	// LossModel, when non-nil, drops messages for failure-injection
+	// testing: independently (NewBernoulliLoss) or in bursts
+	// (NewGilbertElliottLoss). nil is lossless. Per-sender channel state
 	// is owned by the sender's lane, preserving determinism under
 	// sharding.
 	LossModel LossModel
@@ -359,10 +352,6 @@ func (cfg ClusterConfig) Validate() error {
 		return badConfig("N %d is negative (0 = the churn model's stable size)", cfg.N)
 	case cfg.Shards < 0:
 		return badConfig("Shards %d is negative (0 = one shard)", cfg.Shards)
-	case cfg.Latency < 0:
-		return badConfig("Latency %v is negative (0 = 50ms)", cfg.Latency)
-	case !(cfg.Loss >= 0 && cfg.Loss < 1):
-		return badConfig("Loss %v outside [0, 1)", cfg.Loss)
 	case !(cfg.OverreportFraction >= 0 && cfg.OverreportFraction <= 1):
 		return badConfig("OverreportFraction %v outside [0, 1]", cfg.OverreportFraction)
 	}
@@ -393,9 +382,6 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	if cfg.N == 0 {
 		return nil, badConfig("cannot determine system size N")
 	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 50 * time.Millisecond
-	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
@@ -415,15 +401,7 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	}
 	latency := cfg.LatencyModel
 	if latency == nil {
-		if latency, err = simnet.NewConstantLatency(cfg.Latency); err != nil {
-			return nil, fmt.Errorf("avmon: %w", err)
-		}
-	}
-	loss := cfg.LossModel
-	if loss == nil && cfg.Loss > 0 {
-		if loss, err = simnet.NewBernoulliLoss(cfg.Loss); err != nil {
-			return nil, fmt.Errorf("avmon: %w", err)
-		}
+		latency, _ = simnet.NewConstantLatency(50 * time.Millisecond) // a valid constant
 	}
 	// Adaptive lookahead: the latency model's provable floor is the
 	// minimum cross-node event distance, hence exactly the conservative
@@ -444,7 +422,7 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	}
 	c.net, err = simnet.New(eng,
 		simnet.WithLatencyModel(latency),
-		simnet.WithLossModel(loss),
+		simnet.WithLossModel(cfg.LossModel),
 		simnet.WithUndelivered(c.undelivered))
 	if err != nil {
 		return nil, fmt.Errorf("avmon: %w", err)

@@ -298,22 +298,11 @@ func stateText(t *testing.T, c *Cluster) string {
 	return sb.String()
 }
 
-// mustLatency unwraps a latency-model constructor in tests.
-func mustLatency(t *testing.T, mk func() (LatencyModel, error)) LatencyModel {
-	t.Helper()
-	m, err := mk()
+// must unwraps a network-model constructor in tests, whose arguments
+// are constants the constructor accepts.
+func must[M any](m M, err error) M {
 	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// mustLoss unwraps a loss-model constructor in tests.
-func mustLoss(t *testing.T, mk func() (LossModel, error)) LossModel {
-	t.Helper()
-	m, err := mk()
-	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return m
 }
@@ -355,7 +344,7 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 		{
 			name: "SYNTH-BD-md5-loss",
 			cfg: ClusterConfig{
-				N: 90, Seed: 32, Loss: 0.05,
+				N: 90, Seed: 32, LossModel: must(NewBernoulliLoss(0.05)),
 				Options: NodeOptions{Hash: HashMD5, Forgetful: true, PR2: true},
 			},
 			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) },
@@ -363,7 +352,7 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 		{
 			name: "SYNTH-BD-loss-overreport",
 			cfg: ClusterConfig{
-				N: 90, Seed: 22, Loss: 0.05, OverreportFraction: 0.2,
+				N: 90, Seed: 22, LossModel: must(NewBernoulliLoss(0.05)), OverreportFraction: 0.2,
 				Options: NodeOptions{Forgetful: true, PR2: true},
 			},
 			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) },
@@ -381,13 +370,9 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			name: "WAN-lognormal-GE-burst",
 			cfg: ClusterConfig{
 				N: 90, Seed: 24,
-				LatencyModel: mustLatency(t, func() (LatencyModel, error) {
-					return NewLognormalLatency(20*time.Millisecond, 60*time.Millisecond, 0.7, 2*time.Second)
-				}),
-				LossModel: mustLoss(t, func() (LossModel, error) {
-					return NewGilbertElliottLoss(0.02, 0.25, 0.001, 0.3)
-				}),
-				Options: NodeOptions{Forgetful: true},
+				LatencyModel: must(NewLognormalLatency(20*time.Millisecond, 60*time.Millisecond, 0.7, 2*time.Second)),
+				LossModel:    must(NewGilbertElliottLoss(0.02, 0.25, 0.001, 0.3)),
+				Options:      NodeOptions{Forgetful: true},
 			},
 			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) },
 		},
@@ -398,14 +383,12 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			name: "WAN-zones",
 			cfg: ClusterConfig{
 				N: 100, Seed: 25,
-				LatencyModel: mustLatency(t, func() (LatencyModel, error) {
-					return NewZoneLatency([][]time.Duration{
-						{10 * time.Millisecond, 80 * time.Millisecond, 150 * time.Millisecond},
-						{85 * time.Millisecond, 15 * time.Millisecond, 200 * time.Millisecond},
-						{140 * time.Millisecond, 210 * time.Millisecond, 12 * time.Millisecond},
-					}, 0.25)
-				}),
-				Loss: 0.02,
+				LatencyModel: must(NewZoneLatency([][]time.Duration{
+					{10 * time.Millisecond, 80 * time.Millisecond, 150 * time.Millisecond},
+					{85 * time.Millisecond, 15 * time.Millisecond, 200 * time.Millisecond},
+					{140 * time.Millisecond, 210 * time.Millisecond, 12 * time.Millisecond},
+				}, 0.25)),
+				LossModel: must(NewBernoulliLoss(0.02)),
 			},
 			mk: func() (ChurnModel, error) { return NewSYNTHModel(100, 0.2) },
 		},
@@ -428,14 +411,12 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			name: "chaos-zone-outage",
 			cfg: ClusterConfig{
 				N: 90, Seed: 27,
-				LatencyModel: mustLatency(t, func() (LatencyModel, error) {
-					return NewZoneLatency([][]time.Duration{
-						{10 * time.Millisecond, 80 * time.Millisecond, 150 * time.Millisecond},
-						{85 * time.Millisecond, 15 * time.Millisecond, 200 * time.Millisecond},
-						{140 * time.Millisecond, 210 * time.Millisecond, 12 * time.Millisecond},
-					}, 0.25)
-				}),
-				Loss: 0.02,
+				LatencyModel: must(NewZoneLatency([][]time.Duration{
+					{10 * time.Millisecond, 80 * time.Millisecond, 150 * time.Millisecond},
+					{85 * time.Millisecond, 15 * time.Millisecond, 200 * time.Millisecond},
+					{140 * time.Millisecond, 210 * time.Millisecond, 12 * time.Millisecond},
+				}, 0.25)),
+				LossModel: must(NewBernoulliLoss(0.02)),
 			},
 			mk: func() (ChurnModel, error) {
 				schedule, err := ParseOutageSchedule("1@10m+10m,2@24m+5m")
@@ -452,7 +433,7 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			// pinging — the layout the memory diet must not perturb.
 			name: "SYNTH-windowed-history",
 			cfg: ClusterConfig{
-				N: 80, Seed: 29, Loss: 0.1,
+				N: 80, Seed: 29, LossModel: must(NewBernoulliLoss(0.1)),
 				Options: NodeOptions{Forgetful: true, HistoryStyle: "recent:30m"},
 			},
 			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(80, 0.3, 0.3) },
@@ -544,7 +525,7 @@ func TestClusterOverreporters(t *testing.T) {
 
 func TestClusterSurvivesMessageLoss(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		N: 80, Seed: 13, Loss: 0.2,
+		N: 80, Seed: 13, LossModel: must(NewBernoulliLoss(0.2)),
 	}, NewSTATModel(80))
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,8 @@ var brokenNodeOptions = map[string]func(*NodeOptions){
 func TestClusterConfigValidation(t *testing.T) {
 	valid := func() ClusterConfig {
 		return ClusterConfig{
-			N: 50, Seed: 3, Shards: 2, Loss: 0.01, Latency: 20 * time.Millisecond,
+			N: 50, Seed: 3, Shards: 2,
+			LatencyModel: must(NewConstantLatency(20 * time.Millisecond)), LossModel: must(NewBernoulliLoss(0.01)),
 			OverreportFraction: 0.1,
 			Collusion:          &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: -1},
 			Options: NodeOptions{K: 6, CVS: 8, Variant: VariantMD, Hash: HashMD5,
@@ -66,9 +67,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	broken := map[string]func(*ClusterConfig){
 		"negative N":           func(c *ClusterConfig) { c.N = -5 },
 		"negative shards":      func(c *ClusterConfig) { c.Shards = -2 },
-		"negative latency":     func(c *ClusterConfig) { c.Latency = -time.Millisecond },
-		"negative loss":        func(c *ClusterConfig) { c.Loss = -0.1 },
-		"certain loss":         func(c *ClusterConfig) { c.Loss = 1 },
 		"overreport above one": func(c *ClusterConfig) { c.OverreportFraction = 2 },
 		"NaN overreport":       func(c *ClusterConfig) { c.OverreportFraction = math.NaN() },
 		"collusion above one":  func(c *ClusterConfig) { c.Collusion.Fraction = 1.5 },
@@ -113,7 +111,7 @@ func TestNewClusterConstruction(t *testing.T) {
 		{N: 40, Shards: 2, Options: NodeOptions{Hash: HashMD5, NoHashMemo: true}},
 		{N: 40, Options: NodeOptions{Variant: VariantGeneric, Forgetful: true, PR2: true}},
 		{N: 40, Options: NodeOptions{HistoryStyle: "recent:30m", RejoinFullWeight: true}},
-		{N: 40, Shards: 8, LatencyModel: lognormal, Loss: 0.05},
+		{N: 40, Shards: 8, LatencyModel: lognormal, LossModel: must(NewBernoulliLoss(0.05))},
 		{N: 40, Collusion: &CollusionConfig{}, OverreportFraction: 1},
 	}
 	for i, cfg := range good {
@@ -133,7 +131,6 @@ func TestNewClusterConstruction(t *testing.T) {
 		{Options: NodeOptions{HistoryStyle: "bogus"}},
 		{Options: NodeOptions{K: 41}},
 		{N: -1},
-		{Loss: -0.5},
 		{Shards: -1},
 	}
 	for i, cfg := range bad {

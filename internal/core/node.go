@@ -185,11 +185,15 @@ func (n *Node) Leave(now time.Time) {
 
 // --- Handle: message dispatch ---------------------------------------
 
-// Handle processes one received message at virtual time now. Messages
-// arriving while the node is down are dropped (the transport layer
-// normally guarantees this; the check makes Handle safe regardless).
+// Handle processes one received message at virtual time now. from is
+// whatever the datagram claims, so one rule at the entry drops what no
+// handler should act on: anything while the node is down (the
+// transport normally guarantees this), anything from None, and any
+// protocol message claiming to come from the node itself, whose answer
+// or view entry would point back at it. Query requests from self are
+// answered: a Service may be one of its own subject's monitors.
 func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
-	if !n.alive && from != n.id {
+	if !n.alive || from.IsNone() || from == n.id && m.Type <= MsgPR2 {
 		return
 	}
 	switch m.Type {
@@ -223,10 +227,8 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 	case MsgMonAck:
 		n.handleMonAck(from, m.Seq, now)
 	case MsgPR2:
-		if from != n.id { // from is the datagram's claim; never our own view
-			n.lastCoarseContact = now // the sender holds us in its CV
-			n.cv.addEvict(from, n.cfg.Rand)
-		}
+		n.lastCoarseContact = now // the sender holds us in its CV
+		n.cv.addEvict(from, n.cfg.Rand)
 	case MsgReportReq:
 		n.send(from, &Message{
 			Type: MsgReportResp, Seq: m.Seq, Nonce: m.Nonce, View: n.ReportMonitors(m.Count),
@@ -530,9 +532,7 @@ func (n *Node) handleCVResp(w ids.ID, fetched []ids.ID, now time.Time) {
 	sc.hits = hits
 	n.hashChecks += uint64((len(a)-common)*2*len(b) + common*(2*len(b)-1-common))
 	if n.cfg.DisableReshuffle {
-		if w != n.id { // only grow into free space; never re-randomize, never self
-			n.cv.add(w)
-		}
+		n.cv.add(w) // only grow into free space; never re-randomize
 		return
 	}
 	// The reshuffle draws from CV(x) ∪ CV(w) ∪ {w} minus self, in that

@@ -399,7 +399,7 @@ func TestPR2FromSelfIgnored(t *testing.T) {
 	x.cv.add(peer.ID())
 	x.Handle(x.ID(), &Message{Type: MsgPR2}, fn.now)
 	for period := 0; period < 3; period++ {
-		if err := checkInvariants(x, nil); err != nil {
+		if err := checkInvariants(x, nil, nil); err != nil {
 			t.Fatalf("period %d: %v", period, err)
 		}
 		fn.now = fn.now.Add(DefaultPeriod)

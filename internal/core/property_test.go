@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"avmon/internal/ids"
 )
@@ -26,41 +29,27 @@ func TestJoinWeightSplitProperty(t *testing.T) {
 	}
 }
 
-// TestViewRandomExcludingProperty: randomExcluding never returns the
-// excluded member, never invents members, and is None only when the
-// view has no other member.
+// TestViewRandomExcludingProperty: the JOIN walk forwards only to view
+// members other than the joiner, and to nobody while the joiner is alone.
 func TestViewRandomExcludingProperty(t *testing.T) {
-	fn := newFakeNet(t)
-	nd := fn.addNode(0, noneRelated{}, nil)
-	f := func(size, exclIdx uint8, draws uint8) bool {
-		v := newView(16)
-		n := int(size % 17)
-		for i := 0; i < n; i++ {
-			v.add(ids.Sim(i + 1))
+	f := func(size, weight uint8, seed int64) bool {
+		log := &sentLog{}
+		n, err := NewNode(Config{ID: ids.Sim(0), Scheme: noneRelated{}, Transport: log, Rand: rand.New(rand.NewSource(seed)), CVS: 16})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var excl ids.ID
-		if n > 0 && int(exclIdx)%2 == 0 {
-			excl = ids.Sim(int(exclIdx)%n + 1) // a member
-		} else {
-			excl = ids.Sim(999) // not a member
+		n.Join(time.Time{}, ids.None)
+		for i := 0; i < int(size%17); i++ {
+			n.cv.add(ids.Sim(i + 1))
 		}
-		for d := 0; d < int(draws%8)+1; d++ {
-			got := v.randomExcluding(nd.cfg.Rand, excl)
-			if got == excl {
-				return false
-			}
-			if got.IsNone() {
-				// Legal only if the view is empty or contains only excl.
-				if n > 1 || (n == 1 && !v.contains(excl)) {
-					return false
-				}
-				continue
-			}
-			if !v.contains(got) {
+		members := n.CV() // the joiner, ids.Sim(99), is not one
+		n.Handle(ids.Sim(98), &Message{Type: MsgJoin, Subject: ids.Sim(99), Weight: int(weight%8) + 2}, time.Time{})
+		for _, s := range log.msgs {
+			if !slices.Contains(members, s.to) {
 				return false
 			}
 		}
-		return true
+		return (len(members) == 0) == (len(log.msgs) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

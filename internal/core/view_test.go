@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -87,83 +88,27 @@ func TestViewAddEvict(t *testing.T) {
 	}
 }
 
-// reshuffleByScan is the reshuffle as Figure 2 states it, and as the
-// node ran it before the sweep's cross-membership flags supplied the
-// union: CV(x) ∪ CV(w) ∪ {w} minus self, deduplicated by linear scans
-// in that order, then resampled. The sweep's flag-built union must
-// equal this one (FuzzSweepEquivalence).
-func reshuffleByScan(v *view, fetched []ids.ID, w, self ids.ID, rng *rand.Rand) {
-	var union []ids.ID
-	add := func(id ids.ID) {
-		if id.IsNone() || id == self {
-			return
-		}
-		for _, e := range union {
-			if e == id {
-				return
-			}
-		}
-		union = append(union, id)
-	}
-	for _, id := range v.items {
-		add(id)
-	}
-	for _, id := range fetched {
-		add(id)
-	}
-	add(w)
-	v.resample(union, rng)
-}
-
+// TestViewReshuffleInvariants: resample replaces the view with
+// min(cvs, |union|) distinct members of the union it is handed — the
+// sweep's CV(x) ∪ CV(w) ∪ {w} — whatever the view held before.
 func TestViewReshuffleInvariants(t *testing.T) {
-	f := func(seed int64, nCur, nFetched uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+	f := func(seed int64, nCur, nUnion uint8) bool {
 		const max = 8
-		self := ids.Sim(1000)
-		w := ids.Sim(2000)
 		v := newView(max)
 		for i := 0; i < int(nCur%12); i++ {
-			v.add(ids.Sim(i))
+			v.add(ids.Sim(100 + i)) // none of them in the union
 		}
-		fetched := make([]ids.ID, 0, nFetched%12)
-		for i := 0; i < int(nFetched%12); i++ {
-			fetched = append(fetched, ids.Sim(100+rng.Intn(10)))
+		var union []ids.ID
+		for i := 0; i < int(nUnion%20); i++ {
+			union = append(union, ids.Sim(i))
 		}
-		// Poison the fetched view with self: reshuffle must drop it.
-		fetched = append(fetched, self)
-		union := make(map[ids.ID]struct{})
-		for _, id := range v.snapshot() {
-			union[id] = struct{}{}
-		}
-		for _, id := range fetched {
-			union[id] = struct{}{}
-		}
-		union[w] = struct{}{}
-		delete(union, self)
-
-		reshuffleByScan(v, fetched, w, self, rng)
-
-		if v.size() > max {
-			return false
-		}
-		if v.contains(self) {
-			return false
-		}
-		seen := make(map[ids.ID]bool)
-		for _, id := range v.snapshot() {
-			if seen[id] {
-				return false // duplicate
-			}
-			seen[id] = true
-			if _, ok := union[id]; !ok {
-				return false // invented an entry
+		v.resample(slices.Clone(union), rand.New(rand.NewSource(seed)))
+		for i, id := range v.items {
+			if !slices.Contains(union, id) || slices.Contains(v.items[:i], id) {
+				return false
 			}
 		}
-		// If the union was small enough, everything must be kept.
-		if len(union) <= max && v.size() != len(union) {
-			return false
-		}
-		return true
+		return v.size() == min(max, len(union))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -178,11 +123,11 @@ func TestViewReshuffleUniform(t *testing.T) {
 	const trials = 4000
 	for trial := 0; trial < trials; trial++ {
 		v := newView(5)
-		var fetched []ids.ID
-		for i := 0; i < 19; i++ {
-			fetched = append(fetched, ids.Sim(i))
+		var union []ids.ID
+		for i := 0; i < 20; i++ {
+			union = append(union, ids.Sim(i))
 		}
-		reshuffleByScan(v, fetched, ids.Sim(19), ids.Sim(999), rng)
+		v.resample(union, rng)
 		for _, id := range v.snapshot() {
 			counts[id]++
 		}

@@ -294,10 +294,6 @@ func TestShardedNetworkRejectsLowFloor(t *testing.T) {
 	if _, err := New(sim.New(1), WithLatencyModel(low)); err != nil {
 		t.Errorf("one-shard engine rejected a low-floor model: %v", err)
 	}
-	// Invalid WithLoss probabilities surface as New errors.
-	if _, err := New(sim.New(1), WithLoss(1.5)); err == nil {
-		t.Error("loss probability 1.5 accepted")
-	}
 }
 
 // TestNetworkHeterogeneousDelivery drives messages through the

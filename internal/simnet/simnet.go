@@ -98,8 +98,6 @@ type Network struct {
 	lanes    []sim.LaneRef // route table: where to post for endpoint i
 	up       []bool        // delivery flags; entry i is read and written on endpoint i's lane only
 	alive    []*Endpoint   // registry: current alive set, swap-remove maintained
-
-	lossErr error // deferred WithLoss validation error, surfaced by New
 }
 
 // Option configures a Network.
@@ -110,26 +108,6 @@ type Option func(*Network)
 // least the engine's lookahead window; New enforces this.
 func WithLatencyModel(m LatencyModel) Option {
 	return func(n *Network) { n.latency = m }
-}
-
-// WithLoss sets an independent (Bernoulli) per-message drop
-// probability in [0, 1). The paper assumes reliable links; loss
-// injection exists for failure testing of the protocol's robustness.
-// Probabilities outside [0, 1) are a programming error surfaced by
-// New.
-func WithLoss(p float64) Option {
-	return func(n *Network) {
-		if p == 0 {
-			n.loss = nil
-			return
-		}
-		m, err := NewBernoulliLoss(p)
-		if err != nil {
-			n.lossErr = err
-			return
-		}
-		n.loss = m
-	}
 }
 
 // WithLossModel sets the loss process (default: lossless). Per-sender
@@ -157,9 +135,6 @@ func New(eng *sim.Engine, opts ...Option) (*Network, error) {
 	n.latency, _ = NewConstantLatency(50 * time.Millisecond)
 	for _, o := range opts {
 		o(n)
-	}
-	if n.lossErr != nil {
-		return nil, n.lossErr
 	}
 	if floor := n.latency.MinLatency(); floor < eng.Lookahead() {
 		return nil, fmt.Errorf(

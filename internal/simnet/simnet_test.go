@@ -172,7 +172,11 @@ func TestByteAccounting(t *testing.T) {
 
 func TestLossInjection(t *testing.T) {
 	eng := sim.New(7)
-	_, a, b, got := newPair(t, eng, WithLoss(0.5))
+	loss, err := NewBernoulliLoss(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, a, b, got := newPair(t, eng, WithLossModel(loss))
 	const total = 2000
 	for i := 0; i < total; i++ {
 		a.Send(b.ID(), i, 1)

@@ -48,8 +48,7 @@ func NewZoneLatency(base [][]time.Duration, jitter float64) (LatencyModel, error
 }
 
 // NewBernoulliLoss returns the memoryless loss process: each message
-// is dropped independently with probability p ∈ [0, 1). Equivalent to
-// setting ClusterConfig.Loss.
+// is dropped independently with probability p ∈ [0, 1).
 func NewBernoulliLoss(p float64) (LossModel, error) {
 	return simnet.NewBernoulliLoss(p)
 }
