@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"avmon/internal/availability"
 	"avmon/internal/core"
 	"avmon/internal/hashing"
 	"avmon/internal/ids"
@@ -119,9 +118,6 @@ type NodeOptions struct {
 	ForgetfulC float64
 	// PR2 enables the indegree-repair optimization (Section 5.4).
 	PR2 bool
-	// HistoryStyle selects availability history maintenance: "raw"
-	// (default), "recent:<dur>", or "aged:<alpha>".
-	HistoryStyle string
 	// NoHashMemo disables the pair-verdict memo that simulated clusters
 	// put in front of cryptographic hashes (MD5/SHA-1). The memo changes
 	// no result — only speed, several-fold on an MD5 cluster — so this
@@ -163,12 +159,24 @@ func (o NodeOptions) validate(n int) error {
 	default:
 		return badConfig("unknown Hash %q (md5, sha1, fast)", o.Hash)
 	}
-	if o.HistoryStyle != "" {
-		if _, err := availability.NewStore(o.HistoryStyle); err != nil {
-			return badConfig("HistoryStyle: %v", err)
-		}
-	}
 	return nil
+}
+
+// coreConfig is the part of a node's core.Config that the options set
+// alike for simulated and real nodes in a system of size n; the caller
+// adds identity, scheme, transport, randomness and its own hooks.
+func (o NodeOptions) coreConfig(n int) core.Config {
+	return core.Config{
+		CVS:              o.cvsFor(n),
+		Period:           o.Period,
+		MonitorPeriod:    o.MonitorPeriod,
+		Forgetful:        o.Forgetful,
+		ForgetfulTau:     o.ForgetfulTau,
+		ForgetfulC:       o.ForgetfulC,
+		PR2:              o.PR2,
+		DisableReshuffle: o.DisableReshuffle,
+		RejoinFullWeight: o.RejoinFullWeight,
+	}
 }
 
 // memoized reports whether a simulated cluster puts a pair-verdict

@@ -555,24 +555,9 @@ func (c *Cluster) Birth(idx int) {
 	if c.workerMemos {
 		scheme = workerScheme{c: c, lane: m.ep.Lane()}
 	}
-	nodeCfg := core.Config{
-		ID:               id,
-		Scheme:           scheme,
-		Transport:        m,
-		Rand:             rng,
-		CVS:              c.cvs,
-		Period:           c.cfg.Options.Period,
-		MonitorPeriod:    c.cfg.Options.MonitorPeriod,
-		Forgetful:        c.cfg.Options.Forgetful,
-		ForgetfulTau:     c.cfg.Options.ForgetfulTau,
-		ForgetfulC:       c.cfg.Options.ForgetfulC,
-		PR2:              c.cfg.Options.PR2,
-		HistoryStyle:     c.cfg.Options.HistoryStyle,
-		Pool:             m,
-		Overreport:       rng.Float64() < c.cfg.OverreportFraction,
-		DisableReshuffle: c.cfg.Options.DisableReshuffle,
-		RejoinFullWeight: c.cfg.Options.RejoinFullWeight,
-	}
+	nodeCfg := c.cfg.Options.coreConfig(c.cfg.N)
+	nodeCfg.ID, nodeCfg.Scheme, nodeCfg.Transport, nodeCfg.Rand, nodeCfg.Pool = id, scheme, m, rng, m
+	nodeCfg.Overreport = rng.Float64() < c.cfg.OverreportFraction
 	if cc := c.cfg.Collusion; cc != nil && c.IsColluder(idx) {
 		// The colluder's hooks are pure functions of the target
 		// identity (the ring roster is fixed at construction), so they

@@ -3,6 +3,7 @@ package avmon
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -39,8 +40,6 @@ var brokenNodeOptions = map[string]func(*NodeOptions){
 	"negative forgetful c":    func(o *NodeOptions) { o.ForgetfulC = -1 },
 	"NaN forgetful c":         func(o *NodeOptions) { o.ForgetfulC = math.NaN() },
 	"unknown hash":            func(o *NodeOptions) { o.Hash = "sha256" },
-	"unknown history style":   func(o *NodeOptions) { o.HistoryStyle = "bogus" },
-	"malformed history style": func(o *NodeOptions) { o.HistoryStyle = "recent:soon" },
 }
 
 // TestClusterConfigValidation: one valid ClusterConfig, one field
@@ -55,7 +54,7 @@ func TestClusterConfigValidation(t *testing.T) {
 			Collusion:          &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: -1},
 			Options: NodeOptions{K: 6, CVS: 8, Variant: VariantMD, Hash: HashMD5,
 				Period: time.Minute, MonitorPeriod: time.Minute, Forgetful: true,
-				ForgetfulTau: time.Minute, ForgetfulC: 2, HistoryStyle: "aged:0.05"},
+				ForgetfulTau: time.Minute, ForgetfulC: 2},
 		}
 	}
 	if err := valid().Validate(); err != nil {
@@ -110,7 +109,7 @@ func TestNewClusterConstruction(t *testing.T) {
 		{Seed: 1, Options: NodeOptions{K: 14, CVS: 48, Hash: HashFast}},
 		{N: 40, Shards: 2, Options: NodeOptions{Hash: HashMD5, NoHashMemo: true}},
 		{N: 40, Options: NodeOptions{Variant: VariantGeneric, Forgetful: true, PR2: true}},
-		{N: 40, Options: NodeOptions{HistoryStyle: "recent:30m", RejoinFullWeight: true}},
+		{N: 40, Options: NodeOptions{DisableReshuffle: true, RejoinFullWeight: true}},
 		{N: 40, Shards: 8, LatencyModel: lognormal, LossModel: must(NewBernoulliLoss(0.05))},
 		{N: 40, Collusion: &CollusionConfig{}, OverreportFraction: 1},
 	}
@@ -128,7 +127,6 @@ func TestNewClusterConstruction(t *testing.T) {
 	bad := []ClusterConfig{
 		{Options: NodeOptions{CVS: 1}},
 		{Options: NodeOptions{Hash: "sha256"}},
-		{Options: NodeOptions{HistoryStyle: "bogus"}},
 		{Options: NodeOptions{K: 41}},
 		{N: -1},
 		{Shards: -1},
@@ -156,7 +154,7 @@ func TestServiceConfigValidation(t *testing.T) {
 			Addr: addr, Bootstrap: "127.0.0.1:19996", N: 50, Seed: 1,
 			QueryCache: true, QueryCacheTTL: time.Second, QueryCacheEntries: 64,
 			Options: NodeOptions{K: 6, CVS: 8, Hash: HashSHA1, Period: time.Second,
-				MonitorPeriod: time.Second, HistoryStyle: "recent:30m"},
+				MonitorPeriod: time.Second},
 		}
 	}
 	if err := valid().Validate(); err != nil {
@@ -212,7 +210,7 @@ func TestNewServiceConstruction(t *testing.T) {
 		{N: 10},
 		{N: 10, Bootstrap: ids.Sim(1).String(), Seed: 7, QueryCache: true},
 		{N: 240, Options: NodeOptions{K: 8, CVS: 10, Hash: HashFast, Period: 60 * time.Millisecond}},
-		{N: 10, Options: NodeOptions{Forgetful: true, PR2: true, HistoryStyle: "aged:0.1"}},
+		{N: 10, Options: NodeOptions{Forgetful: true, PR2: true}},
 	}
 	for i, cfg := range good {
 		cfg.Addr, cfg.Transport = ids.Sim(i+1).String(), listen(i+1)
@@ -227,7 +225,6 @@ func TestNewServiceConstruction(t *testing.T) {
 		{},
 		{N: 10, Options: NodeOptions{CVS: 1}},
 		{N: 10, Options: NodeOptions{Hash: "sha256"}},
-		{N: 10, Options: NodeOptions{HistoryStyle: "bogus"}},
 		{N: 10, Options: NodeOptions{MonitorPeriod: -time.Second}},
 		{N: 10, Addr: ids.Sim(99).String()}, // a transport bound to another identity
 	}
@@ -246,5 +243,30 @@ func TestNewServiceConstruction(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Errorf("bad[%d]: closing the caller's transport: %v", i, err)
 		}
+	}
+}
+
+// TestNewServiceAppliesNodeOptions: every NodeOptions field a node runs
+// under reaches a live Service's node, the ablation knobs included.
+func TestNewServiceAppliesNodeOptions(t *testing.T) {
+	net := memnet.New(memnet.Config{Seed: 1})
+	defer net.Close()
+	tr, err := net.Listen(ids.Sim(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewService(ServiceConfig{Addr: ids.Sim(1).String(), Transport: tr, N: 10, Options: NodeOptions{
+		CVS: 9, Period: 2 * time.Second, MonitorPeriod: 3 * time.Second, Forgetful: true, ForgetfulTau: time.Minute,
+		ForgetfulC: 2, PR2: true, DisableReshuffle: true, RejoinFullWeight: true,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	c := s.node.Config()
+	got := []any{c.CVS, c.Period, c.MonitorPeriod, c.Forgetful, c.ForgetfulTau, c.ForgetfulC, c.PR2, c.DisableReshuffle, c.RejoinFullWeight}
+	want := []any{9, 2 * time.Second, 3 * time.Second, true, time.Minute, 2.0, true, true, true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the node runs under %v, want %v", got, want)
 	}
 }

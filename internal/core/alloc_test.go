@@ -44,7 +44,6 @@ func allocNode(t *testing.T, scheme SelectionScheme) (*Node, *recyclingTransport
 		Transport:      rt,
 		Rand:           rand.New(rand.NewSource(9)),
 		CVS:            8,
-		HistoryStyle:   "raw",
 		AcquireMessage: rt.acquire,
 	})
 	if err != nil {
@@ -57,7 +56,7 @@ func allocNode(t *testing.T, scheme SelectionScheme) (*Node, *recyclingTransport
 
 // TestZeroAllocMonitorTick gates the memory diet's core claim: a
 // monitoring round over an established target set — probe resolution,
-// raw history recording, pooled MON-PING sends — performs zero heap
+// counting each loss, pooled MON-PING sends — performs zero heap
 // allocations per tick.
 func TestZeroAllocMonitorTick(t *testing.T) {
 	n, rt, now := allocNode(t, allRelated{})
@@ -87,8 +86,8 @@ func TestZeroAllocMonitorTick(t *testing.T) {
 }
 
 // TestZeroAllocMonitorAck extends the gate over the ack path: a full
-// probe/ack round trip (MON-PING out, MON-ACK folded into the raw
-// history) stays allocation-free.
+// probe/ack round trip (MON-PING out, MON-ACK counted in the target's
+// record) stays allocation-free.
 func TestZeroAllocMonitorAck(t *testing.T) {
 	n, _, now := allocNode(t, allRelated{})
 	for i := 1; i <= 8; i++ {
@@ -141,20 +140,20 @@ func TestZeroAllocCVRespSweep(t *testing.T) {
 }
 
 // TestNodeSizeClass pins Node — the coarse view's header by value
-// inside it — at the allocator's 512-byte class. NewNode allocates
-// exactly that; a simulated cluster builds the node inside its member
+// inside it — at 464 bytes, in the allocator's 480-byte class, which
+// NewNode allocates; a simulated cluster builds the node inside its member
 // block, whose size the root package's TestNodeBlockBytes pins, and a
 // million-node run pays 1 MB per byte added here. Sweep buffers belong
 // in the per-worker SweepScratch, not in the node.
 func TestNodeSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Node{}); size > 512 {
-		t.Errorf("Node is %d bytes, want ≤ 512", size)
+	if size := unsafe.Sizeof(Node{}); size > 464 {
+		t.Errorf("Node is %d bytes, want ≤ 464", size)
 	}
 }
 
 // TestTargetIsOneCacheLine pins the TS record at 64 bytes: a node holds
 // ~K ≈ 21 of them at N = 10⁶, where 8 bytes more per record is 160 MB.
-// Identities, Stores and activity counters live beside it, in Node.
+// Identities and activity counters live beside it, in Node.
 func TestTargetIsOneCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(target{}); size != 64 {
 		t.Errorf("target is %d bytes, want 64", size)

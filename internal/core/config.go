@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"avmon/internal/availability"
 	"avmon/internal/ids"
 )
 
@@ -57,11 +56,6 @@ type Config struct {
 
 	// PR2 enables the indegree-repair optimization of Section 5.4.
 	PR2 bool
-
-	// HistoryStyle selects the availability store: "raw" (default),
-	// "recent:<dur>", or "aged:<alpha>" (Section 1, sub-problem II).
-	// A style availability.NewStore rejects is an ErrConfig.
-	HistoryStyle string
 
 	// Pool, when non-nil, is where the node gets its recycled memory;
 	// it then takes precedence over AcquireMessage. An owner holding one
@@ -161,9 +155,6 @@ func (c *Config) withDefaults() Config {
 	if out.ForgetfulC <= 0 {
 		out.ForgetfulC = DefaultForgetfulC
 	}
-	if out.HistoryStyle == "" {
-		out.HistoryStyle = "raw"
-	}
 	return out
 }
 
@@ -182,13 +173,6 @@ func (c *Config) validate() error {
 	}
 	if c.CVS < 2 {
 		return fmt.Errorf("%w: CVS must be ≥ 2, got %d", ErrConfig, c.CVS)
-	}
-	// Each discovered target builds its Store from the style, so the
-	// style must build one now.
-	if c.HistoryStyle != "raw" {
-		if _, err := availability.NewStore(c.HistoryStyle); err != nil {
-			return fmt.Errorf("%w: HistoryStyle: %v", ErrConfig, err)
-		}
 	}
 	return nil
 }

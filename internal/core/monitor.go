@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"avmon/internal/availability"
 	"avmon/internal/ids"
 )
 
@@ -19,9 +18,11 @@ import (
 // 64-byte cache line: TS holds ~K ≈ 21 of these per node at N = 10⁶,
 // where every 8 bytes here is 160 MB.
 type target struct {
-	// raw is the availability history under the default "raw" style;
-	// any other style keeps the target's Store in Node.stores instead.
-	raw availability.Raw
+	// up and total count the answered and all resolved monitoring pings,
+	// the paper's estimator (Section 5.4: "the fraction of monitoring
+	// pings sent to that node which receive a response back"). One
+	// sample per monitoring period keeps 2³¹ out of reach.
+	up, total int32
 
 	awaitingSeq uint64 // outstanding MON-PING sequence (0 = none)
 	awaitingAt  int64  // UnixNano
@@ -34,18 +35,6 @@ type target struct {
 	everAcked bool
 	down      bool
 }
-
-// history returns target i's availability history: its Store where the
-// style has one, else the raw history inlined in its record.
-func (n *Node) history(i int) availability.Store {
-	if n.stores != nil {
-		return n.stores[i]
-	}
-	return &n.ts[i].raw
-}
-
-// observe advances lastObserved, the latest probe or ack time.
-func (n *Node) observe(at int64) { n.lastObserved = max(n.lastObserved, at) }
 
 // MonitorTick runs one monitoring period TA: it resolves last round's
 // outstanding probes as losses, then sends this round's monitoring
@@ -62,7 +51,7 @@ func (n *Node) MonitorTick(now time.Time) {
 		// observation.
 		if t.awaitingSeq != 0 {
 			t.awaitingSeq = 0
-			n.history(i).Record(now, false)
+			t.total++
 			if !t.down {
 				t.down = true
 				t.downSince = t.awaitingAt
@@ -101,7 +90,6 @@ func (n *Node) MonitorTick(now time.Time) {
 		// 4. Probe.
 		t.awaitingSeq = n.nextSeq()
 		t.awaitingAt = nowNanos
-		n.observe(nowNanos)
 		n.pingsSent++
 		msg := n.newMsg()
 		msg.Type = MsgMonPing
@@ -110,8 +98,8 @@ func (n *Node) MonitorTick(now time.Time) {
 	}
 }
 
-// handleMonAck folds a monitoring acknowledgment into the target's
-// history.
+// handleMonAck counts a monitoring acknowledgment in the target's
+// record.
 func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 	i := slices.Index(n.tsIDs, from)
 	if i < 0 {
@@ -125,14 +113,14 @@ func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 	}
 	t.awaitingSeq = 0
 	n.acks++
-	n.history(i).Record(now, true)
+	t.up++
+	t.total++
 	if t.down || !t.everAcked {
 		t.sessionStart = now.UnixNano()
 		t.down = false
 	}
 	t.everAcked = true
 	t.lastAck = now.UnixNano()
-	n.observe(t.lastAck)
 }
 
 // EstimateOf returns this node's availability estimate for a node it
@@ -146,26 +134,16 @@ func (n *Node) EstimateOf(u ids.ID) (float64, bool) {
 		return 0, false
 	}
 	est, known := 0.0, false
-	switch h := n.history(i); {
+	switch t := &n.ts[i]; {
 	case n.cfg.Overreport:
 		est, known = 1.0, true
-	case h.Samples() > 0:
-		est, known = h.Estimate(n.lastTickTime()), true
+	case t.total > 0:
+		est, known = float64(t.up)/float64(t.total), true
 	}
 	if n.cfg.ForgeReport != nil {
 		return n.cfg.ForgeReport(u, est, known)
 	}
 	return est, known
-}
-
-// lastTickTime approximates "now" for estimate queries; windowed
-// stores age relative to the most recent observation, for which the
-// last ack or probe time is the best proxy the node has.
-func (n *Node) lastTickTime() time.Time {
-	if n.lastObserved == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n.lastObserved)
 }
 
 // MonitoringStats summarizes the node's monitoring activity.

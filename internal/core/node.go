@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
-	"avmon/internal/availability"
 	"avmon/internal/ids"
 )
 
@@ -25,24 +23,18 @@ type Node struct {
 	// PS and TS only ever grow (see DESIGN.md, "Memory diet") and are
 	// kept in discovery order — the documented iteration order. Both
 	// plateau near K entries, so, like the coarse view, they are looked
-	// up by a linear scan. TS is aligned columns: the identities, which
-	// lookups scan; the state records; and, for any history style but
-	// "raw" (whose history is inlined in the record), the Stores.
-	cv     view
-	ps     []monitor            // PS(x), with each monitor's discovery time
-	tsIDs  []ids.ID             // TS(x)
-	ts     []target             // state of tsIDs[i], by value
-	stores []availability.Store // history of tsIDs[i]; nil under "raw"
+	// up by a linear scan. TS is two aligned columns: the identities,
+	// which lookups scan, and the state records.
+	cv    view
+	ps    []monitor // PS(x), with each monitor's discovery time
+	tsIDs []ids.ID  // TS(x)
+	ts    []target  // state of tsIDs[i], by value
 
 	// Monitoring activity over all targets (MonitoringStats).
 	pingsSent       uint64
 	acks            uint64
 	pingsSaved      uint64 // pings skipped by the forgetful optimization
 	pingsSuppressed uint64 // pings withheld by a colluding monitor
-
-	// lastObserved is the latest probe or ack time over all targets
-	// (UnixNano; 0 = none yet), the "now" of estimate queries.
-	lastObserved int64
 
 	// lastCoarseContact is the last time a message arrived that proves
 	// this node sits in some peer's coarse view (PING, CV-FETCH, a
@@ -618,13 +610,6 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 		}
 		n.tsIDs = appendChunked(n.tsIDs, v)
 		n.ts = appendChunked(n.ts, target{})
-		if n.cfg.HistoryStyle != "raw" {
-			store, err := availability.NewStore(n.cfg.HistoryStyle)
-			if err != nil {
-				panic(fmt.Sprintf("core: a validated history style failed: %v", err))
-			}
-			n.stores = appendChunked(n.stores, store)
-		}
 	}
 }
 

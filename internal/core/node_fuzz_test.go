@@ -30,8 +30,8 @@ type protocolNode interface {
 // random stream, and the node must pass checkInvariants. conf holds cvs−2
 // (bits 0–4); the fast Selector's kernel, Memoize(MD5)'s memo row or
 // RelatedRow hidden (5–6); PR2, Forgetful, DisableReshuffle,
-// RejoinFullWeight, Overreport (7–11); history raw, recent:5m or aged:0.3
-// (12–13). A step is an op byte (kind in bits 0–2, arg above) and operands:
+// RejoinFullWeight, Overreport (7–11); bits above are ignored. A step is
+// an op byte (kind in bits 0–2, arg above) and operands:
 //
 //	0     the clock advances (arg+1)·15 s
 //	1, 2  Tick, MonitorTick
@@ -99,7 +99,6 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 		ID: ids.Sim(1), Scheme: [4]SelectionScheme{fast, hashing.Memoize(md5, 0), hidden, hidden}[conf>>5&3],
 		Transport: &nodeLog, Rand: rand.New(rand.NewSource(seed)), CVS: int(conf&31) + 2,
 		PR2: bit(7), Forgetful: bit(8), DisableReshuffle: bit(9), RejoinFullWeight: bit(10), Overreport: bit(11),
-		HistoryStyle: [4]string{"raw", "recent:5m", "aged:0.3", "raw"}[conf>>12&3],
 	}
 	n, err := NewNode(cfg)
 	if err != nil {
@@ -218,8 +217,8 @@ func checkInvariants(n *Node, in *Message, sent []sentMsg) error {
 			}
 		}
 	}
-	if raw := n.cfg.HistoryStyle == "raw"; len(n.ts) != len(n.tsIDs) || raw && n.stores != nil || !raw && len(n.stores) != len(n.tsIDs) {
-		return fmt.Errorf("%d targets, %d records, %d Stores (nil %v) under %q", len(n.tsIDs), len(n.ts), len(n.stores), n.stores == nil, n.cfg.HistoryStyle)
+	if len(n.ts) != len(n.tsIDs) {
+		return fmt.Errorf("%d targets, %d records", len(n.tsIDs), len(n.ts))
 	}
 	if n.acks > n.pingsSent {
 		return fmt.Errorf("%d acks taken for %d probes sent", n.acks, n.pingsSent)
@@ -241,7 +240,7 @@ var minute, tick, monitorTick = []byte{3 << 3}, []byte{1}, []byte{2}
 
 const (
 	confHidden, confPR2, confForgetful, confNoReshuffle = 2 << 5, 1 << 7, 1 << 8, 1 << 9
-	confMemo, confRecent                                = 1 << 5, 1 << 12
+	confMemo                                            = 1 << 5
 )
 
 // seedMsg is a delivery step, its fields the step's bytes (view ≤ 15).
@@ -295,8 +294,7 @@ func addNodeSeeds(f *testing.F) {
 		seedMsg{typ: MsgJoin, from: 4, weight: 127}.step(), seedMsg{typ: MsgJoin, from: 4, subject: 6, weight: 111}.step()))
 
 	// The map-oracle stream: NOTIFYs, half naming the node, monitoring
-	// rounds, and MON-ACKs from anyone that answer a probe half the time,
-	// under the inlined raw history and under Stores.
+	// rounds, and MON-ACKs from anyone that answer a probe half the time.
 	rng := rand.New(rand.NewSource(71))
 	stream := holding()
 	for i := 0; i < 2000; i++ {
@@ -314,7 +312,7 @@ func addNodeSeeds(f *testing.F) {
 		stream = append(stream, m.step()...)
 	}
 	f.Add(int64(1), uint16(6), stream)
-	f.Add(int64(1), uint16(6|confRecent), stream)
+	f.Add(int64(1), uint16(6|1<<12), stream) // conf bits above 11 are ignored
 
 	// A node with a view, targets and monitors (and acks of seq 0 before
 	// any probe): with probes out, it takes each message type, in range or

@@ -30,8 +30,6 @@ func TestNewNodeValidation(t *testing.T) {
 		{"missing transport", func(c *Config) { c.Transport = nil }},
 		{"missing rand", func(c *Config) { c.Rand = nil }},
 		{"cvs too small", func(c *Config) { c.CVS = 1 }},
-		{"unknown history style", func(c *Config) { c.HistoryStyle = "bogus" }},
-		{"malformed history style", func(c *Config) { c.HistoryStyle = "recent:soon" }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -53,9 +51,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if cfg.ForgetfulTau != DefaultForgetfulTau || cfg.ForgetfulC != DefaultForgetfulC {
 		t.Errorf("forgetful defaults = %v/%v", cfg.ForgetfulTau, cfg.ForgetfulC)
-	}
-	if cfg.HistoryStyle != "raw" {
-		t.Errorf("history style = %q", cfg.HistoryStyle)
 	}
 }
 

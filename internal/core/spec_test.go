@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"avmon/internal/availability"
 	"avmon/internal/ids"
 )
 
@@ -28,7 +27,7 @@ type specNode struct {
 }
 
 type specTarget struct { // what x keeps on one u ∈ TS(x)
-	history                                      availability.Store
+	up, total                                    int    // probes answered, probes resolved
 	awaitingSeq                                  uint64 // the probe outstanding, 0 for none
 	awaitingAt, lastAck, sessionStart, downSince time.Time
 	lastSession                                  time.Duration // ts(u): the last whole session seen
@@ -120,7 +119,7 @@ func (s *specNode) Handle(from ids.ID, m *Message, now time.Time) {
 		if t := s.ts[from]; t != nil && m.Seq != 0 && m.Seq == t.awaitingSeq {
 			t.awaitingSeq, t.lastAck = 0, now
 			s.stats.Acks++
-			t.history.Record(now, true)
+			t.up, t.total = t.up+1, t.total+1
 			if t.down || t.sessionStart.IsZero() {
 				t.sessionStart, t.down = now, false
 			}
@@ -213,8 +212,7 @@ func (s *specNode) notify(u, v ids.ID, now time.Time) {
 		}
 	case u == s.cfg.ID:
 		if s.ts[v] == nil && s.related(u, v) {
-			history, _ := availability.NewStore(s.cfg.HistoryStyle) // validated by NewNode
-			s.ts[v], s.tsOrder = &specTarget{history: history}, append(s.tsOrder, v)
+			s.ts[v], s.tsOrder = &specTarget{}, append(s.tsOrder, v)
 		}
 	}
 }
@@ -229,7 +227,7 @@ func (s *specNode) MonitorTick(now time.Time) {
 		t := s.ts[u]
 		if t.awaitingSeq != 0 {
 			t.awaitingSeq = 0
-			t.history.Record(now, false)
+			t.total++
 			if !t.down { // a session ended; one never seen whole counts as a monitoring period
 				t.down, t.downSince, t.lastSession = true, t.awaitingAt, cmp.Or(t.lastAck.Sub(t.sessionStart), s.cfg.MonitorPeriod)
 			}
@@ -246,19 +244,16 @@ func (s *specNode) MonitorTick(now time.Time) {
 	}
 }
 
-// EstimateOf is x's estimate for u ∈ TS(x) (1 from an overreporter).
+// EstimateOf is x's estimate for u ∈ TS(x): the fraction of its probes answered
+// (§ 5.4), or 1 from an overreporter.
 func (s *specNode) EstimateOf(u ids.ID) (float64, bool) {
 	t := s.ts[u]
-	if t == nil || !s.cfg.Overreport && t.history.Samples() == 0 {
+	if t == nil || !s.cfg.Overreport && t.total == 0 {
 		return 0, false
 	} else if s.cfg.Overreport {
 		return 1, true
 	}
-	var latest time.Time // x's latest probe or ack
-	for _, t := range s.ts {
-		latest = slices.MaxFunc([]time.Time{latest, t.awaitingAt, t.lastAck}, time.Time.Compare)
-	}
-	return t.history.Estimate(latest), true
+	return float64(t.up) / float64(t.total), true
 }
 
 func (s *specNode) random() ids.ID {

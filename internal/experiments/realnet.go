@@ -352,6 +352,22 @@ func realnetGate(p *RealnetPoint, tol RealnetTolerances) {
 	p.GateDetail = detail
 }
 
+// realnetPortAttempts is how many port blocks the UDP arm tries.
+const realnetPortAttempts = 5
+
+// udpPortBase is the first port of the UDP arm's block on the given
+// attempt: one of 17 blocks 2000 ports apart from 21000, picked by the
+// seed, then 2048 ports on per retry, wrapping inside [20000, 60000).
+// The derived seed is reduced unsigned, so no seed picks a block below
+// 21000.
+func udpPortBase(seed int64, attempt int) int {
+	base := 21000 + int(uint64(deriveSeed(seed, 2))%17)*2000
+	for ; attempt > 0; attempt-- {
+		base = (base+2048-20000)%40000 + 20000
+	}
+	return base
+}
+
 // realnet boots the real deployment arms (memnet loopback, then
 // 127.0.0.1 UDP), runs the matching simulation, and fails unless
 // reality lands within the stated tolerances of the prediction.
@@ -423,9 +439,9 @@ func realnet(o Options) (*Result, error) {
 	// Mode 2: real UDP sockets on 127.0.0.1. The port block derives
 	// from the seed; a block with an occupied port is retried.
 	udpTransports := make(map[int]*netstack.UDPTransport)
-	portBase := 21000 + int(deriveSeed(o.Seed, 2)%17)*2000
 	var udpErr error
-	for attempt := 0; attempt < 5; attempt++ {
+	for attempt := 0; attempt < realnetPortAttempts; attempt++ {
+		portBase := udpPortBase(o.Seed, attempt)
 		udpErr = runMode("udp", 3, func(i int) (ids.ID, avmon.Transport, observer.Traffic, error) {
 			id := ids.MustParse(fmt.Sprintf("127.0.0.1:%d", portBase+i))
 			tr, err := netstack.Listen(id)
@@ -445,7 +461,6 @@ func realnet(o Options) (*Result, error) {
 		if !errors.Is(udpErr, syscall.EADDRINUSE) {
 			break
 		}
-		portBase = (portBase+2048-20000)%40000 + 20000
 		udpTransports = make(map[int]*netstack.UDPTransport)
 	}
 	if udpErr != nil {

@@ -184,20 +184,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	node, err := core.NewNode(core.Config{
-		ID:            id,
-		Scheme:        scheme,
-		Transport:     transport,
-		Rand:          rand.New(rand.NewSource(seed)), // all node access is serialized by s.mu
-		CVS:           cfg.Options.cvsFor(cfg.N),
-		Period:        cfg.Options.Period,
-		MonitorPeriod: cfg.Options.MonitorPeriod,
-		Forgetful:     cfg.Options.Forgetful,
-		ForgetfulTau:  cfg.Options.ForgetfulTau,
-		ForgetfulC:    cfg.Options.ForgetfulC,
-		PR2:           cfg.Options.PR2,
-		HistoryStyle:  cfg.Options.HistoryStyle,
-	})
+	nodeCfg := cfg.Options.coreConfig(cfg.N)
+	nodeCfg.ID, nodeCfg.Scheme, nodeCfg.Transport = id, scheme, transport
+	nodeCfg.Rand = rand.New(rand.NewSource(seed)) // all node access is serialized by s.mu
+	node, err := core.NewNode(nodeCfg)
 	if err != nil {
 		return fail(err)
 	}
