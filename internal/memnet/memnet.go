@@ -1,12 +1,16 @@
 // Package memnet is an in-process loopback network for running many
 // real avmon.Service instances in one process: every endpoint is a
 // full Transport (Send / Serve / Close) whose datagrams pass through
-// the real netstack codec, but delivery happens over channels instead
-// of UDP sockets. The network reuses the simulator's latency and loss
-// models (internal/simnet: constant, lognormal, zone-matrix latency;
-// Bernoulli and Gilbert-Elliott loss) and replays their draws in wall
-// clock — a message drawn at 30 ms latency is delivered ~30 ms later
-// by a single delivery-wheel goroutine.
+// the real netstack codec, but delivery happens through in-memory
+// inboxes instead of UDP sockets. The network reuses the simulator's
+// latency and loss models (internal/simnet: constant, lognormal,
+// zone-matrix latency; Bernoulli and Gilbert-Elliott loss) and replays
+// their draws in wall clock — a message drawn at 30 ms latency is
+// delivered ~30 ms later by a single delivery-wheel goroutine.
+//
+// An inbox is a bounded FIFO that allocates only for the datagrams
+// waiting in it, so an idle endpoint costs a few hundred bytes whatever
+// its InboxDepth, and a drained burst gives its storage back.
 //
 // This is the mocknet half of the mocknet→realnet test progression:
 // the same Service code, the same assertions, a swappable transport.
@@ -18,7 +22,6 @@
 package memnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -31,7 +34,7 @@ import (
 	"avmon/internal/simnet"
 )
 
-// DefaultInboxDepth is the per-endpoint receive queue length when
+// DefaultInboxDepth bounds each endpoint's receive queue when
 // Config.InboxDepth is zero. A full inbox drops the datagram (counted
 // in InboxOverflows), mirroring a UDP socket buffer overflow.
 const DefaultInboxDepth = 1024
@@ -49,8 +52,9 @@ type Config struct {
 	// clock. (Wall-clock delivery makes runs non-deterministic either
 	// way; the seed fixes only the draw sequence.)
 	Seed int64
-	// InboxDepth bounds each endpoint's receive queue
-	// (0 = DefaultInboxDepth).
+	// InboxDepth bounds how many datagrams may wait in each endpoint's
+	// receive queue (0 = DefaultInboxDepth). It is a bound, not a
+	// reservation: a queue holds memory only for its waiting datagrams.
 	InboxDepth int
 }
 
@@ -75,19 +79,58 @@ type delivery struct {
 	buf []byte
 }
 
-// wheel is the pending-delivery min-heap, ordered by (at, seq).
+// before orders deliveries by deadline, then by send order.
+func (d *delivery) before(e *delivery) bool {
+	if !d.at.Equal(e.at) {
+		return d.at.Before(e.at)
+	}
+	return d.seq < e.seq
+}
+
+// wheel is the pending-delivery min-heap, ordered by (at, seq). It holds
+// deliveries by value: push and pop allocate nothing once the slice has
+// grown.
 type wheel []delivery
 
-func (w wheel) Len() int { return len(w) }
-func (w wheel) Less(i, j int) bool {
-	if !w[i].at.Equal(w[j].at) {
-		return w[i].at.Before(w[j].at)
+func (w *wheel) push(d delivery) {
+	q := append(*w, d)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return w[i].seq < w[j].seq
+	*w = q
 }
-func (w wheel) Swap(i, j int) { w[i], w[j] = w[j], w[i] }
-func (w *wheel) Push(x any)   { *w = append(*w, x.(delivery)) }
-func (w *wheel) Pop() any     { old := *w; n := len(old); d := old[n-1]; *w = old[:n-1]; return d }
+
+// pop removes and returns the earliest delivery; the wheel must not be
+// empty.
+func (w *wheel) pop() delivery {
+	q := *w
+	d := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = delivery{} // the vacated slot must not pin the datagram
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*w = q
+	return d
+}
 
 // Network is the in-process loopback hub. Create with New, mint
 // endpoints with Listen, and Close when done. All methods are safe for
@@ -152,7 +195,7 @@ func (n *Network) Listen(id ids.ID) (*Transport, error) {
 	t := &Transport{
 		id:    id,
 		net:   n,
-		inbox: make(chan []byte, n.depth),
+		ready: make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 	}
 	n.eps[id] = t
@@ -221,9 +264,8 @@ func (n *Network) send(src *Transport, to ids.ID, buf []byte) {
 		return
 	}
 	n.seq++
-	d := delivery{at: time.Now().Add(delay), seq: n.seq, dst: dst, buf: buf}
-	heap.Push(&n.queue, d)
-	isHead := n.queue[0].seq == d.seq
+	n.queue.push(delivery{at: time.Now().Add(delay), seq: n.seq, dst: dst, buf: buf})
+	isHead := n.queue[0].seq == n.seq
 	n.mu.Unlock()
 	if isHead {
 		// The wheel may be sleeping past the new earliest deadline.
@@ -234,18 +276,34 @@ func (n *Network) send(src *Transport, to ids.ID, buf []byte) {
 	}
 }
 
-// handoff enqueues a datagram on the destination inbox, dropping it if
-// the destination is gone or its inbox is full.
+// handoff appends a datagram to the destination inbox, dropping it if
+// the destination is gone or InboxDepth datagrams already wait there.
+// It never blocks on the receiver: the inbox lock is held only for the
+// append, never while Serve's handler runs.
 func (n *Network) handoff(dst *Transport, buf []byte) {
 	if dst == nil {
 		atomic.AddUint64(&n.unroutableDrops, 1)
 		return
 	}
-	select {
-	case dst.inbox <- buf:
-	default:
+	dst.mu.Lock()
+	if dst.waiting.Load() >= int64(n.depth) {
+		dst.mu.Unlock()
 		atomic.AddUint64(&n.inboxOverflows, 1)
 		atomic.AddUint64(&dst.inboxDrops, 1)
+		return
+	}
+	dst.waiting.Add(1)
+	dst.inbox = append(dst.inbox, buf)
+	first := len(dst.inbox) == 1
+	dst.mu.Unlock()
+	if first {
+		// Serve may be parked on an empty inbox. An append to a non-empty
+		// inbox needs no wake-up: Serve takes that inbox whole before it
+		// parks again.
+		select {
+		case dst.ready <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -256,20 +314,22 @@ func (n *Network) dispatch() {
 	defer n.done.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	var due []delivery // reused across wakes; emptied after each handoff pass
 	for {
 		n.mu.Lock()
 		now := time.Now()
-		var due []delivery
+		due = due[:0]
 		for len(n.queue) > 0 && !n.queue[0].at.After(now) {
-			due = append(due, heap.Pop(&n.queue).(delivery))
+			due = append(due, n.queue.pop())
 		}
 		wait := time.Hour
 		if len(n.queue) > 0 {
 			wait = n.queue[0].at.Sub(now)
 		}
 		n.mu.Unlock()
-		for _, d := range due {
+		for i, d := range due {
 			n.handoff(d.dst, d.buf)
+			due[i] = delivery{}
 		}
 		// A spurious stale tick after Reset only causes one extra loop
 		// iteration, which is harmless here.
@@ -295,10 +355,18 @@ func (n *Network) unregister(id ids.ID) {
 // blocking Serve loop, idempotent Close, and scrapeable traffic
 // counters.
 type Transport struct {
-	id    ids.ID
-	net   *Network
-	inbox chan []byte
-	quit  chan struct{}
+	id   ids.ID
+	net  *Network
+	quit chan struct{}
+
+	// The inbox: datagrams waiting for Serve, oldest first. handoff
+	// appends under mu; Serve takes the whole slice under mu and handles
+	// it with mu released. ready holds one wake-up for a Serve that found
+	// the inbox empty.
+	mu      sync.Mutex
+	inbox   [][]byte
+	ready   chan struct{}
+	waiting atomic.Int64 // handed off and not yet taken by Serve's handler
 
 	closeOnce sync.Once
 
@@ -336,21 +404,54 @@ func (t *Transport) Send(to ids.ID, m *core.Message) {
 	t.net.send(t, to, buf)
 }
 
-// Serve reads datagrams and invokes handle for each valid message
-// until Close is called. Malformed datagrams are counted and dropped,
-// mirroring the UDP transport.
+// spareCap is the largest batch array Serve keeps for the datagrams
+// that follow it; a burst's larger array is garbage once handled.
+const spareCap = 16
+
+// Serve reads datagrams and invokes handle for each valid message, in
+// arrival order, until Close is called. Malformed datagrams are counted
+// and dropped, mirroring the UDP transport.
 func (t *Transport) Serve(handle func(from ids.ID, m *core.Message)) error {
+	var spare [][]byte // the last batch's array, emptied, if it was small
 	for {
 		select {
-		case buf := <-t.inbox:
+		case <-t.quit:
+			return nil
+		default:
+		}
+		t.mu.Lock()
+		if len(t.inbox) == 0 {
+			if cap(t.inbox) == 0 {
+				t.inbox = spare
+			}
+			t.mu.Unlock()
+			// Nothing Serve holds may outlive this point: a parked
+			// goroutine's frame would keep a burst's array alive.
+			spare = nil
+			select {
+			case <-t.ready:
+			case <-t.quit:
+				return nil
+			}
+			continue
+		}
+		// Take every waiting datagram at once.
+		batch := t.inbox
+		t.inbox = spare
+		t.mu.Unlock()
+		for i, buf := range batch {
+			batch[i] = nil
+			t.waiting.Add(-1)
 			m, err := netstack.Decode(buf)
 			if err != nil {
 				atomic.AddUint64(&t.dropped, 1)
 				continue
 			}
 			handle(m.From, m)
-		case <-t.quit:
-			return nil
+		}
+		spare = nil
+		if cap(batch) <= spareCap {
+			spare = batch[:0]
 		}
 	}
 }

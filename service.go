@@ -2,7 +2,6 @@ package avmon
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"avmon/internal/core"
 	"avmon/internal/ids"
 	"avmon/internal/netstack"
+	"avmon/internal/sim"
 )
 
 // Transport is the pluggable datagram layer beneath a Service: the
@@ -186,7 +186,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	nodeCfg := cfg.Options.coreConfig(cfg.N)
 	nodeCfg.ID, nodeCfg.Scheme, nodeCfg.Transport = id, scheme, transport
-	nodeCfg.Rand = rand.New(rand.NewSource(seed)) // all node access is serialized by s.mu
+	nodeCfg.Rand = sim.CompactRand(seed) // all node access is serialized by s.mu
 	node, err := core.NewNode(nodeCfg)
 	if err != nil {
 		return fail(err)
