@@ -239,13 +239,14 @@ func (s MemberStats) TrueAvailability() float64 {
 // entries in the cluster's CV slab), the node's own random stream and
 // the harness state — built in place in one piece of slab memory, so a
 // delivered message loads one object instead of chasing ten. *member is
-// the endpoint's receiver and the node's transport and pool, at no
-// closure per node. Blocks never move: the endpoint, the lane and both
+// the endpoint's receiver, the node's transport and pool, and the
+// handler of its own protocol and monitoring ticks, at no closure or
+// ticker per node. Blocks never move: the endpoint, the lane and both
 // generators are pointed into.
 //
 // Field ownership follows the engine's lane discipline: lifecycle
 // bookkeeping (born, dead, uptime accounting) belongs to the control
-// lane, protocol state (ep's counters, node, rng, tickers) to the
+// lane, protocol state (ep's counters, node, rng, life) to the
 // member's own lane, and uselessMonPings is updated atomically from
 // arbitrary destination lanes. Stats reads everything while the engine
 // is quiescent.
@@ -255,9 +256,9 @@ type member struct {
 	rng  sim.CompactRNG // the node's private stream
 	c    *Cluster
 
-	// Owned by the member's lane:
-	tick *sim.Ticker
-	mon  *sim.Ticker
+	// Owned by the member's lane: the number of times the member has
+	// left. A tick carries the life it was posted in (see Fire).
+	life uint64
 
 	// Owned by the control lane:
 	everBorn bool
@@ -286,6 +287,28 @@ func (m *member) Deliver(from ids.ID, msg any, _ int, now time.Time) {
 		ws := m.scratch()
 		ws.msgs = append(ws.msgs, cm)
 	}
+}
+
+// monitorTick marks a monitoring tick in a tick event's EventArg.B, whose
+// other bits are the tick's period.
+const monitorTick = 1 << 63
+
+// Fire implements sim.Handler on the member's lane: one protocol
+// (Node.Tick) or monitoring (Node.MonitorTick) tick, which posts the
+// next one a period later. A tick posted before the member last left
+// belongs to a retired life and ends there, as a stopped sim.Ticker's
+// firing does.
+func (m *member) Fire(now time.Time, arg sim.EventArg) {
+	if arg.A != m.life {
+		return
+	}
+	if arg.B&monitorTick != 0 {
+		m.node.MonitorTick(now)
+	} else {
+		m.node.Tick(now)
+	}
+	lane := m.ep.Lane()
+	m.c.eng.PostEvent(lane, lane, now.Add(time.Duration(arg.B&^monitorTick)), m, arg)
 }
 
 // Send implements core.Transport. Monitoring pings that find their
@@ -621,7 +644,7 @@ func (c *Cluster) Death(idx int) {
 }
 
 // bringUp runs control-side: it registers the member alive, draws the
-// bootstrap contact and ticker phases from the control stream, and
+// bootstrap contact and tick phases from the control stream, and
 // posts the protocol-side join to the member's lane at the current
 // virtual time.
 func (c *Cluster) bringUp(m *member) {
@@ -636,13 +659,15 @@ func (c *Cluster) bringUp(m *member) {
 	c.eng.Post(nil, m.ep.Lane(), now, func(now time.Time) {
 		m.ep.SetAliveFlag(true)
 		m.node.Join(now, bootstrap)
-		m.tick = c.eng.NewLaneTicker(m.ep.Lane(), period, offTick, m.node.Tick)
-		m.mon = c.eng.NewLaneTicker(m.ep.Lane(), monPeriod, offMon, m.node.MonitorTick)
+		lane := m.ep.Lane()
+		c.eng.PostEvent(lane, lane, now.Add(offTick), m, sim.EventArg{A: m.life, B: uint64(period)})
+		c.eng.PostEvent(lane, lane, now.Add(offMon), m, sim.EventArg{A: m.life, B: uint64(monPeriod) | monitorTick})
 	})
 }
 
 // takeDown is bringUp's inverse: deregister and account uptime
-// control-side, stop the protocol on the member's lane.
+// control-side, stop the protocol on the member's lane, where retiring
+// the member's life ends its ticks.
 func (c *Cluster) takeDown(m *member) {
 	now := c.eng.Now()
 	m.ep.SetAliveRegistry(false)
@@ -650,12 +675,7 @@ func (c *Cluster) takeDown(m *member) {
 	c.eng.Post(nil, m.ep.Lane(), now, func(now time.Time) {
 		m.node.Leave(now)
 		m.ep.SetAliveFlag(false)
-		if m.tick != nil {
-			m.tick.Stop()
-		}
-		if m.mon != nil {
-			m.mon.Stop()
-		}
+		m.life++
 	})
 }
 

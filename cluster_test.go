@@ -683,9 +683,55 @@ func TestBirthAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeBlockBytes pins the member block at 848 bytes, and the bytes
-// the cluster holds per node — a slab's share of one block and of
-// exactly cvs coarse-view entries — at no more than the same state cost
+// TestRejoinTicksOncePerPeriod holds a member's ticks to its life: a
+// member that leaves and rejoins within one period runs one protocol and
+// one monitoring tick per period afterwards — its old life's ticks end at
+// their next firing instead of running beside the new life's. A lone node
+// has nobody to message, so once the old life's firings are past every
+// engine step is one of its ticks.
+func TestRejoinTicksOncePerPeriod(t *testing.T) {
+	c := statCluster(t, 1, 1, NodeOptions{})
+	c.Run(3 * time.Minute)
+	cfg := c.memberAt(0).node.Config()
+	c.Leave(0)
+	c.Run(cfg.Period / 3)
+	c.Rejoin(0)
+	c.Run(cfg.Period) // the old life's last firings
+	const periods = 10
+	before := c.Steps()
+	c.Run(periods * cfg.Period)
+	want := periods + uint64(periods*cfg.Period/cfg.MonitorPeriod)
+	if got := c.Steps() - before; got != want {
+		t.Errorf("%d ticks in %d periods after a rejoin, want %d", got, periods, want)
+	}
+}
+
+// TestRejoinAllocs gates one leave + rejoin cycle run through the engine:
+// takeDown's and bringUp's closures. A member is the handler of its own
+// ticks, so rejoining allocates no ticker; with a sim.Ticker per tick
+// and a method value for each, the cycle allocated 6 objects.
+func TestRejoinAllocs(t *testing.T) {
+	c := statCluster(t, 1, 1, NodeOptions{})
+	c.Run(time.Minute)
+	period := c.memberAt(0).node.Config().Period
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Leave(0)
+		c.Run(period / 3)
+		c.Rejoin(0)
+		c.Run(period)
+	})
+	t.Logf("a leave + rejoin cycle allocates %v objects", allocs)
+	if allocs > 2 {
+		t.Errorf("a leave + rejoin cycle allocates %v objects, want ≤ 2", allocs)
+	}
+	if c.AliveCount() != 1 {
+		t.Fatal("gate measured nothing: the member is not alive after its cycles")
+	}
+}
+
+// TestNodeBlockBytes pins the member block at 768 bytes (85 to a slab),
+// and the bytes the cluster holds per node — a slab's share of one block
+// and of exactly cvs coarse-view entries — at no more than the same state cost
 // as separately allocated objects, each rounded up to its allocator size
 // class: Endpoint 144, Lane 24, two rand.Rand 48 and their sources 32,
 // member 112, the handler, envelope and scratch closures 24 each, Node
@@ -695,8 +741,8 @@ func TestBirthAllocs(t *testing.T) {
 // simulator workloads.
 func TestNodeBlockBytes(t *testing.T) {
 	const separate = 144 + 24 + 2*(48+32) + 112 + 3*24 + 480 + 32
-	if size := unsafe.Sizeof(member{}); size > 848 {
-		t.Errorf("the member block is %d bytes, want ≤ 848", size)
+	if size := unsafe.Sizeof(member{}); size > 768 {
+		t.Errorf("the member block is %d bytes, want ≤ 768", size)
 	}
 	// A slab's bytes over the items of the given size it yields.
 	share := func(size uintptr) uintptr { return (slabBytes + slabBytes/size - 1) / (slabBytes / size) }

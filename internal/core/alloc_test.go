@@ -103,7 +103,7 @@ func TestZeroAllocMonitorAck(t *testing.T) {
 			if pos < 0 {
 				t.Fatal("target vanished")
 			}
-			ack.Seq = n.ts[pos].awaitingSeq
+			ack.Seq = n.probeBase + uint64(n.ts[pos].probe)
 			n.Handle(id, ack, now)
 		}
 	}
@@ -140,22 +140,23 @@ func TestZeroAllocCVRespSweep(t *testing.T) {
 }
 
 // TestNodeSizeClass pins Node — the coarse view's header by value
-// inside it — at 464 bytes, in the allocator's 480-byte class, which
+// inside it — at 392 bytes, in the allocator's 416-byte class, which
 // NewNode allocates; a simulated cluster builds the node inside its member
 // block, whose size the root package's TestNodeBlockBytes pins, and a
 // million-node run pays 1 MB per byte added here. Sweep buffers belong
 // in the per-worker SweepScratch, not in the node.
 func TestNodeSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Node{}); size > 464 {
-		t.Errorf("Node is %d bytes, want ≤ 464", size)
+	if size := unsafe.Sizeof(Node{}); size > 392 {
+		t.Errorf("Node is %d bytes, want ≤ 392", size)
 	}
 }
 
-// TestTargetIsOneCacheLine pins the TS record at 64 bytes: a node holds
-// ~K ≈ 21 of them at N = 10⁶, where 8 bytes more per record is 160 MB.
-// Identities and activity counters live beside it, in Node.
-func TestTargetIsOneCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(target{}); size != 64 {
-		t.Errorf("target is %d bytes, want 64", size)
+// TestTargetIsHalfACacheLine pins the TS record at 32 bytes: a node
+// holds ~K ≈ 21 of them at N = 10⁶, where 8 bytes more per record is
+// 160 MB. Identities, activity counters and the outstanding probes'
+// instant and sequence base live beside it, in Node.
+func TestTargetIsHalfACacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(target{}); size != 32 {
+		t.Errorf("target is %d bytes, want 32", size)
 	}
 }

@@ -11,29 +11,34 @@ import (
 // the session bookkeeping that drives forgetful pinging (Section 3.3).
 // Targets live by value in Node.ts, aligned with their identities in
 // Node.tsIDs, in discovery order, and are never dropped — forgetful
-// pinging probes a long-absent target less often instead. Timestamps
-// are UnixNano integers rather than time.Time so the record is
-// pointer-free (every simulated and real instant is far past 1970, so
-// the zero value still means "never"), and the whole record is one
-// 64-byte cache line: TS holds ~K ≈ 21 of these per node at N = 10⁶,
-// where every 8 bytes here is 160 MB.
+// pinging probes a long-absent target less often instead. Instants are
+// UnixNano integers rather than time.Time so the record is pointer-free
+// (every simulated and real instant is far past 1970, so the zero value
+// still means "never"), and the record is half a 64-byte cache line: TS
+// holds ~K ≈ 21 of these per node at N = 10⁶, where every 8 bytes here
+// is 160 MB. It keeps only what a protocol step reads (see DESIGN.md,
+// "Memory diet"): the probe's send time is the node's probedAt, its
+// sequence number an offset from the node's probeBase, and the up and
+// down phases share since and last.
 type target struct {
 	// up and total count the answered and all resolved monitoring pings,
 	// the paper's estimator (Section 5.4: "the fraction of monitoring
 	// pings sent to that node which receive a response back"). One
-	// sample per monitoring period keeps 2³¹ out of reach.
+	// sample per monitoring period keeps 2³¹ out of reach. up > 0 means
+	// the target has answered at least once.
 	up, total int32
 
-	awaitingSeq uint64 // outstanding MON-PING sequence (0 = none)
-	awaitingAt  int64  // UnixNano
+	// probe is the outstanding MON-PING's sequence number minus the
+	// node's probeBase (0 = none): every outstanding probe was sent by
+	// the node's last MonitorTick.
+	probe uint32
+	down  bool
 
-	lastAck      int64         // UnixNano
-	sessionStart int64         // UnixNano: start of the currently observed session
-	downSince    int64         // UnixNano
-	lastSession  time.Duration // most recent completed observed session ts(u)
-
-	everAcked bool
-	down      bool
+	// While up, since is the start of the observed session and last the
+	// latest ack; while down, since is when the target went down and
+	// last the duration of its last whole session ts(u) (0 if none).
+	// All are UnixNano but that duration.
+	since, last int64
 }
 
 // MonitorTick runs one monitoring period TA: it resolves last round's
@@ -45,19 +50,18 @@ func (n *Node) MonitorTick(now time.Time) {
 		return
 	}
 	nowNanos := now.UnixNano()
+	probedAt := n.probedAt // when last round's probes went out
+	n.probedAt, n.probeBase = nowNanos, n.seq
 	for i := range n.ts {
 		t := &n.ts[i]
 		// 1. An unanswered probe from a previous round is a "down"
-		// observation.
-		if t.awaitingSeq != 0 {
-			t.awaitingSeq = 0
+		// observation. The session it ends, if any, was last − since.
+		if t.probe != 0 {
+			t.probe = 0
 			t.total++
 			if !t.down {
 				t.down = true
-				t.downSince = t.awaitingAt
-				if t.everAcked {
-					t.lastSession = time.Duration(t.lastAck - t.sessionStart)
-				}
+				t.since, t.last = probedAt, t.last-t.since
 			}
 		}
 		// 2. A colluding monitor drops its duty towards victims
@@ -69,9 +73,9 @@ func (n *Node) MonitorTick(now time.Time) {
 		}
 		// 3. Decide whether to probe this round.
 		if n.cfg.Forgetful && t.down {
-			downFor := time.Duration(nowNanos - t.downSince)
+			downFor := time.Duration(nowNanos - t.since)
 			if downFor > n.cfg.ForgetfulTau {
-				ts := t.lastSession
+				ts := time.Duration(t.last)
 				if ts <= 0 {
 					// Never observed a full session: use one
 					// monitoring period as the session floor.
@@ -88,12 +92,12 @@ func (n *Node) MonitorTick(now time.Time) {
 			}
 		}
 		// 4. Probe.
-		t.awaitingSeq = n.nextSeq()
-		t.awaitingAt = nowNanos
+		seq := n.nextSeq()
+		t.probe = uint32(seq - n.probeBase)
 		n.pingsSent++
 		msg := n.newMsg()
 		msg.Type = MsgMonPing
-		msg.Seq = t.awaitingSeq
+		msg.Seq = seq
 		n.send(n.tsIDs[i], msg)
 	}
 }
@@ -106,21 +110,21 @@ func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 		return
 	}
 	t := &n.ts[i]
-	// Only the outstanding probe's ack counts; seq 0 means none is
-	// outstanding, so a target cannot pad its history with unasked acks.
-	if seq == 0 || seq != t.awaitingSeq {
+	// Only the outstanding probe's ack counts, compared in full; seq 0
+	// means none is outstanding, so a target cannot pad its history with
+	// unasked acks.
+	if seq == 0 || t.probe == 0 || seq != n.probeBase+uint64(t.probe) {
 		return
 	}
-	t.awaitingSeq = 0
+	t.probe = 0
 	n.acks++
-	t.up++
-	t.total++
-	if t.down || !t.everAcked {
-		t.sessionStart = now.UnixNano()
+	if t.down || t.up == 0 {
+		t.since = now.UnixNano()
 		t.down = false
 	}
-	t.everAcked = true
-	t.lastAck = now.UnixNano()
+	t.up++
+	t.total++
+	t.last = now.UnixNano()
 }
 
 // EstimateOf returns this node's availability estimate for a node it

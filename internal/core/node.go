@@ -14,11 +14,13 @@ type Node struct {
 	cfg Config
 	id  ids.ID
 
+	// bornAt, lastLeave and the instants below are UnixNano integers,
+	// as in target: the wall clock's reading without the monotonic one,
+	// and 0 for "never".
 	alive     bool
 	everBorn  bool
-	bornAt    time.Time
-	joinedAt  time.Time
-	lastLeave time.Time
+	bornAt    int64
+	lastLeave int64
 
 	// PS and TS only ever grow (see DESIGN.md, "Memory diet") and are
 	// kept in discovery order — the documented iteration order. Both
@@ -36,12 +38,17 @@ type Node struct {
 	pingsSaved      uint64 // pings skipped by the forgetful optimization
 	pingsSuppressed uint64 // pings withheld by a colluding monitor
 
+	// The last MonitorTick's instant and the sequence number before its
+	// first probe: each target's outstanding probe is this tick's.
+	probedAt  int64
+	probeBase uint64
+
 	// lastCoarseContact is the last time a message arrived that proves
 	// this node sits in some peer's coarse view (PING, CV-FETCH, a
 	// forwarded JOIN, or a PR2 request). Going long without one means
 	// the node's coarse-view indegree has likely dropped to zero — an
 	// absorbing state under STAT — and triggers a re-bootstrap.
-	lastCoarseContact time.Time
+	lastCoarseContact int64
 
 	// Outstanding coarse-view liveness probe (Figure 2, first lines).
 	cvPingTarget ids.ID
@@ -49,7 +56,7 @@ type Node struct {
 
 	seq uint64 // message sequence numbers
 
-	lastMonPingRecv time.Time // for PR2
+	lastMonPingRecv int64 // for PR2
 
 	hashChecks uint64 // consistency-condition evaluations performed
 
@@ -127,15 +134,15 @@ func (n *Node) send(to ids.ID, m *Message) {
 // given node (Figure 1). bootstrap may be None when this node is the
 // very first in the system.
 func (n *Node) Join(now time.Time, bootstrap ids.ID) {
+	nowNanos := now.UnixNano()
 	first := !n.everBorn
 	if first {
 		n.everBorn = true
-		n.bornAt = now
+		n.bornAt = nowNanos
 	}
 	n.alive = true
-	n.joinedAt = now
-	n.lastMonPingRecv = now
-	n.lastCoarseContact = now
+	n.lastMonPingRecv = nowNanos
+	n.lastCoarseContact = nowNanos
 	n.cvPingTarget = ids.None
 	// "Inherit view from this random node": discard the stale view and
 	// fetch the bootstrap's.
@@ -145,7 +152,7 @@ func (n *Node) Join(now time.Time, bootstrap ids.ID) {
 	}
 	weight := n.cfg.CVS
 	if !first && !n.cfg.RejoinFullWeight {
-		down := int(now.Sub(n.lastLeave) / n.cfg.Period)
+		down := int((nowNanos - n.lastLeave) / int64(n.cfg.Period))
 		if down < weight {
 			weight = down
 		}
@@ -167,11 +174,11 @@ func (n *Node) Join(now time.Time, bootstrap ids.ID) {
 // for a later rejoin, modeling the paper's persistent storage.
 func (n *Node) Leave(now time.Time) {
 	n.alive = false
-	n.lastLeave = now
+	n.lastLeave = now.UnixNano()
 	n.cvPingTarget = ids.None
 	// Outstanding monitoring probes die with us.
 	for i := range n.ts {
-		n.ts[i].awaitingSeq = 0
+		n.ts[i].probe = 0
 	}
 }
 
@@ -190,10 +197,10 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 	}
 	switch m.Type {
 	case MsgJoin:
-		n.lastCoarseContact = now // a forward proves CV membership
+		n.lastCoarseContact = now.UnixNano() // a forward proves CV membership
 		n.handleJoin(m)
 	case MsgPing:
-		n.lastCoarseContact = now
+		n.lastCoarseContact = now.UnixNano()
 		pong := n.newMsg()
 		pong.Type, pong.Seq = MsgPong, m.Seq
 		n.send(from, pong)
@@ -202,7 +209,7 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 			n.cvPingTarget = ids.None // liveness confirmed
 		}
 	case MsgCVFetch:
-		n.lastCoarseContact = now
+		n.lastCoarseContact = now.UnixNano()
 		resp := n.newMsg()
 		resp.Type, resp.Seq = MsgCVResp, m.Seq
 		resp.View = n.cv.appendTo(resp.View[:0])
@@ -212,14 +219,14 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 	case MsgNotify:
 		n.handleNotify(m.U, m.V, now)
 	case MsgMonPing:
-		n.lastMonPingRecv = now
+		n.lastMonPingRecv = now.UnixNano()
 		ack := n.newMsg()
 		ack.Type, ack.Seq = MsgMonAck, m.Seq
 		n.send(from, ack)
 	case MsgMonAck:
 		n.handleMonAck(from, m.Seq, now)
 	case MsgPR2:
-		n.lastCoarseContact = now // the sender holds us in its CV
+		n.lastCoarseContact = now.UnixNano() // the sender holds us in its CV
 		n.cv.addEvict(from, n.cfg.Rand)
 	case MsgReportReq:
 		n.send(from, &Message{
@@ -329,8 +336,9 @@ func (n *Node) Tick(now time.Time) {
 	// an absorbing state that excludes the node from all future
 	// discovery sweeps. Re-enter the overlay with a JOIN-style random
 	// walk through any contact we still know.
-	if n.cv.size() == 0 || now.Sub(n.lastCoarseContact) >= rebootstrapStarvation*n.cfg.Period {
-		n.rebootstrap(now)
+	nowNanos := now.UnixNano()
+	if n.cv.size() == 0 || nowNanos-n.lastCoarseContact >= int64(rebootstrapStarvation*n.cfg.Period) {
+		n.rebootstrap(nowNanos)
 	}
 	// 1. Resolve last round's liveness probe: an unresponsive node is
 	// removed from the coarse view.
@@ -357,7 +365,7 @@ func (n *Node) Tick(now time.Time) {
 	// periods, force ourselves back into our members' coarse views.
 	// The membership is copied into sweep scratch first — sends must
 	// not iterate the live view, and the sweep buffers are free here.
-	if n.cfg.PR2 && now.Sub(n.lastMonPingRecv) >= 2*n.cfg.Period {
+	if n.cfg.PR2 && nowNanos-n.lastMonPingRecv >= int64(2*n.cfg.Period) {
 		sc := n.sweepScratch()
 		sc.a = n.cv.appendTo(sc.a[:0])
 		for _, member := range sc.a {
@@ -365,7 +373,7 @@ func (n *Node) Tick(now time.Time) {
 			pr2.Type = MsgPR2
 			n.send(member, pr2)
 		}
-		n.lastMonPingRecv = now // back off until the next 2 periods
+		n.lastMonPingRecv = nowNanos // back off until the next 2 periods
 	}
 }
 
@@ -375,7 +383,7 @@ func (n *Node) Tick(now time.Time) {
 // contact (TS then PS, in discovery order — map iteration would break
 // determinism). A node that knows absolutely nobody stays quiet; it
 // can only be recovered by the cluster-level bootstrap on rejoin.
-func (n *Node) rebootstrap(now time.Time) {
+func (n *Node) rebootstrap(nowNanos int64) {
 	target := n.cv.random(n.cfg.Rand)
 	if target.IsNone() {
 		total := len(n.ts) + len(n.ps)
@@ -391,7 +399,7 @@ func (n *Node) rebootstrap(now time.Time) {
 	// Back off for another starvation window whether or not the walk
 	// succeeds; its CV-RESP and the renewed indegree reset the clock
 	// for real.
-	n.lastCoarseContact = now
+	n.lastCoarseContact = nowNanos
 	join := n.newMsg()
 	join.Type, join.Subject, join.Weight = MsgJoin, n.id, n.cfg.CVS
 	n.send(target, join)
@@ -599,7 +607,7 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 		if !n.cfg.Scheme.Related(u, v) {
 			return
 		}
-		n.ps = appendChunked(n.ps, monitor{id: u, found: now.Sub(n.bornAt)})
+		n.ps = appendChunked(n.ps, monitor{id: u, found: time.Duration(now.UnixNano() - n.bornAt)})
 	case u:
 		if slices.Contains(n.tsIDs, v) {
 			return
@@ -660,4 +668,9 @@ func (n *Node) DiscoveryTimes() []time.Duration {
 }
 
 // BornAt returns the node's birth time (zero if never joined).
-func (n *Node) BornAt() time.Time { return n.bornAt }
+func (n *Node) BornAt() time.Time {
+	if !n.everBorn {
+		return time.Time{}
+	}
+	return time.Unix(0, n.bornAt)
+}

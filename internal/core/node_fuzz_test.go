@@ -26,8 +26,8 @@ type protocolNode interface {
 // FuzzNodeMessages applies each step decoded from script to a Node and to
 // a specNode of the same Config and seed: after every step both must have
 // sent the same messages, whole and in order, and agree on PS, TS and CV
-// in order, DiscoveryTimes, HashChecks, MonitoringStats, estimates and
-// random stream, and the node must pass checkInvariants. conf holds cvs−2
+// in order, DiscoveryTimes, HashChecks, MonitoringStats, estimates, BornAt
+// and random stream, and the node must pass checkInvariants. conf holds cvs−2
 // (bits 0–4); the fast Selector's kernel, Memoize(MD5)'s memo row or
 // RelatedRow hidden (5–6); PR2, Forgetful, DisableReshuffle,
 // RejoinFullWeight, Overreport (7–11); bits above are ignored. A step is
@@ -42,8 +42,9 @@ type protocolNode interface {
 //
 // Identity bytes: None at 0, self at 1, off the simulated range from 250,
 // else ids.Sim(b%32). Weight: an int8, (b−100)·100 above 100. Seq from
-// 240: the node's latest minus b−240, a recent probe's. View length: b&15,
-// plus 1100 past the cap from 240, once a script (a sweep of milliseconds).
+// 240: the node's latest minus (b−240)%10, a recent probe's, plus 2³² from
+// 250. View length: b&15, plus 1100 past the cap from 240, once a script
+// (a sweep of milliseconds).
 func FuzzNodeMessages(f *testing.F) {
 	addNodeSeeds(f)
 	f.Fuzz(runNodeScript)
@@ -141,7 +142,7 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 				in.Weight = (in.Weight - 100) * 100
 			}
 			if in.Seq = uint64(next()); in.Seq >= 240 {
-				in.Seq = n.seq - (in.Seq - 240)
+				in.Seq = n.seq - (in.Seq-240)%10 + (in.Seq-240)/10<<32
 			}
 			in.Nonce, in.Count = uint64(next())*0x0101010101010101, int(int8(next()))
 			view := next()
@@ -178,6 +179,7 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 			{"HashChecks", n.HashChecks(), s.hashChecks},
 			{"MonitoringStats", n.MonitoringStats(), stats},
 			{"estimates", estimates(n), estimates(s)},
+			{"BornAt", n.BornAt().UTC(), s.bornAt.UTC()},
 			{"random stream", n.cfg.Rand.Int63(), s.cfg.Rand.Int63()},
 		} {
 			// DeepEqual is fast on a long sweep's thousands of NOTIFYs; Sprint reads nil as empty.
@@ -347,4 +349,33 @@ func addNodeSeeds(f *testing.F) {
 		periods = slices.Concat(periods, minute, tick, seedMsg{typ: MsgPong, from: 2, seq: 241}.step())
 	}
 	f.Add(int64(5), uint16(6|confPR2), periods)
+
+	// Probes out to targets 3…11, then a MON-ACK from each for each of the
+	// last six sequence numbers plus 2³²: none is a probe, though some
+	// match one in the low 32 bits; then the last nine in range, which
+	// answer every probe.
+	ackAll := func(seq, count byte) (acks []byte) {
+		for b := byte(3); b < 12; b++ {
+			for k := byte(0); k < count; k++ {
+				acks = append(acks, seedMsg{typ: MsgMonAck, from: b, seq: seq + k}.step()...)
+			}
+		}
+		return acks
+	}
+	f.Add(int64(6), uint16(6), slices.Concat(life, minute, monitorTick, ackAll(250, 6), ackAll(240, 9)))
+	// Forgetful cycles with no clock advance between a tick and its acks:
+	// six answered rounds make a five-minute session, then the targets go
+	// quiet, fall down and are probed, past τ, at odds that session sets;
+	// one more answered round, and down again.
+	cycle := slices.Clone(life)
+	for round := 0; round < 20; round++ {
+		cycle = slices.Concat(cycle, minute, monitorTick)
+		if round < 6 || round == 13 {
+			cycle = append(cycle, ackAll(240, 9)...)
+		}
+	}
+	f.Add(int64(8), uint16(6|confForgetful), cycle)
+	// A node that is not yet born, then joins twice with no leave between:
+	// the second JOIN's weight reads a last leave that never happened.
+	f.Add(int64(9), uint16(6), slices.Concat([]byte{0}, holding(2), minute, []byte{3, 4}))
 }

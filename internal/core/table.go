@@ -10,10 +10,10 @@ import (
 // DESIGN.md, "Memory diet"). The consistency condition is a fixed
 // relation over identities, so both sets only ever grow: each is kept
 // in discovery order in slices of values (Node.ps; TS as the aligned
-// columns Node.tsIDs, Node.ts and Node.stores) with no per-entry heap
-// object and no index beside them: a set plateaus near K entries, so a
-// lookup scans K contiguous identities instead of keeping a hash table
-// per set per node.
+// columns Node.tsIDs and Node.ts) with no per-entry heap object and no
+// index beside them: a set plateaus near K entries, so a lookup scans K
+// contiguous identities instead of keeping a hash table per set per
+// node.
 
 // appendChunked appends v, growing capacity by fixed chunks of 8
 // instead of append's doubling. The per-node PS and TS slices plateau

@@ -372,11 +372,10 @@ func (q *eventHeap) pop() event {
 }
 
 // Ticker repeatedly schedules a callback with a fixed period until
-// stopped. It is the simulation analogue of time.Ticker and is used to
-// drive per-node protocol periods, which execute asynchronously across
-// nodes via per-ticker phase offsets (paper Section 3.2). A ticker is
-// bound to one lane; Stop must be called from that lane's events (or
-// while the engine is quiescent).
+// stopped. It is the simulation analogue of time.Ticker, with a phase
+// offset per ticker so that periods run out of step across lanes (paper
+// Section 3.2). A ticker is bound to one lane; Stop must be called from
+// that lane's events (or while the engine is quiescent).
 type Ticker struct {
 	e       *Engine
 	lane    *Lane
