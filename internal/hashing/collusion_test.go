@@ -7,6 +7,20 @@ import (
 	"avmon/internal/ids"
 )
 
+// kForLOutOfK returns the K needed to support an "l out of K"
+// reporting policy with high probability: K = (l+1)·log(N)
+// (Section 4.3).
+func kForLOutOfK(l, n int) int {
+	if n < 2 {
+		return l + 1
+	}
+	k := int(math.Ceil(float64(l+1) * math.Log(float64(n))))
+	if k < 1 {
+		k = 1
+	}
+	return k
+}
+
 // TestCollusionPollutionProbability validates the Section 4.3
 // analysis: with C colluders per node and K = log2(N), the probability
 // that at least one colluder lands in PS(x) is ≈ 1 − (1 − K/N)^C.
@@ -64,7 +78,7 @@ func TestCollusionCoverageVsFraction(t *testing.T) {
 	}{
 		{"N=500-defaultK", 500, DefaultK(500)},
 		{"N=2000-defaultK", 2000, DefaultK(2000)},
-		{"N=1200-K2of", 1200, KForLOutOfK(2, 1200)},
+		{"N=1200-K2of", 1200, kForLOutOfK(2, 1200)},
 	}
 	hashers := []struct {
 		name string
@@ -147,7 +161,7 @@ func TestMinPSSizeWithLOutOfK(t *testing.T) {
 		n = 1200
 		l = 2
 	)
-	k := KForLOutOfK(l, n)
+	k := kForLOutOfK(l, n)
 	sel, err := NewSelector(FastHasher{}, k, n)
 	if err != nil {
 		t.Fatal(err)

@@ -68,41 +68,59 @@ func Memoize(sel *Selector, capacity int) *MemoSelector {
 // Related reports whether y ∈ PS(x), hashing the pair only on a memo
 // miss.
 func (m *MemoSelector) Related(y, x ids.ID) bool {
-	yi, yok := ids.SimIndex(y)
-	xi, xok := ids.SimIndex(x)
-	if !yok || !xok || yi >= memoMaxIndex || xi >= memoMaxIndex {
-		m.misses++
-		return m.inner.Related(y, x)
-	}
-	w, shift := xi>>5, uint(xi&31)*2
-	if yi < len(m.rows) && w < len(m.rows[yi]) {
-		if cell := m.rows[yi][w] >> shift; cell&1 != 0 {
-			m.hits++
-			return cell&2 != 0
-		}
+	yi, xi := memoIndex(y), memoIndex(x)
+	if c := m.cell(yi, xi); c != cellUnknown {
+		m.hits++
+		return c == cellRelated
 	}
 	m.misses++
 	v := m.inner.Related(y, x)
-	m.store(yi, w, shift, v)
+	m.store(yi, xi, v)
 	return v
 }
 
 // RelatedRow implements the discovery sweep's batched form (see
-// Selector.RelatedRow), one memo lookup per evaluated pair.
+// Selector.RelatedRow): one memo lookup per evaluated pair, and the
+// misses hashed together.
 func (m *MemoSelector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
-	return rowByPair(m, u, vs, skipRev, hits)
+	return m.inner.relatedRow(m, u, vs, skipRev, hits)
 }
 
-// store records verdict v in cell (yi, word w, shift), growing the row
-// table and the row as needed, or not at all if the row does not fit.
-func (m *MemoSelector) store(yi, w int, shift uint, v bool) {
+// memoIndex returns the matrix index of id, or -1 if the matrix does
+// not cover it.
+func memoIndex(id ids.ID) int {
+	if i, ok := ids.SimIndex(id); ok && i < memoMaxIndex {
+		return i
+	}
+	return -1
+}
+
+// The states of a matrix cell.
+const cellUnknown, cellUnrelated, cellRelated = 0, 1, 3
+
+// cell returns the state of pair (yi, xi), by matrix index. A nil memo,
+// or an index of -1, holds nothing.
+func (m *MemoSelector) cell(yi, xi int) uint8 {
+	if m == nil || yi < 0 || xi < 0 || yi >= len(m.rows) || xi>>5 >= len(m.rows[yi]) {
+		return cellUnknown
+	}
+	return uint8(m.rows[yi][xi>>5]>>(uint(xi&31)*2)) & 3
+}
+
+// store records verdict v for pair (yi, xi), by matrix index, growing
+// the row table and the row as needed, or not at all if the row does
+// not fit or the matrix does not cover the pair.
+func (m *MemoSelector) store(yi, xi int, v bool) {
+	if yi < 0 || xi < 0 {
+		return
+	}
 	if m.entries >= m.cap {
 		m.Reset() // epoch flush: no per-entry recency to track
 	}
 	if yi >= len(m.rows) {
 		m.rows = grown(m.rows, yi)
 	}
-	row := m.rows[yi]
+	row, w := m.rows[yi], xi>>5
 	if w >= len(row) {
 		grow := (1<<bits.Len(uint(w)) - len(row)) * 8
 		if m.bytes+grow > memoRowBytes {
@@ -112,11 +130,11 @@ func (m *MemoSelector) store(yi, w int, shift uint, v bool) {
 		row = grown(row, w)
 		m.rows[yi] = row
 	}
-	cell := uint64(1)
+	cell := uint64(cellUnrelated)
 	if v {
-		cell = 3
+		cell = cellRelated
 	}
-	row[w] |= cell << shift
+	row[w] |= cell << (uint(xi&31) * 2)
 	m.entries++
 }
 

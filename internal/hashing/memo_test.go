@@ -163,9 +163,55 @@ func TestMemoMatrixDifferential(t *testing.T) {
 	}
 }
 
+// testRow draws a row for RelatedRow: u, up to 60 identities (u among
+// them on even rounds, as in a view overlap) and the reverse pairs to
+// skip (none on every third round). With distinct, no identity repeats,
+// so no pair does: the discovery sweep's rows.
+func testRow(rng *rand.Rand, round int, distinct bool) (u ids.ID, vs []ids.ID, skip []bool) {
+	seen := map[ids.ID]bool{}
+	for n := rng.Intn(60); len(vs) < n; {
+		if v := memoTestID(rng); !distinct || !seen[v] {
+			seen[v] = true
+			vs, skip = append(vs, v), append(skip, rng.Intn(3) == 0)
+		}
+	}
+	u = memoTestID(rng)
+	for distinct && seen[u] {
+		u = memoTestID(rng)
+	}
+	if len(vs) > 0 && round%2 == 0 {
+		u = vs[rng.Intn(len(vs))]
+	}
+	if round%3 == 0 {
+		skip = nil
+	}
+	return u, vs, skip
+}
+
+// rowByPair is RelatedRow as one related call per evaluated pair, in
+// row order.
+func rowByPair(related func(y, x ids.ID) bool, u ids.ID, vs []ids.ID, skip []bool) []int32 {
+	var hits []int32
+	for j, v := range vs {
+		if v == u {
+			continue
+		}
+		if related(u, v) {
+			hits = append(hits, int32(2*j))
+		}
+		if (skip == nil || !skip[j]) && related(v, u) {
+			hits = append(hits, int32(2*j+1))
+		}
+	}
+	return hits
+}
+
 // TestMemoRelatedRowMatchesRelated checks the row form of every scheme
-// in the package — the fast-hash kernel, the plain selector and the
-// memo — against one Related call per pair.
+// in the package — the fast-hash kernel, the batched selector and the
+// memo — against one Related call per pair. On rows without a repeated
+// pair, a memo's counters must also equal those of a per-pair twin
+// after every row, including at a capacity that flushes within a row;
+// on rows with repeated identities, its verdicts must still be right.
 func TestMemoRelatedRowMatchesRelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, h := range allHashers() {
@@ -173,35 +219,48 @@ func TestMemoRelatedRowMatchesRelated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, scheme := range []interface {
-			Related(y, x ids.ID) bool
-			RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32
-		}{sel, Memoize(sel, 0)} {
+		for round := 0; round < 200; round++ {
+			u, vs, skip := testRow(rng, round, false)
+			want := rowByPair(sel.Related, u, vs, skip)
+			if got := sel.RelatedRow(u, vs, skip, []int32{-1}); fmt.Sprint(got) != fmt.Sprint(append([]int32{-1}, want...)) {
+				t.Fatalf("%s selector round %d: RelatedRow = %v, per pair %v", h.Name(), round, got[1:], want)
+			}
+		}
+		for _, capacity := range []int{0, 7} {
+			memo, twin := Memoize(sel, capacity), Memoize(sel, capacity)
+			var u ids.ID
+			var vs []ids.ID
+			var skip []bool
+			for round := 0; round < 300; round++ {
+				// Odd rounds repeat the row: its last pairs are still
+				// held when a flush within the repeat must drop them.
+				if round%2 == 0 {
+					u, vs, skip = testRow(rng, round, true)
+				}
+				want := rowByPair(twin.Related, u, vs, skip)
+				if got := memo.RelatedRow(u, vs, skip, []int32{-1}); fmt.Sprint(got) != fmt.Sprint(append([]int32{-1}, want...)) {
+					t.Fatalf("%s memo capacity %d round %d: RelatedRow = %v, per pair %v", h.Name(), capacity, round, got[1:], want)
+				}
+				if got, want := memo.Stats(), twin.Stats(); got != want {
+					t.Fatalf("%s memo capacity %d round %d: stats %+v, per-pair twin %+v", h.Name(), capacity, round, got, want)
+				}
+			}
+			if st := memo.Stats(); st.Hits == 0 || capacity > 0 && st.Flushes < 300 {
+				t.Errorf("%s memo capacity %d exercised too little: %+v", h.Name(), capacity, st)
+			}
+			// Rows with repeated identities: the verdicts must still be
+			// the selector's, and every evaluated pair a hit or a miss.
+			memo = Memoize(sel, capacity)
+			var evaluated uint64
 			for round := 0; round < 200; round++ {
-				vs := make([]ids.ID, rng.Intn(60))
-				skip := make([]bool, len(vs))
-				for j := range vs {
-					vs[j], skip[j] = memoTestID(rng), rng.Intn(3) == 0
+				u, vs, skip := testRow(rng, round, false)
+				want := rowByPair(sel.Related, u, vs, skip)
+				if got := memo.RelatedRow(u, vs, skip, []int32{-1}); fmt.Sprint(got) != fmt.Sprint(append([]int32{-1}, want...)) {
+					t.Fatalf("%s memo capacity %d repeats round %d: RelatedRow = %v, per pair %v", h.Name(), capacity, round, got[1:], want)
 				}
-				u := memoTestID(rng)
-				if len(vs) > 0 && round%2 == 0 {
-					u = vs[rng.Intn(len(vs))]
-				}
-				if round%3 == 0 {
-					skip = nil
-				}
-				var want []int32
-				for j, v := range vs {
-					if scheme.Related(u, v) {
-						want = append(want, int32(2*j))
-					}
-					if (skip == nil || !skip[j]) && scheme.Related(v, u) {
-						want = append(want, int32(2*j+1))
-					}
-				}
-				got := scheme.RelatedRow(u, vs, skip, []int32{-1})
-				if fmt.Sprint(got) != fmt.Sprint(append([]int32{-1}, want...)) {
-					t.Fatalf("%s %T round %d: RelatedRow = %v, per pair %v", h.Name(), scheme, round, got[1:], want)
+				rowByPair(func(ids.ID, ids.ID) bool { evaluated++; return false }, u, vs, skip)
+				if st := memo.Stats(); st.Hits+st.Misses != evaluated {
+					t.Fatalf("%s memo capacity %d repeats round %d: %d hits + %d misses for %d evaluated pairs", h.Name(), capacity, round, st.Hits, st.Misses, evaluated)
 				}
 			}
 		}
@@ -262,6 +321,48 @@ func TestZeroAllocMemoHit(t *testing.T) {
 	}
 	if st := memo.Stats(); st.Misses != before.Misses || st.Hits == before.Hits {
 		t.Fatalf("gate measured no hits: %+v, before %+v", st, before)
+	}
+}
+
+// TestZeroAllocRelatedRow gates the sweep's MD5 row: a 48-identity
+// row allocates nothing through the plain selector, nor through the
+// memo, cold (every pair a miss, stored in rows the matrix already
+// holds) or warm (every pair a hit).
+func TestZeroAllocRelatedRow(t *testing.T) {
+	sel, err := NewSelector(MD5Hasher{}, 11, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := make([]ids.ID, 48)
+	for j := range vs {
+		vs[j] = ids.Sim(j)
+	}
+	hits := make([]int32, 0, 2*len(vs))
+	if allocs := testing.AllocsPerRun(100, func() { hits = sel.RelatedRow(ids.Sim(1000), vs, nil, hits[:0]) }); allocs != 0 {
+		t.Errorf("selector row allocates %v objects, want 0", allocs)
+	}
+	memo := Memoize(sel, 0)
+	for i := 0; i < 2000; i++ {
+		memo.Related(ids.Sim(i), ids.Sim(1999)) // every row, at full width
+	}
+	before, u := memo.Stats(), 100
+	cold := func() {
+		hits = memo.RelatedRow(ids.Sim(u), vs, nil, hits[:0])
+		u++
+	}
+	if allocs := testing.AllocsPerRun(100, cold); allocs != 0 {
+		t.Errorf("cold memo row allocates %v objects, want 0", allocs)
+	}
+	if st := memo.Stats(); st.Hits != before.Hits || st.Misses != before.Misses+uint64(2*len(vs)*(u-100)) {
+		t.Fatalf("cold rows were not all misses: %+v, before %+v", st, before)
+	}
+	before = memo.Stats()
+	warm := func() { hits = memo.RelatedRow(ids.Sim(100), vs, nil, hits[:0]) }
+	if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
+		t.Errorf("warm memo row allocates %v objects, want 0", allocs)
+	}
+	if st := memo.Stats(); st.Misses != before.Misses {
+		t.Fatalf("warm rows missed: %+v, before %+v", st, before)
 	}
 }
 

@@ -47,9 +47,9 @@ func (v Variant) CVS(n int) int {
 	var f float64
 	switch v {
 	case VariantMD:
-		f = CVSOptimalMD(n)
+		f = cvsOptimalMD(n)
 	case VariantMDC, VariantDC:
-		f = CVSOptimalMDC(n)
+		f = cvsOptimalMDC(n)
 	default:
 		f = math.Log2(float64(n))
 	}
@@ -60,14 +60,14 @@ func (v Variant) CVS(n int) int {
 	return c
 }
 
-// CVSOptimalMD is the closed-form minimizer of
+// cvsOptimalMD is the closed-form minimizer of
 // f(cvs) = cvs + N/cvs² (memory+bandwidth plus discovery time):
 // cvs = (2N)^(1/3).
-func CVSOptimalMD(n int) float64 { return math.Cbrt(2 * float64(n)) }
+func cvsOptimalMD(n int) float64 { return math.Cbrt(2 * float64(n)) }
 
-// CVSOptimalMDC is the closed-form (approximate) minimizer of
+// cvsOptimalMDC is the closed-form (approximate) minimizer of
 // g(cvs) = cvs + cvs² + N/cvs²: cvs ≈ N^(1/4).
-func CVSOptimalMDC(n int) float64 { return math.Pow(float64(n), 0.25) }
+func cvsOptimalMDC(n int) float64 { return math.Pow(float64(n), 0.25) }
 
 // ExpectedDiscoveryTime returns the paper's upper bound on the expected
 // number of protocol periods to discover an arbitrary related pair:
@@ -86,31 +86,6 @@ func ExpectedDiscoveryTime(cvs, n int) float64 {
 	return 1 / p
 }
 
-// CostMD is the Optimal-MD objective f(cvs) = cvs + E[D](cvs).
-func CostMD(cvs, n int) float64 {
-	return float64(cvs) + ExpectedDiscoveryTime(cvs, n)
-}
-
-// CostMDC is the Optimal-MDC objective
-// g(cvs) = cvs + cvs² + E[D](cvs).
-func CostMDC(cvs, n int) float64 {
-	return float64(cvs) + float64(cvs)*float64(cvs) + ExpectedDiscoveryTime(cvs, n)
-}
-
-// MinimizeCost numerically minimizes cost over cvs ∈ [2, limit] and
-// returns the argmin. It exists so tests can confirm the closed forms:
-// the numeric minimum of CostMD should be near (2N)^(1/3), and that of
-// CostMDC near N^(1/4).
-func MinimizeCost(cost func(cvs, n int) float64, n, limit int) int {
-	best, bestCost := 2, math.Inf(1)
-	for c := 2; c <= limit; c++ {
-		if v := cost(c, n); v < bestCost {
-			best, bestCost = c, v
-		}
-	}
-	return best
-}
-
 // DefaultK returns the paper's default pinging-set parameter
 // K = log2(N) (Section 5 experimental settings), floored at 1.
 func DefaultK(n int) int {
@@ -124,25 +99,11 @@ func DefaultK(n int) int {
 	return k
 }
 
-// KForLOutOfK returns the K needed to support an "l out of K"
-// reporting policy with high probability: K = (l+1)·log(N)
-// (Section 4.3).
-func KForLOutOfK(l, n int) int {
-	if n < 2 {
-		return l + 1
-	}
-	k := int(math.Ceil(float64(l+1) * math.Log(float64(n))))
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // DefaultCVS returns the paper's experimental coarse-view size
 // cvs = 4·N^(1/4) (Section 5: "a factor of 4 above cvsOptimal−MDC for
 // performance reasons").
 func DefaultCVS(n int) int {
-	c := int(math.Round(4 * CVSOptimalMDC(n)))
+	c := int(math.Round(4 * cvsOptimalMDC(n)))
 	if c < 2 {
 		c = 2
 	}

@@ -44,17 +44,40 @@ func TestClosedFormsMatchPaper(t *testing.T) {
 	}
 }
 
+// costMD is the Optimal-MD objective of § 4.2,
+// f(cvs) = cvs + E[D](cvs).
+func costMD(cvs, n int) float64 {
+	return float64(cvs) + ExpectedDiscoveryTime(cvs, n)
+}
+
+// costMDC is the Optimal-MDC objective of § 4.2,
+// g(cvs) = cvs + cvs² + E[D](cvs).
+func costMDC(cvs, n int) float64 {
+	return float64(cvs) + float64(cvs)*float64(cvs) + ExpectedDiscoveryTime(cvs, n)
+}
+
+// minimizeCost returns the argmin of cost over cvs ∈ [2, limit].
+func minimizeCost(cost func(cvs, n int) float64, n, limit int) int {
+	best, bestCost := 2, math.Inf(1)
+	for c := 2; c <= limit; c++ {
+		if v := cost(c, n); v < bestCost {
+			best, bestCost = c, v
+		}
+	}
+	return best
+}
+
 func TestNumericMinimizerConfirmsClosedForms(t *testing.T) {
 	// The closed forms are stationary points of the cost functions;
 	// confirm the numeric argmin lands close for several N.
 	for _, n := range []int{500, 2000, 50000, 1_000_000} {
-		md := MinimizeCost(CostMD, n, 4000)
-		wantMD := CVSOptimalMD(n)
+		md := minimizeCost(costMD, n, 4000)
+		wantMD := cvsOptimalMD(n)
 		if math.Abs(float64(md)-wantMD) > wantMD*0.25+2 {
 			t.Errorf("N=%d: numeric MD argmin %d far from closed form %.1f", n, md, wantMD)
 		}
-		mdc := MinimizeCost(CostMDC, n, 4000)
-		wantMDC := CVSOptimalMDC(n)
+		mdc := minimizeCost(costMDC, n, 4000)
+		wantMDC := cvsOptimalMDC(n)
 		if math.Abs(float64(mdc)-wantMDC) > wantMDC*0.35+2 {
 			t.Errorf("N=%d: numeric MDC argmin %d far from closed form %.1f", n, mdc, wantMDC)
 		}
@@ -111,13 +134,13 @@ func TestDefaultCVSMatchesExperimentalSetting(t *testing.T) {
 
 func TestKForLOutOfK(t *testing.T) {
 	// K = (l+1)·log(N) grows with both l and N.
-	if KForLOutOfK(1, 1000) <= KForLOutOfK(0, 1000) {
+	if kForLOutOfK(1, 1000) <= kForLOutOfK(0, 1000) {
 		t.Error("K not increasing in l")
 	}
-	if KForLOutOfK(1, 100000) <= KForLOutOfK(1, 100) {
+	if kForLOutOfK(1, 100000) <= kForLOutOfK(1, 100) {
 		t.Error("K not increasing in N")
 	}
-	if got := KForLOutOfK(2, 1); got < 3 {
+	if got := kForLOutOfK(2, 1); got < 3 {
 		t.Errorf("degenerate N: got %d, want ≥ l+1", got)
 	}
 }

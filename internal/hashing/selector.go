@@ -19,6 +19,7 @@ import (
 type Selector struct {
 	hasher    Hasher
 	fast      bool // hasher is FastHasher: statically dispatch the hot path
+	md5       bool // hasher is MD5Hasher: RelatedRow hashes through md5Pairs
 	k         int
 	n         int
 	threshold uint64 // floor(K/N * 2^64), the integer form of K/N
@@ -38,7 +39,8 @@ func NewSelector(h Hasher, k, n int) (*Selector, error) {
 		return nil, fmt.Errorf("hashing: K must not exceed N (K=%d, N=%d)", k, n)
 	}
 	_, fast := h.(FastHasher)
-	return &Selector{hasher: h, fast: fast, k: k, n: n, threshold: threshold64(k, n)}, nil
+	_, md5 := h.(MD5Hasher)
+	return &Selector{hasher: h, fast: fast, md5: md5, k: k, n: n, threshold: threshold64(k, n)}, nil
 }
 
 // threshold64 returns floor(k/n · 2^64), the exact 64-bit fixed-point
@@ -76,10 +78,12 @@ func (s *Selector) Related(y, x ids.ID) bool {
 // (core.RowScheme): u against every vs[j] in both orders, one entry
 // appended to hits per match — 2j for Related(u, vs[j]), then 2j+1 for
 // Related(vs[j], u) unless skipRev[j]. For FastHasher the mix is
-// inlined with u's two multiplies hoisted out of the loop.
+// inlined with u's two multiplies hoisted out of the loop; the other
+// hashers resolve the row in batches (pairBatch), MD5 four pairs at a
+// time.
 func (s *Selector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
 	if !s.fast {
-		return rowByPair(s, u, vs, skipRev, hits)
+		return s.relatedRow(nil, u, vs, skipRev, hits)
 	}
 	thr := s.threshold
 	uy := uint64(u) * fastMulY
@@ -95,20 +99,104 @@ func (s *Selector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int3
 	return hits
 }
 
-// rowByPair is RelatedRow without a kernel: one Related call per
-// evaluated pair.
-func rowByPair(s interface{ Related(y, x ids.ID) bool }, u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+// relatedRow is RelatedRow through a pairBatch, consulting memo m
+// first unless it is nil.
+func (s *Selector) relatedRow(m *MemoSelector, u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+	var b pairBatch
+	ui := memoIndex(u)
 	for j, v := range vs {
 		if v == u {
 			continue
 		}
-		if s.Related(u, v) {
-			hits = append(hits, int32(2*j))
+		vi := memoIndex(v)
+		b.add(int32(2*j), u, v, m.cell(ui, vi))
+		if b.due(m) {
+			hits = b.resolve(s, m, hits)
 		}
-		if (skipRev == nil || !skipRev[j]) && s.Related(v, u) {
-			hits = append(hits, int32(2*j+1))
+		if skipRev == nil || !skipRev[j] {
+			b.add(int32(2*j+1), v, u, m.cell(vi, ui))
+			if b.due(m) {
+				hits = b.resolve(s, m, hits)
+			}
 		}
 	}
+	return b.resolve(s, m, hits)
+}
+
+// rowBatch is how many pairs a pairBatch holds: many times md5Pairs'
+// four lanes, and small enough to live on the stack.
+const rowBatch = 64
+
+// pairBatch collects a row's evaluated pairs in row order. A pair the
+// memo holds is answered at once; the others are hashed together when
+// the batch resolves, stored in the memo in row order, and every
+// related pair's slot is appended to hits in row order. The verdicts,
+// the hashed pairs and the memo's counters are those of one Related
+// call per pair in row order, on any row without a repeated pair: the
+// batch resolves before a lookup could miss a flush. On a row with
+// repeats the verdicts still are, but a repeat of a pair the batch
+// has yet to store is looked up as a miss and hashed again, so misses
+// and entries are over-counted and the memo may flush earlier.
+type pairBatch struct {
+	n, misses int
+	slot      [rowBatch]int32  // hits entry of each pair
+	cell      [rowBatch]uint8  // memo cell state of each pair, then its verdict
+	at        [rowBatch]uint8  // the pair each miss is
+	ys, xs    [rowBatch]ids.ID // the misses
+	sums      [rowBatch]uint64
+}
+
+// add collects pair (y, x), whose hits entry is slot and whose memo
+// cell is in state cell. The batch is never full here (due resolves a
+// full one): the index masks only spare the bounds checks.
+func (b *pairBatch) add(slot int32, y, x ids.ID, cell uint8) {
+	i := b.n & (rowBatch - 1)
+	b.n++
+	b.slot[i], b.cell[i] = slot, cell
+	if cell == cellUnknown {
+		k := b.misses & (rowBatch - 1)
+		b.misses++
+		b.at[k], b.ys[k], b.xs[k] = uint8(i), y, x
+	}
+}
+
+// due reports whether the batch must resolve before its next lookup:
+// it is full, or storing its misses could flush memo m.
+func (b *pairBatch) due(m *MemoSelector) bool {
+	return b.n == rowBatch || m != nil && m.entries+b.misses > m.cap
+}
+
+// resolve hashes the batch's misses, stores them in m, appends the
+// batch's related slots to hits and empties the batch.
+func (b *pairBatch) resolve(s *Selector, m *MemoSelector, hits []int32) []int32 {
+	ys, xs, sums := b.ys[:b.misses], b.xs[:b.misses], b.sums[:b.misses]
+	if s.md5 {
+		md5Pairs(ys, xs, sums)
+	} else {
+		for k := range sums {
+			sums[k] = s.hasher.Hash64(ys[k], xs[k])
+		}
+	}
+	for k, sum := range sums {
+		v := sum <= s.threshold
+		b.cell[b.at[k]] = cellUnrelated
+		if v {
+			b.cell[b.at[k]] = cellRelated
+		}
+		if m != nil {
+			m.store(memoIndex(ys[k]), memoIndex(xs[k]), v)
+		}
+	}
+	if m != nil {
+		m.hits += uint64(b.n - b.misses)
+		m.misses += uint64(b.misses)
+	}
+	for i, slot := range b.slot[:b.n] {
+		if b.cell[i] == cellRelated {
+			hits = append(hits, slot)
+		}
+	}
+	b.n, b.misses = 0, 0
 	return hits
 }
 
