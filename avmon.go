@@ -118,9 +118,10 @@ type NodeOptions struct {
 	ForgetfulC float64
 	// PR2 enables the indegree-repair optimization (Section 5.4).
 	PR2 bool
-	// NoHashMemo disables the pair-verdict memo that simulated clusters
-	// put in front of cryptographic hashes (MD5/SHA-1). The memo changes
-	// no result — only speed, several-fold on an MD5 cluster — so this
+	// NoHashMemo disables the pair-verdict memo that one-shard simulated
+	// clusters put in front of cryptographic hashes (MD5/SHA-1) for
+	// single-pair checks: report verification and NOTIFY re-checks. The
+	// memo changes no result, only the speed of those checks, so this
 	// knob exists for A/B determinism tests and microbenchmarks.
 	NoHashMemo bool
 	// DisableReshuffle and RejoinFullWeight are ablation knobs used by
@@ -179,11 +180,12 @@ func (o NodeOptions) coreConfig(n int) core.Config {
 	}
 }
 
-// memoized reports whether a simulated cluster puts a pair-verdict
-// memo (hashing.MemoSelector) in front of the selector: yes for the
-// cryptographic hashes, where a memo hit costs a few nanoseconds against
-// an MD5 or SHA-1 digest's ~150, no for the fast mixer, which is itself
-// cheaper than a lookup. Memoization affects speed only, never verdicts.
+// memoized reports whether a one-shard simulated cluster puts a
+// pair-verdict memo (hashing.MemoSelector) in front of the selector's
+// single-pair checks: yes for the cryptographic hashes, where a hit
+// costs a few nanoseconds against an MD5 or SHA-1 digest's ~150, no for
+// the fast mixer, which is itself cheaper than a lookup. The sweep's
+// rows bypass the memo. Memoization affects speed only, never verdicts.
 func (o NodeOptions) memoized() bool {
 	return !o.NoHashMemo && (o.Hash == HashMD5 || o.Hash == HashSHA1)
 }

@@ -358,9 +358,6 @@ type Cluster struct {
 	// idx ≥ colludeFrom (among the initial N) run the collusion
 	// attack. Equal to cfg.N when nobody colludes.
 	colludeFrom int
-	// workerMemos: sharded with a memoized hash, so members hold a
-	// workerScheme instead of scheme.
-	workerMemos bool
 }
 
 var _ churn.Driver = (*Cluster)(nil)
@@ -414,12 +411,9 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		return nil, err
 	}
 	// The pair-verdict memo of a cryptographic hash is single-threaded:
-	// one shard's one memo is the cluster's scheme; several shards each
-	// fill their own (members reach it through workerScheme) and the
-	// cluster's scheme stays the bare, concurrency-safe selector.
+	// a sharded cluster's scheme is the bare, concurrency-safe selector.
 	var scheme SelectionScheme = sel
-	workerMemos := cfg.Options.memoized() && cfg.Shards > 1
-	if cfg.Options.memoized() && !workerMemos {
+	if cfg.Options.memoized() && cfg.Shards == 1 {
 		scheme = hashing.Memoize(sel, 0)
 	}
 	latency := cfg.LatencyModel
@@ -437,7 +431,6 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		cfg:         cfg,
 		eng:         eng,
 		scheme:      scheme,
-		workerMemos: workerMemos,
 		model:       model,
 		k:           k,
 		cvs:         cfg.Options.cvsFor(cfg.N),
@@ -453,13 +446,7 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	// One scratch instance per engine shard carries the sweep buffers
 	// and the message freelist for every node that shard executes — per
 	// shard, not per node, so a million-node run pays for a handful.
-	eng.SetWorkerLocal(func() any {
-		ws := &workerScratch{}
-		if workerMemos {
-			ws.memo = hashing.Memoize(sel, 0)
-		}
-		return ws
-	})
+	eng.SetWorkerLocal(func() any { return &workerScratch{} })
 	model.Install(eng, c)
 	return c, nil
 }
@@ -473,29 +460,7 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 type workerScratch struct {
 	msgs  []*core.Message
 	sweep core.SweepScratch
-	memo  *hashing.MemoSelector // Cluster.workerMemos only
 }
-
-// workerScheme is a sharded cluster's memoized scheme as one member
-// holds it: every call goes to the memo of whichever worker is
-// executing the member's lane, so no two threads share a matrix. Which
-// memo answers changes no verdict.
-type workerScheme struct {
-	c    *Cluster
-	lane *sim.Lane
-}
-
-var _ core.RowScheme = workerScheme{}
-
-func (s workerScheme) Related(y, x ids.ID) bool {
-	return s.c.scratchFor(s.lane).memo.Related(y, x)
-}
-
-func (s workerScheme) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
-	return s.c.scratchFor(s.lane).memo.RelatedRow(u, vs, skipRev, hits)
-}
-
-func (s workerScheme) K() int { return s.c.k }
 
 // scratchFor resolves the scratch of the worker currently executing
 // lane l. Call only from l's own events (or while quiescent).
@@ -574,12 +539,8 @@ func (c *Cluster) Birth(idx int) {
 	// state each (≈ 500 MB at N = 100,000 with rand.NewSource).
 	seed := c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D
 	rng := m.rng.Seed(seed)
-	scheme := c.scheme
-	if c.workerMemos {
-		scheme = workerScheme{c: c, lane: m.ep.Lane()}
-	}
 	nodeCfg := c.cfg.Options.coreConfig(c.cfg.N)
-	nodeCfg.ID, nodeCfg.Scheme, nodeCfg.Transport, nodeCfg.Rand, nodeCfg.Pool = id, scheme, m, rng, m
+	nodeCfg.ID, nodeCfg.Scheme, nodeCfg.Transport, nodeCfg.Rand, nodeCfg.Pool = id, c.scheme, m, rng, m
 	nodeCfg.Overreport = rng.Float64() < c.cfg.OverreportFraction
 	if cc := c.cfg.Collusion; cc != nil && c.IsColluder(idx) {
 		// The colluder's hooks are pure functions of the target

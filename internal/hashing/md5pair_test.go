@@ -3,84 +3,12 @@ package hashing
 import (
 	"bytes"
 	"encoding/binary"
-	"flag"
-	"fmt"
-	"math"
-	"os"
-	"strings"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"avmon/internal/ids"
 )
-
-var updateKernel = flag.Bool("update", false, "rewrite md5Four's generated steps in md5pair.go")
-
-// md5Steps returns md5Four's 64 steps, four lanes each, as Go source,
-// from RFC 1321: step i of round r applies the round's function (FF,
-// GG, HH, II) to the state words a, d, c, b in turn, adds message word
-// [i, 1+5i, 5+3i, 7i][r] mod 16 and T[i] = ⌊|sin(i+1)|·2³²⌋, and
-// rotates by the round's shift for i mod 4. Only w0–w2 vary; w3 (the
-// padding byte 0x80) and w14 (the length, 96 bits) are added to T[i],
-// and the other words are zero.
-func md5Steps() string {
-	shifts := [4][4]int{{7, 12, 17, 22}, {5, 9, 14, 20}, {4, 11, 16, 23}, {6, 10, 15, 21}}
-	var sb strings.Builder
-	for i := 0; i < 64; i++ {
-		r := i / 16
-		if i%16 == 0 {
-			fmt.Fprintf(&sb, "\t// Round %d.\n", r+1)
-		}
-		word := [4]int{i, 1 + 5*i, 5 + 3*i, 7 * i}[r] % 16
-		t := fmt.Sprintf("0x%08x", uint32(math.Floor(math.Abs(math.Sin(float64(i+1)))*(1<<32))))
-		p := (4 - i%4) % 4 // the state word this step writes: a, d, c, b
-		reg := func(off int) byte { return "abcd"[(p+off)%4] }
-		for l := 0; l < 4; l++ {
-			xk := t
-			switch word {
-			case 0, 1, 2:
-				xk = fmt.Sprintf("w%d.l%d+%s", word, l, t)
-			case 3:
-				xk += "+0x80"
-			case 14:
-				xk += "+96"
-			}
-			a, b, c, d := fmt.Sprintf("%c.l%d", reg(0), l), fmt.Sprintf("%c.l%d", reg(1), l), fmt.Sprintf("%c.l%d", reg(2), l), fmt.Sprintf("%c.l%d", reg(3), l)
-			fn := [4]string{
-				"((" + c + "^" + d + ")&" + b + ")^" + d, // F
-				"((" + b + "^" + c + ")&" + d + ")^" + c, // G
-				b + "^" + c + "^" + d,                    // H
-				c + "^(" + b + "|^" + d + ")",            // I
-			}[r]
-			fmt.Fprintf(&sb, "\t%s = %s + bits.RotateLeft32((%s)+%s+%s, %d)\n", a, b, fn, a, xk, shifts[r][i%4])
-		}
-	}
-	return sb.String()
-}
-
-// TestMD5StepsCurrent holds md5Four's unrolled steps to md5Steps; run
-// it with -update to regenerate them.
-func TestMD5StepsCurrent(t *testing.T) {
-	const begin, end = "\t// Steps generated by md5Steps (md5pair_test.go); do not edit.\n", "\t// END generated steps.\n"
-	src, err := os.ReadFile("md5pair.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	i, j := bytes.Index(src, []byte(begin)), bytes.Index(src, []byte(end))
-	if i < 0 || j < i {
-		t.Fatalf("md5pair.go lacks the generated-steps markers")
-	}
-	want := md5Steps()
-	if got := string(src[i+len(begin) : j]); got == want {
-		return
-	}
-	if !*updateKernel {
-		t.Fatalf("md5pair.go's steps differ from md5Steps; run go test ./internal/hashing -run TestMD5StepsCurrent -update")
-	}
-	out := append(append(append([]byte{}, src[:i+len(begin)]...), want...), src[j:]...)
-	if err := os.WriteFile("md5pair.go", out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // pairsFromBytes reads n pairs (y, x) of little-endian uint64 ids from
 // raw, zero-filled once raw runs out.
@@ -104,15 +32,16 @@ func md5Seed(pairs ...ids.ID) []byte {
 	return raw
 }
 
-// FuzzMD5Pairs holds every lane of md5Pairs, for batches of 0–9 pairs
-// (every tail length of the four-lane kernel), to MD5Hasher.Hash64 —
-// crypto/md5, see TestMD5MatchesReference — and requires it to write nothing past out. The seeds
-// cover ports 0 and 65535, octets 0x80 and 0xff, bits above 48 (which
-// the pair encoding drops) and a distinct pair in every lane, so a
-// crossed lane, a wrong padding word or a swapped round constant
-// fails them.
+// FuzzMD5Pairs holds every lane of md5Pairs, for batches of 0–40 pairs
+// (every tail length of a sixteen-lane call, and up to three calls),
+// to MD5Hasher.Hash64 — crypto/md5, see TestMD5MatchesReference — and
+// requires it to write nothing past out. The seeds cover ports 0 and
+// 65535, octets 0x80 and 0xff, bits above 48 (which the pair encoding
+// drops) and a distinct pair in every lane of both kernel groups, so a
+// crossed lane or group, a wrong padding word, a wrong rotation or a
+// swapped round constant fails them.
 func FuzzMD5Pairs(f *testing.F) {
-	for n := 0; n < 10; n++ {
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40} {
 		var pairs []ids.ID
 		for i := 0; i < 2*n; i++ {
 			pairs = append(pairs, ids.Sim(7*i+n))
@@ -124,9 +53,9 @@ func FuzzMD5Pairs(f *testing.F) {
 		ids.New(0x80, 0x80, 0x80, 0x80, 0x8080), ids.New(0xff, 0xff, 0xff, 0xff, 0xffff),
 		ids.New(1, 2, 3, 4, 5)|1<<48, ids.New(1, 2, 3, 4, 5)|0xffff<<48,
 		ids.New(0xff, 0, 0x80, 0, 65535), ids.New(0, 0xff, 0, 0x80, 0)))
-	f.Add(uint8(9), bytes.Repeat([]byte{0xff, 0x80, 0x7f, 0x01}, 40))
+	f.Add(uint8(20), bytes.Repeat([]byte{0xff, 0x80, 0x7f, 0x01}, 80))
 	f.Fuzz(func(t *testing.T, n uint8, raw []byte) {
-		ys, xs := pairsFromBytes(int(n%10), raw)
+		ys, xs := pairsFromBytes(int(n%41), raw)
 		const sentinel = 0x5a5a5a5a5a5a5a5a
 		out := make([]uint64, len(ys)+1)
 		out[len(ys)] = sentinel
@@ -142,9 +71,37 @@ func FuzzMD5Pairs(f *testing.F) {
 	})
 }
 
+// TestMD5PairsFallback clears useAVX2 to take md5Pairs' crypto/md5
+// path, as a host without AVX2 does, and holds its rows to the
+// kernel's, where the processor has it, and to one Related call per
+// pair, on rows up to twice a pairBatch long.
+func TestMD5PairsFallback(t *testing.T) {
+	sel, err := NewSelector(MD5Hasher{}, 30, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := useAVX2
+	defer func() { useAVX2 = kernel }()
+	if !kernel {
+		t.Log("no AVX2 here: the fallback is checked against Related only")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 200; round++ {
+		u, vs, skip := testRow(rng, round, false)
+		useAVX2 = false
+		fallback := sel.RelatedRow(u, vs, skip, nil)
+		if want := rowByPair(sel.Related, u, vs, skip); !slices.Equal(fallback, want) {
+			t.Fatalf("round %d: fallback row %v, per pair %v", round, fallback, want)
+		}
+		useAVX2 = kernel
+		if got := sel.RelatedRow(u, vs, skip, nil); kernel && !slices.Equal(got, fallback) {
+			t.Fatalf("round %d: kernel row %v, fallback row %v", round, got, fallback)
+		}
+	}
+}
+
 // BenchmarkRelatedRowMD5 prices the sweep's MD5 row per evaluated pair
-// against one crypto/md5 Related call per pair, on a cvs = 48 row with
-// every pair hashed (no memo).
+// against one crypto/md5 Related call per pair, on a cvs = 48 row.
 func BenchmarkRelatedRowMD5(b *testing.B) {
 	sel, err := NewSelector(MD5Hasher{}, 11, 2000)
 	if err != nil {

@@ -25,25 +25,27 @@ const (
 )
 
 // MemoSelector wraps a Selector with a bounded memo of Related
-// verdicts. During a coarse-view discovery sweep the same (y, x) pair
-// is re-evaluated many times — by the discoverer, by both notified
-// endpoints, and again on every later sweep that sees the pair — so a
-// memo lets each pair be hashed about once.
+// verdicts, for the checks that come one pair at a time: a NOTIFY's
+// re-check and a report's verification. Those repeat a small set of
+// pairs — the monitors of every subject a read-out asks about — and
+// the memo answers a repeat for less than one MD5 or SHA-1 digest.
+// The discovery sweep's rows pass straight to the selector
+// (RelatedRow): a batched MD5 digest costs no more than the matrix's
+// cache misses, and set-up measured faster without them.
 //
 // The memo is a dense matrix of 2-bit cells (known, verdict) indexed by
 // the identities' simulated node numbers (ids.SimIndex): a row per y,
 // 32 cells per word, allocated on the first verdict stored for y and
-// doubled when a higher x arrives — N²/4 bytes once every pair of an
-// N-node population has been seen (1 MB at N = 2000). A hit is two
-// index computations, a load and a shift: far below an MD5 or SHA-1
-// digest, still above FastHasher's mix, which therefore runs unwrapped
-// (the avmon package wires this policy up for simulated clusters).
+// doubled when a higher x arrives — at most N²/4 bytes for an N-node
+// population (1 MB at N = 2000). FastHasher's mix costs less than a
+// hit, so it runs unwrapped (the avmon package wires this policy up
+// for simulated clusters).
 //
 // Memoization is invisible to results by construction: Related returns
 // exactly what the wrapped selector returns, and flushes affect only
 // speed. A MemoSelector is NOT safe for concurrent use; it is meant for
-// the discrete-event simulator, one instance per engine worker.
-// Concurrent deployments (Service) use the plain Selector.
+// a one-shard simulation. Sharded clusters and concurrent deployments
+// (Service) use the plain Selector.
 type MemoSelector struct {
 	inner *Selector
 	cap   int
@@ -79,11 +81,9 @@ func (m *MemoSelector) Related(y, x ids.ID) bool {
 	return v
 }
 
-// RelatedRow implements the discovery sweep's batched form (see
-// Selector.RelatedRow): one memo lookup per evaluated pair, and the
-// misses hashed together.
+// RelatedRow is Selector.RelatedRow: a row is hashed, not memoized.
 func (m *MemoSelector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
-	return m.inner.relatedRow(m, u, vs, skipRev, hits)
+	return m.inner.RelatedRow(u, vs, skipRev, hits)
 }
 
 // memoIndex returns the matrix index of id, or -1 if the matrix does
@@ -98,10 +98,10 @@ func memoIndex(id ids.ID) int {
 // The states of a matrix cell.
 const cellUnknown, cellUnrelated, cellRelated = 0, 1, 3
 
-// cell returns the state of pair (yi, xi), by matrix index. A nil memo,
-// or an index of -1, holds nothing.
+// cell returns the state of pair (yi, xi), by matrix index. An index
+// of -1 holds nothing.
 func (m *MemoSelector) cell(yi, xi int) uint8 {
-	if m == nil || yi < 0 || xi < 0 || yi >= len(m.rows) || xi>>5 >= len(m.rows[yi]) {
+	if yi < 0 || xi < 0 || yi >= len(m.rows) || xi>>5 >= len(m.rows[yi]) {
 		return cellUnknown
 	}
 	return uint8(m.rows[yi][xi>>5]>>(uint(xi&31)*2)) & 3
@@ -147,18 +147,6 @@ func grown[T any](s []T, i int) []T {
 
 // K returns the pinging-set parameter of the wrapped selector.
 func (m *MemoSelector) K() int { return m.inner.K() }
-
-// N returns the expected stable system size of the wrapped selector.
-func (m *MemoSelector) N() int { return m.inner.N() }
-
-// Hasher returns the wrapped selector's hash function.
-func (m *MemoSelector) Hasher() Hasher { return m.inner.Hasher() }
-
-// Threshold returns the wrapped selector's 64-bit threshold.
-func (m *MemoSelector) Threshold() uint64 { return m.inner.Threshold() }
-
-// Unwrap returns the wrapped selector.
-func (m *MemoSelector) Unwrap() *Selector { return m.inner }
 
 // MemoStats reports cache effectiveness counters.
 type MemoStats struct {

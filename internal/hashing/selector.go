@@ -79,11 +79,10 @@ func (s *Selector) Related(y, x ids.ID) bool {
 // appended to hits per match — 2j for Related(u, vs[j]), then 2j+1 for
 // Related(vs[j], u) unless skipRev[j]. For FastHasher the mix is
 // inlined with u's two multiplies hoisted out of the loop; the other
-// hashers resolve the row in batches (pairBatch), MD5 four pairs at a
-// time.
+// hashers resolve the row in batches (pairBatch), MD5 through md5Pairs.
 func (s *Selector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
 	if !s.fast {
-		return s.relatedRow(nil, u, vs, skipRev, hits)
+		return s.batchedRow(u, vs, skipRev, hits)
 	}
 	thr := s.threshold
 	uy := uint64(u) * fastMulY
@@ -99,77 +98,50 @@ func (s *Selector) RelatedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int3
 	return hits
 }
 
-// relatedRow is RelatedRow through a pairBatch, consulting memo m
-// first unless it is nil.
-func (s *Selector) relatedRow(m *MemoSelector, u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
+// batchedRow is RelatedRow through a pairBatch.
+func (s *Selector) batchedRow(u ids.ID, vs []ids.ID, skipRev []bool, hits []int32) []int32 {
 	var b pairBatch
-	ui := memoIndex(u)
 	for j, v := range vs {
 		if v == u {
 			continue
 		}
-		vi := memoIndex(v)
-		b.add(int32(2*j), u, v, m.cell(ui, vi))
-		if b.due(m) {
-			hits = b.resolve(s, m, hits)
+		if b.n > rowBatch-2 {
+			hits = b.resolve(s, hits)
 		}
+		b.add(int32(2*j), u, v)
 		if skipRev == nil || !skipRev[j] {
-			b.add(int32(2*j+1), v, u, m.cell(vi, ui))
-			if b.due(m) {
-				hits = b.resolve(s, m, hits)
-			}
+			b.add(int32(2*j+1), v, u)
 		}
 	}
-	return b.resolve(s, m, hits)
+	return b.resolve(s, hits)
 }
 
-// rowBatch is how many pairs a pairBatch holds: many times md5Pairs'
-// four lanes, and small enough to live on the stack.
+// rowBatch is how many pairs a pairBatch holds: several of md5Pairs'
+// sixteen lanes, and small enough to live on the stack.
 const rowBatch = 64
 
-// pairBatch collects a row's evaluated pairs in row order. A pair the
-// memo holds is answered at once; the others are hashed together when
-// the batch resolves, stored in the memo in row order, and every
-// related pair's slot is appended to hits in row order. The verdicts,
-// the hashed pairs and the memo's counters are those of one Related
-// call per pair in row order, on any row without a repeated pair: the
-// batch resolves before a lookup could miss a flush. On a row with
-// repeats the verdicts still are, but a repeat of a pair the batch
-// has yet to store is looked up as a miss and hashed again, so misses
-// and entries are over-counted and the memo may flush earlier.
+// pairBatch collects a row's evaluated pairs in row order, hashes them
+// together when it resolves, and appends every related pair's slot to
+// hits in row order.
 type pairBatch struct {
-	n, misses int
-	slot      [rowBatch]int32  // hits entry of each pair
-	cell      [rowBatch]uint8  // memo cell state of each pair, then its verdict
-	at        [rowBatch]uint8  // the pair each miss is
-	ys, xs    [rowBatch]ids.ID // the misses
-	sums      [rowBatch]uint64
+	n      int
+	slot   [rowBatch]int32 // hits entry of each pair
+	ys, xs [rowBatch]ids.ID
+	sums   [rowBatch]uint64
 }
 
-// add collects pair (y, x), whose hits entry is slot and whose memo
-// cell is in state cell. The batch is never full here (due resolves a
-// full one): the index masks only spare the bounds checks.
-func (b *pairBatch) add(slot int32, y, x ids.ID, cell uint8) {
+// add collects pair (y, x), whose hits entry is slot. The batch is
+// never full here: the index mask only spares the bounds checks.
+func (b *pairBatch) add(slot int32, y, x ids.ID) {
 	i := b.n & (rowBatch - 1)
 	b.n++
-	b.slot[i], b.cell[i] = slot, cell
-	if cell == cellUnknown {
-		k := b.misses & (rowBatch - 1)
-		b.misses++
-		b.at[k], b.ys[k], b.xs[k] = uint8(i), y, x
-	}
+	b.slot[i], b.ys[i], b.xs[i] = slot, y, x
 }
 
-// due reports whether the batch must resolve before its next lookup:
-// it is full, or storing its misses could flush memo m.
-func (b *pairBatch) due(m *MemoSelector) bool {
-	return b.n == rowBatch || m != nil && m.entries+b.misses > m.cap
-}
-
-// resolve hashes the batch's misses, stores them in m, appends the
-// batch's related slots to hits and empties the batch.
-func (b *pairBatch) resolve(s *Selector, m *MemoSelector, hits []int32) []int32 {
-	ys, xs, sums := b.ys[:b.misses], b.xs[:b.misses], b.sums[:b.misses]
+// resolve hashes the batch, appends its related slots to hits and
+// empties it.
+func (b *pairBatch) resolve(s *Selector, hits []int32) []int32 {
+	ys, xs, sums := b.ys[:b.n], b.xs[:b.n], b.sums[:b.n]
 	if s.md5 {
 		md5Pairs(ys, xs, sums)
 	} else {
@@ -178,25 +150,11 @@ func (b *pairBatch) resolve(s *Selector, m *MemoSelector, hits []int32) []int32 
 		}
 	}
 	for k, sum := range sums {
-		v := sum <= s.threshold
-		b.cell[b.at[k]] = cellUnrelated
-		if v {
-			b.cell[b.at[k]] = cellRelated
-		}
-		if m != nil {
-			m.store(memoIndex(ys[k]), memoIndex(xs[k]), v)
+		if sum <= s.threshold {
+			hits = append(hits, b.slot[k])
 		}
 	}
-	if m != nil {
-		m.hits += uint64(b.n - b.misses)
-		m.misses += uint64(b.misses)
-	}
-	for i, slot := range b.slot[:b.n] {
-		if b.cell[i] == cellRelated {
-			hits = append(hits, slot)
-		}
-	}
-	b.n, b.misses = 0, 0
+	b.n = 0
 	return hits
 }
 

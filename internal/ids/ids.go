@@ -10,7 +10,7 @@ package ids
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -147,5 +147,5 @@ func SimIndex(id ID) (int, bool) {
 
 // Sort orders a slice of IDs in ascending numeric order, in place.
 func Sort(s []ID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 }
