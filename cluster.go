@@ -234,15 +234,15 @@ func (s MemberStats) TrueAvailability() float64 {
 }
 
 // member is one simulated node's block: everything an event on its lane
-// touches — the endpoint (its lane and the lane's random stream inside
-// it), the protocol node (the coarse-view header inside it, the cvs
-// entries in the cluster's CV slab), the node's own random stream and
-// the harness state — built in place in one piece of slab memory, so a
-// delivered message loads one object instead of chasing ten. *member is
-// the endpoint's receiver, the node's transport and pool, and the
-// handler of its own protocol and monitoring ticks, at no closure or
-// ticker per node. Blocks never move: the endpoint, the lane and both
-// generators are pointed into.
+// touches — the endpoint (its lane inside it), its worker's scratch, the
+// protocol node (the coarse-view header inside it, the cvs entries in
+// the cluster's CV slab), the node's own random stream and the harness
+// state — built in place in one piece of slab memory, in the order a
+// delivery reads it (DESIGN.md, "The block"), so a delivered message
+// loads one object instead of chasing ten. *member is the endpoint's
+// receiver, the node's transport, and the handler of its own protocol
+// and monitoring ticks, at no closure or ticker per node. Blocks never
+// move: the endpoint, the lane and the generator are pointed into.
 //
 // Field ownership follows the engine's lane discipline: lifecycle
 // bookkeeping (born, dead, uptime accounting) belongs to the control
@@ -251,21 +251,21 @@ func (s MemberStats) TrueAvailability() float64 {
 // arbitrary destination lanes. Stats reads everything while the engine
 // is quiescent.
 type member struct {
-	ep   simnet.Endpoint // first: what a delivery loads first
+	ep   simnet.Endpoint
+	ws   *workerScratch // the scratch of the worker executing the member's lane
 	node core.Node
 	rng  sim.CompactRNG // the node's private stream
-	c    *Cluster
 
 	// Owned by the member's lane: the number of times the member has
 	// left. A tick carries the life it was posted in (see Fire).
-	life uint64
+	life uint32
 
-	// Owned by the control lane:
+	// Owned by the control lane, in virtual time since the epoch. While
+	// alive, up is the uptime accrued less the instant it came up.
 	everBorn bool
 	dead     bool
-	bornAt   time.Time
-	upSince  time.Time // valid while alive
-	upTotal  time.Duration
+	bornAt   time.Duration
+	up       time.Duration
 
 	// Updated atomically (see Cluster's undelivered callback):
 	uselessMonPings uint64
@@ -284,8 +284,7 @@ func (m *member) Deliver(from ids.ID, msg any, _ int, now time.Time) {
 	// and are left to the garbage collector.
 	if cm.Type <= core.MsgPR2 {
 		cm.Reset()
-		ws := m.scratch()
-		ws.msgs = append(ws.msgs, cm)
+		m.ws.msgs = append(m.ws.msgs, cm)
 	}
 }
 
@@ -299,7 +298,7 @@ const monitorTick = 1 << 63
 // belongs to a retired life and ends there, as a stopped sim.Ticker's
 // firing does.
 func (m *member) Fire(now time.Time, arg sim.EventArg) {
-	if arg.A != m.life {
+	if arg.A != uint64(m.life) {
 		return
 	}
 	if arg.B&monitorTick != 0 {
@@ -308,7 +307,7 @@ func (m *member) Fire(now time.Time, arg sim.EventArg) {
 		m.node.Tick(now)
 	}
 	lane := m.ep.Lane()
-	m.c.eng.PostEvent(lane, lane, now.Add(time.Duration(arg.B&^monitorTick)), m, arg)
+	m.ws.eng.PostEvent(lane, lane, now.Add(time.Duration(arg.B&^monitorTick)), m, arg)
 }
 
 // Send implements core.Transport. Monitoring pings that find their
@@ -317,24 +316,6 @@ func (m *member) Fire(now time.Time, arg sim.EventArg) {
 func (m *member) Send(to ids.ID, msg *core.Message) {
 	m.ep.Send(to, msg, msg.WireSize())
 }
-
-// scratch is the scratch of whichever worker is executing the member's
-// lane; like the two core.Pool methods over it, call it only there.
-func (m *member) scratch() *workerScratch { return m.c.scratchFor(m.ep.Lane()) }
-
-// AcquireMessage implements core.Pool.
-func (m *member) AcquireMessage() *core.Message {
-	ws := m.scratch()
-	if k := len(ws.msgs); k > 0 {
-		msg := ws.msgs[k-1]
-		ws.msgs = ws.msgs[:k-1]
-		return msg
-	}
-	return &core.Message{}
-}
-
-// SweepScratch implements core.Pool.
-func (m *member) SweepScratch() *core.SweepScratch { return &m.scratch().sweep }
 
 // Cluster is a fully simulated AVMON deployment: a discrete-event
 // engine, a simulated network, a churn model, and
@@ -443,30 +424,47 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("avmon: %w", err)
 	}
-	// One scratch instance per engine shard carries the sweep buffers
-	// and the message freelist for every node that shard executes — per
-	// shard, not per node, so a million-node run pays for a handful.
-	eng.SetWorkerLocal(func() any { return &workerScratch{} })
+	// One scratch instance per engine shard carries the sweep buffers,
+	// the message freelist and the configuration, built once here, of
+	// every honest node that shard executes — per shard, not per node,
+	// so a million-node run pays for a handful.
+	honest := cfg.Options.coreConfig(cfg.N)
+	honest.Scheme = scheme
+	eng.SetWorkerLocal(func() any {
+		ws := &workerScratch{eng: eng, cfg: honest}
+		ws.cfg.Pool = ws
+		return ws
+	})
 	model.Install(eng, c)
 	return c, nil
 }
 
-// workerScratch is the per-worker recycled state behind the cluster's
-// allocation-free steady state: the protocol sweep buffers and a
-// freelist of message envelopes. Messages migrate between workers with
-// the traffic (acquired on the sender's worker, recycled on the
-// receiver's), which stays balanced because steady-state traffic is
-// dominated by request/response pairs.
+// workerScratch is the per-worker state behind the cluster's
+// allocation-free steady state: the protocol sweep buffers, a freelist
+// of message envelopes, and the configuration of the honest nodes the
+// worker executes, which names the scratch as their core.Pool. Messages
+// migrate between workers with the traffic (acquired on the sender's
+// worker, recycled on the receiver's), which stays balanced because
+// steady-state traffic is dominated by request/response pairs.
 type workerScratch struct {
 	msgs  []*core.Message
 	sweep core.SweepScratch
+	eng   *sim.Engine
+	cfg   core.Config
 }
 
-// scratchFor resolves the scratch of the worker currently executing
-// lane l. Call only from l's own events (or while quiescent).
-func (c *Cluster) scratchFor(l *sim.Lane) *workerScratch {
-	return c.eng.WorkerLocal(l).(*workerScratch)
+// AcquireMessage implements core.Pool.
+func (ws *workerScratch) AcquireMessage() *core.Message {
+	if k := len(ws.msgs); k > 0 {
+		msg := ws.msgs[k-1]
+		ws.msgs = ws.msgs[:k-1]
+		return msg
+	}
+	return &core.Message{}
 }
+
+// SweepScratch implements core.Pool.
+func (ws *workerScratch) SweepScratch() *core.SweepScratch { return &ws.sweep }
 
 // undelivered runs on the destination's lane whenever a message finds
 // its target dead; it attributes useless monitoring pings back to the
@@ -533,45 +531,52 @@ func (c *Cluster) Birth(idx int) {
 	if err := c.net.AttachAt(&m.ep, id, m); err != nil {
 		return // duplicate identity; model misuse
 	}
-	m.c = c
+	m.ws = c.eng.WorkerLocal(m.ep.Lane()).(*workerScratch)
 	// One private random source per node: the compact 32-byte source
 	// keeps 10^5-node populations from burning ~5 KB of generator
 	// state each (≈ 500 MB at N = 100,000 with rand.NewSource).
 	seed := c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D
 	rng := m.rng.Seed(seed)
-	nodeCfg := c.cfg.Options.coreConfig(c.cfg.N)
-	nodeCfg.ID, nodeCfg.Scheme, nodeCfg.Transport, nodeCfg.Rand, nodeCfg.Pool = id, c.scheme, m, rng, m
-	nodeCfg.Overreport = rng.Float64() < c.cfg.OverreportFraction
-	if cc := c.cfg.Collusion; cc != nil && c.IsColluder(idx) {
-		// The colluder's hooks are pure functions of the target
-		// identity (the ring roster is fixed at construction), so they
-		// are safe to run on the member's lane under sharding. Fellow
-		// colluders are treated honestly; everyone else is a victim.
-		victim := func(target ids.ID) bool {
-			ti, ok := ids.SimIndex(target)
-			return ok && !c.IsColluder(ti)
-		}
-		if cc.SuppressPings {
-			nodeCfg.SuppressMonPing = victim
-		}
-		forged := cc.ForgedAvail
-		nodeCfg.ForgeReport = func(target ids.ID, est float64, known bool) (float64, bool) {
-			if !victim(target) {
-				return est, known
+	// Honest nodes share their worker's configuration; an attacker's
+	// hooks cost a private copy.
+	nodeCfg, colluder := &m.ws.cfg, c.IsColluder(idx)
+	if overreport := rng.Float64() < c.cfg.OverreportFraction; overreport || colluder {
+		own := *nodeCfg
+		own.Overreport = overreport
+		if colluder {
+			cc := c.cfg.Collusion
+			// The colluder's hooks are pure functions of the target
+			// identity (the ring roster is fixed at construction), so
+			// they are safe to run on the member's lane under sharding.
+			// Fellow colluders are treated honestly; everyone else is a
+			// victim.
+			victim := func(target ids.ID) bool {
+				ti, ok := ids.SimIndex(target)
+				return ok && !c.IsColluder(ti)
 			}
-			if forged < 0 {
-				return 0, false
+			if cc.SuppressPings {
+				own.SuppressMonPing = victim
 			}
-			return forged, true
+			forged := cc.ForgedAvail
+			own.ForgeReport = func(target ids.ID, est float64, known bool) (float64, bool) {
+				if !victim(target) {
+					return est, known
+				}
+				if forged < 0 {
+					return 0, false
+				}
+				return forged, true
+			}
 		}
+		nodeCfg = &own
 	}
-	if err := m.node.Init(nodeCfg, c.newCV()); err != nil {
+	if err := m.node.Init(nodeCfg, id, m, rng, c.newCV()); err != nil {
 		panic(err) // unreachable: NewCluster validated the configuration
 	}
 	c.members[idx] = m
 	c.bringUp(m)
 	m.everBorn = true
-	m.bornAt = c.eng.Now()
+	m.bornAt = c.eng.Elapsed()
 }
 
 // Rejoin implements churn.Driver.
@@ -611,18 +616,18 @@ func (c *Cluster) Death(idx int) {
 func (c *Cluster) bringUp(m *member) {
 	now := c.eng.Now()
 	m.ep.SetAliveRegistry(true)
-	m.upSince = now
+	m.up -= c.eng.Elapsed()
 	bootstrap := c.net.RandomAlive(m.node.ID())
-	period := m.node.Config().Period
-	monPeriod := m.node.Config().MonitorPeriod
+	cfg := m.node.Config()
+	period, monPeriod := cfg.Period, cfg.MonitorPeriod
 	offTick := time.Duration(c.eng.Rand().Int63n(int64(period)))
 	offMon := time.Duration(c.eng.Rand().Int63n(int64(monPeriod)))
 	c.eng.Post(nil, m.ep.Lane(), now, func(now time.Time) {
 		m.ep.SetAliveFlag(true)
 		m.node.Join(now, bootstrap)
 		lane := m.ep.Lane()
-		c.eng.PostEvent(lane, lane, now.Add(offTick), m, sim.EventArg{A: m.life, B: uint64(period)})
-		c.eng.PostEvent(lane, lane, now.Add(offMon), m, sim.EventArg{A: m.life, B: uint64(monPeriod) | monitorTick})
+		c.eng.PostEvent(lane, lane, now.Add(offTick), m, sim.EventArg{A: uint64(m.life), B: uint64(period)})
+		c.eng.PostEvent(lane, lane, now.Add(offMon), m, sim.EventArg{A: uint64(m.life), B: uint64(monPeriod) | monitorTick})
 	})
 }
 
@@ -632,7 +637,7 @@ func (c *Cluster) bringUp(m *member) {
 func (c *Cluster) takeDown(m *member) {
 	now := c.eng.Now()
 	m.ep.SetAliveRegistry(false)
-	m.upTotal += now.Sub(m.upSince)
+	m.up += c.eng.Elapsed()
 	c.eng.Post(nil, m.ep.Lane(), now, func(now time.Time) {
 		m.node.Leave(now)
 		m.ep.SetAliveFlag(false)
@@ -780,13 +785,13 @@ func (c *Cluster) Stats(idx int) MemberStats {
 	}
 	counters := m.ep.Counters()
 	mon := m.node.MonitoringStats()
-	up := m.upTotal
+	up := m.up
 	if m.ep.Registered() {
-		up += c.eng.Now().Sub(m.upSince)
+		up += c.eng.Elapsed()
 	}
 	var life time.Duration
 	if m.everBorn {
-		life = c.eng.Now().Sub(m.bornAt)
+		life = c.eng.Elapsed() - m.bornAt
 	}
 	return MemberStats{
 		Alive:          m.ep.Registered(),
@@ -810,7 +815,7 @@ func (c *Cluster) Stats(idx int) MemberStats {
 		MonAcks:         mon.Acks,
 		PingsSaved:      mon.PingsSaved,
 		UselessMonPings: atomic.LoadUint64(&m.uselessMonPings),
-		BornAtOffset:    m.bornAt.Sub(sim.Epoch),
+		BornAtOffset:    m.bornAt,
 		UpTime:          up,
 		LifeTime:        life,
 	}

@@ -9,6 +9,10 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"avmon/internal/core"
+	"avmon/internal/sim"
+	"avmon/internal/simnet"
 )
 
 func statCluster(t *testing.T, n int, seed int64, opts NodeOptions) *Cluster {
@@ -130,7 +134,7 @@ func TestTheorem2DeadNodeLeavesAllCoarseViews(t *testing.T) {
 			continue
 		}
 		m := c.memberAt(i)
-		if m == nil || !m.ep.Alive() {
+		if m == nil || !m.ep.Registered() {
 			continue
 		}
 		for _, id := range m.node.CV() {
@@ -729,20 +733,31 @@ func TestRejoinAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeBlockBytes pins the member block at 768 bytes (85 to a slab),
-// and the bytes the cluster holds per node — a slab's share of one block
-// and of exactly cvs coarse-view entries — at no more than the same state cost
-// as separately allocated objects, each rounded up to its allocator size
-// class: Endpoint 144, Lane 24, two rand.Rand 48 and their sources 32,
-// member 112, the handler, envelope and scratch closures 24 each, Node
-// 480, view 32, and a CV slice grown to at least the class that holds
-// cvs entries (it was often the next power of two). A block that
-// outgrows this shows as heap_live_mb on the repository benchmark's
-// simulator workloads.
+// TestNodeBlockBytes pins the member block at no more than 512 bytes,
+// a whole number of cache lines (128 blocks to a slab, each starting on
+// a line): Endpoint 128 (receiver 16, counters 56, network 8, a lane of
+// 32 whose random stream is built on its first draw, index and loss
+// state 8, registry slot 8), the worker's scratch pointer 8, Node 264
+// (its configuration shared by pointer), the node's generator 80 (source
+// and rand.Rand) and the harness's 32 (life and two flags, birth,
+// uptime, useless pings). It also holds the bytes the cluster keeps per
+// node — a slab's share of one block and of exactly cvs coarse-view
+// entries — to no more than the same state cost as separately allocated
+// objects, each rounded up to its allocator size class, the layout the
+// block replaced: Endpoint 144, Lane 24, two rand.Rand 48 and their
+// sources 32, member 112, the handler, envelope and scratch closures 24
+// each, Node 480, view 32, and a CV slice grown to at least the class
+// that holds cvs entries (it was often the next power of two). A block
+// that outgrows this shows as heap_live_mb on the repository
+// benchmark's simulator workloads.
 func TestNodeBlockBytes(t *testing.T) {
 	const separate = 144 + 24 + 2*(48+32) + 112 + 3*24 + 480 + 32
-	if size := unsafe.Sizeof(member{}); size > 768 {
-		t.Errorf("the member block is %d bytes, want ≤ 768", size)
+	if size := unsafe.Sizeof(member{}); size > 512 || size%64 != 0 {
+		t.Errorf("the member block is %d bytes, want ≤ 512 and a multiple of 64", size)
+	}
+	var c Cluster
+	if addr := uintptr(unsafe.Pointer(c.newBlock())); addr%64 != 0 {
+		t.Errorf("a slab's first block starts %d bytes into a cache line", addr%64)
 	}
 	// A slab's bytes over the items of the given size it yields.
 	share := func(size uintptr) uintptr { return (slabBytes + slabBytes/size - 1) / (slabBytes / size) }
@@ -753,5 +768,44 @@ func TestNodeBlockBytes(t *testing.T) {
 		if got > was {
 			t.Errorf("cvs %d: the cluster holds %d bytes per node, more than the %d of separate objects", c.cvs, got, was)
 		}
+	}
+}
+
+// TestDeliveryFieldsFirst holds the block to the order a delivery reads
+// it — Network.Fire, then Deliver → Handle → handleJoin → send →
+// Endpoint.Send. At every level of the block the fields that path reads
+// come first, in the listed order, so a field inserted ahead of them
+// fails here; the endpoint's lie in the block's first 128 bytes and the
+// rest in the next 128, so a delivery loads four of the block's cache
+// lines, plus the generator's when it draws. everBorn is listed because
+// it shares alive's word.
+func TestDeliveryFieldsFirst(t *testing.T) {
+	hot := []struct {
+		typ    reflect.Type
+		fields []string
+	}{
+		{reflect.TypeOf(member{}), []string{"ep", "ws", "node"}},
+		{reflect.TypeOf(simnet.Endpoint{}), []string{"recv", "counters", "net", "lane", "idx"}},
+		{reflect.TypeOf(simnet.Counters{}), []string{"MsgsOut", "MsgsIn", "BytesOut", "BytesIn"}},
+		{reflect.TypeOf(sim.Lane{}), []string{"LaneRef", "seq"}},
+		{reflect.TypeOf(core.Node{}), []string{"alive", "everBorn", "id", "tr", "rand", "cfg", "cv", "lastCoarseContact"}},
+	}
+	end := map[reflect.Type]uintptr{} // one past the last byte of each type's delivery fields
+	for _, h := range hot {
+		for i, name := range h.fields {
+			if i >= h.typ.NumField() || h.typ.Field(i).Name != name {
+				t.Fatalf("%v: field %d is not %s: the delivery fields must come first, in the order %v", h.typ, i, name, h.fields)
+			}
+			f := h.typ.Field(i)
+			end[h.typ] = f.Offset + f.Type.Size()
+		}
+	}
+	var m member
+	if got := unsafe.Offsetof(m.ep) + end[reflect.TypeOf(m.ep)]; got > 128 {
+		t.Errorf("the endpoint's delivery fields end %d bytes into the block, want ≤ 128", got)
+	}
+	if got := unsafe.Offsetof(m.node) + end[reflect.TypeOf(m.node)]; unsafe.Offsetof(m.ws) < 128 || got > 256 {
+		t.Errorf("the scratch pointer and the node's delivery fields span [%d, %d) of the block, want within [128, 256)",
+			unsafe.Offsetof(m.ws), got)
 	}
 }

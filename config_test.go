@@ -3,11 +3,14 @@ package avmon
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"avmon/internal/churn"
+	"avmon/internal/core"
 	"avmon/internal/ids"
 	"avmon/internal/memnet"
 	"avmon/internal/netstack"
@@ -270,3 +273,134 @@ func TestNewServiceAppliesNodeOptions(t *testing.T) {
 		t.Errorf("the node runs under %v, want %v", got, want)
 	}
 }
+
+// coreOwned lists the node configuration fields NodeOptions sets
+// (through coreConfig), as a node runs under them: defaults applied.
+func coreOwned(c core.Config) []any {
+	return []any{c.CVS, c.Period, c.MonitorPeriod, c.PR2, c.Forgetful, c.ForgetfulTau, c.ForgetfulC, c.DisableReshuffle, c.RejoinFullWeight}
+}
+
+// TestServiceAndClusterNodesAgree: for any NodeOptions — all defaults,
+// then random draws of every knob — a Service's node and a simulated
+// cluster's node run under the same value of every field NodeOptions
+// sets: a knob that reaches one path and not the other fails here.
+func TestServiceAndClusterNodesAgree(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(1))
+	net := memnet.New(memnet.Config{Seed: 1})
+	defer net.Close()
+	for i := 0; i < 24; i++ {
+		opts := NodeOptions{Hash: HashFast}
+		if i > 0 {
+			pick := func() bool { return rng.Intn(2) == 0 }
+			if pick() {
+				opts.CVS = 2 + rng.Intn(20)
+			} else if pick() {
+				opts.Variant = Variant(1 + rng.Intn(int(VariantDC)))
+			}
+			if pick() {
+				opts.Period = time.Duration(1+rng.Intn(120)) * time.Second
+			}
+			if pick() {
+				opts.MonitorPeriod = time.Duration(1+rng.Intn(120)) * time.Second
+			}
+			if pick() {
+				opts.ForgetfulTau = time.Duration(1+rng.Intn(10)) * time.Minute
+			}
+			if pick() {
+				opts.ForgetfulC = 0.5 + rng.Float64()
+			}
+			opts.PR2, opts.Forgetful, opts.DisableReshuffle, opts.RejoinFullWeight = pick(), pick(), pick(), pick()
+		}
+		tr, err := net.Listen(ids.Sim(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewService(ServiceConfig{Addr: tr.ID().String(), Transport: tr, N: n, Options: opts, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(ClusterConfig{N: n, Seed: 1, Options: opts}, NewSTATModel(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(time.Minute) // the population's births span the first minute
+		got, want := coreOwned(s.node.Config()), coreOwned(c.memberAt(0).node.Config())
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("options %+v: the Service's node runs under %v, the cluster's under %v", opts, got, want)
+		}
+		s.Stop()
+	}
+}
+
+// TestNodeConfigIsWhatInitWasGiven: a simulated node's Config is what
+// Birth gave Init — its own identity, transport, generator and worker
+// pool, the options with their defaults, Overreport exactly where the
+// node's first draw put it, the collusion hooks exactly on colluders —
+// for honest nodes, overreporters and colluders alike; and only the
+// honest share one Config.
+func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
+	cfg := ClusterConfig{
+		N: 60, Seed: 3, OverreportFraction: 0.3, Options: NodeOptions{PR2: true, Hash: HashFast},
+		Collusion: &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: 0},
+	}
+	c, err := NewCluster(cfg, NewSTATModel(cfg.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(time.Minute) // the population's births span the first minute
+	defaulted := cfg.Options.coreConfig(cfg.N)
+	defaulted.ID, defaulted.Scheme, defaulted.Transport, defaulted.Rand = ids.Sim(0), c.Scheme(), &sentNowhere{}, sim.CompactRand(1)
+	ref, err := core.NewNode(defaulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := coreOwned(ref.Config())
+	roles := map[string]int{}
+	for idx := 0; idx < cfg.N; idx++ {
+		m := c.memberAt(idx)
+		got := m.node.Config()
+		overreport := sim.CompactRand(cfg.Seed^(int64(idx)+1)*0x5851F42D4C957F2D).Float64() < cfg.OverreportFraction
+		colluder := c.IsColluder(idx)
+		rngAt := uintptr(unsafe.Pointer(got.Rand)) - uintptr(unsafe.Pointer(&m.rng))
+		switch {
+		case got.ID != c.IDOf(idx) || got.Scheme != c.Scheme() || got.Transport != core.Transport(m) || got.Pool != core.Pool(m.ws):
+			t.Errorf("node %d: identity %v, scheme, transport or pool not its own", idx, got.ID)
+		case rngAt >= unsafe.Sizeof(m.rng):
+			t.Errorf("node %d: its generator lies outside its block's", idx)
+		case !reflect.DeepEqual(coreOwned(got), want):
+			t.Errorf("node %d runs under %v, want %v", idx, coreOwned(got), want)
+		case got.Overreport != overreport || (got.SuppressMonPing != nil) != colluder || (got.ForgeReport != nil) != colluder:
+			t.Errorf("node %d: overreport %t, hooks %t, want %t, %t", idx, got.Overreport, got.ForgeReport != nil, overreport, colluder)
+		}
+		if colluder {
+			victim, fellow := c.IDOf(0), c.IDOf(cfg.N-1)
+			if !got.SuppressMonPing(victim) || got.SuppressMonPing(fellow) {
+				t.Errorf("colluder %d does not spare exactly its fellows' pings", idx)
+			}
+			if est, ok := got.ForgeReport(victim, 0.5, true); est != 0 || !ok {
+				t.Errorf("colluder %d reports %v, %t for a victim, want the forged 0", idx, est, ok)
+			}
+		}
+		shared := reflect.ValueOf(&m.node).Elem().FieldByName("cfg").Pointer() == uintptr(unsafe.Pointer(&m.ws.cfg))
+		role := map[bool]string{true: "attacker", false: "honest"}[overreport || colluder]
+		if shared != (role == "honest") {
+			t.Errorf("node %d (%s) shares its worker's Config: %t", idx, role, shared)
+		}
+		roles[role]++
+		if overreport {
+			roles["overreporter"]++
+		}
+		if colluder {
+			roles["colluder"]++
+		}
+	}
+	if roles["honest"] == 0 || roles["overreporter"] == 0 || roles["colluder"] == 0 {
+		t.Fatalf("gate measured nothing: roles %v", roles)
+	}
+}
+
+// sentNowhere is a core.Transport that drops every message.
+type sentNowhere struct{}
+
+func (*sentNowhere) Send(ids.ID, *core.Message) {}

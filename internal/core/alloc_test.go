@@ -140,14 +140,18 @@ func TestZeroAllocCVRespSweep(t *testing.T) {
 }
 
 // TestNodeSizeClass pins Node — the coarse view's header by value
-// inside it — at 392 bytes, in the allocator's 416-byte class, which
-// NewNode allocates; a simulated cluster builds the node inside its member
+// inside it, its configuration by pointer — at 264 bytes, and NewNode's
+// one allocation, the node and its private Config, in the allocator's
+// 416-byte class. A simulated cluster builds the node inside its member
 // block, whose size the root package's TestNodeBlockBytes pins, and a
 // million-node run pays 1 MB per byte added here. Sweep buffers belong
 // in the per-worker SweepScratch, not in the node.
 func TestNodeSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Node{}); size > 392 {
-		t.Errorf("Node is %d bytes, want ≤ 392", size)
+	if size := unsafe.Sizeof(Node{}); size > 264 {
+		t.Errorf("Node is %d bytes, want ≤ 264", size)
+	}
+	if size := unsafe.Sizeof(Node{}) + unsafe.Sizeof(Config{}); size > 416 {
+		t.Errorf("a Node and its Config are %d bytes, want ≤ 416", size)
 	}
 }
 

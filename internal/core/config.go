@@ -46,6 +46,9 @@ type Config struct {
 	// differ from Period (Section 3.3).
 	MonitorPeriod time.Duration
 
+	// PR2 enables the indegree-repair optimization of Section 5.4.
+	PR2 bool
+
 	// Forgetful enables the forgetful-pinging optimization.
 	Forgetful bool
 	// ForgetfulTau is the threshold τ after which a target is pinged
@@ -53,9 +56,6 @@ type Config struct {
 	ForgetfulTau time.Duration
 	// ForgetfulC is the constant c in c·ts/(ts+t) (default 1).
 	ForgetfulC float64
-
-	// PR2 enables the indegree-repair optimization of Section 5.4.
-	PR2 bool
 
 	// Pool, when non-nil, is where the node gets its recycled memory;
 	// it then takes precedence over AcquireMessage. An owner holding one
@@ -69,11 +69,6 @@ type Config struct {
 	// every field it uses and relinquishes ownership on send. nil means
 	// allocate.
 	AcquireMessage func() *Message
-
-	// Overreport makes this node a misbehaving monitor that reports
-	// 100% availability for every node it monitors (the attack of
-	// Section 5.4, Figure 20).
-	Overreport bool
 
 	// SuppressMonPing, when non-nil, makes this node a colluding
 	// monitor that silently drops its monitoring duty towards selected
@@ -92,6 +87,10 @@ type Config struct {
 	// (return ok=false). Like SuppressMonPing it must be a pure
 	// function of its inputs.
 	ForgeReport func(target ids.ID, est float64, known bool) (float64, bool)
+	// Overreport makes this node a misbehaving monitor that reports
+	// 100% availability for every node it monitors (the attack of
+	// Section 5.4, Figure 20).
+	Overreport bool
 
 	// Ablation knobs (evaluation only — they disable parts of the
 	// published protocol to measure their contribution):
@@ -138,24 +137,24 @@ func (p *funcPool) SweepScratch() *SweepScratch {
 	return p.own
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Pool == nil {
-		out.Pool = &funcPool{acquire: out.AcquireMessage}
+// setDefaults fills in the defaults of the fields left zero; on a
+// configuration that has them it writes nothing.
+func (c *Config) setDefaults() {
+	if c.Pool == nil {
+		c.Pool = &funcPool{acquire: c.AcquireMessage}
 	}
-	if out.Period <= 0 {
-		out.Period = DefaultPeriod
+	if c.Period <= 0 {
+		c.Period = DefaultPeriod
 	}
-	if out.MonitorPeriod <= 0 {
-		out.MonitorPeriod = DefaultMonitorPeriod
+	if c.MonitorPeriod <= 0 {
+		c.MonitorPeriod = DefaultMonitorPeriod
 	}
-	if out.ForgetfulTau <= 0 {
-		out.ForgetfulTau = DefaultForgetfulTau
+	if c.ForgetfulTau <= 0 {
+		c.ForgetfulTau = DefaultForgetfulTau
 	}
-	if out.ForgetfulC <= 0 {
-		out.ForgetfulC = DefaultForgetfulC
+	if c.ForgetfulC <= 0 {
+		c.ForgetfulC = DefaultForgetfulC
 	}
-	return out
 }
 
 func (c *Config) validate() error {

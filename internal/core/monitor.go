@@ -85,7 +85,7 @@ func (n *Node) MonitorTick(now time.Time) {
 				if p > 1 {
 					p = 1
 				}
-				if n.cfg.Rand.Float64() >= p {
+				if n.rand.Float64() >= p {
 					n.pingsSaved++
 					continue
 				}

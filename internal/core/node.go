@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"slices"
 	"time"
 
@@ -9,25 +10,38 @@ import (
 
 // Node is one AVMON participant. It is single-threaded by contract:
 // the owner must serialize all calls (the simulator does this by
-// construction; the real-network runner uses one event loop).
+// construction; the real-network runner uses one event loop). What a
+// delivery reads comes first: Handle's entry check, a JOIN's walk.
 type Node struct {
-	cfg Config
-	id  ids.ID
+	alive    bool
+	everBorn bool
+	id       ids.ID
+	tr       Transport
+	rand     *rand.Rand
+	// cfg is everything else Init was given, which many nodes may share
+	// (a simulated cluster's honest nodes do): its ID, Transport and
+	// Rand are not read, the fields above are.
+	cfg *Config
+	cv  view
 
-	// bornAt, lastLeave and the instants below are UnixNano integers,
-	// as in target: the wall clock's reading without the monotonic one,
-	// and 0 for "never".
-	alive     bool
-	everBorn  bool
-	bornAt    int64
-	lastLeave int64
+	// lastCoarseContact is the last time a message arrived that proves
+	// this node sits in some peer's coarse view (PING, CV-FETCH, a
+	// forwarded JOIN, or a PR2 request). Going long without one means
+	// the node's coarse-view indegree has likely dropped to zero — an
+	// absorbing state under STAT — and triggers a re-bootstrap.
+	//
+	// It, bornAt, lastLeave and the instants below are UnixNano
+	// integers, as in target: the wall clock's reading without the
+	// monotonic one, and 0 for "never".
+	lastCoarseContact int64
+	bornAt            int64
+	lastLeave         int64
 
 	// PS and TS only ever grow (see DESIGN.md, "Memory diet") and are
 	// kept in discovery order — the documented iteration order. Both
 	// plateau near K entries, so, like the coarse view, they are looked
 	// up by a linear scan. TS is two aligned columns: the identities,
 	// which lookups scan, and the state records.
-	cv    view
 	ps    []monitor // PS(x), with each monitor's discovery time
 	tsIDs []ids.ID  // TS(x)
 	ts    []target  // state of tsIDs[i], by value
@@ -42,13 +56,6 @@ type Node struct {
 	// first probe: each target's outstanding probe is this tick's.
 	probedAt  int64
 	probeBase uint64
-
-	// lastCoarseContact is the last time a message arrived that proves
-	// this node sits in some peer's coarse view (PING, CV-FETCH, a
-	// forwarded JOIN, or a PR2 request). Going long without one means
-	// the node's coarse-view indegree has likely dropped to zero — an
-	// absorbing state under STAT — and triggers a re-bootstrap.
-	lastCoarseContact int64
 
 	// Outstanding coarse-view liveness probe (Figure 2, first lines).
 	cvPingTarget ids.ID
@@ -68,26 +75,33 @@ type Node struct {
 // NewNode validates cfg, applies defaults, and returns a node in the
 // "never joined" state. Call Join to enter the system.
 func NewNode(cfg Config) (*Node, error) {
-	n := new(Node)
-	if err := n.Init(cfg, nil); err != nil {
+	// The node and its private copy of cfg are one allocation.
+	o := &struct {
+		n   Node
+		cfg Config
+	}{cfg: cfg}
+	if err := o.n.Init(&o.cfg, cfg.ID, cfg.Transport, cfg.Rand, nil); err != nil {
 		return nil, err
 	}
-	return n, nil
+	return &o.n, nil
 }
 
 // Init is NewNode in place: n is memory the caller owns (a simulated
-// node's block). cv is the coarse view's storage, which the view never
+// node's block), cfg is kept, so nodes may share one — Init fills its
+// defaults, nothing changes it afterwards — and id, tr and rnd take the
+// place of cfg's. cv is the coarse view's storage, which the view never
 // outgrows: capacity exactly cfg.CVS, or anything else (nil, say) to
 // have Init allocate it.
-func (n *Node) Init(cfg Config, cv []ids.ID) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+func (n *Node) Init(cfg *Config, id ids.ID, tr Transport, rnd *rand.Rand, cv []ids.ID) error {
+	own := Config{ID: id, Scheme: cfg.Scheme, Transport: tr, Rand: rnd, CVS: cfg.CVS}
+	if err := own.validate(); err != nil {
 		return err
 	}
+	cfg.setDefaults()
 	if cap(cv) != cfg.CVS {
 		cv = make([]ids.ID, 0, cfg.CVS)
 	}
-	*n = Node{cfg: cfg, id: cfg.ID, cv: view{items: cv[:0]}}
+	*n = Node{id: id, tr: tr, rand: rnd, cfg: cfg, cv: view{items: cv[:0]}}
 	return nil
 }
 
@@ -112,11 +126,12 @@ func (n *Node) newMsg() *Message { return n.cfg.Pool.AcquireMessage() }
 // ID returns the node's identity.
 func (n *Node) ID() ids.ID { return n.id }
 
-// Alive reports whether the node is currently in the system.
-func (n *Node) Alive() bool { return n.alive }
-
 // Config returns the node's effective configuration.
-func (n *Node) Config() Config { return n.cfg }
+func (n *Node) Config() Config {
+	c := *n.cfg
+	c.ID, c.Transport, c.Rand = n.id, n.tr, n.rand
+	return c
+}
 
 func (n *Node) nextSeq() uint64 {
 	n.seq++
@@ -125,7 +140,7 @@ func (n *Node) nextSeq() uint64 {
 
 func (n *Node) send(to ids.ID, m *Message) {
 	m.From = n.id
-	n.cfg.Transport.Send(to, m)
+	n.tr.Send(to, m)
 }
 
 // --- Lifecycle -------------------------------------------------------
@@ -227,7 +242,7 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 		n.handleMonAck(from, m.Seq, now)
 	case MsgPR2:
 		n.lastCoarseContact = now.UnixNano() // the sender holds us in its CV
-		n.cv.addEvict(from, n.cfg.Rand)
+		n.cv.addEvict(from, n.rand)
 	case MsgReportReq:
 		n.send(from, &Message{
 			Type: MsgReportResp, Seq: m.Seq, Nonce: m.Nonce, View: n.ReportMonitors(m.Count),
@@ -293,7 +308,7 @@ func (n *Node) handleJoin(m *Message) {
 	}
 	// When the view is full the joiner's entry replaces a random one,
 	// keeping the expected indegree at cvs.
-	n.cv.appendEvict(m.Subject, n.cfg.Rand)
+	n.cv.appendEvict(m.Subject, n.rand)
 	others := n.cv.size() - 1
 	c--
 	left := c / 2
@@ -304,7 +319,7 @@ func (n *Node) handleJoin(m *Message) {
 		// Forward to a random coarse-view member other than the joiner
 		// itself, so the spread budget is not wasted on a self-delivery:
 		// it sits in the last slot, so the draw is over the ones before.
-		dst := n.cv.items[n.cfg.Rand.Intn(others)]
+		dst := n.cv.items[n.rand.Intn(others)]
 		fwd := n.newMsg()
 		fwd.Type, fwd.Subject, fwd.Weight = MsgJoin, m.Subject, w
 		n.send(dst, fwd)
@@ -347,7 +362,7 @@ func (n *Node) Tick(now time.Time) {
 		n.cvPingTarget = ids.None
 	}
 	// 2. Probe one random coarse-view member.
-	if z := n.cv.random(n.cfg.Rand); !z.IsNone() {
+	if z := n.cv.random(n.rand); !z.IsNone() {
 		n.cvPingTarget = z
 		n.cvPingSeq = n.nextSeq()
 		ping := n.newMsg()
@@ -356,7 +371,7 @@ func (n *Node) Tick(now time.Time) {
 	}
 	// 3. Fetch the coarse view of one random member; discovery and
 	// reshuffle happen when the response arrives.
-	if w := n.cv.random(n.cfg.Rand); !w.IsNone() {
+	if w := n.cv.random(n.rand); !w.IsNone() {
 		fetch := n.newMsg()
 		fetch.Type, fetch.Seq = MsgCVFetch, n.nextSeq()
 		n.send(w, fetch)
@@ -384,13 +399,13 @@ func (n *Node) Tick(now time.Time) {
 // determinism). A node that knows absolutely nobody stays quiet; it
 // can only be recovered by the cluster-level bootstrap on rejoin.
 func (n *Node) rebootstrap(nowNanos int64) {
-	target := n.cv.random(n.cfg.Rand)
+	target := n.cv.random(n.rand)
 	if target.IsNone() {
 		total := len(n.ts) + len(n.ps)
 		if total == 0 {
 			return
 		}
-		if i := n.cfg.Rand.Intn(total); i < len(n.ts) {
+		if i := n.rand.Intn(total); i < len(n.ts) {
 			target = n.tsIDs[i]
 		} else {
 			target = n.ps[i-len(n.ts)].id
@@ -554,7 +569,7 @@ func (n *Node) handleCVResp(w ids.ID, fetched []ids.ID, now time.Time) {
 		union = append(union, w)
 	}
 	sc.union = union
-	n.cv.resample(union, n.cfg.Rand)
+	n.cv.resample(union, n.rand)
 }
 
 // relatedRowByPair gives a scheme without RelatedRow the row form, one
@@ -665,12 +680,4 @@ func (n *Node) DiscoveryTimes() []time.Duration {
 		out[i] = m.found
 	}
 	return out
-}
-
-// BornAt returns the node's birth time (zero if never joined).
-func (n *Node) BornAt() time.Time {
-	if !n.everBorn {
-		return time.Time{}
-	}
-	return time.Unix(0, n.bornAt)
 }

@@ -26,8 +26,8 @@ type protocolNode interface {
 // FuzzNodeMessages applies each step decoded from script to a Node and to
 // a specNode of the same Config and seed: after every step both must have
 // sent the same messages, whole and in order, and agree on PS, TS and CV
-// in order, DiscoveryTimes, HashChecks, MonitoringStats, estimates, BornAt
-// and random stream, and the node must pass checkInvariants. conf holds cvs−2
+// in order, DiscoveryTimes, HashChecks, MonitoringStats, estimates, birth
+// instant and random stream, and the node must pass checkInvariants. conf holds cvs−2
 // (bits 0–4); the fast Selector's kernel, Memoize(MD5)'s memo row or
 // RelatedRow hidden (5–6); PR2, Forgetful, DisableReshuffle,
 // RejoinFullWeight, Overreport (7–11); bits above are ignored. A step is
@@ -163,6 +163,10 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 		for _, u := range s.psOrder {
 			ps = append(ps, monitor{u, s.ps[u]})
 		}
+		born := int64(0) // the node's instants are UnixNano, 0 for never
+		if s.everBorn {
+			born = s.bornAt.UnixNano()
+		}
 		estimates := func(p protocolNode) (out []any) {
 			for _, u := range append(slices.Clone(s.tsOrder), ids.Sim(999)) {
 				est, known := p.EstimateOf(u)
@@ -172,15 +176,15 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 		}
 		for _, c := range [][3]any{
 			{"sent", nodeLog.msgs, specLog.msgs},
-			{"alive", n.Alive(), s.alive},
+			{"alive", n.alive, s.alive},
 			{"PS", n.ps, ps},
 			{"TS", n.tsIDs, s.tsOrder},
 			{"CV", n.cv.items, s.cv},
 			{"HashChecks", n.HashChecks(), s.hashChecks},
 			{"MonitoringStats", n.MonitoringStats(), stats},
 			{"estimates", estimates(n), estimates(s)},
-			{"BornAt", n.BornAt().UTC(), s.bornAt.UTC()},
-			{"random stream", n.cfg.Rand.Int63(), s.cfg.Rand.Int63()},
+			{"birth", [2]any{n.everBorn, n.bornAt}, [2]any{s.everBorn, born}},
+			{"random stream", n.rand.Int63(), s.cfg.Rand.Int63()},
 		} {
 			// DeepEqual is fast on a long sweep's thousands of NOTIFYs; Sprint reads nil as empty.
 			if got, want := c[1], c[2]; !reflect.DeepEqual(got, want) && fmt.Sprint(got) != fmt.Sprint(want) {

@@ -19,7 +19,7 @@ func (n *Node) ReportMonitors(count int) []ids.ID {
 	if count <= 0 || count >= len(all) {
 		return all
 	}
-	n.cfg.Rand.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	n.rand.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	return all[:count]
 }
 

@@ -71,7 +71,7 @@ func (fn *fakeNet) flush() {
 		env := fn.queue[0]
 		fn.queue = fn.queue[1:]
 		dst, ok := fn.nodes[env.to]
-		if !ok || !dst.Alive() {
+		if !ok || !dst.alive {
 			continue
 		}
 		dst.Handle(env.from, env.msg, fn.now)

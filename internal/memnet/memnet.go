@@ -374,7 +374,6 @@ type Transport struct {
 
 	datagramsSent uint64 // atomics
 	wireBytes     uint64
-	rawBytes      uint64
 	dropped       uint64
 	inboxDrops    uint64
 }
@@ -400,7 +399,6 @@ func (t *Transport) Send(to ids.ID, m *core.Message) {
 	}
 	atomic.AddUint64(&t.datagramsSent, 1)
 	atomic.AddUint64(&t.wireBytes, uint64(m.WireSize()))
-	atomic.AddUint64(&t.rawBytes, uint64(len(buf)))
 	t.net.send(t, to, buf)
 }
 
@@ -475,10 +473,6 @@ func (t *Transport) DatagramsSent() uint64 { return atomic.LoadUint64(&t.datagra
 // byte-accounting model (Message.WireSize), directly comparable to the
 // simulator's per-node BytesOut.
 func (t *Transport) WireBytesSent() uint64 { return atomic.LoadUint64(&t.wireBytes) }
-
-// RawBytesSent returns cumulative outgoing traffic in encoded-codec
-// bytes (the datagram sizes a real socket would carry).
-func (t *Transport) RawBytesSent() uint64 { return atomic.LoadUint64(&t.rawBytes) }
 
 // DroppedDatagrams returns how many received datagrams failed to
 // decode and were dropped by Serve.

@@ -197,9 +197,6 @@ func (e *Engine) SchedStats() SchedStats {
 	return st
 }
 
-// Control returns the control lane.
-func (e *Engine) Control() *Lane { return e.control }
-
 // AddLane registers a new node lane, assigned round-robin to a shard
 // for life. Call from control events or while quiescent only.
 func (e *Engine) AddLane() *Lane {
@@ -212,8 +209,7 @@ func (e *Engine) AddLane() *Lane {
 // simulated node's block) and must not move or copy afterwards.
 func (e *Engine) InitLane(l *Lane) {
 	e.lanes++
-	*l = Lane{LaneRef: LaneRef{id: e.lanes, shard: (e.lanes - 1) % int32(len(e.shards))}}
-	l.rng.Seed(laneSeed(e.seed, e.lanes))
+	*l = Lane{LaneRef: LaneRef{id: e.lanes, shard: (e.lanes - 1) % int32(len(e.shards))}, seed: laneSeed(e.seed, e.lanes)}
 }
 
 // LaneNow returns the lane's current virtual time: the executing

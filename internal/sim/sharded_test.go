@@ -53,7 +53,7 @@ type traceShape struct {
 func traceWorkload(t *testing.T, eng *Engine, w traceShape) []string {
 	t.Helper()
 	var traces []*laneTrace
-	control := &laneTrace{lane: eng.Control()}
+	control := &laneTrace{lane: eng.control}
 	// order is the one-shard execution log (several shards would race on
 	// it). post is eng.Post logging the event's key as it fires; keyed
 	// wraps a ticker body on l the same way.
@@ -66,7 +66,7 @@ func traceWorkload(t *testing.T, eng *Engine, w traceShape) []string {
 	post := func(src, dst *Lane, at time.Time, fn func(time.Time)) {
 		from := src
 		if from == nil {
-			from = eng.Control()
+			from = eng.control
 		}
 		seq := from.seq + 1
 		eng.Post(src, dst, at, func(now time.Time) {
@@ -122,7 +122,7 @@ func traceWorkload(t *testing.T, eng *Engine, w traceShape) []string {
 	for i := 0; i < w.roster; i++ {
 		birth()
 	}
-	eng.NewTicker(40*time.Millisecond, 10*time.Millisecond, keyed(eng.Control(), func(now time.Time) {
+	eng.NewTicker(40*time.Millisecond, 10*time.Millisecond, keyed(eng.control, func(now time.Time) {
 		control.add(now, "ctick")
 		if len(traces) < 2*w.roster {
 			birth()

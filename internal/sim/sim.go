@@ -50,8 +50,9 @@ var Epoch = time.Date(2007, 1, 1, 0, 0, 0, 0, time.UTC)
 // scheduler thread that executes the lane's events.
 type Lane struct {
 	LaneRef
-	seq uint64
-	rng CompactRNG // inline: a draw costs no load beyond the lane itself
+	seq  uint64
+	rng  *CompactRNG // nil until the lane first draws
+	seed int64       // rng's seed: laneSeed(engine seed, id)
 }
 
 // LaneRef is all a poster needs of a destination lane, by value, so a
@@ -66,15 +67,22 @@ type LaneRef struct {
 // ID returns the lane's stable identifier (0 = control lane).
 func (l *Lane) ID() int { return int(l.id) }
 
-// Rand returns the lane's private deterministic random source. It must
-// only be used while one of the lane's events is executing.
-func (l *Lane) Rand() *rand.Rand { return &l.rng.rng }
+// Rand returns the lane's private deterministic random source, built on
+// the first call. It must only be used while one of the lane's events is
+// executing.
+func (l *Lane) Rand() *rand.Rand {
+	if l.rng == nil {
+		l.rng = new(CompactRNG)
+		l.rng.Seed(l.seed)
+	}
+	return &l.rng.rng
+}
 
 // newControlLane returns lane 0. Its stream is math/rand's own source,
 // not the compact one: every recorded fingerprint draws bootstrap
 // contacts and churn from it.
 func newControlLane(seed int64) *Lane {
-	l := new(Lane)
+	l := &Lane{rng: new(CompactRNG)}
 	l.rng.rng = *rand.New(rand.NewSource(seed))
 	return l
 }
@@ -421,6 +429,3 @@ func (t *Ticker) Fire(now time.Time, _ EventArg) {
 
 // Stop cancels future firings. It is idempotent.
 func (t *Ticker) Stop() { t.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (t *Ticker) Stopped() bool { return t.stopped }

@@ -147,8 +147,11 @@ func TestTickerFiresPeriodically(t *testing.T) {
 			t.Errorf("firing %d at %v, want %v", i, times[i], want[i])
 		}
 	}
-	if !tk.Stopped() {
-		t.Error("Stopped() = false after Stop")
+	// Stop is idempotent, and no later stretch of time revives the ticker.
+	tk.Stop()
+	e.RunFor(time.Hour)
+	if len(times) != len(want) {
+		t.Errorf("ticker fired after Stop, at %v", times[len(want):])
 	}
 }
 
@@ -186,6 +189,27 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverged at %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestLaneStreamOnFirstDraw: a lane builds its random stream on its
+// first Rand call, and the stream is the one seeding it at InitLane
+// gave — laneSeed's through CompactRand — for lanes 1 to 1000; later
+// calls continue it instead of starting over.
+func TestLaneStreamOnFirstDraw(t *testing.T) {
+	const seed = 7
+	e := New(seed)
+	for id := 1; id <= 1000; id++ {
+		l := e.AddLane()
+		if l.ID() != id || l.rng != nil {
+			t.Fatalf("lane %d (want %d) holds a stream before its first draw: %v", l.ID(), id, l.rng != nil)
+		}
+		want := CompactRand(laneSeed(seed, int32(id)))
+		for k := 0; k < 4; k++ {
+			if got, w := l.Rand().Int63(), want.Int63(); got != w {
+				t.Fatalf("lane %d draw %d: %d, want %d", id, k, got, w)
+			}
 		}
 	}
 }

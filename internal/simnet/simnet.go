@@ -86,7 +86,8 @@ type Counters struct {
 type Network struct {
 	eng         *sim.Engine
 	latency     LatencyModel
-	loss        LossModel // nil = lossless (no draw per send)
+	fixed       time.Duration // the constant model's latency, which Send posts without a draw; 0 for any other model
+	loss        LossModel     // nil = lossless (no draw per send)
 	undelivered UndeliveredFunc
 
 	// Endpoint state is interned: identities resolve to dense uint32
@@ -136,6 +137,9 @@ func New(eng *sim.Engine, opts ...Option) (*Network, error) {
 	for _, o := range opts {
 		o(n)
 	}
+	if c, ok := n.latency.(constantLatency); ok {
+		n.fixed = c.d
+	}
 	if floor := n.latency.MinLatency(); floor < eng.Lookahead() {
 		return nil, fmt.Errorf(
 			"simnet: latency model floor %v below the engine's %v lookahead",
@@ -178,7 +182,7 @@ func (n *Network) AttachAt(ep *Endpoint, id ids.ID, r Receiver) error {
 	if n.lookup(id) != nil {
 		return fmt.Errorf("simnet: endpoint %v already attached", id)
 	}
-	*ep = Endpoint{net: n, id: id, recv: r, alivePos: -1, idx: n.interner.Intern(id)}
+	*ep = Endpoint{net: n, recv: r, alivePos: -1, idx: n.interner.Intern(id)}
 	n.eng.InitLane(&ep.lane)
 	n.eps = append(n.eps, ep)
 	n.lanes = append(n.lanes, ep.lane.LaneRef)
@@ -197,18 +201,6 @@ func (n *Network) Alive(id ids.ID) bool {
 // AliveCount returns the number of endpoints in the alive registry.
 func (n *Network) AliveCount() int { return len(n.alive) }
 
-// AliveIDs returns the identities of all registry-alive endpoints, in
-// attachment order.
-func (n *Network) AliveIDs() []ids.ID {
-	out := make([]ids.ID, 0, len(n.alive))
-	for _, ep := range n.eps {
-		if ep.alivePos >= 0 {
-			out = append(out, ep.id)
-		}
-	}
-	return out
-}
-
 // RandomAlive returns a uniformly random registry-alive endpoint
 // identity other than exclude, or None if there is no such endpoint.
 // It is the bootstrap oracle for the join protocol ("Pick a random
@@ -226,28 +218,29 @@ func (n *Network) RandomAlive(exclude ids.ID) ids.ID {
 		if j >= ex.alivePos {
 			j++
 		}
-		return n.alive[j].id
+		return n.interner.ID(n.alive[j].idx)
 	}
 	if count == 0 {
 		return ids.None
 	}
-	return n.alive[n.eng.Rand().Intn(count)].id
+	return n.interner.ID(n.alive[n.eng.Rand().Intn(count)].idx)
 }
 
-// Endpoint is one node's attachment point to the network.
+// Endpoint is one node's attachment point to the network, with what a
+// delivery (Network.Fire) and a send read first. Its identity is the
+// interner's entry at idx.
 type Endpoint struct {
-	net      *Network
-	id       ids.ID
-	idx      uint32    // interned index in net.eps (the delivery flag is net.up[idx])
-	alivePos int       // registry: index in net.alive while alive, -1 otherwise
-	lossSt   LossState // loss-process state, owned by the endpoint's lane
 	recv     Receiver
 	counters Counters
+	net      *Network
 	lane     sim.Lane
+	idx      uint32    // interned index in net.eps (the delivery flag is net.up[idx])
+	lossSt   LossState // loss-process state, owned by the endpoint's lane
+	alivePos int       // registry: index in net.alive while alive, -1 otherwise
 }
 
 // ID returns the endpoint's identity.
-func (ep *Endpoint) ID() ids.ID { return ep.id }
+func (ep *Endpoint) ID() ids.ID { return ep.net.interner.ID(ep.idx) }
 
 // Lane returns the endpoint's execution lane.
 func (ep *Endpoint) Lane() *sim.Lane { return &ep.lane }
@@ -255,9 +248,6 @@ func (ep *Endpoint) Lane() *sim.Lane { return &ep.lane }
 // Receiver returns what the endpoint was attached with — the caller's
 // own per-node state, for UndeliveredFunc callbacks to recover.
 func (ep *Endpoint) Receiver() Receiver { return ep.recv }
-
-// Alive reports the endpoint's delivery flag.
-func (ep *Endpoint) Alive() bool { return ep.net.up[ep.idx] }
 
 // Registered reports whether the endpoint is in the alive registry
 // (the control-lane view of its liveness).
@@ -339,7 +329,10 @@ func (ep *Endpoint) Send(to ids.ID, msg any, size int) {
 		return
 	}
 	now := n.eng.LaneNow(&ep.lane)
-	d := n.latency.Latency(ep.id, to, ep.lane.Rand())
+	d := n.fixed
+	if d == 0 {
+		d = n.latency.Latency(ep.ID(), to, ep.lane.Rand())
+	}
 	// Deliveries are posted as handler events keyed by interned endpoint
 	// indexes — two packed words plus the payload — so the steady-state
 	// send path allocates nothing, and to the route table's by-value lane

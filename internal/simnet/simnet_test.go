@@ -224,9 +224,8 @@ func TestAliveOracle(t *testing.T) {
 	if n.Alive(ids.Sim(99)) {
 		t.Error("unknown endpoint reported alive")
 	}
-	live := n.AliveIDs()
-	if len(live) != 1 || live[0] != a.ID() {
-		t.Errorf("AliveIDs = %v, want [%v]", live, a.ID())
+	if got := n.RandomAlive(ids.None); n.AliveCount() != 1 || got != a.ID() {
+		t.Errorf("the registry holds %d endpoints and draws %v, want only %v", n.AliveCount(), got, a.ID())
 	}
 }
 
