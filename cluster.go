@@ -261,10 +261,11 @@ type member struct {
 	life uint32
 
 	// Owned by the control lane, in virtual time since the epoch. While
-	// alive, up is the uptime accrued less the instant it came up.
+	// alive, up is the uptime accrued less the instant it came up. The
+	// birth instant is the node's own (Node.Born): Birth posts its first
+	// Join at that instant.
 	everBorn bool
 	dead     bool
-	bornAt   time.Duration
 	up       time.Duration
 
 	// Updated atomically (see Cluster's undelivered callback):
@@ -280,8 +281,8 @@ func (m *member) Deliver(from ids.ID, msg any, _ int, now time.Time) {
 	m.node.Handle(from, cm, now)
 	// Receiver-side recycling: protocol envelopes are dead once
 	// Handle returns (handlers copy whatever they keep). Query
-	// messages are exempt — the response callback may retain them —
-	// and are left to the garbage collector.
+	// messages are exempt — their askers may retain them — and are
+	// left to the garbage collector.
 	if cm.Type <= core.MsgPR2 {
 		cm.Reset()
 		m.ws.msgs = append(m.ws.msgs, cm)
@@ -535,12 +536,11 @@ func (c *Cluster) Birth(idx int) {
 	// One private random source per node: the compact 32-byte source
 	// keeps 10^5-node populations from burning ~5 KB of generator
 	// state each (≈ 500 MB at N = 100,000 with rand.NewSource).
-	seed := c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D
-	rng := m.rng.Seed(seed)
+	m.rng.Seed(c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D)
 	// Honest nodes share their worker's configuration; an attacker's
 	// hooks cost a private copy.
 	nodeCfg, colluder := &m.ws.cfg, c.IsColluder(idx)
-	if overreport := rng.Float64() < c.cfg.OverreportFraction; overreport || colluder {
+	if overreport := m.rng.Float64() < c.cfg.OverreportFraction; overreport || colluder {
 		own := *nodeCfg
 		own.Overreport = overreport
 		if colluder {
@@ -570,13 +570,12 @@ func (c *Cluster) Birth(idx int) {
 		}
 		nodeCfg = &own
 	}
-	if err := m.node.Init(nodeCfg, id, m, rng, c.newCV()); err != nil {
+	if err := m.node.Init(nodeCfg, id, m, &m.rng, c.newCV()); err != nil {
 		panic(err) // unreachable: NewCluster validated the configuration
 	}
 	c.members[idx] = m
 	c.bringUp(m)
 	m.everBorn = true
-	m.bornAt = c.eng.Elapsed()
 }
 
 // Rejoin implements churn.Driver.
@@ -789,9 +788,14 @@ func (c *Cluster) Stats(idx int) MemberStats {
 	if m.ep.Registered() {
 		up += c.eng.Elapsed()
 	}
-	var life time.Duration
+	var bornAt, life time.Duration
 	if m.everBorn {
-		life = c.eng.Elapsed() - m.bornAt
+		// A first Join still queued runs at this very instant.
+		bornAt = c.eng.Elapsed()
+		if at, ok := m.node.Born(); ok {
+			bornAt = at.Sub(sim.Epoch)
+		}
+		life = c.eng.Elapsed() - bornAt
 	}
 	return MemberStats{
 		Alive:          m.ep.Registered(),
@@ -815,7 +819,7 @@ func (c *Cluster) Stats(idx int) MemberStats {
 		MonAcks:         mon.Acks,
 		PingsSaved:      mon.PingsSaved,
 		UselessMonPings: atomic.LoadUint64(&m.uselessMonPings),
-		BornAtOffset:    m.bornAt,
+		BornAtOffset:    bornAt,
 		UpTime:          up,
 		LifeTime:        life,
 	}

@@ -733,27 +733,28 @@ func TestRejoinAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeBlockBytes pins the member block at no more than 512 bytes,
-// a whole number of cache lines (128 blocks to a slab, each starting on
+// TestNodeBlockBytes pins the member block at no more than 448 bytes,
+// a whole number of cache lines (146 blocks to a slab, each starting on
 // a line): Endpoint 128 (receiver 16, counters 56, network 8, a lane of
 // 32 whose random stream is built on its first draw, index and loss
-// state 8, registry slot 8), the worker's scratch pointer 8, Node 264
-// (its configuration shared by pointer), the node's generator 80 (source
-// and rand.Rand) and the harness's 32 (life and two flags, birth,
-// uptime, useless pings). It also holds the bytes the cluster keeps per
-// node — a slab's share of one block and of exactly cvs coarse-view
-// entries — to no more than the same state cost as separately allocated
-// objects, each rounded up to its allocator size class, the layout the
-// block replaced: Endpoint 144, Lane 24, two rand.Rand 48 and their
-// sources 32, member 112, the handler, envelope and scratch closures 24
-// each, Node 480, view 32, and a CV slice grown to at least the class
-// that holds cvs entries (it was often the next power of two). A block
-// that outgrows this shows as heap_live_mb on the repository
-// benchmark's simulator workloads.
+// state 8, registry slot 8), the worker's scratch pointer 8, Node 256
+// (its configuration shared by pointer, its generator an interface
+// value), the node's 32-byte xoshiro generator, which draws for itself
+// with no rand.Rand around it, and the harness's 24 (life and two
+// flags, uptime, useless pings; the birth instant is the node's). It
+// also holds the bytes the cluster keeps per node — a slab's share of
+// one block and of exactly cvs coarse-view entries — to no more than
+// the same state cost as separately allocated objects, each rounded up
+// to its allocator size class, the layout the block replaced: Endpoint
+// 144, Lane 24, two rand.Rand 48 and their sources 32, member 112, the
+// handler, envelope and scratch closures 24 each, Node 480, view 32,
+// and a CV slice grown to at least the class that holds cvs entries (it
+// was often the next power of two). A block that outgrows this shows as
+// heap_live_mb on the repository benchmark's simulator workloads.
 func TestNodeBlockBytes(t *testing.T) {
 	const separate = 144 + 24 + 2*(48+32) + 112 + 3*24 + 480 + 32
-	if size := unsafe.Sizeof(member{}); size > 512 || size%64 != 0 {
-		t.Errorf("the member block is %d bytes, want ≤ 512 and a multiple of 64", size)
+	if size := unsafe.Sizeof(member{}); size > 448 || size%64 != 0 {
+		t.Errorf("the member block is %d bytes, want ≤ 448 and a multiple of 64", size)
 	}
 	var c Cluster
 	if addr := uintptr(unsafe.Pointer(c.newBlock())); addr%64 != 0 {

@@ -362,12 +362,12 @@ func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 		got := m.node.Config()
 		overreport := sim.CompactRand(cfg.Seed^(int64(idx)+1)*0x5851F42D4C957F2D).Float64() < cfg.OverreportFraction
 		colluder := c.IsColluder(idx)
-		rngAt := uintptr(unsafe.Pointer(got.Rand)) - uintptr(unsafe.Pointer(&m.rng))
+		rng, _ := got.Rand.(*sim.CompactRNG)
 		switch {
 		case got.ID != c.IDOf(idx) || got.Scheme != c.Scheme() || got.Transport != core.Transport(m) || got.Pool != core.Pool(m.ws):
 			t.Errorf("node %d: identity %v, scheme, transport or pool not its own", idx, got.ID)
-		case rngAt >= unsafe.Sizeof(m.rng):
-			t.Errorf("node %d: its generator lies outside its block's", idx)
+		case rng != &m.rng:
+			t.Errorf("node %d: its generator is not its block's", idx)
 		case !reflect.DeepEqual(coreOwned(got), want):
 			t.Errorf("node %d runs under %v, want %v", idx, coreOwned(got), want)
 		case got.Overreport != overreport || (got.SuppressMonPing != nil) != colluder || (got.ForgeReport != nil) != colluder:

@@ -368,7 +368,3 @@ func (m *synthModel) AliveCount() int {
 	}
 	return n
 }
-
-// TotalBorn returns how many nodes have ever been created (the
-// Nlongterm of Section 5.3).
-func (m *synthModel) TotalBorn() int { return len(m.states) }

@@ -184,14 +184,3 @@ func ParseOutageSchedule(s string) ([]ZoneOutage, error) {
 	}
 	return out, nil
 }
-
-// FormatOutageSchedule renders a schedule back into the textual format
-// ParseOutageSchedule reads; Parse(Format(x)) == x for any schedule
-// with non-negative zones and positive-length intervals.
-func FormatOutageSchedule(schedule []ZoneOutage) string {
-	parts := make([]string, 0, len(schedule))
-	for _, o := range schedule {
-		parts = append(parts, fmt.Sprintf("%d@%s+%s", o.Zone, o.Start, o.End-o.Start))
-	}
-	return strings.Join(parts, ",")
-}

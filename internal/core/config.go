@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"reflect"
 	"time"
 
 	"avmon/internal/ids"
@@ -36,7 +36,7 @@ type Config struct {
 	Transport Transport
 	// Rand is the node's private random source. Required (inject a
 	// seeded source for deterministic simulation).
-	Rand *rand.Rand
+	Rand Rand
 
 	// CVS is the maximum coarse-view size cvs. Required, ≥ 2.
 	CVS int
@@ -105,6 +105,17 @@ type Config struct {
 	RejoinFullWeight bool
 }
 
+// Rand is the node's private random stream: the three draws the
+// protocol makes. *rand.Rand satisfies it, and so does any generator
+// that reproduces math/rand's algorithms for these methods — a
+// simulated node holds a 32-byte one (sim.CompactRNG) instead of a
+// rand.Rand and its source.
+type Rand interface {
+	Intn(n int) int
+	Float64() float64
+	Shuffle(n int, swap func(i, j int))
+}
+
 // Pool supplies a node's recycled memory. Both methods are called only
 // from the thread executing the node. AcquireMessage is under the
 // contract written at Config.AcquireMessage; SweepScratch's instance
@@ -167,7 +178,7 @@ func (c *Config) validate() error {
 	if c.Transport == nil {
 		return fmt.Errorf("%w: missing Transport", ErrConfig)
 	}
-	if c.Rand == nil {
+	if r := reflect.ValueOf(c.Rand); !r.IsValid() || r.Kind() == reflect.Pointer && r.IsNil() {
 		return fmt.Errorf("%w: missing Rand", ErrConfig)
 	}
 	if c.CVS < 2 {

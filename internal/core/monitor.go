@@ -117,7 +117,6 @@ func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 		return
 	}
 	t.probe = 0
-	n.acks++
 	if t.down || t.up == 0 {
 		t.since = now.UnixNano()
 		t.down = false
@@ -160,11 +159,17 @@ type MonitoringStats struct {
 }
 
 // MonitoringStats returns a snapshot of monitoring activity counters.
+// Acks is Σ up over TS: an ack is counted nowhere else, and TS is never
+// dropped.
 func (n *Node) MonitoringStats() MonitoringStats {
+	var acks uint64
+	for i := range n.ts {
+		acks += uint64(n.ts[i].up)
+	}
 	return MonitoringStats{
 		Targets:         len(n.ts),
 		PingsSent:       n.pingsSent,
-		Acks:            n.acks,
+		Acks:            acks,
 		PingsSaved:      n.pingsSaved,
 		PingsSuppressed: n.pingsSuppressed,
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"time"
 
@@ -17,7 +16,7 @@ type Node struct {
 	everBorn bool
 	id       ids.ID
 	tr       Transport
-	rand     *rand.Rand
+	rand     Rand
 	// cfg is everything else Init was given, which many nodes may share
 	// (a simulated cluster's honest nodes do): its ID, Transport and
 	// Rand are not read, the fields above are.
@@ -48,7 +47,6 @@ type Node struct {
 
 	// Monitoring activity over all targets (MonitoringStats).
 	pingsSent       uint64
-	acks            uint64
 	pingsSaved      uint64 // pings skipped by the forgetful optimization
 	pingsSuppressed uint64 // pings withheld by a colluding monitor
 
@@ -66,10 +64,6 @@ type Node struct {
 	lastMonPingRecv int64 // for PR2
 
 	hashChecks uint64 // consistency-condition evaluations performed
-
-	// onResponse, when set via SetResponseHandler, receives
-	// REPORT-RESP and AVAIL-BATCH-RESP messages for application queries.
-	onResponse func(from ids.ID, m *Message)
 }
 
 // NewNode validates cfg, applies defaults, and returns a node in the
@@ -92,7 +86,7 @@ func NewNode(cfg Config) (*Node, error) {
 // place of cfg's. cv is the coarse view's storage, which the view never
 // outgrows: capacity exactly cfg.CVS, or anything else (nil, say) to
 // have Init allocate it.
-func (n *Node) Init(cfg *Config, id ids.ID, tr Transport, rnd *rand.Rand, cv []ids.ID) error {
+func (n *Node) Init(cfg *Config, id ids.ID, tr Transport, rnd Rand, cv []ids.ID) error {
 	own := Config{ID: id, Scheme: cfg.Scheme, Transport: tr, Rand: rnd, CVS: cfg.CVS}
 	if err := own.validate(); err != nil {
 		return err
@@ -125,6 +119,15 @@ func (n *Node) newMsg() *Message { return n.cfg.Pool.AcquireMessage() }
 
 // ID returns the node's identity.
 func (n *Node) ID() ids.ID { return n.id }
+
+// Born returns the instant of the node's first Join, and whether it has
+// joined at all.
+func (n *Node) Born() (time.Time, bool) {
+	if !n.everBorn {
+		return time.Time{}, false
+	}
+	return time.Unix(0, n.bornAt), true
+}
 
 // Config returns the node's effective configuration.
 func (n *Node) Config() Config {
@@ -249,22 +252,10 @@ func (n *Node) Handle(from ids.ID, m *Message, now time.Time) {
 		})
 	case MsgAvailBatchReq:
 		n.send(from, n.answerBatch(m))
-	case MsgReportResp, MsgAvailBatchResp:
-		// Responses to application-level queries; surfaced through
-		// the Client helper, not consumed by the protocol node.
-		if n.onResponse != nil {
-			n.onResponse(from, m)
-		}
 	}
-}
-
-// SetResponseHandler registers a callback for REPORT-RESP and
-// AVAIL-BATCH-RESP messages, which answer application-level queries
-// rather than protocol traffic (see VerifyReport for the verification
-// step). The Service layer installs a single correlation-keyed
-// dispatcher here; per-query arm/disarm is racy and unsupported.
-func (n *Node) SetResponseHandler(fn func(from ids.ID, m *Message)) {
-	n.onResponse = fn
+	// REPORT-RESP and AVAIL-BATCH-RESP answer application-level
+	// queries, not protocol traffic: the node's owner routes them to
+	// their askers before Handle (see Service), and the node ignores them.
 }
 
 // answerBatch builds the AVAIL-BATCH-RESP for one AVAIL-BATCH-REQ:
@@ -622,7 +613,7 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 		if !n.cfg.Scheme.Related(u, v) {
 			return
 		}
-		n.ps = appendChunked(n.ps, monitor{id: u, found: time.Duration(now.UnixNano() - n.bornAt)})
+		n.ps = appendExact(n.ps, monitor{id: u, found: time.Duration(now.UnixNano() - n.bornAt)})
 	case u:
 		if slices.Contains(n.tsIDs, v) {
 			return
@@ -631,8 +622,8 @@ func (n *Node) handleNotify(u, v ids.ID, now time.Time) {
 		if !n.cfg.Scheme.Related(u, v) {
 			return
 		}
-		n.tsIDs = appendChunked(n.tsIDs, v)
-		n.ts = appendChunked(n.ts, target{})
+		n.tsIDs = appendExact(n.tsIDs, v)
+		n.ts = appendExact(n.ts, target{})
 	}
 }
 

@@ -184,7 +184,7 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 			{"MonitoringStats", n.MonitoringStats(), stats},
 			{"estimates", estimates(n), estimates(s)},
 			{"birth", [2]any{n.everBorn, n.bornAt}, [2]any{s.everBorn, born}},
-			{"random stream", n.rand.Int63(), s.cfg.Rand.Int63()},
+			{"random stream", n.rand.Float64(), s.cfg.Rand.Float64()},
 		} {
 			// DeepEqual is fast on a long sweep's thousands of NOTIFYs; Sprint reads nil as empty.
 			if got, want := c[1], c[2]; !reflect.DeepEqual(got, want) && fmt.Sprint(got) != fmt.Sprint(want) {
@@ -211,7 +211,8 @@ func (l *sentLog) Send(to ids.ID, m *Message) { l.msgs = append(l.msgs, sentMsg{
 // checkInvariants is the node-state check FuzzNodeMessages runs after
 // every step: PS, TS and CV hold no None, self or duplicate, PS and TS
 // only members related in their direction, CV at most cvs; TS's columns
-// align; no more acks than probes; and of the messages the step sent,
+// align; PS and TS have no room beyond their entries; Acks is Σ up over
+// TS, and no more than the probes sent; and of the messages the step sent,
 // none went to None nor a protocol message to self, and no JOIN forwarded
 // for the delivery in (nil for none) weighs more than in or maxJoinWeight.
 func checkInvariants(n *Node, in *Message, sent []sentMsg) error {
@@ -226,8 +227,16 @@ func checkInvariants(n *Node, in *Message, sent []sentMsg) error {
 	if len(n.ts) != len(n.tsIDs) {
 		return fmt.Errorf("%d targets, %d records", len(n.tsIDs), len(n.ts))
 	}
-	if n.acks > n.pingsSent {
-		return fmt.Errorf("%d acks taken for %d probes sent", n.acks, n.pingsSent)
+	if cap(n.ps) != len(n.ps) || cap(n.tsIDs) != len(n.tsIDs) || cap(n.ts) != len(n.ts) {
+		return fmt.Errorf("PS, TS ids and TS records hold %d/%d, %d/%d and %d/%d entries (len/cap), want no slack",
+			len(n.ps), cap(n.ps), len(n.tsIDs), cap(n.tsIDs), len(n.ts), cap(n.ts))
+	}
+	var acks uint64
+	for _, t := range n.ts {
+		acks += uint64(t.up)
+	}
+	if got := n.MonitoringStats().Acks; acks != got || acks > n.pingsSent {
+		return fmt.Errorf("Σ up %d, Acks %d, %d probes sent", acks, got, n.pingsSent)
 	}
 	for _, s := range sent {
 		if s.to.IsNone() || s.to == n.id && s.Type <= MsgPR2 {

@@ -29,6 +29,7 @@ func TestNewNodeValidation(t *testing.T) {
 		{"missing scheme", func(c *Config) { c.Scheme = nil }},
 		{"missing transport", func(c *Config) { c.Transport = nil }},
 		{"missing rand", func(c *Config) { c.Rand = nil }},
+		{"typed-nil rand", func(c *Config) { c.Rand = (*rand.Rand)(nil) }},
 		{"cvs too small", func(c *Config) { c.CVS = 1 }},
 	}
 	for _, tt := range tests {
@@ -204,6 +205,51 @@ func TestTickKeepsResponsiveInCV(t *testing.T) {
 	fn.advance(10, DefaultPeriod)
 	if !a.cv.contains(b.ID()) {
 		t.Error("responsive node evicted from coarse view")
+	}
+}
+
+// TestStalePongDoesNotSaveMember: only the PONG of the outstanding probe
+// confirms a coarse-view member. A member that answered last round's
+// probe but not this round's is evicted at the next Tick, even when last
+// round's PONG arrives again in between.
+func TestStalePongDoesNotSaveMember(t *testing.T) {
+	fn := newFakeNet(t)
+	a := fn.addNode(1, noneRelated{}, nil)
+	a.Join(fn.now, ids.None)
+	z := ids.Sim(2) // not on the network: a's probes go unanswered
+	a.cv.add(z)
+	a.Tick(fn.now)
+	answered := a.cvPingSeq
+	a.Handle(z, &Message{Type: MsgPong, Seq: answered}, fn.now)
+	a.Tick(fn.now.Add(DefaultPeriod))
+	if !a.cv.contains(z) || a.cvPingTarget != z || a.cvPingSeq == answered {
+		t.Fatalf("setup: an answered member was not kept and probed again (view %v, probing %v)", a.CV(), a.cvPingTarget)
+	}
+	a.Handle(z, &Message{Type: MsgPong, Seq: answered}, fn.now.Add(DefaultPeriod))
+	a.Tick(fn.now.Add(2 * DefaultPeriod))
+	if a.cv.contains(z) {
+		t.Error("a PONG of last round's probe kept a member that left this round's unanswered")
+	}
+}
+
+// TestCVRespCapBoundsHashChecks: the sweep reads at most the first 1024
+// entries of a CV-RESP, so a forged 4096-entry view costs exactly the
+// hash checks of its first 1024.
+func TestCVRespCapBoundsHashChecks(t *testing.T) {
+	view := make([]ids.ID, 4096)
+	for i := range view {
+		view[i] = ids.Sim(100 + i)
+	}
+	checks := func(fetched []ids.ID) uint64 {
+		fn := newFakeNet(t)
+		a := fn.addNode(1, noneRelated{}, nil)
+		a.Join(fn.now, ids.None)
+		a.Handle(ids.Sim(2), &Message{Type: MsgCVResp, View: fetched}, fn.now)
+		return a.HashChecks()
+	}
+	capped, long := checks(view[:1024]), checks(view)
+	if capped == 0 || long != capped {
+		t.Errorf("a 4096-entry CV-RESP cost %d hash checks, want the %d of its first 1024 entries", long, capped)
 	}
 }
 

@@ -89,8 +89,8 @@ func VerifyReport(scheme SelectionScheme, subject ids.ID, reported []ids.ID, min
 
 // QueryReport sends a REPORT-REQ for count monitors to the subject
 // node, correlated by nonce (echoed in the REPORT-RESP). The response
-// arrives via the handler registered with SetResponseHandler; the
-// caller then runs VerifyReport on it.
+// reaches the node's owner, which routes it to the asker before Handle;
+// the caller then runs VerifyReport on it.
 func (n *Node) QueryReport(subject ids.ID, count int, nonce uint64) uint64 {
 	seq := n.nextSeq()
 	n.send(subject, &Message{Type: MsgReportReq, Seq: seq, Nonce: nonce, Count: count})
@@ -99,8 +99,8 @@ func (n *Node) QueryReport(subject ids.ID, count int, nonce uint64) uint64 {
 
 // QueryAvailabilityBatch asks a (verified) monitor for its estimates
 // of every subject in subjects with a single AVAIL-BATCH-REQ,
-// correlated by nonce. The AVAIL-BATCH-RESP arrives via the response
-// handler with Avails/Knowns aligned to the echoed subject list.
+// correlated by nonce. The AVAIL-BATCH-RESP reaches the node's owner
+// the same way, with Avails/Knowns aligned to the echoed subject list.
 func (n *Node) QueryAvailabilityBatch(monitor ids.ID, subjects []ids.ID, nonce uint64) uint64 {
 	seq := n.nextSeq()
 	n.send(monitor, &Message{

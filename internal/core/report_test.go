@@ -102,6 +102,42 @@ func TestVerifyReportRejectsSelfAndNone(t *testing.T) {
 	}
 }
 
+// everyRelated is allRelated with Related(x, x) true as well: a scheme
+// under which only VerifyReport's own check keeps a subject from
+// vouching for itself.
+type everyRelated struct{}
+
+func (everyRelated) Related(y, x ids.ID) bool { return true }
+func (everyRelated) K() int                   { return 1 << 20 }
+
+// TestVerifyReportRejectsSubjectAsOwnMonitor: a subject reported as its
+// own monitor is bogus whatever the scheme says of (x, x).
+func TestVerifyReportRejectsSubjectAsOwnMonitor(t *testing.T) {
+	subject := ids.Sim(1)
+	for _, scheme := range []SelectionScheme{allRelated{}, everyRelated{}} {
+		verified, err := VerifyReport(scheme, subject, []ids.ID{ids.Sim(2), subject}, 1)
+		var re *ReportError
+		if !errors.As(err, &re) || len(re.Bogus) != 1 || re.Bogus[0] != subject || len(verified) != 1 {
+			t.Errorf("%T: verified %v, error %v; want the subject alone rejected", scheme, verified, err)
+		}
+	}
+}
+
+// TestVerifyReportMinimumIsExact: l verified monitors meet a minimum of
+// l, and l − 1 fall Short of it.
+func TestVerifyReportMinimumIsExact(t *testing.T) {
+	subject, monitors := ids.Sim(1), []ids.ID{ids.Sim(2), ids.Sim(3), ids.Sim(4)}
+	const l = 3
+	if verified, err := VerifyReport(allRelated{}, subject, monitors, l); err != nil || len(verified) != l {
+		t.Errorf("%d verified monitors against a minimum of %d: %v, %v", l, l, verified, err)
+	}
+	_, err := VerifyReport(allRelated{}, subject, monitors[:l-1], l)
+	var re *ReportError
+	if !errors.As(err, &re) || !re.Short || re.Verified != l-1 || re.Required != l || len(re.Bogus) != 0 {
+		t.Errorf("%d verified monitors against a minimum of %d: %v, want Short", l-1, l, err)
+	}
+}
+
 func TestVerifyReportShort(t *testing.T) {
 	scheme := noneRelated{}
 	_, err := VerifyReport(scheme, ids.Sim(1), nil, 2)
@@ -128,16 +164,15 @@ func TestReportRequestRoundTrip(t *testing.T) {
 		peer := ids.Sim(10 + i)
 		subject.Handle(peer, &Message{Type: MsgNotify, U: peer, V: subject.ID()}, fn.now)
 	}
-	var gotReport []ids.ID
-	var gotNonce uint64
-	asker.SetResponseHandler(func(from ids.ID, m *Message) {
-		if m.Type == MsgReportResp && from == subject.ID() {
-			gotReport = m.View
-			gotNonce = m.Nonce
-		}
-	})
 	asker.QueryReport(subject.ID(), 2, 0xDEADBEEF)
 	fn.flush()
+	var gotReport []ids.ID
+	var gotNonce uint64
+	for _, r := range fn.responses {
+		if r.to == asker.ID() && r.msg.Type == MsgReportResp && r.from == subject.ID() {
+			gotReport, gotNonce = r.msg.View, r.msg.Nonce
+		}
+	}
 	if len(gotReport) != 2 {
 		t.Fatalf("received report of %d monitors, want 2", len(gotReport))
 	}
@@ -159,15 +194,15 @@ func TestAvailabilityBatchQueryRoundTrip(t *testing.T) {
 	}
 	mon.Handle(tracked.ID(), &Message{Type: MsgNotify, U: mon.ID(), V: tracked.ID()}, fn.now)
 	fn.advance(4, DefaultMonitorPeriod)
-	var resp *Message
-	asker.SetResponseHandler(func(from ids.ID, m *Message) {
-		if m.Type == MsgAvailBatchResp {
-			resp = m
-		}
-	})
 	subjects := []ids.ID{tracked.ID(), ids.Sim(77)}
 	asker.QueryAvailabilityBatch(mon.ID(), subjects, 7)
 	fn.flush()
+	var resp *Message
+	for _, r := range fn.responses {
+		if r.to == asker.ID() && r.msg.Type == MsgAvailBatchResp {
+			resp = r.msg
+		}
+	}
 	if resp == nil {
 		t.Fatal("no AVAIL-BATCH-RESP received")
 	}

@@ -15,19 +15,16 @@ import (
 // contiguous identities instead of keeping a hash table per set per
 // node.
 
-// appendChunked appends v, growing capacity by fixed chunks of 8
-// instead of append's doubling. The per-node PS and TS slices plateau
-// near K ≈ 13–21 entries, where doubling strands up to 11 entries per
-// slice — ~0.7 KB/node of TS slack alone at N = 10⁶. Growth events are
-// discovery events (a handful per node, ever), so the extra copies are
-// free.
-func appendChunked[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		grown := make([]T, len(s), len(s)+8)
-		copy(grown, s)
-		s = grown
-	}
-	return append(s, v)
+// appendExact appends v into a copy of exactly one more entry, so the
+// per-node PS and TS slices always have cap == len: they plateau near
+// K entries, where append's doubling strands up to half the slice and
+// even growth by chunks of 8 left ≈ 200 B of slack per node.
+// Growth events are discovery events (about 2K per node, ever), each
+// one small allocation (DESIGN.md, "Memory diet", prices them).
+func appendExact[T any](s []T, v T) []T {
+	grown := make([]T, len(s), len(s)+1)
+	copy(grown, s)
+	return append(grown, v)
 }
 
 // monitor is one member of PS(x) and when it was found (elapsed since

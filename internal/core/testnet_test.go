@@ -11,13 +11,15 @@ import (
 
 // fakeNet is a zero-latency in-memory transport for unit tests. Sends
 // enqueue; flush delivers (including cascades) in FIFO order. Only
-// alive destinations receive.
+// alive destinations receive. Query responses are the owner's, as a
+// Service's are: flush collects them in responses instead.
 type fakeNet struct {
-	t     *testing.T
-	nodes map[ids.ID]*Node
-	queue []envelope
-	now   time.Time
-	sent  map[MsgType]int
+	t         *testing.T
+	nodes     map[ids.ID]*Node
+	queue     []envelope
+	responses []envelope
+	now       time.Time
+	sent      map[MsgType]int
 }
 
 type envelope struct {
@@ -71,10 +73,13 @@ func (fn *fakeNet) flush() {
 		env := fn.queue[0]
 		fn.queue = fn.queue[1:]
 		dst, ok := fn.nodes[env.to]
-		if !ok || !dst.alive {
-			continue
+		switch {
+		case !ok || !dst.alive:
+		case env.msg.Type == MsgReportResp || env.msg.Type == MsgAvailBatchResp:
+			fn.responses = append(fn.responses, env)
+		default:
+			dst.Handle(env.from, env.msg, fn.now)
 		}
-		dst.Handle(env.from, env.msg, fn.now)
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/rand"
-
-	"avmon/internal/ids"
-)
+import "avmon/internal/ids"
 
 // view is the coarse view CV(x): a bounded random subset of other
 // nodes with uniform random pick. Membership is a flat slice with
@@ -46,7 +42,7 @@ func (v *view) add(id ids.ID) bool {
 
 // addEvict inserts id, evicting a uniformly random entry if the view
 // is full (used by PR2). It reports whether the view changed.
-func (v *view) addEvict(id ids.ID, rng *rand.Rand) bool {
+func (v *view) addEvict(id ids.ID, rng Rand) bool {
 	if id.IsNone() || v.contains(id) {
 		return false
 	}
@@ -57,7 +53,7 @@ func (v *view) addEvict(id ids.ID, rng *rand.Rand) bool {
 // appendEvict is addEvict for a caller that has already established id
 // is a real identity the view does not hold: no scan. id takes the last
 // position.
-func (v *view) appendEvict(id ids.ID, rng *rand.Rand) {
+func (v *view) appendEvict(id ids.ID, rng Rand) {
 	if len(v.items) >= cap(v.items) {
 		v.removeAt(rng.Intn(len(v.items)))
 	}
@@ -80,7 +76,7 @@ func (v *view) removeAt(i int) {
 }
 
 // random returns a uniformly random member, or None if empty.
-func (v *view) random(rng *rand.Rand) ids.ID {
+func (v *view) random(rng Rand) ids.ID {
 	if len(v.items) == 0 {
 		return ids.None
 	}
@@ -106,7 +102,7 @@ func (v *view) clear() { v.items = v.items[:0] }
 // random from union — CV(x) ∪ CV(w) ∪ {w} minus self, which the caller
 // has already deduplicated (Figure 2, last two lines). union is
 // permuted in place.
-func (v *view) resample(union []ids.ID, rng *rand.Rand) {
+func (v *view) resample(union []ids.ID, rng Rand) {
 	// Partial Fisher-Yates: choose max entries uniformly at random.
 	k := cap(v.items)
 	if k > len(union) {

@@ -163,14 +163,6 @@ func (o *Observer) ScrapeOnce() {
 	}
 }
 
-// Last returns the most recent sample of target i (the zero Sample
-// before the first scrape).
-func (o *Observer) Last(i int) Sample {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.last[i]
-}
-
 // DiscoveryTime returns how long after Add the target was first
 // observed with a non-empty pinging set. ok is false while the target
 // has not yet been seen with a monitor. The resolution is the scrape

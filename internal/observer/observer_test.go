@@ -37,6 +37,14 @@ type fakeTraffic struct{ datagrams, bytes uint64 }
 func (f *fakeTraffic) DatagramsSent() uint64 { return atomic.LoadUint64(&f.datagrams) }
 func (f *fakeTraffic) WireBytesSent() uint64 { return atomic.LoadUint64(&f.bytes) }
 
+// last returns the most recent sample of target i (the zero Sample
+// before the first scrape).
+func last(o *Observer, i int) Sample {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.last[i]
+}
+
 func TestObserverScrapeAndDiscovery(t *testing.T) {
 	n := &fakeNode{id: ids.Sim(1), checks: 42}
 	tr := &fakeTraffic{datagrams: 5, bytes: 120}
@@ -47,7 +55,7 @@ func TestObserverScrapeAndDiscovery(t *testing.T) {
 	}
 
 	o.ScrapeOnce()
-	s := o.Last(i)
+	s := last(o, i)
 	if s.PSSize != 0 || s.TSSize != 2 || s.CVSize != 3 || s.HashChecks != 42 {
 		t.Errorf("sample = %+v", s)
 	}
@@ -79,7 +87,7 @@ func TestObserverNilTraffic(t *testing.T) {
 	o := New(time.Hour)
 	i := o.Add(Target{Node: &fakeNode{id: ids.Sim(1)}})
 	o.ScrapeOnce()
-	if s := o.Last(i); s.Datagrams != 0 || s.WireBytes != 0 {
+	if s := last(o, i); s.Datagrams != 0 || s.WireBytes != 0 {
 		t.Errorf("sample with nil Traffic = %+v", s)
 	}
 }
@@ -108,7 +116,7 @@ func TestObserverLoopAndConcurrentAdd(t *testing.T) {
 		t.Errorf("Size = %d, want 20", o.Size())
 	}
 	for i := 0; i < 20; i++ {
-		if s := o.Last(i); s.At.IsZero() || s.PSSize != 1 {
+		if s := last(o, i); s.At.IsZero() || s.PSSize != 1 {
 			// Late adds may miss the final sweep; only targets scraped
 			// at least once must carry data.
 			if !s.At.IsZero() {

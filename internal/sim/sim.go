@@ -51,8 +51,8 @@ var Epoch = time.Date(2007, 1, 1, 0, 0, 0, 0, time.UTC)
 type Lane struct {
 	LaneRef
 	seq  uint64
-	rng  *CompactRNG // nil until the lane first draws
-	seed int64       // rng's seed: laneSeed(engine seed, id)
+	rng  *rand.Rand // nil until the lane first draws
+	seed int64      // rng's seed: laneSeed(engine seed, id)
 }
 
 // LaneRef is all a poster needs of a destination lane, by value, so a
@@ -72,19 +72,16 @@ func (l *Lane) ID() int { return int(l.id) }
 // executing.
 func (l *Lane) Rand() *rand.Rand {
 	if l.rng == nil {
-		l.rng = new(CompactRNG)
-		l.rng.Seed(l.seed)
+		l.rng = CompactRand(l.seed)
 	}
-	return &l.rng.rng
+	return l.rng
 }
 
 // newControlLane returns lane 0. Its stream is math/rand's own source,
 // not the compact one: every recorded fingerprint draws bootstrap
 // contacts and churn from it.
 func newControlLane(seed int64) *Lane {
-	l := &Lane{rng: new(CompactRNG)}
-	l.rng.rng = *rand.New(rand.NewSource(seed))
-	return l
+	return &Lane{rng: rand.New(rand.NewSource(seed))}
 }
 
 // laneSeed derives a lane's random stream from the engine seed. The

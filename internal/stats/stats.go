@@ -14,21 +14,13 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 0 || x > w.max {
+		w.max = x
 	}
 	w.n++
 	d := x - w.mean
@@ -52,9 +44,6 @@ func (w *Welford) Var() float64 {
 
 // Stddev returns the sample standard deviation.
 func (w *Welford) Stddev() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation (0 if empty).
 func (w *Welford) Max() float64 { return w.max }

@@ -10,6 +10,7 @@ import (
 
 	"avmon/internal/core"
 	"avmon/internal/ids"
+	"avmon/internal/memnet"
 )
 
 // waitForQueryableSubject blocks until some service has discovered
@@ -143,6 +144,50 @@ func TestDispatcherCorrelation(t *testing.T) {
 		t.Errorf("staleCount after replay = %d, want 4", got)
 	}
 	d.cancel(respKey{peer: peerA, typ: core.MsgAvailBatchResp, nonce: 7})
+}
+
+// TestServiceResponseGuards: a Service routes a query response to its
+// waiter only under the guards Handle applies to everything else — a
+// REPORT-RESP claiming None as its sender, or arriving after Stop,
+// reaches no waiter even when one is subscribed under exactly its key.
+func TestServiceResponseGuards(t *testing.T) {
+	net := memnet.New(memnet.Config{Seed: 1})
+	defer net.Close()
+	tr, err := net.Listen(ids.Sim(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewService(ServiceConfig{Addr: ids.Sim(1).String(), N: 10, Transport: tr, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	peer := ids.Sim(2)
+	waiter := func(from ID, nonce uint64) chan *core.Message {
+		return s.disp.subscribe(respKey{peer: from, typ: core.MsgReportResp, nonce: nonce})
+	}
+	fromNone, live, afterStop := waiter(ids.None, 5), waiter(peer, 6), waiter(peer, 7)
+	s.receive(ids.None, &core.Message{Type: core.MsgReportResp, Nonce: 5})
+	s.receive(peer, &core.Message{Type: core.MsgReportResp, Nonce: 6})
+	s.Stop()
+	s.receive(peer, &core.Message{Type: core.MsgReportResp, Nonce: 7})
+	select {
+	case <-live:
+	default:
+		t.Fatal("a REPORT-RESP from a peer to a running Service reached no waiter")
+	}
+	select {
+	case m := <-fromNone:
+		t.Errorf("a REPORT-RESP claiming None as its sender reached a waiter: %+v", m)
+	case m := <-afterStop:
+		t.Errorf("a REPORT-RESP delivered after Stop reached a waiter: %+v", m)
+	default:
+	}
+	if got := s.disp.pending(); got != 2 {
+		t.Errorf("%d waiters left, want the two the guarded responses did not reach", got)
+	}
 }
 
 func TestQueryTimerExpiredFastPath(t *testing.T) {

@@ -186,7 +186,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	nodeCfg := cfg.Options.coreConfig(cfg.N)
 	nodeCfg.ID, nodeCfg.Scheme, nodeCfg.Transport = id, scheme, transport
-	nodeCfg.Rand = sim.CompactRand(seed) // all node access is serialized by s.mu
+	rng := new(sim.CompactRNG) // all node access is serialized by s.mu
+	rng.Seed(seed)
+	nodeCfg.Rand = rng
 	node, err := core.NewNode(nodeCfg)
 	if err != nil {
 		return fail(err)
@@ -205,10 +207,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		nonceBase: mix64(uint64(seed)),
 		stop:      make(chan struct{}),
 	}
-	// The dispatcher is the node's single, permanent response handler;
-	// individual queries subscribe per correlation key instead of
-	// re-pointing the hook (which raced under concurrent queries).
-	node.SetResponseHandler(s.disp.dispatch)
 	if cfg.QueryCache {
 		ttl := cfg.QueryCacheTTL
 		if ttl <= 0 {
@@ -268,15 +266,30 @@ func (s *Service) Start() error {
 
 	go func() {
 		defer s.done.Done()
-		_ = s.transport.Serve(func(from ID, m *core.Message) {
-			s.mu.Lock()
-			s.node.Handle(from, m, s.clock.Now())
-			s.mu.Unlock()
-		})
+		_ = s.transport.Serve(s.receive)
 	}()
 	go s.runTicker(cfg.Period, s.node.Tick)
 	go s.runTicker(cfg.MonitorPeriod, s.node.MonitorTick)
 	return nil
+}
+
+// receive takes one datagram under s.mu. Query responses go to the
+// dispatcher, which hands each to the waiter keyed by its correlation
+// (individual queries subscribe per key rather than re-pointing a hook,
+// which raced under concurrent queries), under the guards Handle applies
+// at its entry: the node is up, and the sender is somebody. Everything
+// else is the node's.
+func (s *Service) receive(from ID, m *core.Message) {
+	s.mu.Lock()
+	switch m.Type {
+	case core.MsgReportResp, core.MsgAvailBatchResp:
+		if s.started && !s.stopped && !from.IsNone() {
+			s.disp.dispatch(from, m)
+		}
+	default:
+		s.node.Handle(from, m, s.clock.Now())
+	}
+	s.mu.Unlock()
 }
 
 // runTicker drives one protocol ticker until Stop. The caller accounts
