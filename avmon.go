@@ -118,12 +118,6 @@ type NodeOptions struct {
 	ForgetfulC float64
 	// PR2 enables the indegree-repair optimization (Section 5.4).
 	PR2 bool
-	// NoHashMemo disables the pair-verdict memo that one-shard simulated
-	// clusters put in front of cryptographic hashes (MD5/SHA-1) for
-	// single-pair checks: report verification and NOTIFY re-checks. The
-	// memo changes no result, only the speed of those checks, so this
-	// knob exists for A/B determinism tests and microbenchmarks.
-	NoHashMemo bool
 	// DisableReshuffle and RejoinFullWeight are ablation knobs used by
 	// the evaluation; they switch off parts of the published protocol.
 	DisableReshuffle bool
@@ -165,7 +159,8 @@ func (o NodeOptions) validate(n int) error {
 
 // coreConfig is the part of a node's core.Config that the options set
 // alike for simulated and real nodes in a system of size n; the caller
-// adds identity, scheme, transport, randomness and its own hooks.
+// adds identity, scheme, transport, randomness and, for an attacker,
+// its Adversary.
 func (o NodeOptions) coreConfig(n int) core.Config {
 	return core.Config{
 		CVS:              o.cvsFor(n),
@@ -187,7 +182,7 @@ func (o NodeOptions) coreConfig(n int) core.Config {
 // the fast mixer, which is itself cheaper than a lookup. The sweep's
 // rows bypass the memo. Memoization affects speed only, never verdicts.
 func (o NodeOptions) memoized() bool {
-	return !o.NoHashMemo && (o.Hash == HashMD5 || o.Hash == HashSHA1)
+	return o.Hash == HashMD5 || o.Hash == HashSHA1
 }
 
 // cvsFor resolves the effective coarse-view size for system size n.

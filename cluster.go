@@ -270,6 +270,10 @@ type member struct {
 
 	// Updated atomically (see Cluster's undelivered callback):
 	uselessMonPings uint64
+
+	// Free: the block stays seven cache lines, and these bytes are
+	// reserved for a node's last-resort contact (ROADMAP.md item 1(b)).
+	_ [8]byte
 }
 
 // Deliver implements simnet.Receiver on the member's lane.
@@ -537,37 +541,12 @@ func (c *Cluster) Birth(idx int) {
 	// keeps 10^5-node populations from burning ~5 KB of generator
 	// state each (≈ 500 MB at N = 100,000 with rand.NewSource).
 	m.rng.Seed(c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D)
-	// Honest nodes share their worker's configuration; an attacker's
-	// hooks cost a private copy.
+	// Honest nodes share their worker's configuration; an attacker
+	// costs a private copy naming its adversary.
 	nodeCfg, colluder := &m.ws.cfg, c.IsColluder(idx)
 	if overreport := m.rng.Float64() < c.cfg.OverreportFraction; overreport || colluder {
 		own := *nodeCfg
-		own.Overreport = overreport
-		if colluder {
-			cc := c.cfg.Collusion
-			// The colluder's hooks are pure functions of the target
-			// identity (the ring roster is fixed at construction), so
-			// they are safe to run on the member's lane under sharding.
-			// Fellow colluders are treated honestly; everyone else is a
-			// victim.
-			victim := func(target ids.ID) bool {
-				ti, ok := ids.SimIndex(target)
-				return ok && !c.IsColluder(ti)
-			}
-			if cc.SuppressPings {
-				own.SuppressMonPing = victim
-			}
-			forged := cc.ForgedAvail
-			own.ForgeReport = func(target ids.ID, est float64, known bool) (float64, bool) {
-				if !victim(target) {
-					return est, known
-				}
-				if forged < 0 {
-					return 0, false
-				}
-				return forged, true
-			}
-		}
+		own.Adversary = &adversary{c: c, overreport: overreport, colluder: colluder}
 		nodeCfg = &own
 	}
 	if err := m.node.Init(nodeCfg, id, m, &m.rng, c.newCV()); err != nil {
@@ -576,6 +555,44 @@ func (c *Cluster) Birth(idx int) {
 	c.members[idx] = m
 	c.bringUp(m)
 	m.everBorn = true
+}
+
+// adversary is the core.Adversary of a misbehaving simulated node: an
+// overreporter (Figure 20's attack) reports 100% for everything it
+// monitors; a colluder (ClusterConfig.Collusion) withholds its probes of
+// victims when SuppressPings is set and reports ForgedAvail for them,
+// or no estimate when that is negative. Everyone outside the ring is a
+// victim; fellow colluders get the honest answer (or an overreporter's).
+// Both methods read only the ring roster, fixed at construction, so
+// they are safe on the member's lane under sharding.
+type adversary struct {
+	c                    *Cluster
+	overreport, colluder bool
+}
+
+// victim reports whether this colluder attacks target.
+func (a *adversary) victim(target ids.ID) bool {
+	ti, ok := ids.SimIndex(target)
+	return a.colluder && ok && !a.c.IsColluder(ti)
+}
+
+// Withhold implements core.Adversary.
+func (a *adversary) Withhold(target ids.ID) bool {
+	return a.victim(target) && a.c.cfg.Collusion.SuppressPings
+}
+
+// Report implements core.Adversary.
+func (a *adversary) Report(target ids.ID, est float64, known bool) (float64, bool) {
+	if a.victim(target) {
+		if forged := a.c.cfg.Collusion.ForgedAvail; forged >= 0 {
+			return forged, true
+		}
+		return 0, false
+	}
+	if a.overreport {
+		return 1, true
+	}
+	return est, known
 }
 
 // Rejoin implements churn.Driver.
@@ -773,6 +790,34 @@ func (c *Cluster) EstimateBy(idx int, target ID) (float64, bool) {
 		return 0, false
 	}
 	return m.node.EstimateOf(target)
+}
+
+// Availability is node idx's availability as the system reports it
+// (Section 3.3): the monitors idx reports, verified against the scheme,
+// each asked for its estimate of idx; the answer is their mean. ok is
+// false when no verified monitor has an estimate.
+func (c *Cluster) Availability(idx int) (float64, bool) {
+	subject := c.IDOf(idx)
+	reported := c.ReportMonitors(idx, 0)
+	verified, err := VerifyReport(c.scheme, subject, reported, len(reported))
+	if err != nil {
+		return 0, false
+	}
+	sum, n := 0.0, 0
+	for _, mon := range verified {
+		mi, ok := c.IndexOf(mon)
+		if !ok {
+			continue
+		}
+		if est, known := c.EstimateBy(mi, subject); known {
+			sum += est
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
 }
 
 // Stats snapshots node idx's protocol and traffic state. Valid while

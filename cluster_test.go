@@ -336,11 +336,12 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			mk:   func() (ChurnModel, error) { return NewSTATModel(100), nil },
 		},
 		{
-			// The paper's hash: a serial cluster memoizes verdicts in one
-			// pair matrix, a sharded one in a matrix per worker — shared
-			// between workers it is a data race (and was: concurrent map
-			// read and write within three simulated minutes at N = 2000),
-			// which the race-detector run of this test would report.
+			// The paper's hash: a serial cluster memoizes single-pair
+			// verdicts in a pair matrix, a sharded one uses the bare
+			// selector (a shared matrix was a data race: concurrent map
+			// read and write within three simulated minutes at N = 2000).
+			// This row and SYNTH-BD-md5-loss are the memo's determinism
+			// check: memoized and bare runs end at one pinned digest.
 			name: "STAT-md5",
 			cfg:  ClusterConfig{N: 100, Seed: 30, Options: NodeOptions{Hash: HashMD5}},
 			mk:   func() (ChurnModel, error) { return NewSTATModel(100), nil },
@@ -398,8 +399,8 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 		},
 		{
 			// Collusion attack: a quarter of the population suppresses
-			// pings and defames its victims. The hooks run on member
-			// lanes, so this proves they are shard-safe pure functions.
+			// pings and defames its victims. The adversary runs on member
+			// lanes, so this proves its methods are shard-safe pure functions.
 			name: "chaos-collusion",
 			cfg: ClusterConfig{
 				N: 90, Seed: 26,
@@ -512,6 +513,67 @@ func TestClusterOverreporters(t *testing.T) {
 	}
 	if !checked {
 		t.Fatal("no monitored target to check")
+	}
+}
+
+// TestClusterAvailability: Availability is the mean of the estimates
+// node idx's discovered monitors hold of it — PS in discovery order,
+// every monitor verified — for every node, one past the last included,
+// honest or attacked, at one shard and two; and a node that no monitor
+// has an estimate of yet reads ok == false.
+func TestClusterAvailability(t *testing.T) {
+	psMean := func(c *Cluster, idx int) (float64, bool) {
+		sum, n := 0.0, 0
+		for _, mon := range c.MonitorsOf(idx) {
+			if mi, ok := c.IndexOf(mon); ok {
+				if est, known := c.EstimateBy(mi, c.IDOf(idx)); known {
+					sum += est
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			return 0, false
+		}
+		return sum / float64(n), true
+	}
+	for _, shards := range []int{1, 2} {
+		for _, cfg := range []ClusterConfig{
+			{N: 80, Seed: 5, Shards: shards},
+			{N: 80, Seed: 6, Shards: shards, OverreportFraction: 0.2,
+				Collusion: &CollusionConfig{Fraction: 0.25, SuppressPings: true}},
+		} {
+			c, err := NewCluster(cfg, NewSTATModel(cfg.N))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Run(30 * time.Minute)
+			late := c.EnrollControl(1)[0]
+			c.Run(time.Second) // it joins; no probe of it has resolved
+			name := fmt.Sprintf("shards %d, overreport %v, collusion %t", shards, cfg.OverreportFraction, cfg.Collusion != nil)
+			answered, forged := 0, 0
+			for idx := 0; idx <= c.Size(); idx++ {
+				got, ok := c.Availability(idx)
+				want, wantOK := psMean(c, idx)
+				if got != want || ok != wantOK {
+					t.Errorf("%s: node %d reads %v, %t, the PS-mean is %v, %t", name, idx, got, ok, want, wantOK)
+				}
+				if ok {
+					answered++
+				}
+				if ok && got != 1 {
+					forged++
+				}
+			}
+			if answered < cfg.N/2 || cfg.Collusion != nil && forged == 0 {
+				t.Errorf("%s: gate measured nothing: %d of %d nodes answered, %d below 1", name, answered, c.Size(), forged)
+			}
+			if cfg.Collusion == nil {
+				if est, ok := c.Availability(late); ok {
+					t.Errorf("%s: a node that joined a second ago reads %v", name, est)
+				}
+			}
+		}
 	}
 }
 
@@ -737,11 +799,12 @@ func TestRejoinAllocs(t *testing.T) {
 // a whole number of cache lines (146 blocks to a slab, each starting on
 // a line): Endpoint 128 (receiver 16, counters 56, network 8, a lane of
 // 32 whose random stream is built on its first draw, index and loss
-// state 8, registry slot 8), the worker's scratch pointer 8, Node 256
+// state 8, registry slot 8), the worker's scratch pointer 8, Node 248
 // (its configuration shared by pointer, its generator an interface
 // value), the node's 32-byte xoshiro generator, which draws for itself
-// with no rand.Rand around it, and the harness's 24 (life and two
-// flags, uptime, useless pings; the birth instant is the node's). It
+// with no rand.Rand around it, the harness's 24 (life and two flags,
+// uptime, useless pings; the birth instant is the node's) and 8 free
+// bytes, reserved for a last-resort contact (ROADMAP.md item 1(b)). It
 // also holds the bytes the cluster keeps per node — a slab's share of
 // one block and of exactly cvs coarse-view entries — to no more than
 // the same state cost as separately allocated objects, each rounded up

@@ -110,7 +110,7 @@ func TestNewClusterConstruction(t *testing.T) {
 	good := []ClusterConfig{
 		{},
 		{Seed: 1, Options: NodeOptions{K: 14, CVS: 48, Hash: HashFast}},
-		{N: 40, Shards: 2, Options: NodeOptions{Hash: HashMD5, NoHashMemo: true}},
+		{N: 40, Shards: 2, Options: NodeOptions{Hash: HashMD5}},
 		{N: 40, Options: NodeOptions{Variant: VariantGeneric, Forgetful: true, PR2: true}},
 		{N: 40, Options: NodeOptions{DisableReshuffle: true, RejoinFullWeight: true}},
 		{N: 40, Shards: 8, LatencyModel: lognormal, LossModel: must(NewBernoulliLoss(0.05))},
@@ -335,8 +335,8 @@ func TestServiceAndClusterNodesAgree(t *testing.T) {
 
 // TestNodeConfigIsWhatInitWasGiven: a simulated node's Config is what
 // Birth gave Init — its own identity, transport, generator and worker
-// pool, the options with their defaults, Overreport exactly where the
-// node's first draw put it, the collusion hooks exactly on colluders —
+// pool, the options with their defaults, an Adversary exactly where the
+// node's first draw made an overreporter and on colluders —
 // for honest nodes, overreporters and colluders alike; and only the
 // honest share one Config.
 func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
@@ -370,16 +370,21 @@ func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 			t.Errorf("node %d: its generator is not its block's", idx)
 		case !reflect.DeepEqual(coreOwned(got), want):
 			t.Errorf("node %d runs under %v, want %v", idx, coreOwned(got), want)
-		case got.Overreport != overreport || (got.SuppressMonPing != nil) != colluder || (got.ForgeReport != nil) != colluder:
-			t.Errorf("node %d: overreport %t, hooks %t, want %t, %t", idx, got.Overreport, got.ForgeReport != nil, overreport, colluder)
+		case (got.Adversary != nil) != (overreport || colluder):
+			t.Errorf("node %d: adversary %v, want one exactly on an overreporter (%t) or a colluder (%t)", idx, got.Adversary, overreport, colluder)
 		}
-		if colluder {
-			victim, fellow := c.IDOf(0), c.IDOf(cfg.N-1)
-			if !got.SuppressMonPing(victim) || got.SuppressMonPing(fellow) {
+		victim, fellow := c.IDOf(0), c.IDOf(cfg.N-1)
+		if colluder && got.Adversary != nil {
+			if !got.Adversary.Withhold(victim) || got.Adversary.Withhold(fellow) {
 				t.Errorf("colluder %d does not spare exactly its fellows' pings", idx)
 			}
-			if est, ok := got.ForgeReport(victim, 0.5, true); est != 0 || !ok {
+			if est, ok := got.Adversary.Report(victim, 0.5, true); est != 0 || !ok {
 				t.Errorf("colluder %d reports %v, %t for a victim, want the forged 0", idx, est, ok)
+			}
+		}
+		if overreport && !colluder && got.Adversary != nil {
+			if est, ok := got.Adversary.Report(victim, 0.5, false); est != 1 || !ok || got.Adversary.Withhold(victim) {
+				t.Errorf("overreporter %d reports %v, %t or withholds, want 1, true and every probe sent", idx, est, ok)
 			}
 		}
 		shared := reflect.ValueOf(&m.node).Elem().FieldByName("cfg").Pointer() == uintptr(unsafe.Pointer(&m.ws.cfg))

@@ -53,7 +53,7 @@ func run(w io.Writer, n int, warmup time.Duration, samples int) error {
 			continue
 		}
 		members = append(members, i)
-		if est, ok := estimateOf(cluster, i); ok {
+		if est, ok := cluster.Availability(i); ok {
 			estimates[i] = est
 		} else {
 			estimates[i] = 0.5 // unmonitored newcomers get a neutral prior
@@ -152,21 +152,4 @@ func deliveryRatio(c *avmon.Cluster, parent map[int]int, root int) float64 {
 		return 0
 	}
 	return float64(reachable) / float64(aliveMembers)
-}
-
-func estimateOf(c *avmon.Cluster, idx int) (float64, bool) {
-	var sum float64
-	count := 0
-	for _, mon := range c.MonitorsOf(idx) {
-		if monIdx, ok := c.IndexOf(mon); ok {
-			if est, known := c.EstimateBy(monIdx, c.IDOf(idx)); known {
-				sum += est
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return 0, false
-	}
-	return sum / float64(count), true
 }

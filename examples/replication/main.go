@@ -50,15 +50,15 @@ func run(w io.Writer, n int, warmup time.Duration, samples int) error {
 	fmt.Fprintf(w, "warming up: %v of monitoring under churn...\n", warmup)
 	cluster.Run(warmup)
 
-	// Estimate each node's availability by averaging over its
-	// discovered monitors (the application-level read path).
+	// Estimate each node's availability as the system reports it: the
+	// mean of its verified monitors' estimates (Cluster.Availability).
 	type scored struct {
 		idx int
 		est float64
 	}
 	var candidates []scored
 	for i := 0; i < cluster.Size(); i++ {
-		est, ok := monitorAveragedEstimate(cluster, i)
+		est, ok := cluster.Availability(i)
 		if ok {
 			candidates = append(candidates, scored{i, est})
 		}
@@ -105,27 +105,6 @@ func run(w io.Writer, n int, warmup time.Duration, samples int) error {
 		fmt.Fprintln(w, "\nnote: random won this seed; availability-aware placement wins on average")
 	}
 	return nil
-}
-
-// monitorAveragedEstimate averages the availability estimates held by
-// a node's discovered monitors.
-func monitorAveragedEstimate(c *avmon.Cluster, idx int) (float64, bool) {
-	var sum float64
-	count := 0
-	for _, mon := range c.MonitorsOf(idx) {
-		monIdx, ok := c.IndexOf(mon)
-		if !ok {
-			continue
-		}
-		if est, known := c.EstimateBy(monIdx, c.IDOf(idx)); known {
-			sum += est
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, false
-	}
-	return sum / float64(count), true
 }
 
 func aliveCount(c *avmon.Cluster, set []int) int {

@@ -70,27 +70,11 @@ type Config struct {
 	// allocate.
 	AcquireMessage func() *Message
 
-	// SuppressMonPing, when non-nil, makes this node a colluding
-	// monitor that silently drops its monitoring duty towards selected
-	// targets: MonitorTick skips every target for which the hook
-	// returns true (counted in MonitoringStats.PingsSuppressed). The
-	// hook must be a pure function of the target identity — it runs on
-	// the node's lane and must not draw randomness or retain state, or
-	// sharded runs lose determinism.
-	SuppressMonPing func(target ids.ID) bool
-	// ForgeReport, when non-nil, intercepts every availability
-	// estimate this node is about to report for a target it monitors
-	// (EstimateOf, and therefore AVAIL-BATCH responses): it receives the
-	// honest estimate and whether one exists, and returns what the
-	// node actually reports. Colluders use it to whitewash or defame
-	// the victims they monitor, or to suppress the report entirely
-	// (return ok=false). Like SuppressMonPing it must be a pure
-	// function of its inputs.
-	ForgeReport func(target ids.ID, est float64, known bool) (float64, bool)
-	// Overreport makes this node a misbehaving monitor that reports
-	// 100% availability for every node it monitors (the attack of
-	// Section 5.4, Figure 20).
-	Overreport bool
+	// Adversary, when non-nil, makes this node a misbehaving monitor
+	// (Section 5.4's overreporting, the chaos experiment's collusion):
+	// it decides which targets go unprobed and what leaves the node as
+	// an estimate. nil is an honest node.
+	Adversary Adversary
 
 	// Ablation knobs (evaluation only — they disable parts of the
 	// published protocol to measure their contribution):
@@ -103,6 +87,20 @@ type Config struct {
 	// of min(cvs, downtime) (ablates the indegree-compensation rule
 	// of Figure 1).
 	RejoinFullWeight bool
+}
+
+// Adversary is the one seam through which a node misbehaves as a
+// monitor. Its methods run on the node's own thread and must be pure
+// functions of their inputs — no randomness, no retained state — or a
+// sharded simulation loses determinism.
+type Adversary interface {
+	// Withhold reports whether MonitorTick skips this round's probe of
+	// target: no MON-PING, so no observation is recorded.
+	Withhold(target ids.ID) bool
+	// Report receives the honest estimate of target and whether one
+	// exists (EstimateOf, and so AVAIL-BATCH answers), and returns what
+	// actually leaves the node.
+	Report(target ids.ID, est float64, known bool) (float64, bool)
 }
 
 // Rand is the node's private random stream: the three draws the

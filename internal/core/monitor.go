@@ -64,11 +64,9 @@ func (n *Node) MonitorTick(now time.Time) {
 				t.since, t.last = probedAt, t.last-t.since
 			}
 		}
-		// 2. A colluding monitor drops its duty towards victims
-		// entirely (the eclipse half of the collusion attack): no
-		// probe, so no observation and no availability history.
-		if n.cfg.SuppressMonPing != nil && n.cfg.SuppressMonPing(n.tsIDs[i]) {
-			n.pingsSuppressed++
+		// 2. An adversary may withhold the probe (the eclipse half of
+		// the collusion attack): no observation, no history.
+		if n.cfg.Adversary != nil && n.cfg.Adversary.Withhold(n.tsIDs[i]) {
 			continue
 		}
 		// 3. Decide whether to probe this round.
@@ -127,35 +125,29 @@ func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 }
 
 // EstimateOf returns this node's availability estimate for a node it
-// monitors, and whether it monitors it at all. An overreporting
-// monitor (Section 5.4) returns 100% for every target; a colluding
-// monitor's ForgeReport hook gets the final word on what leaves the
-// node.
+// monitors, and whether it has one: the fraction of its probes
+// answered. An Adversary gets the final word on what leaves the node.
 func (n *Node) EstimateOf(u ids.ID) (float64, bool) {
 	i := slices.Index(n.tsIDs, u)
 	if i < 0 {
 		return 0, false
 	}
 	est, known := 0.0, false
-	switch t := &n.ts[i]; {
-	case n.cfg.Overreport:
-		est, known = 1.0, true
-	case t.total > 0:
+	if t := &n.ts[i]; t.total > 0 {
 		est, known = float64(t.up)/float64(t.total), true
 	}
-	if n.cfg.ForgeReport != nil {
-		return n.cfg.ForgeReport(u, est, known)
+	if n.cfg.Adversary != nil {
+		return n.cfg.Adversary.Report(u, est, known)
 	}
 	return est, known
 }
 
 // MonitoringStats summarizes the node's monitoring activity.
 type MonitoringStats struct {
-	Targets         int
-	PingsSent       uint64
-	Acks            uint64
-	PingsSaved      uint64
-	PingsSuppressed uint64
+	Targets    int
+	PingsSent  uint64
+	Acks       uint64
+	PingsSaved uint64
 }
 
 // MonitoringStats returns a snapshot of monitoring activity counters.
@@ -167,10 +159,9 @@ func (n *Node) MonitoringStats() MonitoringStats {
 		acks += uint64(n.ts[i].up)
 	}
 	return MonitoringStats{
-		Targets:         len(n.ts),
-		PingsSent:       n.pingsSent,
-		Acks:            acks,
-		PingsSaved:      n.pingsSaved,
-		PingsSuppressed: n.pingsSuppressed,
+		Targets:    len(n.ts),
+		PingsSent:  n.pingsSent,
+		Acks:       acks,
+		PingsSaved: n.pingsSaved,
 	}
 }

@@ -46,9 +46,8 @@ type Node struct {
 	ts    []target  // state of tsIDs[i], by value
 
 	// Monitoring activity over all targets (MonitoringStats).
-	pingsSent       uint64
-	pingsSaved      uint64 // pings skipped by the forgetful optimization
-	pingsSuppressed uint64 // pings withheld by a colluding monitor
+	pingsSent  uint64
+	pingsSaved uint64 // pings skipped by the forgetful optimization
 
 	// The last MonitorTick's instant and the sequence number before its
 	// first probe: each target's outstanding probe is this tick's.

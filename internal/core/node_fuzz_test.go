@@ -30,7 +30,9 @@ type protocolNode interface {
 // instant and random stream, and the node must pass checkInvariants. conf holds cvs−2
 // (bits 0–4); the fast Selector's kernel, Memoize(MD5)'s memo row or
 // RelatedRow hidden (5–6); PR2, Forgetful, DisableReshuffle,
-// RejoinFullWeight, Overreport (7–11); bits above are ignored. A step is
+// RejoinFullWeight (7–10); a testAdversary that reports 1 for every
+// target (11) and that withholds its probes of odd-indexed targets (12);
+// bits above are ignored. A step is
 // an op byte (kind in bits 0–2, arg above) and operands:
 //
 //	0     the clock advances (arg+1)·15 s
@@ -99,7 +101,10 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 	cfg := Config{
 		ID: ids.Sim(1), Scheme: [4]SelectionScheme{fast, hashing.Memoize(md5, 0), hidden, hidden}[conf>>5&3],
 		Transport: &nodeLog, Rand: rand.New(rand.NewSource(seed)), CVS: int(conf&31) + 2,
-		PR2: bit(7), Forgetful: bit(8), DisableReshuffle: bit(9), RejoinFullWeight: bit(10), Overreport: bit(11),
+		PR2: bit(7), Forgetful: bit(8), DisableReshuffle: bit(9), RejoinFullWeight: bit(10),
+	}
+	if bit(11) || bit(12) {
+		cfg.Adversary = testAdversary{overreport: bit(11), withholdOdd: bit(12)}
 	}
 	n, err := NewNode(cfg)
 	if err != nil {
@@ -250,12 +255,29 @@ func checkInvariants(n *Node, in *Message, sent []sentMsg) error {
 	return nil
 }
 
+// testAdversary is a misbehaving monitor: an overreporter reports 1 for
+// every target it monitors, and a withholdOdd one sends no probe to a
+// target with an odd simulated index.
+type testAdversary struct{ overreport, withholdOdd bool }
+
+func (a testAdversary) Withhold(u ids.ID) bool {
+	i, ok := ids.SimIndex(u)
+	return a.withholdOdd && ok && i%2 == 1
+}
+
+func (a testAdversary) Report(_ ids.ID, est float64, known bool) (float64, bool) {
+	if a.overreport {
+		return 1, true
+	}
+	return est, known
+}
+
 // Seed steps and conf bits, in FuzzNodeMessages's encoding.
 var minute, tick, monitorTick = []byte{3 << 3}, []byte{1}, []byte{2}
 
 const (
 	confHidden, confPR2, confForgetful, confNoReshuffle = 2 << 5, 1 << 7, 1 << 8, 1 << 9
-	confMemo                                            = 1 << 5
+	confMemo, confOverreport, confWithholdOdd           = 1 << 5, 1 << 11, 1 << 12
 )
 
 // seedMsg is a delivery step, its fields the step's bytes (view ≤ 15).
@@ -327,7 +349,7 @@ func addNodeSeeds(f *testing.F) {
 		stream = append(stream, m.step()...)
 	}
 	f.Add(int64(1), uint16(6), stream)
-	f.Add(int64(1), uint16(6|1<<12), stream) // conf bits above 11 are ignored
+	f.Add(int64(1), uint16(6|1<<13), stream) // conf bits above 12 are ignored
 
 	// A node with a view, targets and monitors (and acks of seq 0 before
 	// any probe): with probes out, it takes each message type, in range or
@@ -391,4 +413,8 @@ func addNodeSeeds(f *testing.F) {
 	// A node that is not yet born, then joins twice with no leave between:
 	// the second JOIN's weight reads a last leave that never happened.
 	f.Add(int64(9), uint16(6), slices.Concat([]byte{0}, holding(2), minute, []byte{3, 4}))
+	// The forgetful cycles under an adversary that overreports and
+	// withholds its probes of odd-indexed targets: those are never
+	// probed, never resolved and never drawn for, yet reported at 1.
+	f.Add(int64(8), uint16(6|confForgetful|confOverreport|confWithholdOdd), cycle)
 }

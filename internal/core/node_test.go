@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"avmon/internal/ids"
 )
@@ -362,6 +363,62 @@ func TestForgetfulPingingReducesPings(t *testing.T) {
 	}
 }
 
+// fixedRand is a Rand whose every Float64 draw is its value; Intn draws
+// 0 and Shuffle leaves the order alone.
+type fixedRand float64
+
+func (r fixedRand) Float64() float64          { return float64(r) }
+func (fixedRand) Intn(int) int                { return 0 }
+func (fixedRand) Shuffle(int, func(i, j int)) {}
+
+// TestForgetfulFloorIsMonitorPeriod: a target never seen up for a whole
+// session is probed past τ with probability c·TA/(TA+t), the session
+// floor being one monitoring period TA, not the protocol period T. With
+// TA = 2m, T = 20m and t = 2m that is 0.5 (0.91 with T), so a draw of
+// 0.7 saves the probe.
+func TestForgetfulFloorIsMonitorPeriod(t *testing.T) {
+	fn := newFakeNet(t)
+	mon := fn.addNode(1, allRelated{}, func(c *Config) {
+		c.Forgetful, c.ForgetfulTau, c.Rand = true, time.Minute, fixedRand(0.7)
+		c.Period, c.MonitorPeriod = 20*time.Minute, 2*time.Minute
+	})
+	tgt := ids.Sim(2) // not on the network: no probe is answered
+	mon.Join(fn.now, ids.None)
+	mon.Handle(tgt, &Message{Type: MsgNotify, U: mon.ID(), V: tgt}, fn.now)
+	mon.MonitorTick(fn.now)
+	mon.MonitorTick(fn.now.Add(2 * time.Minute))
+	if st := mon.MonitoringStats(); st.PingsSent != 1 || st.PingsSaved != 1 {
+		t.Errorf("sent %d, saved %d probes; want 1 and 1: the second, down 2m past a 1m τ, has odds TA/(TA+2m) = 0.5 < 0.7",
+			st.PingsSent, st.PingsSaved)
+	}
+}
+
+// TestStarvationWindowCountsPeriods: a node that hears no coarse-view
+// contact re-bootstraps after rebootstrapStarvation protocol periods T,
+// whatever the monitoring period TA. Its one member answers every PING,
+// which proves the member alive but not that the node sits in anyone's
+// view.
+func TestStarvationWindowCountsPeriods(t *testing.T) {
+	const period = 2 * time.Minute
+	fn := newFakeNet(t)
+	a := fn.addNode(1, noneRelated{}, func(c *Config) { c.Period, c.MonitorPeriod = period, time.Minute })
+	a.Join(fn.now, ids.None)
+	z := ids.Sim(2)
+	a.cv.add(z)
+	for k := 1; k <= 2*rebootstrapStarvation; k++ {
+		now := fn.now.Add(time.Duration(k) * period)
+		a.Tick(now)
+		if fn.sent[MsgJoin] > 0 {
+			if k != rebootstrapStarvation {
+				t.Errorf("re-bootstrapped at the tick %d periods after the last contact, want %d", k, rebootstrapStarvation)
+			}
+			return
+		}
+		a.Handle(z, &Message{Type: MsgPong, Seq: a.cvPingSeq}, now)
+	}
+	t.Errorf("no re-bootstrap within %d periods", 2*rebootstrapStarvation)
+}
+
 func TestForgetfulTargetRediscoveredOnRejoin(t *testing.T) {
 	fn := newFakeNet(t)
 	mon := fn.addNode(1, allRelated{}, func(c *Config) { c.Forgetful = true })
@@ -496,7 +553,7 @@ func TestHashChecksCounted(t *testing.T) {
 
 func TestOverreportingMonitor(t *testing.T) {
 	fn := newFakeNet(t)
-	mon := fn.addNode(1, allRelated{}, func(c *Config) { c.Overreport = true })
+	mon := fn.addNode(1, allRelated{}, func(c *Config) { c.Adversary = testAdversary{overreport: true} })
 	tgt := fn.addNode(2, allRelated{}, nil)
 	mon.Join(fn.now, ids.None)
 	tgt.Join(fn.now, ids.None)

@@ -217,8 +217,9 @@ func (s *specNode) notify(u, v ids.ID, now time.Time) {
 	}
 }
 
-// MonitorTick is § 3.3's period: an unanswered probe is a down sample; every target is
-// probed, under forgetful pinging one down longer than τ with probability c·ts/(ts+t).
+// MonitorTick is § 3.3's period: an unanswered probe is a down sample; every target an
+// adversary does not withhold is probed, under forgetful pinging one down longer than τ
+// with probability c·ts/(ts+t).
 func (s *specNode) MonitorTick(now time.Time) {
 	if !s.alive {
 		return
@@ -231,6 +232,9 @@ func (s *specNode) MonitorTick(now time.Time) {
 			if !t.down { // a session ended; one never seen whole counts as a monitoring period
 				t.down, t.downSince, t.lastSession = true, t.awaitingAt, cmp.Or(t.lastAck.Sub(t.sessionStart), s.cfg.MonitorPeriod)
 			}
+		}
+		if s.cfg.Adversary != nil && s.cfg.Adversary.Withhold(u) {
+			continue // no probe, so nothing to resolve next period
 		}
 		if downFor := now.Sub(t.downSince); s.cfg.Forgetful && t.down && downFor > s.cfg.ForgetfulTau {
 			if s.cfg.Rand.Float64() >= min(1, s.cfg.ForgetfulC*float64(t.lastSession)/float64(t.lastSession+downFor)) {
@@ -245,15 +249,20 @@ func (s *specNode) MonitorTick(now time.Time) {
 }
 
 // EstimateOf is x's estimate for u ∈ TS(x): the fraction of its probes answered
-// (§ 5.4), or 1 from an overreporter.
+// (§ 5.4), or whatever an adversary makes of it.
 func (s *specNode) EstimateOf(u ids.ID) (float64, bool) {
 	t := s.ts[u]
-	if t == nil || !s.cfg.Overreport && t.total == 0 {
+	if t == nil {
 		return 0, false
-	} else if s.cfg.Overreport {
-		return 1, true
 	}
-	return float64(t.up) / float64(t.total), true
+	est, known := 0.0, t.total > 0
+	if known {
+		est = float64(t.up) / float64(t.total)
+	}
+	if s.cfg.Adversary != nil {
+		return s.cfg.Adversary.Report(u, est, known)
+	}
+	return est, known
 }
 
 func (s *specNode) random() ids.ID {

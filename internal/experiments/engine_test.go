@@ -189,7 +189,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // experiment's rendered output at any shard count. The wan experiment
 // covers the heterogeneous latency/loss models, whose sharded runs use
 // each model's MinLatency floor as the adaptive lookahead; chaos
-// covers the adversarial suite (collusion hooks, zone-outage events,
+// covers the adversarial suite (the collusion adversary, zone-outage events,
 // storm shocks) plus its stepped RunFor sampling loop.
 func TestShardedSweepMatchesSerial(t *testing.T) {
 	if testing.Short() {

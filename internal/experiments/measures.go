@@ -148,30 +148,17 @@ func (o *outcome) uselessPerMinute(group []int) []float64 {
 }
 
 // monitorEstimate returns node idx's availability as the system sees it
-// — the mean, over the monitors idx has discovered, of their estimates
-// of it — beside the truth. ok is false for a node that was never up or
-// that no monitor has an estimate for yet.
+// (Cluster.Availability) beside the truth. ok is false for a node that
+// was never up or that no monitor has an estimate for yet.
 func monitorEstimate(c *avmon.Cluster, idx int) (est, truth float64, ok bool) {
 	truth = c.Stats(idx).TrueAvailability()
 	if truth <= 0 {
 		return 0, 0, false
 	}
-	var sum float64
-	count := 0
-	for _, mon := range c.MonitorsOf(idx) {
-		monIdx, member := c.IndexOf(mon)
-		if !member {
-			continue
-		}
-		if e, known := c.EstimateBy(monIdx, c.IDOf(idx)); known {
-			sum += e
-			count++
-		}
-	}
-	if count == 0 {
+	if est, ok = c.Availability(idx); !ok {
 		return 0, 0, false
 	}
-	return sum / float64(count), truth, true
+	return est, truth, true
 }
 
 // estimateRatios returns estimated/actual availability for every
