@@ -35,7 +35,6 @@ func benchOptions() experiments.Options {
 // trips the timing gate spuriously; the 60-node deployment here matches
 // the CI smoke configuration.
 func BenchmarkExperiment(b *testing.B) {
-	registry := experiments.Registry()
 	for _, id := range experiments.IDs() {
 		id, opts := id, benchOptions()
 		if id == "realnet" {
@@ -44,12 +43,14 @@ func BenchmarkExperiment(b *testing.B) {
 		b.Run(id, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := registry[id](opts)
+				err := experiments.RunAll([]string{id}, opts, func(res *experiments.Result) error {
+					if i == 0 && testing.Verbose() {
+						b.Log("\n" + res.String())
+					}
+					return nil
+				})
 				if err != nil {
 					b.Fatalf("%s: %v", id, err)
-				}
-				if i == 0 && testing.Verbose() {
-					b.Log("\n" + res.String())
 				}
 			}
 		})

@@ -129,9 +129,6 @@ type ClusterConfig struct {
 	Shards int
 	// Options are the per-node protocol knobs.
 	Options NodeOptions
-	// OverreportFraction makes this fraction of nodes report 100%
-	// availability for everything they monitor (Figure 20's attack).
-	OverreportFraction float64
 	// Collusion, when non-nil, stages the collusion/eclipse attack: a
 	// colluding ring of nodes that suppress or forge availability
 	// reports for the victims they are assigned to monitor. nil — and
@@ -358,8 +355,6 @@ func (cfg ClusterConfig) Validate() error {
 		return badConfig("N %d is negative (0 = the churn model's stable size)", cfg.N)
 	case cfg.Shards < 0:
 		return badConfig("Shards %d is negative (0 = one shard)", cfg.Shards)
-	case !(cfg.OverreportFraction >= 0 && cfg.OverreportFraction <= 1):
-		return badConfig("OverreportFraction %v outside [0, 1]", cfg.OverreportFraction)
 	}
 	if cc := cfg.Collusion; cc != nil {
 		if !(cc.Fraction >= 0 && cc.Fraction <= 1) {
@@ -540,13 +535,16 @@ func (c *Cluster) Birth(idx int) {
 	// One private random source per node: the compact 32-byte source
 	// keeps 10^5-node populations from burning ~5 KB of generator
 	// state each (≈ 500 MB at N = 100,000 with rand.NewSource).
-	m.rng.Seed(c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D)
-	// Honest nodes share their worker's configuration; an attacker
+	m.rng.Seed(c.nodeSeed(idx))
+	// Its first draw is its overreport ticket (overreports), drawn
+	// here so that the protocol's draws follow it.
+	m.rng.Float64()
+	// Honest nodes share their worker's configuration; a colluder
 	// costs a private copy naming its adversary.
-	nodeCfg, colluder := &m.ws.cfg, c.IsColluder(idx)
-	if overreport := m.rng.Float64() < c.cfg.OverreportFraction; overreport || colluder {
+	nodeCfg := &m.ws.cfg
+	if c.IsColluder(idx) {
 		own := *nodeCfg
-		own.Adversary = &adversary{c: c, overreport: overreport, colluder: colluder}
+		own.Adversary = &adversary{c}
 		nodeCfg = &own
 	}
 	if err := m.node.Init(nodeCfg, id, m, &m.rng, c.newCV()); err != nil {
@@ -557,23 +555,35 @@ func (c *Cluster) Birth(idx int) {
 	m.everBorn = true
 }
 
-// adversary is the core.Adversary of a misbehaving simulated node: an
-// overreporter (Figure 20's attack) reports 100% for everything it
-// monitors; a colluder (ClusterConfig.Collusion) withholds its probes of
-// victims when SuppressPings is set and reports ForgedAvail for them,
-// or no estimate when that is negative. Everyone outside the ring is a
-// victim; fellow colluders get the honest answer (or an overreporter's).
-// Both methods read only the ring roster, fixed at construction, so
-// they are safe on the member's lane under sharding.
-type adversary struct {
-	c                    *Cluster
-	overreport, colluder bool
+// nodeSeed seeds node idx's generator.
+func (c *Cluster) nodeSeed(idx int) int64 {
+	return c.cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D
 }
 
-// victim reports whether this colluder attacks target.
+// overreports reports whether monitor idx lies in a read-out at
+// overreport fraction f (Availability): its ticket, the first draw of
+// its generator, is below f. The tickets of one run nest as f grows.
+func (c *Cluster) overreports(idx int, f float64) bool {
+	var ticket sim.CompactRNG
+	ticket.Seed(c.nodeSeed(idx))
+	return ticket.Float64() < f
+}
+
+// adversary is the core.Adversary of a colluder
+// (ClusterConfig.Collusion): it withholds its probes of victims when
+// SuppressPings is set and reports ForgedAvail for them, or no estimate
+// when that is negative. Everyone outside the ring is a victim; fellow
+// colluders get the honest answer. Both methods read only the ring
+// roster, fixed at construction, so they are safe on the member's lane
+// under sharding.
+type adversary struct {
+	c *Cluster
+}
+
+// victim reports whether the ring attacks target.
 func (a *adversary) victim(target ids.ID) bool {
 	ti, ok := ids.SimIndex(target)
-	return a.colluder && ok && !a.c.IsColluder(ti)
+	return ok && !a.c.IsColluder(ti)
 }
 
 // Withhold implements core.Adversary.
@@ -588,9 +598,6 @@ func (a *adversary) Report(target ids.ID, est float64, known bool) (float64, boo
 			return forged, true
 		}
 		return 0, false
-	}
-	if a.overreport {
-		return 1, true
 	}
 	return est, known
 }
@@ -796,7 +803,13 @@ func (c *Cluster) EstimateBy(idx int, target ID) (float64, bool) {
 // (Section 3.3): the monitors idx reports, verified against the scheme,
 // each asked for its estimate of idx; the answer is their mean. ok is
 // false when no verified monitor has an estimate.
-func (c *Cluster) Availability(idx int) (float64, bool) {
+//
+// overreport mounts Figure 20's attack, which lies only when asked:
+// a monitor whose ticket (overreports) is below it answers 1, unless
+// it is a colluder asked about a victim, whose forged answer stands.
+// 0 is the honest read-out. The run itself is the same at every
+// fraction, so one finished cluster serves them all.
+func (c *Cluster) Availability(idx int, overreport float64) (float64, bool) {
 	subject := c.IDOf(idx)
 	reported := c.ReportMonitors(idx, 0)
 	verified, err := VerifyReport(c.scheme, subject, reported, len(reported))
@@ -809,7 +822,11 @@ func (c *Cluster) Availability(idx int) (float64, bool) {
 		if !ok {
 			continue
 		}
-		if est, known := c.EstimateBy(mi, subject); known {
+		est, known := c.EstimateBy(mi, subject)
+		if (!c.IsColluder(mi) || c.IsColluder(idx)) && c.overreports(mi, overreport) {
+			est, known = 1, true
+		}
+		if known {
 			sum += est
 			n++
 		}

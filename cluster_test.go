@@ -311,11 +311,11 @@ func must[M any](m M, err error) M {
 	return m
 }
 
-// TestShardedClusterMatchesSerial is the tentpole's acceptance
-// contract at the cluster level: for one seed, a sharded run is
-// byte-identical to the serial run at any shard count — including
-// under churn, message loss, forgetful pinging, overreporters, and
-// the heterogeneous WAN network models (lognormal and zone-matrix
+// TestShardedClusterMatchesSerial is the engine's contract at the
+// cluster level: for one seed, a sharded run is byte-identical to the
+// serial run at any shard count — including under churn, message loss,
+// forgetful pinging, collusion, zone outages, storms and the
+// heterogeneous WAN network models (lognormal and zone-matrix
 // latency with adaptive lookahead, Gilbert-Elliott burst loss), which
 // together exercise every random stream and lifecycle path.
 func TestShardedClusterMatchesSerial(t *testing.T) {
@@ -355,9 +355,12 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) },
 		},
 		{
+			// Overreporting is a read-out argument (Availability) and
+			// never touches the protocol, so this row's digest is the
+			// honest run's.
 			name: "SYNTH-BD-loss-overreport",
 			cfg: ClusterConfig{
-				N: 90, Seed: 22, LossModel: must(NewBernoulliLoss(0.05)), OverreportFraction: 0.2,
+				N: 90, Seed: 22, LossModel: must(NewBernoulliLoss(0.05)),
 				Options: NodeOptions{Forgetful: true, PR2: true},
 			},
 			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) },
@@ -455,7 +458,9 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			if !*updateGolden && !strings.Contains(string(pinned), line) {
 				t.Errorf("serial fingerprint %s is not the one pinned in %s", want, goldenPath)
 			}
-			for _, shards := range []int{1, 2, 8} {
+			// Shards 0 and 1 are one engine (NewCluster maps 0 to 1), so
+			// the serial run above is the one-shard run.
+			for _, shards := range []int{2, 8} {
 				cfg := tc.cfg
 				cfg.Shards = shards
 				sharded, shControl := fingerprintRun(t, cfg, tc.mk)
@@ -487,61 +492,107 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
-func TestClusterOverreporters(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		N: 60, Seed: 12, OverreportFraction: 1.0,
-	}, NewSTATModel(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(time.Hour)
-	// Every monitor overreports: all estimates are 1.0 even though
-	// measured truth would also be 1.0 under STAT; so instead check
-	// the flag plumbing via a node with a monitored target.
-	checked := false
-	for i := 0; i < c.Size() && !checked; i++ {
-		for _, tgt := range c.TargetsOf(i) {
-			est, known := c.EstimateBy(i, tgt)
-			if known {
-				if est != 1.0 {
-					t.Errorf("overreporter estimate = %v, want 1.0", est)
-				}
-				checked = true
-				break
-			}
+// overreportFractions are the read-out fractions the Availability
+// tests sweep: none, Figure 20's, and everyone.
+var overreportFractions = []float64{0, 0.05, 0.2, 1}
+
+// psMean is Availability written out: the mean of the estimates node
+// idx's discovered monitors hold of it (PS in discovery order, every
+// monitor verified), where a monitor whose ticket — its generator's
+// first draw — is below f reads 1, unless it is a colluder asked about
+// a victim, whose forged answer wins.
+func psMean(c *Cluster, idx int, f float64) (float64, bool) {
+	sum, n := 0.0, 0
+	for _, mon := range c.MonitorsOf(idx) {
+		mi, ok := c.IndexOf(mon)
+		if !ok {
+			continue
+		}
+		est, known := c.EstimateBy(mi, c.IDOf(idx))
+		ticket := sim.CompactRand(c.cfg.Seed ^ (int64(mi)+1)*0x5851F42D4C957F2D).Float64()
+		if forges := c.IsColluder(mi) && !c.IsColluder(idx); ticket < f && !forges {
+			est, known = 1, true
+		}
+		if known {
+			sum += est
+			n++
 		}
 	}
-	if !checked {
-		t.Fatal("no monitored target to check")
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
+}
+
+// readOuts reads every node, one past the last included, at every
+// overreportFractions entry, checks each against psMean and the
+// cluster's Fingerprint against the one it had before, and returns the
+// read-outs by fraction.
+func readOuts(t *testing.T, name string, c *Cluster) map[float64][]float64 {
+	t.Helper()
+	before := c.Fingerprint()
+	reads := make(map[float64][]float64)
+	for _, f := range overreportFractions {
+		for idx := 0; idx <= c.Size(); idx++ {
+			got, ok := c.Availability(idx, f)
+			want, wantOK := psMean(c, idx, f)
+			if got != want || ok != wantOK {
+				t.Errorf("%s: node %d reads %v, %t at overreport %v, the PS-mean is %v, %t", name, idx, got, ok, f, want, wantOK)
+			}
+			if !ok {
+				got = -1
+			}
+			reads[f] = append(reads[f], got)
+		}
+	}
+	if c.Fingerprint() != before {
+		t.Errorf("%s: reading availability moved the fingerprint", name)
+	}
+	return reads
+}
+
+// TestClusterOverreporters: Figure 20's attack lives in the read-out.
+// On one churned, honest run, at one shard and two, every node reads
+// at every fraction what psMean says, and the read-outs leave the run
+// as it was; everyone answered reads 1 when every monitor lies, and
+// some node's reading moves at Figure 20's 0.2.
+func TestClusterOverreporters(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		model, err := NewSYNTHModel(60, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(ClusterConfig{N: 60, Seed: 12, Shards: shards}, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(time.Hour)
+		name := fmt.Sprintf("shards %d", shards)
+		reads := readOuts(t, name, c)
+		moved := 0
+		for idx, honest := range reads[0] {
+			if all := reads[1][idx]; all != 1 && (all != -1 || honest != -1) {
+				t.Errorf("%s: node %d reads %v with every monitor lying, want 1", name, idx, all)
+			}
+			if reads[0.2][idx] != honest {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Errorf("%s: gate measured nothing: no reading moved at overreport 0.2", name)
+		}
 	}
 }
 
-// TestClusterAvailability: Availability is the mean of the estimates
-// node idx's discovered monitors hold of it — PS in discovery order,
-// every monitor verified — for every node, one past the last included,
-// honest or attacked, at one shard and two; and a node that no monitor
-// has an estimate of yet reads ok == false.
+// TestClusterAvailability: Availability is psMean for every node,
+// honest or attacked by a colluding ring, at one shard and two and at
+// every overreport fraction; and a node that no monitor has an
+// estimate of yet reads ok == false.
 func TestClusterAvailability(t *testing.T) {
-	psMean := func(c *Cluster, idx int) (float64, bool) {
-		sum, n := 0.0, 0
-		for _, mon := range c.MonitorsOf(idx) {
-			if mi, ok := c.IndexOf(mon); ok {
-				if est, known := c.EstimateBy(mi, c.IDOf(idx)); known {
-					sum += est
-					n++
-				}
-			}
-		}
-		if n == 0 {
-			return 0, false
-		}
-		return sum / float64(n), true
-	}
 	for _, shards := range []int{1, 2} {
 		for _, cfg := range []ClusterConfig{
 			{N: 80, Seed: 5, Shards: shards},
-			{N: 80, Seed: 6, Shards: shards, OverreportFraction: 0.2,
-				Collusion: &CollusionConfig{Fraction: 0.25, SuppressPings: true}},
+			{N: 80, Seed: 6, Shards: shards, Collusion: &CollusionConfig{Fraction: 0.25, SuppressPings: true}},
 		} {
 			c, err := NewCluster(cfg, NewSTATModel(cfg.N))
 			if err != nil {
@@ -550,18 +601,13 @@ func TestClusterAvailability(t *testing.T) {
 			c.Run(30 * time.Minute)
 			late := c.EnrollControl(1)[0]
 			c.Run(time.Second) // it joins; no probe of it has resolved
-			name := fmt.Sprintf("shards %d, overreport %v, collusion %t", shards, cfg.OverreportFraction, cfg.Collusion != nil)
+			name := fmt.Sprintf("shards %d, collusion %t", shards, cfg.Collusion != nil)
 			answered, forged := 0, 0
-			for idx := 0; idx <= c.Size(); idx++ {
-				got, ok := c.Availability(idx)
-				want, wantOK := psMean(c, idx)
-				if got != want || ok != wantOK {
-					t.Errorf("%s: node %d reads %v, %t, the PS-mean is %v, %t", name, idx, got, ok, want, wantOK)
-				}
-				if ok {
+			for _, got := range readOuts(t, name, c)[0] {
+				if got >= 0 {
 					answered++
 				}
-				if ok && got != 1 {
+				if got >= 0 && got != 1 {
 					forged++
 				}
 			}
@@ -569,7 +615,7 @@ func TestClusterAvailability(t *testing.T) {
 				t.Errorf("%s: gate measured nothing: %d of %d nodes answered, %d below 1", name, answered, c.Size(), forged)
 			}
 			if cfg.Collusion == nil {
-				if est, ok := c.Availability(late); ok {
+				if est, ok := c.Availability(late, 0); ok {
 					t.Errorf("%s: a node that joined a second ago reads %v", name, est)
 				}
 			}

@@ -53,8 +53,7 @@ func TestClusterConfigValidation(t *testing.T) {
 		return ClusterConfig{
 			N: 50, Seed: 3, Shards: 2,
 			LatencyModel: must(NewConstantLatency(20 * time.Millisecond)), LossModel: must(NewBernoulliLoss(0.01)),
-			OverreportFraction: 0.1,
-			Collusion:          &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: -1},
+			Collusion: &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: -1},
 			Options: NodeOptions{K: 6, CVS: 8, Variant: VariantMD, Hash: HashMD5,
 				Period: time.Minute, MonitorPeriod: time.Minute, Forgetful: true,
 				ForgetfulTau: time.Minute, ForgetfulC: 2},
@@ -67,12 +66,10 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Fatalf("zero config (all defaults) rejected: %v", err)
 	}
 	broken := map[string]func(*ClusterConfig){
-		"negative N":           func(c *ClusterConfig) { c.N = -5 },
-		"negative shards":      func(c *ClusterConfig) { c.Shards = -2 },
-		"overreport above one": func(c *ClusterConfig) { c.OverreportFraction = 2 },
-		"NaN overreport":       func(c *ClusterConfig) { c.OverreportFraction = math.NaN() },
-		"collusion above one":  func(c *ClusterConfig) { c.Collusion.Fraction = 1.5 },
-		"forged above one":     func(c *ClusterConfig) { c.Collusion.ForgedAvail = 1.01 },
+		"negative N":          func(c *ClusterConfig) { c.N = -5 },
+		"negative shards":     func(c *ClusterConfig) { c.Shards = -2 },
+		"collusion above one": func(c *ClusterConfig) { c.Collusion.Fraction = 1.5 },
+		"forged above one":    func(c *ClusterConfig) { c.Collusion.ForgedAvail = 1.01 },
 	}
 	for name, breakIt := range brokenNodeOptions {
 		breakIt := breakIt
@@ -114,7 +111,7 @@ func TestNewClusterConstruction(t *testing.T) {
 		{N: 40, Options: NodeOptions{Variant: VariantGeneric, Forgetful: true, PR2: true}},
 		{N: 40, Options: NodeOptions{DisableReshuffle: true, RejoinFullWeight: true}},
 		{N: 40, Shards: 8, LatencyModel: lognormal, LossModel: must(NewBernoulliLoss(0.05))},
-		{N: 40, Collusion: &CollusionConfig{}, OverreportFraction: 1},
+		{N: 40, Collusion: &CollusionConfig{}},
 	}
 	for i, cfg := range good {
 		c, err := NewCluster(cfg, NewSTATModel(40))
@@ -335,13 +332,13 @@ func TestServiceAndClusterNodesAgree(t *testing.T) {
 
 // TestNodeConfigIsWhatInitWasGiven: a simulated node's Config is what
 // Birth gave Init — its own identity, transport, generator and worker
-// pool, the options with their defaults, an Adversary exactly where the
-// node's first draw made an overreporter and on colluders —
-// for honest nodes, overreporters and colluders alike; and only the
-// honest share one Config.
+// pool, the options with their defaults, an Adversary exactly on
+// colluders — for honest nodes and colluders alike; only the honest
+// share one Config; and the overreport ticket a read-out recomputes is
+// the first draw of a generator seeded as the node's.
 func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 	cfg := ClusterConfig{
-		N: 60, Seed: 3, OverreportFraction: 0.3, Options: NodeOptions{PR2: true, Hash: HashFast},
+		N: 60, Seed: 3, Options: NodeOptions{PR2: true, Hash: HashFast},
 		Collusion: &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: 0},
 	}
 	c, err := NewCluster(cfg, NewSTATModel(cfg.N))
@@ -360,7 +357,7 @@ func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 	for idx := 0; idx < cfg.N; idx++ {
 		m := c.memberAt(idx)
 		got := m.node.Config()
-		overreport := sim.CompactRand(cfg.Seed^(int64(idx)+1)*0x5851F42D4C957F2D).Float64() < cfg.OverreportFraction
+		ticket := sim.CompactRand(cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D).Float64()
 		colluder := c.IsColluder(idx)
 		rng, _ := got.Rand.(*sim.CompactRNG)
 		switch {
@@ -370,8 +367,10 @@ func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 			t.Errorf("node %d: its generator is not its block's", idx)
 		case !reflect.DeepEqual(coreOwned(got), want):
 			t.Errorf("node %d runs under %v, want %v", idx, coreOwned(got), want)
-		case (got.Adversary != nil) != (overreport || colluder):
-			t.Errorf("node %d: adversary %v, want one exactly on an overreporter (%t) or a colluder (%t)", idx, got.Adversary, overreport, colluder)
+		case (got.Adversary != nil) != colluder:
+			t.Errorf("node %d: adversary %v, want one exactly on a colluder (%t)", idx, got.Adversary, colluder)
+		case c.overreports(idx, ticket) || !c.overreports(idx, math.Nextafter(ticket, 1)):
+			t.Errorf("node %d: overreports does not read its ticket %v", idx, ticket)
 		}
 		victim, fellow := c.IDOf(0), c.IDOf(cfg.N-1)
 		if colluder && got.Adversary != nil {
@@ -382,25 +381,14 @@ func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 				t.Errorf("colluder %d reports %v, %t for a victim, want the forged 0", idx, est, ok)
 			}
 		}
-		if overreport && !colluder && got.Adversary != nil {
-			if est, ok := got.Adversary.Report(victim, 0.5, false); est != 1 || !ok || got.Adversary.Withhold(victim) {
-				t.Errorf("overreporter %d reports %v, %t or withholds, want 1, true and every probe sent", idx, est, ok)
-			}
-		}
 		shared := reflect.ValueOf(&m.node).Elem().FieldByName("cfg").Pointer() == uintptr(unsafe.Pointer(&m.ws.cfg))
-		role := map[bool]string{true: "attacker", false: "honest"}[overreport || colluder]
+		role := map[bool]string{true: "colluder", false: "honest"}[colluder]
 		if shared != (role == "honest") {
 			t.Errorf("node %d (%s) shares its worker's Config: %t", idx, role, shared)
 		}
 		roles[role]++
-		if overreport {
-			roles["overreporter"]++
-		}
-		if colluder {
-			roles["colluder"]++
-		}
 	}
-	if roles["honest"] == 0 || roles["overreporter"] == 0 || roles["colluder"] == 0 {
+	if roles["honest"] == 0 || roles["colluder"] == 0 {
 		t.Fatalf("gate measured nothing: roles %v", roles)
 	}
 }

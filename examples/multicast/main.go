@@ -53,7 +53,7 @@ func run(w io.Writer, n int, warmup time.Duration, samples int) error {
 			continue
 		}
 		members = append(members, i)
-		if est, ok := cluster.Availability(i); ok {
+		if est, ok := cluster.Availability(i, 0); ok {
 			estimates[i] = est
 		} else {
 			estimates[i] = 0.5 // unmonitored newcomers get a neutral prior

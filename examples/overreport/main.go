@@ -28,16 +28,17 @@ func main() {
 	}
 }
 
-// run sweeps the given overreporting fractions over an n-node churned
-// system (attackHorizon each), then demonstrates third-party
+// run sweeps the given overreporting fractions over one n-node churned
+// system run for attackHorizon, then demonstrates third-party
 // verification on a static system run for verifyHorizon.
 func run(w io.Writer, n int, fracs []float64, attackHorizon, verifyHorizon time.Duration) error {
 	fmt.Fprintf(w, "overreporting attack sweep (SYNTH churn, %v each):\n", attackHorizon)
+	cluster, err := attackRun(n, attackHorizon)
+	if err != nil {
+		return err
+	}
 	for _, frac := range fracs {
-		affected, measured, err := attackRun(n, frac, attackHorizon)
-		if err != nil {
-			return err
-		}
+		affected, measured := misMeasured(cluster, frac)
 		if measured == 0 {
 			return fmt.Errorf("no measured nodes at fraction %.2f", frac)
 		}
@@ -46,7 +47,7 @@ func run(w io.Writer, n int, fracs []float64, attackHorizon, verifyHorizon time.
 	}
 
 	// Verifiability: a node cannot claim its colluder is a monitor.
-	cluster, err := avmon.NewCluster(avmon.ClusterConfig{N: n, Seed: 5}, avmon.NewSTATModel(n))
+	cluster, err = avmon.NewCluster(avmon.ClusterConfig{N: n, Seed: 5}, avmon.NewSTATModel(n))
 	if err != nil {
 		return err
 	}
@@ -73,28 +74,31 @@ func run(w io.Writer, n int, fracs []float64, attackHorizon, verifyHorizon time.
 	return nil
 }
 
-// attackRun simulates a churned system with the given fraction of
-// overreporting monitors and counts mis-measured nodes.
-func attackRun(n int, frac float64, horizon time.Duration) (affected, measured int, err error) {
+// attackRun simulates a churned system. A dishonest monitor lies only
+// when asked for an estimate, so every overreporting fraction is read
+// from this one run (misMeasured).
+func attackRun(n int, horizon time.Duration) (*avmon.Cluster, error) {
 	model, err := avmon.NewSYNTHModel(n, 0.3)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	cluster, err := avmon.NewCluster(avmon.ClusterConfig{
-		N:                  n,
-		Seed:               9,
-		OverreportFraction: frac,
-	}, model)
+	cluster, err := avmon.NewCluster(avmon.ClusterConfig{N: n, Seed: 9}, model)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	cluster.Run(horizon)
+	return cluster, nil
+}
+
+// misMeasured counts the alive nodes whose availability, read with the
+// given fraction of overreporting monitors, is off by more than 0.2.
+func misMeasured(cluster *avmon.Cluster, frac float64) (affected, measured int) {
 	for i := 0; i < cluster.Size(); i++ {
 		st := cluster.Stats(i)
 		if !st.Alive || st.TrueAvailability() <= 0 {
 			continue
 		}
-		est, ok := cluster.Availability(i)
+		est, ok := cluster.Availability(i, frac)
 		if !ok {
 			continue
 		}
@@ -103,5 +107,5 @@ func attackRun(n int, frac float64, horizon time.Duration) (affected, measured i
 			affected++
 		}
 	}
-	return affected, measured, nil
+	return affected, measured
 }

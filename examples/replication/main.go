@@ -58,7 +58,7 @@ func run(w io.Writer, n int, warmup time.Duration, samples int) error {
 	}
 	var candidates []scored
 	for i := 0; i < cluster.Size(); i++ {
-		est, ok := cluster.Availability(i)
+		est, ok := cluster.Availability(i, 0)
 		if ok {
 			candidates = append(candidates, scored{i, est})
 		}

@@ -212,6 +212,23 @@ func (m *synthModel) birth(idx int) {
 	m.scheduleLeave(idx)
 }
 
+// force moves node idx up or down outside its own session schedule —
+// a zone outage or a storm shock. A dead node, or one already there, is
+// left alone; bumping gen retires the session event it had queued.
+func (m *synthModel) force(idx int, up bool) {
+	st := &m.states[idx]
+	if st.dead || st.up == up {
+		return
+	}
+	st.up = up
+	st.gen++
+	if up {
+		m.driver.Rejoin(idx)
+	} else {
+		m.driver.Leave(idx)
+	}
+}
+
 // paramsFor returns the session parameters governing node idx.
 func (m *synthModel) paramsFor(idx int) sessionParams {
 	if m.classes != nil && m.classFor != nil {

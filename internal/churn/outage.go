@@ -106,35 +106,19 @@ func (m *zoneOutageModel) Install(eng *sim.Engine, d Driver) {
 	m.synthModel.Install(eng, d)
 	for _, o := range m.schedule {
 		o := o
-		eng.At(sim.Epoch.Add(o.Start), func() { m.failZone(o.Zone) })
-		eng.At(sim.Epoch.Add(o.End), func() { m.healZone(o.Zone) })
+		eng.At(sim.Epoch.Add(o.Start), func() { m.setZone(o.Zone, false) })
+		eng.At(sim.Epoch.Add(o.End), func() { m.setZone(o.Zone, true) })
 	}
 }
 
-// failZone takes down every currently-up node of the zone.
-func (m *zoneOutageModel) failZone(zone int) {
+// setZone forces every node of the zone down (up false) or back up.
+// Nodes born during an outage (Enroll) are already up and untouched by
+// its heal.
+func (m *zoneOutageModel) setZone(zone int, up bool) {
 	for idx := range m.states {
-		st := &m.states[idx]
-		if idx%m.zones != zone || st.dead || !st.up {
-			continue
+		if idx%m.zones == zone {
+			m.force(idx, up)
 		}
-		st.up = false
-		st.gen++
-		m.driver.Leave(idx)
-	}
-}
-
-// healZone is failZone's inverse: every down node of the zone rejoins.
-// Nodes born during the outage (Enroll) are already up and untouched.
-func (m *zoneOutageModel) healZone(zone int) {
-	for idx := range m.states {
-		st := &m.states[idx]
-		if idx%m.zones != zone || st.dead || st.up {
-			continue
-		}
-		st.up = true
-		st.gen++
-		m.driver.Rejoin(idx)
 	}
 }
 

@@ -101,31 +101,9 @@ func (m *stormModel) Install(eng *sim.Engine, d Driver) {
 	for i := 0; i < m.cfg.LeaveNodes; i++ {
 		idx := i
 		step := time.Duration(i) * m.cfg.LeaveWindow / time.Duration(m.cfg.LeaveNodes)
-		eng.At(sim.Epoch.Add(m.cfg.LeaveAt+step), func() { m.shockLeave(idx) })
+		eng.At(sim.Epoch.Add(m.cfg.LeaveAt+step), func() { m.force(idx, false) })
 		if m.cfg.HealAt > 0 {
-			eng.At(sim.Epoch.Add(m.cfg.HealAt+step), func() { m.shockRejoin(idx) })
+			eng.At(sim.Epoch.Add(m.cfg.HealAt+step), func() { m.force(idx, true) })
 		}
 	}
-}
-
-// shockLeave forces one mass-leave victim down.
-func (m *stormModel) shockLeave(idx int) {
-	st := &m.states[idx]
-	if st.dead || !st.up {
-		return
-	}
-	st.up = false
-	st.gen++
-	m.driver.Leave(idx)
-}
-
-// shockRejoin brings one healed victim back.
-func (m *stormModel) shockRejoin(idx int) {
-	st := &m.states[idx]
-	if st.dead || st.up {
-		return
-	}
-	st.up = true
-	st.gen++
-	m.driver.Rejoin(idx)
 }

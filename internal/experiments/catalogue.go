@@ -75,9 +75,8 @@ var (
 	bdVsBD2  = &sweep{name: "bd-vs-bd2", scens: bdScens, group: pairs}
 	forgetAB = &sweep{name: "forgetful-ab", scens: forgetfulScens, group: pairs}
 	// Section 5.4 and the sets only one id reads.
-	bandwidth  = &sweep{name: "bandwidth", scens: bandwidthScens, group: pairs}
-	overreport = &sweep{name: "overreport", scens: overreportScens,
-		group: func(i int) int { return i % len(overreportWorkloads) }}
+	bandwidth       = &sweep{name: "bandwidth", scens: bandwidthScens, group: pairs}
+	overreport      = &sweep{name: "overreport", scens: overreportScens}
 	variants        = &sweep{name: "table1", scens: variantScens, group: oneRealization}
 	reshuffleAB     = &sweep{name: "ablation-reshuffle", scens: reshuffleScens, group: oneRealization}
 	rejoinAB        = &sweep{name: "ablation-rejoin-weight", scens: rejoinScens, group: oneRealization}
@@ -144,22 +143,6 @@ func IDs() []string {
 		out[i] = e.id
 	}
 	return out
-}
-
-// Runner runs one experiment.
-type Runner func(Options) (*Result, error)
-
-// Registry maps every experiment id to RunAll of that one id.
-func Registry() map[string]Runner {
-	reg := make(map[string]Runner, len(catalogue))
-	for _, id := range IDs() {
-		id := id
-		reg[id] = func(o Options) (res *Result, err error) {
-			err = RunAll([]string{id}, o, func(r *Result) error { res = r; return nil })
-			return res, err
-		}
-	}
-	return reg
 }
 
 // RunAll runs the named experiments and hands each Result to emit in

@@ -196,7 +196,7 @@ func chaosPoint(out *outcome) ChaosPoint {
 			break
 		}
 	}
-	pt.Affected = affectedFraction(out.c)
+	pt.Affected = affectedFraction(out.c, 0)
 	return pt
 }
 

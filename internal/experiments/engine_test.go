@@ -156,26 +156,16 @@ func TestRunAllPairedSharesRealization(t *testing.T) {
 // TestParallelMatchesSerial is the engine's core guarantee: a parallel
 // run of an experiment produces output byte-identical to a serial run
 // with the same Options, because every sweep point derives its seed
-// from (Seed, point index) rather than from scheduling.
+// from (Seed, point index) rather than from scheduling. The shared run
+// is the parallel one (parallelism 8).
 func TestParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
+	shared := runTinyAll(t)
 	for _, id := range []string{"table1", "figure3", "figure8"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			render := func(parallelism int) string {
-				o := tinyOptions()
-				o.Parallelism = parallelism
-				res, err := Registry()[id](o)
-				if err != nil {
-					t.Fatalf("%s at parallelism %d: %v", id, parallelism, err)
-				}
-				return res.String()
-			}
-			serial := render(1)
-			parallel := render(8)
-			if serial != parallel {
+			o := tinyOptions()
+			o.Parallelism = 1
+			if serial, parallel := runOne(t, id, o).String(), shared[id].String(); serial != parallel {
 				t.Errorf("%s: parallel output differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
 					id, serial, parallel)
 			}
@@ -186,33 +176,24 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestShardedSweepMatchesSerial is the same guarantee one level down:
 // sharding a single simulation run across P engine shards
 // (Options.Shards, avmon-bench -shards) changes nothing about an
-// experiment's rendered output at any shard count. The wan experiment
-// covers the heterogeneous latency/loss models, whose sharded runs use
-// each model's MinLatency floor as the adaptive lookahead; chaos
-// covers the adversarial suite (the collusion adversary, zone-outage events,
-// storm shocks) plus its stepped RunFor sampling loop.
+// experiment's rendered output. TestRunAllMatchesSingleRuns holds every
+// sweep at two shards; here the paper's headline table and figures and
+// the two harnesses with the most random streams run at eight. The wan
+// experiment covers the heterogeneous latency/loss models, whose
+// sharded runs use each model's MinLatency floor as the adaptive
+// lookahead; chaos covers the adversarial suite (the collusion
+// adversary, zone-outage events, storm shocks) plus its stepped RunFor
+// sampling loop.
 func TestShardedSweepMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
+	shared := runTinyAll(t)
 	for _, id := range []string{"table1", "figure3", "figure8", "wan", "chaos"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			render := func(shards int) string {
-				o := tinyOptions()
-				o.Shards = shards
-				res, err := Registry()[id](o)
-				if err != nil {
-					t.Fatalf("%s at shards %d: %v", id, shards, err)
-				}
-				return res.String()
-			}
-			serial := render(0)
-			for _, shards := range []int{1, 2, 8} {
-				if got := render(shards); got != serial {
-					t.Errorf("%s: output at shards=%d differs from serial\n--- serial ---\n%s\n--- shards=%d ---\n%s",
-						id, shards, serial, shards, got)
-				}
+			o := tinyOptions()
+			o.Shards = 8
+			if got, serial := runOne(t, id, o).String(), shared[id].String(); got != serial {
+				t.Errorf("%s: output at shards=8 differs from serial\n--- serial ---\n%s\n--- shards=8 ---\n%s",
+					id, serial, got)
 			}
 		})
 	}
@@ -227,10 +208,7 @@ func TestScaleShardedSpeedupColumns(t *testing.T) {
 	}
 	o := tinyOptions()
 	o.Shards = 2
-	res, err := Registry()["scale"](o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOne(t, "scale", o)
 	data, ok := res.Artifacts[ScaleArtifactName]
 	if !ok {
 		t.Fatal("scale artifact missing")

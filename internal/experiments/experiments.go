@@ -264,7 +264,6 @@ type scenario struct {
 	kind        modelKind
 	n           int // stable size / protocol N
 	opts        avmon.NodeOptions
-	overreport  float64
 	collusion   *avmon.CollusionConfig
 	outages     string            // modelZoneOutage: the schedule, in ParseOutageSchedule's format
 	storm       avmon.StormConfig // modelStorm: the waves (N is filled in from n)
@@ -342,14 +341,13 @@ func run(s scenario) (*outcome, error) {
 		return nil, err
 	}
 	c, err := avmon.NewCluster(avmon.ClusterConfig{
-		N:                  s.n,
-		Seed:               s.seed,
-		Shards:             s.shards,
-		Options:            s.opts,
-		OverreportFraction: s.overreport,
-		Collusion:          s.collusion,
-		LatencyModel:       s.latModel,
-		LossModel:          s.lossModel,
+		N:            s.n,
+		Seed:         s.seed,
+		Shards:       s.shards,
+		Options:      s.opts,
+		Collusion:    s.collusion,
+		LatencyModel: s.latModel,
+		LossModel:    s.lossModel,
 	}, model)
 	if err != nil {
 		return nil, err

@@ -35,8 +35,19 @@ func hostBound(e experiment) bool {
 	return e.artifact != "" && (e.sweep == nil || e.sweep.serial)
 }
 
-// tinyAll is one RunAll of every deterministic id at tinyOptions,
-// shared by the tests that read it.
+// runOne renders one experiment id alone.
+func runOne(t *testing.T, id string, o Options) *Result {
+	t.Helper()
+	var res *Result
+	if err := RunAll([]string{id}, o, func(r *Result) error { res = r; return nil }); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return res
+}
+
+// tinyAll is one RunAll of every deterministic id at tinyOptions and
+// parallelism 8, shared by the tests that read it: the serial,
+// single-shard renders they compare against, each simulated once.
 var tinyAll struct {
 	once    sync.Once
 	results map[string]*Result
@@ -57,6 +68,7 @@ func runTinyAll(t *testing.T) map[string]*Result {
 			}
 		}
 		o := tinyOptions()
+		o.Parallelism = 8
 		o.Progress = func(done, total int, _ string) {
 			if done == total {
 				tinyAll.points += total
@@ -75,7 +87,6 @@ func runTinyAll(t *testing.T) map[string]*Result {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
 	want := []string{
 		"table1", "figure3", "figure4", "figure5", "figure6", "figure7",
 		"figure8", "figure9", "figure10", "figure11", "figure12",
@@ -87,14 +98,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if got := IDs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("IDs() = %v, want paper order %v", got, want)
-	}
-	if len(reg) != len(want) {
-		t.Errorf("registry has %d entries, want %d", len(reg), len(want))
-	}
-	for _, id := range want {
-		if reg[id] == nil {
-			t.Errorf("missing experiment %q", id)
-		}
 	}
 	var selfRunning, artifactRows []string
 	for _, e := range catalogue {
@@ -148,10 +151,7 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 		t.Run(e.id, func(t *testing.T) {
 			res := shared[e.id]
 			if hostBound(e) {
-				var err error
-				if res, err = Registry()[e.id](tinyOptions()); err != nil {
-					t.Fatalf("%s failed: %v", e.id, err)
-				}
+				res = runOne(t, e.id, tinyOptions())
 			}
 			if res.ID != e.id {
 				t.Errorf("result ID = %q, want %q", res.ID, e.id)
@@ -216,8 +216,10 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 // renders does not depend on what it is run with — one RunAll of
 // everything prints, for every id, the bytes it prints in a RunAll of
 // just the ids that read its sweep — and a sweep several ids read is
-// simulated once. (Each distinct sweep is re-simulated once here, not
-// once per id.)
+// simulated once. Each distinct sweep is re-simulated once here, at two
+// shards: the shared run is serial, so the same comparison holds every
+// sweep to its sharded run (Options.Shards, avmon-bench -shards)
+// printing the serial bytes.
 func TestRunAllMatchesSingleRuns(t *testing.T) {
 	shared := runTinyAll(t)
 	wantPoints := 0
@@ -237,6 +239,7 @@ func TestRunAllMatchesSingleRuns(t *testing.T) {
 			}
 		}
 		o := tinyOptions()
+		o.Shards = 2
 		o.Progress = func(done, total int, _ string) {
 			if done == total {
 				wantPoints += total
@@ -244,7 +247,7 @@ func TestRunAllMatchesSingleRuns(t *testing.T) {
 		}
 		err := RunAll(ids, o, func(alone *Result) error {
 			if got, want := shared[alone.ID].String(), alone.String(); got != want {
-				t.Errorf("%s renders differently under RunAll of everything\n--- all ---\n%s\n--- its sweep alone ---\n%s",
+				t.Errorf("%s renders differently under RunAll of everything\n--- all, serial ---\n%s\n--- its sweep alone, 2 shards ---\n%s",
 					alone.ID, got, want)
 			}
 			return nil
@@ -339,7 +342,7 @@ func TestOptionsValidation(t *testing.T) {
 	// The harnesses with a population floor reject under the same
 	// sentinel.
 	for _, id := range []string{"chaos", "realnet"} {
-		if _, err := Registry()[id](Options{Ns: []int{10}}); !errors.Is(err, ErrInvalidOptions) {
+		if err := RunAll([]string{id}, Options{Ns: []int{10}}, func(*Result) error { return nil }); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("%s at N=10: err = %v, want one wrapping ErrInvalidOptions", id, err)
 		}
 	}

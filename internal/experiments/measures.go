@@ -148,14 +148,15 @@ func (o *outcome) uselessPerMinute(group []int) []float64 {
 }
 
 // monitorEstimate returns node idx's availability as the system sees it
-// (Cluster.Availability) beside the truth. ok is false for a node that
-// was never up or that no monitor has an estimate for yet.
-func monitorEstimate(c *avmon.Cluster, idx int) (est, truth float64, ok bool) {
+// (Cluster.Availability, overreport the misreporting fraction) beside
+// the truth. ok is false for a node that was never up or that no
+// monitor has an estimate for yet.
+func monitorEstimate(c *avmon.Cluster, idx int, overreport float64) (est, truth float64, ok bool) {
 	truth = c.Stats(idx).TrueAvailability()
 	if truth <= 0 {
 		return 0, 0, false
 	}
-	if est, ok = c.Availability(idx); !ok {
+	if est, ok = c.Availability(idx, overreport); !ok {
 		return 0, 0, false
 	}
 	return est, truth, true
@@ -166,7 +167,7 @@ func monitorEstimate(c *avmon.Cluster, idx int) (est, truth float64, ok bool) {
 func (o *outcome) estimateRatios() []float64 {
 	var out []float64
 	for _, idx := range o.controlOrLateBorn() {
-		if est, truth, ok := monitorEstimate(o.c, idx); ok {
+		if est, truth, ok := monitorEstimate(o.c, idx, 0); ok {
 			out = append(out, est/truth)
 		}
 	}
@@ -190,13 +191,13 @@ func absRelErr(ratios []float64) (mean, worst float64) {
 // affectedFraction is Figure 20's criterion: the fraction of measured
 // alive honest nodes whose estimated availability is off from the truth
 // by more than 0.2.
-func affectedFraction(c *avmon.Cluster) float64 {
+func affectedFraction(c *avmon.Cluster, overreport float64) float64 {
 	affected, measured := 0, 0
 	for i := 0; i < c.Size(); i++ {
 		if c.IsColluder(i) || !c.Stats(i).Alive {
 			continue
 		}
-		est, truth, ok := monitorEstimate(c, i)
+		est, truth, ok := monitorEstimate(c, i, overreport)
 		if !ok {
 			continue
 		}
