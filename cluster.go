@@ -129,13 +129,18 @@ type ClusterConfig struct {
 	Shards int
 	// Options are the per-node protocol knobs.
 	Options NodeOptions
-	// Collusion, when non-nil, stages the collusion/eclipse attack: a
-	// colluding ring of nodes that suppress or forge availability
-	// reports for the victims they are assigned to monitor. nil — and
-	// a config with Fraction 0 — leave every node honest and the run
-	// byte-identical to one without the field (the chaos experiment's
-	// control-arm gate).
-	Collusion *CollusionConfig
+	// Collusion stages the collusion/eclipse attack of the chaos
+	// experiment (the adversary model of Section 4.3): the fraction of
+	// the stable population N, in [0, 1], that forms a colluding ring.
+	// The ring is the top Collusion·N (rounded) indexes of the initial
+	// population; nodes born later (churn births, control enrollees) are
+	// honest, so the attack consumes no extra randomness. A colluder
+	// sends no monitoring ping to a victim, anyone outside the ring, and
+	// so keeps no history of it (the eclipse half); asked about one in a
+	// read-out it answers 0 (Availability; the defamation half). 0 leaves
+	// every node honest, the run byte-identical to one without the
+	// attack (the chaos experiment's control-arm gate).
+	Collusion float64
 	// LatencyModel is the one-way latency distribution: constant (see
 	// NewConstantLatency; nil means a constant 50ms), lognormal, zone
 	// matrix, … (see NewLognormalLatency and NewZoneLatency). Under
@@ -151,43 +156,6 @@ type ClusterConfig struct {
 	// is owned by the sender's lane, preserving determinism under
 	// sharding.
 	LossModel LossModel
-}
-
-// CollusionConfig parameterizes the collusion/eclipse attack of the
-// chaos experiment (the adversary model of Section 4.3): a colluding
-// ring that protects its own members while suppressing or forging the
-// availability reports of everyone else it is assigned to monitor.
-//
-// Colluder membership is deterministic: the top ⌈Fraction·N⌉ indexes
-// of the initial population collude, nodes born later (churn births,
-// control enrollees) are honest. The attack therefore consumes no
-// extra randomness, and a Fraction-0 (or nil) configuration is
-// byte-identical to an attack-free run — the property the chaos
-// experiment's control-arm gate enforces.
-type CollusionConfig struct {
-	// Fraction of the stable population N that colludes, in [0, 1].
-	Fraction float64
-	// SuppressPings makes colluders drop their monitoring duty toward
-	// victims entirely: no MON pings, hence no availability history —
-	// the eclipse half of the attack. A victim whose every alive
-	// monitor colludes is fully eclipsed: nobody measures it.
-	SuppressPings bool
-	// ForgedAvail is the availability a colluder reports for every
-	// victim it is asked about: 1 whitewashes (the overreporting
-	// attack, mounted by a coordinated ring), 0 defames. A negative
-	// value suppresses the report instead (the colluder claims not to
-	// monitor the victim). Must be ≤ 1. Fellow colluders are always
-	// reported honestly.
-	ForgedAvail float64
-}
-
-// colluders returns how many nodes collude under this config at
-// stable size n.
-func (cc *CollusionConfig) colluders(n int) int {
-	if cc == nil {
-		return 0
-	}
-	return int(cc.Fraction*float64(n) + 0.5)
 }
 
 // Traffic is a snapshot of one node's network counters.
@@ -356,13 +324,8 @@ func (cfg ClusterConfig) Validate() error {
 	case cfg.Shards < 0:
 		return badConfig("Shards %d is negative (0 = one shard)", cfg.Shards)
 	}
-	if cc := cfg.Collusion; cc != nil {
-		if !(cc.Fraction >= 0 && cc.Fraction <= 1) {
-			return badConfig("collusion Fraction %v outside [0, 1]", cc.Fraction)
-		}
-		if !(cc.ForgedAvail <= 1) {
-			return badConfig("ForgedAvail %v exceeds 1", cc.ForgedAvail)
-		}
+	if !(cfg.Collusion >= 0 && cfg.Collusion <= 1) {
+		return badConfig("Collusion %v outside [0, 1]", cfg.Collusion)
 	}
 	return cfg.Options.validate(cfg.N)
 }
@@ -415,7 +378,7 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 		model:       model,
 		k:           k,
 		cvs:         cfg.Options.cvsFor(cfg.N),
-		colludeFrom: cfg.N - cfg.Collusion.colluders(cfg.N),
+		colludeFrom: cfg.N - int(cfg.Collusion*float64(cfg.N)+0.5),
 	}
 	c.net, err = simnet.New(eng,
 		simnet.WithLatencyModel(latency),
@@ -570,36 +533,17 @@ func (c *Cluster) overreports(idx int, f float64) bool {
 }
 
 // adversary is the core.Adversary of a colluder
-// (ClusterConfig.Collusion): it withholds its probes of victims when
-// SuppressPings is set and reports ForgedAvail for them, or no estimate
-// when that is negative. Everyone outside the ring is a victim; fellow
-// colluders get the honest answer. Both methods read only the ring
-// roster, fixed at construction, so they are safe on the member's lane
-// under sharding.
+// (ClusterConfig.Collusion): it withholds its probes of victims,
+// everyone outside the ring. It reads only the ring roster, fixed at
+// construction, so it is safe on the member's lane under sharding.
 type adversary struct {
 	c *Cluster
 }
 
-// victim reports whether the ring attacks target.
-func (a *adversary) victim(target ids.ID) bool {
-	ti, ok := ids.SimIndex(target)
-	return ok && !a.c.IsColluder(ti)
-}
-
 // Withhold implements core.Adversary.
 func (a *adversary) Withhold(target ids.ID) bool {
-	return a.victim(target) && a.c.cfg.Collusion.SuppressPings
-}
-
-// Report implements core.Adversary.
-func (a *adversary) Report(target ids.ID, est float64, known bool) (float64, bool) {
-	if a.victim(target) {
-		if forged := a.c.cfg.Collusion.ForgedAvail; forged >= 0 {
-			return forged, true
-		}
-		return 0, false
-	}
-	return est, known
+	ti, ok := ids.SimIndex(target)
+	return ok && !a.c.IsColluder(ti)
 }
 
 // Rejoin implements churn.Driver.
@@ -735,10 +679,10 @@ func (c *Cluster) EnrollControl(count int) []int {
 }
 
 // IsColluder reports whether node idx belongs to the colluding ring
-// staged by ClusterConfig.Collusion: the top ⌈Fraction·N⌉ indexes of
-// the initial population. Always false without a Collusion config.
+// staged by ClusterConfig.Collusion: the top Collusion·N (rounded)
+// indexes of the initial population. Always false at Collusion 0.
 func (c *Cluster) IsColluder(idx int) bool {
-	return c.cfg.Collusion != nil && idx >= c.colludeFrom && idx < c.cfg.N
+	return idx >= c.colludeFrom && idx < c.cfg.N
 }
 
 // IDOf returns the identity of node idx.
@@ -804,11 +748,12 @@ func (c *Cluster) EstimateBy(idx int, target ID) (float64, bool) {
 // each asked for its estimate of idx; the answer is their mean. ok is
 // false when no verified monitor has an estimate.
 //
-// overreport mounts Figure 20's attack, which lies only when asked:
-// a monitor whose ticket (overreports) is below it answers 1, unless
-// it is a colluder asked about a victim, whose forged answer stands.
-// 0 is the honest read-out. The run itself is the same at every
-// fraction, so one finished cluster serves them all.
+// A monitor lies only when asked, so its lies are the read-out's, not
+// the run's: a colluder asked about a victim (ClusterConfig.Collusion)
+// answers 0, and overreport mounts Figure 20's attack — any other
+// monitor whose ticket (overreports) is below it answers 1. 0 is the
+// honest read-out. The run itself is the same at every fraction, so
+// one finished cluster serves them all.
 func (c *Cluster) Availability(idx int, overreport float64) (float64, bool) {
 	subject := c.IDOf(idx)
 	reported := c.ReportMonitors(idx, 0)
@@ -823,7 +768,10 @@ func (c *Cluster) Availability(idx int, overreport float64) (float64, bool) {
 			continue
 		}
 		est, known := c.EstimateBy(mi, subject)
-		if (!c.IsColluder(mi) || c.IsColluder(idx)) && c.overreports(mi, overreport) {
+		switch {
+		case c.IsColluder(mi) && !c.IsColluder(idx):
+			est, known = 0, true
+		case c.overreports(mi, overreport):
 			est, known = 1, true
 		}
 		if known {

@@ -401,13 +401,13 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			mk: func() (ChurnModel, error) { return NewSYNTHModel(100, 0.2) },
 		},
 		{
-			// Collusion attack: a quarter of the population suppresses
-			// pings and defames its victims. The adversary runs on member
-			// lanes, so this proves its methods are shard-safe pure functions.
+			// Collusion attack: a quarter of the population withholds its
+			// pings of its victims. The adversary runs on member lanes, so
+			// this proves Withhold is a shard-safe pure function.
 			name: "chaos-collusion",
 			cfg: ClusterConfig{
 				N: 90, Seed: 26,
-				Collusion: &CollusionConfig{Fraction: 0.25, SuppressPings: true, ForgedAvail: 0},
+				Collusion: 0.25,
 				Options:   NodeOptions{Forgetful: true},
 			},
 			mk: func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) },
@@ -498,9 +498,9 @@ var overreportFractions = []float64{0, 0.05, 0.2, 1}
 
 // psMean is Availability written out: the mean of the estimates node
 // idx's discovered monitors hold of it (PS in discovery order, every
-// monitor verified), where a monitor whose ticket — its generator's
-// first draw — is below f reads 1, unless it is a colluder asked about
-// a victim, whose forged answer wins.
+// monitor verified), where a colluder asked about a victim reads 0 and
+// any other monitor whose ticket — its generator's first draw — is
+// below f reads 1.
 func psMean(c *Cluster, idx int, f float64) (float64, bool) {
 	sum, n := 0.0, 0
 	for _, mon := range c.MonitorsOf(idx) {
@@ -510,7 +510,9 @@ func psMean(c *Cluster, idx int, f float64) (float64, bool) {
 		}
 		est, known := c.EstimateBy(mi, c.IDOf(idx))
 		ticket := sim.CompactRand(c.cfg.Seed ^ (int64(mi)+1)*0x5851F42D4C957F2D).Float64()
-		if forges := c.IsColluder(mi) && !c.IsColluder(idx); ticket < f && !forges {
+		if c.IsColluder(mi) && !c.IsColluder(idx) {
+			est, known = 0, true
+		} else if ticket < f {
 			est, known = 1, true
 		}
 		if known {
@@ -592,7 +594,7 @@ func TestClusterAvailability(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, cfg := range []ClusterConfig{
 			{N: 80, Seed: 5, Shards: shards},
-			{N: 80, Seed: 6, Shards: shards, Collusion: &CollusionConfig{Fraction: 0.25, SuppressPings: true}},
+			{N: 80, Seed: 6, Shards: shards, Collusion: 0.25},
 		} {
 			c, err := NewCluster(cfg, NewSTATModel(cfg.N))
 			if err != nil {
@@ -601,7 +603,7 @@ func TestClusterAvailability(t *testing.T) {
 			c.Run(30 * time.Minute)
 			late := c.EnrollControl(1)[0]
 			c.Run(time.Second) // it joins; no probe of it has resolved
-			name := fmt.Sprintf("shards %d, collusion %t", shards, cfg.Collusion != nil)
+			name := fmt.Sprintf("shards %d, collusion %v", shards, cfg.Collusion)
 			answered, forged := 0, 0
 			for _, got := range readOuts(t, name, c)[0] {
 				if got >= 0 {
@@ -611,10 +613,10 @@ func TestClusterAvailability(t *testing.T) {
 					forged++
 				}
 			}
-			if answered < cfg.N/2 || cfg.Collusion != nil && forged == 0 {
+			if answered < cfg.N/2 || cfg.Collusion > 0 && forged == 0 {
 				t.Errorf("%s: gate measured nothing: %d of %d nodes answered, %d below 1", name, answered, c.Size(), forged)
 			}
-			if cfg.Collusion == nil {
+			if cfg.Collusion == 0 {
 				if est, ok := c.Availability(late, 0); ok {
 					t.Errorf("%s: a node that joined a second ago reads %v", name, est)
 				}

@@ -53,7 +53,7 @@ func TestClusterConfigValidation(t *testing.T) {
 		return ClusterConfig{
 			N: 50, Seed: 3, Shards: 2,
 			LatencyModel: must(NewConstantLatency(20 * time.Millisecond)), LossModel: must(NewBernoulliLoss(0.01)),
-			Collusion: &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: -1},
+			Collusion: 0.2,
 			Options: NodeOptions{K: 6, CVS: 8, Variant: VariantMD, Hash: HashMD5,
 				Period: time.Minute, MonitorPeriod: time.Minute, Forgetful: true,
 				ForgetfulTau: time.Minute, ForgetfulC: 2},
@@ -68,8 +68,8 @@ func TestClusterConfigValidation(t *testing.T) {
 	broken := map[string]func(*ClusterConfig){
 		"negative N":          func(c *ClusterConfig) { c.N = -5 },
 		"negative shards":     func(c *ClusterConfig) { c.Shards = -2 },
-		"collusion above one": func(c *ClusterConfig) { c.Collusion.Fraction = 1.5 },
-		"forged above one":    func(c *ClusterConfig) { c.Collusion.ForgedAvail = 1.01 },
+		"collusion above one": func(c *ClusterConfig) { c.Collusion = 1.5 },
+		"negative collusion":  func(c *ClusterConfig) { c.Collusion = -0.1 },
 	}
 	for name, breakIt := range brokenNodeOptions {
 		breakIt := breakIt
@@ -111,7 +111,7 @@ func TestNewClusterConstruction(t *testing.T) {
 		{N: 40, Options: NodeOptions{Variant: VariantGeneric, Forgetful: true, PR2: true}},
 		{N: 40, Options: NodeOptions{DisableReshuffle: true, RejoinFullWeight: true}},
 		{N: 40, Shards: 8, LatencyModel: lognormal, LossModel: must(NewBernoulliLoss(0.05))},
-		{N: 40, Collusion: &CollusionConfig{}},
+		{N: 40, Collusion: 0.25},
 	}
 	for i, cfg := range good {
 		c, err := NewCluster(cfg, NewSTATModel(40))
@@ -339,7 +339,7 @@ func TestServiceAndClusterNodesAgree(t *testing.T) {
 func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 	cfg := ClusterConfig{
 		N: 60, Seed: 3, Options: NodeOptions{PR2: true, Hash: HashFast},
-		Collusion: &CollusionConfig{Fraction: 0.2, SuppressPings: true, ForgedAvail: 0},
+		Collusion: 0.2,
 	}
 	c, err := NewCluster(cfg, NewSTATModel(cfg.N))
 	if err != nil {
@@ -373,13 +373,8 @@ func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 			t.Errorf("node %d: overreports does not read its ticket %v", idx, ticket)
 		}
 		victim, fellow := c.IDOf(0), c.IDOf(cfg.N-1)
-		if colluder && got.Adversary != nil {
-			if !got.Adversary.Withhold(victim) || got.Adversary.Withhold(fellow) {
-				t.Errorf("colluder %d does not spare exactly its fellows' pings", idx)
-			}
-			if est, ok := got.Adversary.Report(victim, 0.5, true); est != 0 || !ok {
-				t.Errorf("colluder %d reports %v, %t for a victim, want the forged 0", idx, est, ok)
-			}
+		if colluder && got.Adversary != nil && (!got.Adversary.Withhold(victim) || got.Adversary.Withhold(fellow)) {
+			t.Errorf("colluder %d does not spare exactly its fellows' pings", idx)
 		}
 		shared := reflect.ValueOf(&m.node).Elem().FieldByName("cfg").Pointer() == uintptr(unsafe.Pointer(&m.ws.cfg))
 		role := map[bool]string{true: "colluder", false: "honest"}[colluder]

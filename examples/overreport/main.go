@@ -32,7 +32,7 @@ func main() {
 // system run for attackHorizon, then demonstrates third-party
 // verification on a static system run for verifyHorizon.
 func run(w io.Writer, n int, fracs []float64, attackHorizon, verifyHorizon time.Duration) error {
-	fmt.Fprintf(w, "overreporting attack sweep (SYNTH churn, %v each):\n", attackHorizon)
+	fmt.Fprintf(w, "overreporting attack sweep (one %v SYNTH churn run, read at every fraction):\n", attackHorizon)
 	cluster, err := attackRun(n, attackHorizon)
 	if err != nil {
 		return err

@@ -71,9 +71,10 @@ type Config struct {
 	AcquireMessage func() *Message
 
 	// Adversary, when non-nil, makes this node a misbehaving monitor
-	// (Section 5.4's overreporting, the chaos experiment's collusion):
-	// it decides which targets go unprobed and what leaves the node as
-	// an estimate. nil is an honest node.
+	// (the eclipse half of the chaos experiment's collusion): it
+	// decides which targets go unprobed. nil is an honest node. What a
+	// monitor answers when asked is not the protocol's to decide: a
+	// lying answer is the read-out's (avmon's Cluster.Availability).
 	Adversary Adversary
 
 	// Ablation knobs (evaluation only — they disable parts of the
@@ -89,18 +90,14 @@ type Config struct {
 	RejoinFullWeight bool
 }
 
-// Adversary is the one seam through which a node misbehaves as a
-// monitor. Its methods run on the node's own thread and must be pure
-// functions of their inputs — no randomness, no retained state — or a
+// Adversary is the one seam through which a node misbehaves in the
+// protocol. Withhold runs on the node's own thread and must be a pure
+// function of its input — no randomness, no retained state — or a
 // sharded simulation loses determinism.
 type Adversary interface {
 	// Withhold reports whether MonitorTick skips this round's probe of
 	// target: no MON-PING, so no observation is recorded.
 	Withhold(target ids.ID) bool
-	// Report receives the honest estimate of target and whether one
-	// exists (EstimateOf, and so AVAIL-BATCH answers), and returns what
-	// actually leaves the node.
-	Report(target ids.ID, est float64, known bool) (float64, bool)
 }
 
 // Rand is the node's private random stream: the three draws the

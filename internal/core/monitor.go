@@ -126,20 +126,16 @@ func (n *Node) handleMonAck(from ids.ID, seq uint64, now time.Time) {
 
 // EstimateOf returns this node's availability estimate for a node it
 // monitors, and whether it has one: the fraction of its probes
-// answered. An Adversary gets the final word on what leaves the node.
+// answered.
 func (n *Node) EstimateOf(u ids.ID) (float64, bool) {
 	i := slices.Index(n.tsIDs, u)
 	if i < 0 {
 		return 0, false
 	}
-	est, known := 0.0, false
 	if t := &n.ts[i]; t.total > 0 {
-		est, known = float64(t.up)/float64(t.total), true
+		return float64(t.up) / float64(t.total), true
 	}
-	if n.cfg.Adversary != nil {
-		return n.cfg.Adversary.Report(u, est, known)
-	}
-	return est, known
+	return 0, false
 }
 
 // MonitoringStats summarizes the node's monitoring activity.

@@ -30,9 +30,9 @@ type protocolNode interface {
 // instant and random stream, and the node must pass checkInvariants. conf holds cvs−2
 // (bits 0–4); the fast Selector's kernel, Memoize(MD5)'s memo row or
 // RelatedRow hidden (5–6); PR2, Forgetful, DisableReshuffle,
-// RejoinFullWeight (7–10); a testAdversary that reports 1 for every
-// target (11) and that withholds its probes of odd-indexed targets (12);
-// bits above are ignored. A step is
+// RejoinFullWeight (7–10); a MonitorPeriod twice Period (11), so a rule
+// that reads the wrong one of the two diverges; a withholdOdd Adversary
+// (12); bits above are ignored. A step is
 // an op byte (kind in bits 0–2, arg above) and operands:
 //
 //	0     the clock advances (arg+1)·15 s
@@ -103,8 +103,11 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 		Transport: &nodeLog, Rand: rand.New(rand.NewSource(seed)), CVS: int(conf&31) + 2,
 		PR2: bit(7), Forgetful: bit(8), DisableReshuffle: bit(9), RejoinFullWeight: bit(10),
 	}
-	if bit(11) || bit(12) {
-		cfg.Adversary = testAdversary{overreport: bit(11), withholdOdd: bit(12)}
+	if bit(11) {
+		cfg.MonitorPeriod = 2 * DefaultPeriod
+	}
+	if bit(12) {
+		cfg.Adversary = withholdOdd{}
 	}
 	n, err := NewNode(cfg)
 	if err != nil {
@@ -255,21 +258,13 @@ func checkInvariants(n *Node, in *Message, sent []sentMsg) error {
 	return nil
 }
 
-// testAdversary is a misbehaving monitor: an overreporter reports 1 for
-// every target it monitors, and a withholdOdd one sends no probe to a
-// target with an odd simulated index.
-type testAdversary struct{ overreport, withholdOdd bool }
+// withholdOdd is a misbehaving monitor: it sends no probe to a target
+// with an odd simulated index.
+type withholdOdd struct{}
 
-func (a testAdversary) Withhold(u ids.ID) bool {
+func (withholdOdd) Withhold(u ids.ID) bool {
 	i, ok := ids.SimIndex(u)
-	return a.withholdOdd && ok && i%2 == 1
-}
-
-func (a testAdversary) Report(_ ids.ID, est float64, known bool) (float64, bool) {
-	if a.overreport {
-		return 1, true
-	}
-	return est, known
+	return ok && i%2 == 1
 }
 
 // Seed steps and conf bits, in FuzzNodeMessages's encoding.
@@ -277,7 +272,7 @@ var minute, tick, monitorTick = []byte{3 << 3}, []byte{1}, []byte{2}
 
 const (
 	confHidden, confPR2, confForgetful, confNoReshuffle = 2 << 5, 1 << 7, 1 << 8, 1 << 9
-	confMemo, confOverreport, confWithholdOdd           = 1 << 5, 1 << 11, 1 << 12
+	confMemo, confSlowMonitor, confWithholdOdd          = 1 << 5, 1 << 11, 1 << 12
 )
 
 // seedMsg is a delivery step, its fields the step's bytes (view ≤ 15).
@@ -413,8 +408,14 @@ func addNodeSeeds(f *testing.F) {
 	// A node that is not yet born, then joins twice with no leave between:
 	// the second JOIN's weight reads a last leave that never happened.
 	f.Add(int64(9), uint16(6), slices.Concat([]byte{0}, holding(2), minute, []byte{3, 4}))
-	// The forgetful cycles under an adversary that overreports and
-	// withholds its probes of odd-indexed targets: those are never
-	// probed, never resolved and never drawn for, yet reported at 1.
-	f.Add(int64(8), uint16(6|confForgetful|confOverreport|confWithholdOdd), cycle)
+	// The forgetful cycles under an adversary that withholds its probes
+	// of odd-indexed targets: those are never probed, never resolved and
+	// never drawn for.
+	f.Add(int64(8), uint16(6|confForgetful|confWithholdOdd), cycle)
+	// Forgetful rounds, then periods in which only PONGs arrive, with
+	// the monitoring period twice the protocol period: targets never
+	// seen up for a whole session are probed at odds whose floor is one
+	// monitoring period, and the node re-bootstraps eight protocol
+	// periods after its last coarse contact.
+	f.Add(int64(1), uint16(6|confForgetful|confSlowMonitor), slices.Concat(acks, periods[len(holding(2)):]))
 }

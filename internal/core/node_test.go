@@ -551,21 +551,6 @@ func TestHashChecksCounted(t *testing.T) {
 	}
 }
 
-func TestOverreportingMonitor(t *testing.T) {
-	fn := newFakeNet(t)
-	mon := fn.addNode(1, allRelated{}, func(c *Config) { c.Adversary = testAdversary{overreport: true} })
-	tgt := fn.addNode(2, allRelated{}, nil)
-	mon.Join(fn.now, ids.None)
-	tgt.Join(fn.now, ids.None)
-	mon.Handle(tgt.ID(), &Message{Type: MsgNotify, U: mon.ID(), V: tgt.ID()}, fn.now)
-	tgt.Leave(fn.now) // target is gone...
-	fn.advance(10, DefaultMonitorPeriod)
-	est, known := mon.EstimateOf(tgt.ID())
-	if !known || est != 1 {
-		t.Errorf("overreporting monitor estimate = %v, want 1.0", est)
-	}
-}
-
 func TestCVRespReshufflesView(t *testing.T) {
 	fn := newFakeNet(t)
 	a := fn.addNode(1, noneRelated{}, nil)

@@ -248,21 +248,12 @@ func (s *specNode) MonitorTick(now time.Time) {
 	}
 }
 
-// EstimateOf is x's estimate for u ∈ TS(x): the fraction of its probes answered
-// (§ 5.4), or whatever an adversary makes of it.
+// EstimateOf is x's estimate for u ∈ TS(x): the fraction of its probes answered (§ 5.4).
 func (s *specNode) EstimateOf(u ids.ID) (float64, bool) {
-	t := s.ts[u]
-	if t == nil {
-		return 0, false
+	if t := s.ts[u]; t != nil && t.total > 0 {
+		return float64(t.up) / float64(t.total), true
 	}
-	est, known := 0.0, t.total > 0
-	if known {
-		est = float64(t.up) / float64(t.total)
-	}
-	if s.cfg.Adversary != nil {
-		return s.cfg.Adversary.Report(u, est, known)
-	}
-	return est, known
+	return 0, false
 }
 
 func (s *specNode) random() ids.ID {

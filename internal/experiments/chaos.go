@@ -10,7 +10,7 @@ package experiments
 //
 // The arms are deliberately asymmetric:
 //
-//   - baseline: no chaos plumbing at all (nil Collusion, empty outage
+//   - baseline: no chaos plumbing at all (no colluders, empty outage
 //     schedule, zeroed storm), simulated in one uninterrupted Run;
 //   - control: the chaos plumbing installed at magnitude zero,
 //     simulated as 24 sampling steps, the baseline's twin;
@@ -83,12 +83,9 @@ func chaosScens(o Options) []scenario {
 	}
 	// A colluding quarter of the population turns on its victims:
 	// monitoring pings suppressed, reports defamed to 0%.
-	ring := func(fraction float64) *avmon.CollusionConfig {
-		return &avmon.CollusionConfig{Fraction: fraction, SuppressPings: true, ForgedAvail: 0}
-	}
 	add("collusion", scenario{kind: modelSTAT},
-		scenario{kind: modelSTAT, collusion: ring(0)},
-		scenario{kind: modelSTAT, collusion: ring(0.25)})
+		scenario{kind: modelSTAT, collusion: 0},
+		scenario{kind: modelSTAT, collusion: 0.25})
 	// One of three WAN zones fails for a quarter of the run, then the
 	// partition heals: the coverage dip and the recovery time.
 	quiet := scenario{kind: modelZoneOutage, latModel: zones}

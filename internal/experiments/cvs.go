@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -23,32 +24,31 @@ func cvsSweepNs(o Options) []int {
 	return ns
 }
 
-// cvsScens is the Section 5.2 set: STAT at each of ns under the four
-// coarse-view sizes. Points differ only in cvs within each N; pairing
-// their seeds per N isolates the coarse-view size.
-func cvsScens(measure time.Duration, ns func(Options) []int) func(Options) []scenario {
-	return func(o Options) []scenario {
-		var scens []scenario
-		for _, n := range ns(o) {
-			for _, mult := range cvsMultipliers {
-				s := synthScenario(o, modelSTAT, n, measure)
-				s.opts.CVS = cvsFor(mult, n)
-				scens = append(scens, s)
-			}
+// cvsScens is the Section 5.2 set: STAT at each cvsSweepNs size under
+// the four coarse-view sizes, measured for an hour. Points differ only
+// in cvs within each N; pairing their seeds per N isolates the
+// coarse-view size.
+func cvsScens(o Options) []scenario {
+	var scens []scenario
+	for _, n := range cvsSweepNs(o) {
+		for _, mult := range cvsMultipliers {
+			s := synthScenario(o, modelSTAT, n, time.Hour)
+			s.opts.CVS = cvsFor(mult, n)
+			scens = append(scens, s)
 		}
-		return scens
 	}
+	return scens
 }
 
 // figure11 reproduces "Average discovery time vs cvs" on the STAT
-// model.
-func figure11(_ Options, outs []*outcome) []*Table {
+// model, 45 minutes into the window.
+func figure11(o Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Average discovery time vs cvs (STAT)",
 		Header: []string{"N", "cvs", "mean discovery (s)", "stddev (s)"},
 	}
 	for _, out := range outs {
-		times, _ := out.firstDiscoveries(out.controlOrLateBorn())
+		times, _ := out.firstDiscoveriesAsOf(discoveryCut(o))
 		w := welford(in(time.Duration.Seconds, times))
 		table.AddRow(itoa(out.s.n), itoa(out.s.opts.CVS), f2(w.Mean()), f2(w.Stddev()))
 	}
@@ -57,14 +57,18 @@ func figure11(_ Options, outs []*outcome) []*Table {
 
 // figure12 reproduces "Memory entries vs cvs, and computations per
 // second vs cvs" on the STAT model. The paper plots N = 500 and
-// N = 2000 to show N has no influence at fixed cvs; its sweep keeps the
-// first and last sizes.
-func figure12(_ Options, outs []*outcome) []*Table {
+// N = 2000 to show N has no influence at fixed cvs; this reads the
+// first and last sizes of the sweep.
+func figure12(o Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Memory and computations vs cvs (STAT)",
 		Header: []string{"N", "cvs", "mean memory entries", "mean computations/s"},
 	}
+	edges := edgeNs(cvsSweepNs(o))
 	for _, out := range outs {
+		if !slices.Contains(edges, out.s.n) {
+			continue
+		}
 		alive := out.aliveIndexes()
 		mem, comps := welford(out.memoryEntries(alive)), welford(out.compsPerSecond(alive))
 		table.AddRow(itoa(out.s.n), itoa(out.s.opts.CVS), f2(mem.Mean()), f2(comps.Mean()))

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -178,22 +179,29 @@ func TestParallelMatchesSerial(t *testing.T) {
 // (Options.Shards, avmon-bench -shards) changes nothing about an
 // experiment's rendered output. TestRunAllMatchesSingleRuns holds every
 // sweep at two shards; here the paper's headline table and figures and
-// the two harnesses with the most random streams run at eight. The wan
+// the two harnesses with the most random streams run at eight, each
+// render held to the serial digest rendered.golden pins. The wan
 // experiment covers the heterogeneous latency/loss models, whose
 // sharded runs use each model's MinLatency floor as the adaptive
 // lookahead; chaos covers the adversarial suite (the collusion
 // adversary, zone-outage events, storm shocks) plus its stepped RunFor
 // sampling loop.
 func TestShardedSweepMatchesSerial(t *testing.T) {
-	shared := runTinyAll(t)
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	pinned, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"table1", "figure3", "figure8", "wan", "chaos"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			o := tinyOptions()
 			o.Shards = 8
-			if got, serial := runOne(t, id, o).String(), shared[id].String(); got != serial {
-				t.Errorf("%s: output at shards=8 differs from serial\n--- serial ---\n%s\n--- shards=8 ---\n%s",
-					id, serial, got)
+			res := runOne(t, id, o)
+			if !strings.Contains(string(pinned), goldenLine(id, []byte(res.String()))) {
+				t.Errorf("%s: output at shards=8 is not the serial render %s pins:\n%s", id, goldenPath, res)
 			}
 		})
 	}

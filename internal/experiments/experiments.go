@@ -264,7 +264,7 @@ type scenario struct {
 	kind        modelKind
 	n           int // stable size / protocol N
 	opts        avmon.NodeOptions
-	collusion   *avmon.CollusionConfig
+	collusion   float64           // the colluding fraction (avmon.ClusterConfig.Collusion)
 	outages     string            // modelZoneOutage: the schedule, in ParseOutageSchedule's format
 	storm       avmon.StormConfig // modelStorm: the waves (N is filled in from n)
 	warmup      time.Duration     // 0 = no warm-up phase: measure starts the run
@@ -383,14 +383,18 @@ func run(s scenario) (*outcome, error) {
 // controlOrLateBorn returns the measurement population: the explicit
 // control group if one was enrolled, otherwise every node born after
 // warm-up (the implicit control group of SYNTH-BD and the traces).
-func (o *outcome) controlOrLateBorn() []int {
+func (o *outcome) controlOrLateBorn() []int { return o.controlOrBornBy(o.c.Elapsed()) }
+
+// controlOrBornBy is controlOrLateBorn as the run stood at end (an
+// offset from its start): a late-born node counts once born by then.
+func (o *outcome) controlOrBornBy(end time.Duration) []int {
 	if len(o.control) > 0 {
 		return o.control
 	}
 	var out []int
 	for i := 0; i < o.c.Size(); i++ {
 		st := o.c.Stats(i)
-		if st.EverBorn && st.BornAtOffset > o.warmupEnd {
+		if st.EverBorn && st.BornAtOffset > o.warmupEnd && st.BornAtOffset <= end {
 			out = append(out, i)
 		}
 	}
@@ -408,6 +412,24 @@ func (o *outcome) firstDiscoveries(group []int) (times []time.Duration, missed i
 			continue
 		}
 		times = append(times, dts[0])
+	}
+	return times, missed
+}
+
+// firstDiscoveriesAsOf is firstDiscoveries over the measurement
+// population as the run stood cut into its measurement window, which is
+// what a run stopped there reads: the control group, or the nodes born
+// after warm-up and by then; a node whose first monitor came later
+// counts as missed.
+func (o *outcome) firstDiscoveriesAsOf(cut time.Duration) (times []time.Duration, missed int) {
+	end := o.warmupEnd + cut
+	for _, idx := range o.controlOrBornBy(end) {
+		st := o.c.Stats(idx)
+		if len(st.DiscoveryTimes) == 0 || st.BornAtOffset+st.DiscoveryTimes[0] > end {
+			missed++
+			continue
+		}
+		times = append(times, st.DiscoveryTimes[0])
 	}
 	return times, missed
 }

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"avmon"
 )
 
 // updateGolden rewrites testdata/rendered.golden from this run instead
@@ -134,13 +136,21 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// goldenPath pins the digest of every deterministic render at
+// tinyOptions, one goldenLine each.
+const goldenPath = "testdata/rendered.golden"
+
+// goldenLine is the line goldenPath pins content under.
+func goldenLine(name string, content []byte) string {
+	return fmt.Sprintf("%s %x\n", name, sha256.Sum256(content))
+}
+
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	shared := runTinyAll(t)
-	const goldenPath = "testdata/rendered.golden"
 	pinned, _ := os.ReadFile(goldenPath)
 	var golden strings.Builder
 	pin := func(t *testing.T, name string, content []byte, shown string) {
-		line := fmt.Sprintf("%s %x\n", name, sha256.Sum256(content))
+		line := goldenLine(name, content)
 		golden.WriteString(line)
 		if !*updateGolden && !strings.Contains(string(pinned), line) {
 			t.Errorf("%s is not the one pinned in %s:\n%s", name, goldenPath, shown)
@@ -261,43 +271,62 @@ func TestRunAllMatchesSingleRuns(t *testing.T) {
 	}
 }
 
-// TestSharedViewsReadTheSameRun pins what sharing a sweep is for: at a
-// scale where the 45- and 60-minute windows coincide (both at the
-// 10-minute floor), Figure 6's L = 1 cells and Figure 3's largest-N row
-// are computed from the same first-monitor discovery samples. (With a
-// private sweep per figure they were two realizations, printed as 0.12
-// and 0.35 minutes for one quantity.)
+// TestSharedViewsReadTheSameRun pins what lets Figures 3-5 and 11 share
+// the hour-long runs of Figures 6-10 and 12: reading a finished run as of
+// an instant inside its window (firstDiscoveriesAsOf) gives the samples
+// and the missed count that a run stopped at that instant gives. A STAT
+// run (an enrolled control group) and a SYNTH-BD run (late-born nodes,
+// born ten times faster than Figure 5's so that a half-hour window has
+// some) are stopped at several instants and read there, then finished
+// and read as of each stop.
 func TestSharedViewsReadTheSameRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	o := tinyOptions().withDefaults()
-	run := func(sw *sweep) []*outcome {
-		outs, err := runAllPaired(o, sw)
+	const n = 120
+	window := 30 * time.Minute
+	stops := []time.Duration{10 * time.Second, time.Minute, window / 4, window / 2, window}
+	missedSome := false
+	for _, kind := range []modelKind{modelSTAT, modelSYNTHBD} {
+		model := avmon.NewSTATModel(n)
+		if kind == modelSYNTHBD {
+			model = mustModel(avmon.NewSYNTHBDModel(n, 0.2, 2))
+		}
+		c, err := avmon.NewCluster(avmon.ClusterConfig{N: n, Seed: 7}, model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outs
+		c.Run(window)
+		out := &outcome{c: c, warmupEnd: c.Elapsed()}
+		if kind == modelSTAT {
+			out.control = c.EnrollControl(n / 10)
+		}
+		type read struct {
+			times  []time.Duration
+			missed int
+		}
+		var atStop []read
+		for _, stop := range stops {
+			c.Run(out.warmupEnd + stop - c.Elapsed())
+			times, missed := out.firstDiscoveries(out.controlOrLateBorn())
+			atStop = append(atStop, read{times, missed})
+		}
+		moved := false
+		for i, stop := range stops {
+			times, missed := out.firstDiscoveriesAsOf(stop)
+			if want := atStop[i]; !reflect.DeepEqual(times, want.times) || missed != want.missed {
+				t.Errorf("%v: as of %v the finished run reads %v, %d missed; stopped there it read %v, %d missed",
+					kind, stop, times, missed, want.times, want.missed)
+			}
+			missedSome = missedSome || missed > 0
+			moved = moved || !reflect.DeepEqual(atStop[i], atStop[len(stops)-1])
+		}
+		if !moved {
+			t.Errorf("%v: gate measured nothing: every stop read what the finished run reads, %v", kind, atStop)
+		}
 	}
-	outs45, outs60 := run(synth45), run(synth60)
-	fig3 := figure3(o, outs45)[0].Rows
-	fig6 := figure6(o, outs60)[0].Rows
-	for i, kind := range syntheticKinds {
-		a, b := pick(outs45, kind, o.largestN()), pick(outs60, kind, o.largestN())
-		samples, _ := a.firstDiscoveries(a.controlOrLateBorn())
-		again, _ := b.firstDiscoveries(b.controlOrLateBorn())
-		if !reflect.DeepEqual(samples, again) {
-			t.Fatalf("%v: the two sweeps' discovery samples differ: %v vs %v", kind, samples, again)
-		}
-		if len(a.control) > 0 && len(samples) == 0 {
-			t.Fatalf("%v: the enrolled control group discovered nothing", kind)
-		}
-		if got, want := fig6[0][1+i], f2(welford(in(time.Duration.Minutes, samples)).Mean()); got != want {
-			t.Errorf("%v: figure6 L = 1 prints %s, the samples' mean is %s", kind, got, want)
-		}
-		if got, want := fig3[len(fig3)-1][1+i], f2(meanDiscoveryMinutes(samples)); got != want {
-			t.Errorf("%v: figure3 prints %s, the samples' outlier-dropped mean is %s", kind, got, want)
-		}
+	if !missedSome {
+		t.Error("gate measured nothing: no stop had a node still undiscovered")
 	}
 }
 

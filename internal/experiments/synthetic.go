@@ -28,18 +28,21 @@ func synthScenario(o Options, kind modelKind, n int, measure time.Duration) scen
 }
 
 // synthScens is the Section 5.1 set: every swept N under each of the
-// three synthetic models, size-major, measured for the given window.
-func synthScens(measure time.Duration) func(Options) []scenario {
-	return func(o Options) []scenario {
-		var scens []scenario
-		for _, n := range o.ns() {
-			for _, kind := range syntheticKinds {
-				scens = append(scens, synthScenario(o, kind, n, measure))
-			}
+// three synthetic models, size-major, measured for an hour.
+func synthScens(o Options) []scenario {
+	var scens []scenario
+	for _, n := range o.ns() {
+		for _, kind := range syntheticKinds {
+			scens = append(scens, synthScenario(o, kind, n, time.Hour))
 		}
-		return scens
 	}
+	return scens
 }
+
+// discoveryCut is how far into an hour's measurement window Figures
+// 3-5 and 11 read first discoveries: the paper's 45 minutes, scaled as
+// synthScenario scales the window.
+func discoveryCut(o Options) time.Duration { return o.scaled(45*time.Minute, 10*time.Minute) }
 
 // chunks cuts a sweep's outcomes into consecutive rows of per: one row
 // per swept N in a size-major sweep.
@@ -64,7 +67,7 @@ func pick(outs []*outcome, kind modelKind, n int) *outcome {
 // figure3 reproduces "Average discovery times of first monitors for
 // the control group nodes" across STAT, SYNTH, and SYNTH-BD for N in
 // 100..2000.
-func figure3(_ Options, outs []*outcome) []*Table {
+func figure3(o Options, outs []*outcome) []*Table {
 	table := &Table{
 		Title:  "Average discovery time of first monitor (minutes)",
 		Header: []string{"N", "STAT", "SYNTH", "SYNTH-BD"},
@@ -72,7 +75,7 @@ func figure3(_ Options, outs []*outcome) []*Table {
 	for _, row := range chunks(outs, len(syntheticKinds)) {
 		cells := []string{itoa(row[0].s.n)}
 		for _, out := range row {
-			times, _ := out.firstDiscoveries(out.controlOrLateBorn())
+			times, _ := out.firstDiscoveriesAsOf(discoveryCut(o))
 			cells = append(cells, f2(meanDiscoveryMinutes(times)))
 		}
 		table.AddRow(cells...)
@@ -88,7 +91,7 @@ func discoveryCDFs(kind modelKind) view {
 		var tables []*Table
 		for _, n := range edgeNs(o.ns()) {
 			out := pick(outs, kind, n)
-			times, missed := out.firstDiscoveries(out.controlOrLateBorn())
+			times, missed := out.firstDiscoveriesAsOf(discoveryCut(o))
 			cdf := cdfOf(in(time.Duration.Seconds, times))
 			t := cdfTable(
 				fmt.Sprintf("%v, N = %d (%d samples, %d undiscovered)", kind, n, cdf.N(), missed),

@@ -59,7 +59,7 @@ func TestCollusionPollutionProbability(t *testing.T) {
 // TestCollusionCoverageVsFraction is the quantitative version of the
 // Section 4.3 analysis, swept over the colluder fraction, two K/N
 // sizing rules, and two hash functions. Colluders are the top f·N
-// indexes (the convention the cluster's CollusionConfig uses). For
+// indexes (the convention ClusterConfig.Collusion uses). For
 // every honest victim x three statistics must track the analytic
 // prediction within 5σ of the corresponding binomial:
 //
