@@ -159,8 +159,8 @@ func (o NodeOptions) validate(n int) error {
 
 // coreConfig is the part of a node's core.Config that the options set
 // alike for simulated and real nodes in a system of size n; the caller
-// adds identity, scheme, transport, randomness and, for an attacker,
-// its Adversary.
+// adds identity, scheme, transport and randomness, and a simulation
+// worker its envelopes and sweep scratch.
 func (o NodeOptions) coreConfig(n int) core.Config {
 	return core.Config{
 		CVS:              o.cvsFor(n),

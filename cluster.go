@@ -129,17 +129,16 @@ type ClusterConfig struct {
 	Shards int
 	// Options are the per-node protocol knobs.
 	Options NodeOptions
-	// Collusion stages the collusion/eclipse attack of the chaos
-	// experiment (the adversary model of Section 4.3): the fraction of
-	// the stable population N, in [0, 1], that forms a colluding ring.
-	// The ring is the top Collusion·N (rounded) indexes of the initial
-	// population; nodes born later (churn births, control enrollees) are
-	// honest, so the attack consumes no extra randomness. A colluder
-	// sends no monitoring ping to a victim, anyone outside the ring, and
-	// so keeps no history of it (the eclipse half); asked about one in a
-	// read-out it answers 0 (Availability; the defamation half). 0 leaves
-	// every node honest, the run byte-identical to one without the
-	// attack (the chaos experiment's control-arm gate).
+	// Collusion names the colluding ring of the chaos experiment (the
+	// adversary model of Section 4.3): the fraction of the stable
+	// population N, in [0, 1], that belongs to it. The ring is the top
+	// Collusion·N (rounded) indexes of the initial population; nodes
+	// born later (churn births, control enrollees) are honest. A
+	// colluder runs the protocol like any node; asked in a read-out
+	// about a victim, anyone outside the ring, it answers 0
+	// (Availability). So the ring never changes the run: at any
+	// fraction it ends fingerprint-identical to the run at 0 (the chaos
+	// experiment gates its attack arm as its control's twin).
 	Collusion float64
 	// LatencyModel is the one-way latency distribution: constant (see
 	// NewConstantLatency; nil means a constant 50ms), lognormal, zone
@@ -306,8 +305,8 @@ type Cluster struct {
 	k      int
 	cvs    int
 	// colludeFrom is the first colluding index: members with
-	// idx ≥ colludeFrom (among the initial N) run the collusion
-	// attack. Equal to cfg.N when nobody colludes.
+	// idx ≥ colludeFrom (among the initial N) lie in the read-outs.
+	// Equal to cfg.N when nobody colludes.
 	colludeFrom int
 }
 
@@ -389,13 +388,13 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 	}
 	// One scratch instance per engine shard carries the sweep buffers,
 	// the message freelist and the configuration, built once here, of
-	// every honest node that shard executes — per shard, not per node,
-	// so a million-node run pays for a handful.
-	honest := cfg.Options.coreConfig(cfg.N)
-	honest.Scheme = scheme
+	// every node that shard executes — per shard, not per node, so a
+	// million-node run pays for a handful.
+	shared := cfg.Options.coreConfig(cfg.N)
+	shared.Scheme = scheme
 	eng.SetWorkerLocal(func() any {
-		ws := &workerScratch{eng: eng, cfg: honest}
-		ws.cfg.Pool = ws
+		ws := &workerScratch{eng: eng, cfg: shared}
+		ws.cfg.AcquireMessage, ws.cfg.Scratch = ws.acquireMessage, &ws.sweep
 		return ws
 	})
 	model.Install(eng, c)
@@ -404,8 +403,8 @@ func NewCluster(cfg ClusterConfig, model ChurnModel) (*Cluster, error) {
 
 // workerScratch is the per-worker state behind the cluster's
 // allocation-free steady state: the protocol sweep buffers, a freelist
-// of message envelopes, and the configuration of the honest nodes the
-// worker executes, which names the scratch as their core.Pool. Messages
+// of message envelopes, and the configuration of the nodes the worker
+// executes, which draws its envelopes and sweep buffers from here. Messages
 // migrate between workers with the traffic (acquired on the sender's
 // worker, recycled on the receiver's), which stays balanced because
 // steady-state traffic is dominated by request/response pairs.
@@ -416,8 +415,8 @@ type workerScratch struct {
 	cfg   core.Config
 }
 
-// AcquireMessage implements core.Pool.
-func (ws *workerScratch) AcquireMessage() *core.Message {
+// acquireMessage is the worker's core.Config.AcquireMessage.
+func (ws *workerScratch) acquireMessage() *core.Message {
 	if k := len(ws.msgs); k > 0 {
 		msg := ws.msgs[k-1]
 		ws.msgs = ws.msgs[:k-1]
@@ -425,9 +424,6 @@ func (ws *workerScratch) AcquireMessage() *core.Message {
 	}
 	return &core.Message{}
 }
-
-// SweepScratch implements core.Pool.
-func (ws *workerScratch) SweepScratch() *core.SweepScratch { return &ws.sweep }
 
 // undelivered runs on the destination's lane whenever a message finds
 // its target dead; it attributes useless monitoring pings back to the
@@ -502,15 +498,7 @@ func (c *Cluster) Birth(idx int) {
 	// Its first draw is its overreport ticket (overreports), drawn
 	// here so that the protocol's draws follow it.
 	m.rng.Float64()
-	// Honest nodes share their worker's configuration; a colluder
-	// costs a private copy naming its adversary.
-	nodeCfg := &m.ws.cfg
-	if c.IsColluder(idx) {
-		own := *nodeCfg
-		own.Adversary = &adversary{c}
-		nodeCfg = &own
-	}
-	if err := m.node.Init(nodeCfg, id, m, &m.rng, c.newCV()); err != nil {
+	if err := m.node.Init(&m.ws.cfg, id, m, &m.rng, c.newCV()); err != nil {
 		panic(err) // unreachable: NewCluster validated the configuration
 	}
 	c.members[idx] = m
@@ -530,20 +518,6 @@ func (c *Cluster) overreports(idx int, f float64) bool {
 	var ticket sim.CompactRNG
 	ticket.Seed(c.nodeSeed(idx))
 	return ticket.Float64() < f
-}
-
-// adversary is the core.Adversary of a colluder
-// (ClusterConfig.Collusion): it withholds its probes of victims,
-// everyone outside the ring. It reads only the ring roster, fixed at
-// construction, so it is safe on the member's lane under sharding.
-type adversary struct {
-	c *Cluster
-}
-
-// Withhold implements core.Adversary.
-func (a *adversary) Withhold(target ids.ID) bool {
-	ti, ok := ids.SimIndex(target)
-	return ok && !a.c.IsColluder(ti)
 }
 
 // Rejoin implements churn.Driver.
@@ -679,8 +653,9 @@ func (c *Cluster) EnrollControl(count int) []int {
 }
 
 // IsColluder reports whether node idx belongs to the colluding ring
-// staged by ClusterConfig.Collusion: the top Collusion·N (rounded)
-// indexes of the initial population. Always false at Collusion 0.
+// named by ClusterConfig.Collusion: the top Collusion·N (rounded)
+// indexes of the initial population, whose answers about victims the
+// read-outs (Availability) forge. Always false at Collusion 0.
 func (c *Cluster) IsColluder(idx int) bool {
 	return idx >= c.colludeFrom && idx < c.cfg.N
 }

@@ -401,9 +401,9 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			mk: func() (ChurnModel, error) { return NewSYNTHModel(100, 0.2) },
 		},
 		{
-			// Collusion attack: a quarter of the population withholds its
-			// pings of its victims. The adversary runs on member lanes, so
-			// this proves Withhold is a shard-safe pure function.
+			// A colluding quarter of the population: the ring lies only
+			// in read-outs, so this digest is the honest run's
+			// (TestCollusionIsAReadOut).
 			name: "chaos-collusion",
 			cfg: ClusterConfig{
 				N: 90, Seed: 26,
@@ -621,6 +621,35 @@ func TestClusterAvailability(t *testing.T) {
 					t.Errorf("%s: a node that joined a second ago reads %v", name, est)
 				}
 			}
+		}
+	}
+}
+
+// TestCollusionIsAReadOut: a colluding ring never changes the run. On
+// the chaos-collusion fingerprint row's set-up, at one shard and two,
+// the cluster with a quarter of its population colluding ends with the
+// fingerprint of the one without; only the read-out differs, where a
+// colluder answers 0 for a victim.
+func TestCollusionIsAReadOut(t *testing.T) {
+	mk := func() (ChurnModel, error) { return NewSYNTHBDModel(90, 0.3, 0.3) }
+	for _, shards := range []int{1, 2} {
+		cfg := ClusterConfig{N: 90, Seed: 26, Shards: shards, Options: NodeOptions{Forgetful: true}}
+		honest, _ := fingerprintRun(t, cfg, mk)
+		cfg.Collusion = 0.25
+		ring, _ := fingerprintRun(t, cfg, mk)
+		if got, want := ring.Fingerprint(), honest.Fingerprint(); got != want {
+			t.Errorf("shards %d: collusion 0.25 ended with fingerprint %s, collusion 0 with %s", shards, got, want)
+		}
+		forged := 0
+		for idx := 0; idx < ring.Size(); idx++ {
+			a, aok := honest.Availability(idx, 0)
+			b, bok := ring.Availability(idx, 0)
+			if !ring.IsColluder(idx) && (a != b || aok != bok) {
+				forged++
+			}
+		}
+		if forged == 0 {
+			t.Errorf("shards %d: no victim's availability reads differently under collusion", shards)
 		}
 	}
 }

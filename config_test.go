@@ -331,11 +331,11 @@ func TestServiceAndClusterNodesAgree(t *testing.T) {
 }
 
 // TestNodeConfigIsWhatInitWasGiven: a simulated node's Config is what
-// Birth gave Init — its own identity, transport, generator and worker
-// pool, the options with their defaults, an Adversary exactly on
-// colluders — for honest nodes and colluders alike; only the honest
-// share one Config; and the overreport ticket a read-out recomputes is
-// the first draw of a generator seeded as the node's.
+// Birth gave Init — its own identity, transport and generator, its
+// worker's envelopes and sweep scratch, the options with their
+// defaults — for honest nodes and colluders alike, which all share
+// their worker's one Config; and the overreport ticket a read-out
+// recomputes is the first draw of a generator seeded as the node's.
 func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 	cfg := ClusterConfig{
 		N: 60, Seed: 3, Options: NodeOptions{PR2: true, Hash: HashFast},
@@ -358,28 +358,27 @@ func TestNodeConfigIsWhatInitWasGiven(t *testing.T) {
 		m := c.memberAt(idx)
 		got := m.node.Config()
 		ticket := sim.CompactRand(cfg.Seed ^ (int64(idx)+1)*0x5851F42D4C957F2D).Float64()
-		colluder := c.IsColluder(idx)
 		rng, _ := got.Rand.(*sim.CompactRNG)
+		// The worker's envelope is the one its freelist hands out next.
+		envelope := &core.Message{}
+		m.ws.msgs = append(m.ws.msgs, envelope)
 		switch {
-		case got.ID != c.IDOf(idx) || got.Scheme != c.Scheme() || got.Transport != core.Transport(m) || got.Pool != core.Pool(m.ws):
-			t.Errorf("node %d: identity %v, scheme, transport or pool not its own", idx, got.ID)
+		case got.ID != c.IDOf(idx) || got.Scheme != c.Scheme() || got.Transport != core.Transport(m):
+			t.Errorf("node %d: identity %v, scheme or transport not its own", idx, got.ID)
 		case rng != &m.rng:
 			t.Errorf("node %d: its generator is not its block's", idx)
+		case got.AcquireMessage == nil || got.AcquireMessage() != envelope:
+			t.Errorf("node %d: its envelopes are not its worker's", idx)
+		case got.Scratch != &m.ws.sweep:
+			t.Errorf("node %d: its sweep scratch is not its worker's", idx)
 		case !reflect.DeepEqual(coreOwned(got), want):
 			t.Errorf("node %d runs under %v, want %v", idx, coreOwned(got), want)
-		case (got.Adversary != nil) != colluder:
-			t.Errorf("node %d: adversary %v, want one exactly on a colluder (%t)", idx, got.Adversary, colluder)
 		case c.overreports(idx, ticket) || !c.overreports(idx, math.Nextafter(ticket, 1)):
 			t.Errorf("node %d: overreports does not read its ticket %v", idx, ticket)
 		}
-		victim, fellow := c.IDOf(0), c.IDOf(cfg.N-1)
-		if colluder && got.Adversary != nil && (!got.Adversary.Withhold(victim) || got.Adversary.Withhold(fellow)) {
-			t.Errorf("colluder %d does not spare exactly its fellows' pings", idx)
-		}
-		shared := reflect.ValueOf(&m.node).Elem().FieldByName("cfg").Pointer() == uintptr(unsafe.Pointer(&m.ws.cfg))
-		role := map[bool]string{true: "colluder", false: "honest"}[colluder]
-		if shared != (role == "honest") {
-			t.Errorf("node %d (%s) shares its worker's Config: %t", idx, role, shared)
+		role := map[bool]string{true: "colluder", false: "honest"}[c.IsColluder(idx)]
+		if reflect.ValueOf(&m.node).Elem().FieldByName("cfg").Pointer() != uintptr(unsafe.Pointer(&m.ws.cfg)) {
+			t.Errorf("node %d (%s) does not share its worker's Config", idx, role)
 		}
 		roles[role]++
 	}

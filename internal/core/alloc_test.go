@@ -142,7 +142,7 @@ func TestZeroAllocCVRespSweep(t *testing.T) {
 // TestNodeSizeClass pins Node — the coarse view's header by value
 // inside it, its configuration by pointer, its generator by interface —
 // at 248 bytes, and NewNode's one allocation, the node and its private
-// Config, at 400, inside the allocator's 416-byte class. A simulated
+// Config, at 376, inside the allocator's 384-byte class. A simulated
 // cluster builds the node inside its member block, whose size the root
 // package's TestNodeBlockBytes pins, and a million-node run pays 1 MB
 // per byte added here. Sweep buffers belong in the per-worker
@@ -151,8 +151,8 @@ func TestNodeSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Node{}); size > 248 {
 		t.Errorf("Node is %d bytes, want ≤ 248", size)
 	}
-	if size := unsafe.Sizeof(Node{}) + unsafe.Sizeof(Config{}); size > 400 {
-		t.Errorf("a Node and its Config are %d bytes, want ≤ 400", size)
+	if size := unsafe.Sizeof(Node{}) + unsafe.Sizeof(Config{}); size > 376 {
+		t.Errorf("a Node and its Config are %d bytes, want ≤ 376", size)
 	}
 }
 

@@ -57,11 +57,6 @@ type Config struct {
 	// ForgetfulC is the constant c in c·ts/(ts+t) (default 1).
 	ForgetfulC float64
 
-	// Pool, when non-nil, is where the node gets its recycled memory;
-	// it then takes precedence over AcquireMessage. An owner holding one
-	// object per node implements it there, at no closure per node.
-	Pool Pool
-
 	// AcquireMessage, when non-nil, supplies outgoing message
 	// envelopes — typically from a recycling pool owned by the thread
 	// executing the node — instead of allocating one per send. Supplied
@@ -70,12 +65,11 @@ type Config struct {
 	// allocate.
 	AcquireMessage func() *Message
 
-	// Adversary, when non-nil, makes this node a misbehaving monitor
-	// (the eclipse half of the chaos experiment's collusion): it
-	// decides which targets go unprobed. nil is an honest node. What a
-	// monitor answers when asked is not the protocol's to decide: a
-	// lying answer is the read-out's (avmon's Cluster.Availability).
-	Adversary Adversary
+	// Scratch holds the discovery sweep's buffers. It carries no
+	// information between calls, so every node executing on one thread
+	// may share it (a simulation worker's nodes do). nil means Init
+	// allocates one.
+	Scratch *SweepScratch
 
 	// Ablation knobs (evaluation only — they disable parts of the
 	// published protocol to measure their contribution):
@@ -90,16 +84,6 @@ type Config struct {
 	RejoinFullWeight bool
 }
 
-// Adversary is the one seam through which a node misbehaves in the
-// protocol. Withhold runs on the node's own thread and must be a pure
-// function of its input — no randomness, no retained state — or a
-// sharded simulation loses determinism.
-type Adversary interface {
-	// Withhold reports whether MonitorTick skips this round's probe of
-	// target: no MON-PING, so no observation is recorded.
-	Withhold(target ids.ID) bool
-}
-
 // Rand is the node's private random stream: the three draws the
 // protocol makes. *rand.Rand satisfies it, and so does any generator
 // that reproduces math/rand's algorithms for these methods — a
@@ -111,43 +95,11 @@ type Rand interface {
 	Shuffle(n int, swap func(i, j int))
 }
 
-// Pool supplies a node's recycled memory. Both methods are called only
-// from the thread executing the node. AcquireMessage is under the
-// contract written at Config.AcquireMessage; SweepScratch's instance
-// must be owned by that thread (one per simulation worker, say), and
-// carries no information between calls.
-type Pool interface {
-	AcquireMessage() *Message
-	SweepScratch() *SweepScratch
-}
-
-// funcPool is the Pool of a Config that names none: AcquireMessage
-// where set, else a fresh envelope per send, and a private scratch
-// allocated on first use.
-type funcPool struct {
-	acquire func() *Message
-	own     *SweepScratch
-}
-
-func (p *funcPool) AcquireMessage() *Message {
-	if p.acquire != nil {
-		return p.acquire()
-	}
-	return &Message{}
-}
-
-func (p *funcPool) SweepScratch() *SweepScratch {
-	if p.own == nil {
-		p.own = new(SweepScratch)
-	}
-	return p.own
-}
-
 // setDefaults fills in the defaults of the fields left zero; on a
 // configuration that has them it writes nothing.
 func (c *Config) setDefaults() {
-	if c.Pool == nil {
-		c.Pool = &funcPool{acquire: c.AcquireMessage}
+	if c.Scratch == nil {
+		c.Scratch = new(SweepScratch)
 	}
 	if c.Period <= 0 {
 		c.Period = DefaultPeriod

@@ -64,12 +64,7 @@ func (n *Node) MonitorTick(now time.Time) {
 				t.since, t.last = probedAt, t.last-t.since
 			}
 		}
-		// 2. An adversary may withhold the probe (the eclipse half of
-		// the collusion attack): no observation, no history.
-		if n.cfg.Adversary != nil && n.cfg.Adversary.Withhold(n.tsIDs[i]) {
-			continue
-		}
-		// 3. Decide whether to probe this round.
+		// 2. Decide whether to probe this round.
 		if n.cfg.Forgetful && t.down {
 			downFor := time.Duration(nowNanos - t.since)
 			if downFor > n.cfg.ForgetfulTau {
@@ -89,7 +84,7 @@ func (n *Node) MonitorTick(now time.Time) {
 				}
 			}
 		}
-		// 4. Probe.
+		// 3. Probe.
 		seq := n.nextSeq()
 		t.probe = uint32(seq - n.probeBase)
 		n.pingsSent++

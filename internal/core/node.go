@@ -18,7 +18,7 @@ type Node struct {
 	tr       Transport
 	rand     Rand
 	// cfg is everything else Init was given, which many nodes may share
-	// (a simulated cluster's honest nodes do): its ID, Transport and
+	// (a simulated cluster's nodes do): its ID, Transport and
 	// Rand are not read, the fields above are.
 	cfg *Config
 	cv  view
@@ -101,7 +101,7 @@ func (n *Node) Init(cfg *Config, id ids.ID, tr Transport, rnd Rand, cv []ids.ID)
 // SweepScratch holds the reusable buffers of the discovery sweep
 // (handleCVResp) and the coarse-view reshuffle. The buffers carry no
 // information between calls, so one instance may serve every node
-// executing on the same worker thread (Config.Pool) — which is how
+// executing on the same worker thread (Config.Scratch) — which is how
 // million-node simulations avoid paying ~2 KB of scratch per node.
 type SweepScratch struct {
 	a, b       []ids.ID
@@ -110,11 +110,13 @@ type SweepScratch struct {
 	hits       []int32
 }
 
-// sweepScratch resolves the scratch instance for the current call.
-func (n *Node) sweepScratch() *SweepScratch { return n.cfg.Pool.SweepScratch() }
-
 // newMsg returns a zeroed outgoing message envelope.
-func (n *Node) newMsg() *Message { return n.cfg.Pool.AcquireMessage() }
+func (n *Node) newMsg() *Message {
+	if n.cfg.AcquireMessage != nil {
+		return n.cfg.AcquireMessage()
+	}
+	return &Message{}
+}
 
 // ID returns the node's identity.
 func (n *Node) ID() ids.ID { return n.id }
@@ -371,7 +373,7 @@ func (n *Node) Tick(now time.Time) {
 	// The membership is copied into sweep scratch first — sends must
 	// not iterate the live view, and the sweep buffers are free here.
 	if n.cfg.PR2 && nowNanos-n.lastMonPingRecv >= int64(2*n.cfg.Period) {
-		sc := n.sweepScratch()
+		sc := n.cfg.Scratch
 		sc.a = n.cv.appendTo(sc.a[:0])
 		for _, member := range sc.a {
 			pr2 := n.newMsg()
@@ -467,7 +469,7 @@ func (n *Node) handleCVResp(w ids.ID, fetched []ids.ID, now time.Time) {
 	// Build the two deduplicated sweep lists in reusable scratch:
 	// a = CV(x), x, w and b = CV(w), x, w, remembering where the views end
 	// and whether w was new to each.
-	sc := n.sweepScratch()
+	sc := n.cfg.Scratch
 	a := n.cv.appendTo(sc.a[:0])
 	nCV := len(a)
 	a = appendUniqueID(a, n.id)

@@ -31,8 +31,9 @@ type protocolNode interface {
 // (bits 0–4); the fast Selector's kernel, Memoize(MD5)'s memo row or
 // RelatedRow hidden (5–6); PR2, Forgetful, DisableReshuffle,
 // RejoinFullWeight (7–10); a MonitorPeriod twice Period (11), so a rule
-// that reads the wrong one of the two diverges; a withholdOdd Adversary
-// (12); bits above are ignored. A step is
+// that reads the wrong one of the two diverges; bit 12 is retired (it
+// once made the node withhold probes) and, like the bits above, ignored.
+// A step is
 // an op byte (kind in bits 0–2, arg above) and operands:
 //
 //	0     the clock advances (arg+1)·15 s
@@ -106,15 +107,12 @@ func runNodeScript(t *testing.T, seed int64, conf uint16, script []byte) {
 	if bit(11) {
 		cfg.MonitorPeriod = 2 * DefaultPeriod
 	}
-	if bit(12) {
-		cfg.Adversary = withholdOdd{}
-	}
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &specNode{cfg: n.Config(), ps: map[ids.ID]time.Duration{}, ts: map[ids.ID]*specTarget{}}
-	s.cfg.Transport, s.cfg.Rand, s.cfg.Pool = &specLog, rand.New(rand.NewSource(seed)), nil // the spec keeps no scratch
+	s.cfg.Transport, s.cfg.Rand = &specLog, rand.New(rand.NewSource(seed))
 	next := func() (b byte) {
 		if len(script) > 0 {
 			b, script = script[0], script[1:]
@@ -258,21 +256,12 @@ func checkInvariants(n *Node, in *Message, sent []sentMsg) error {
 	return nil
 }
 
-// withholdOdd is a misbehaving monitor: it sends no probe to a target
-// with an odd simulated index.
-type withholdOdd struct{}
-
-func (withholdOdd) Withhold(u ids.ID) bool {
-	i, ok := ids.SimIndex(u)
-	return ok && i%2 == 1
-}
-
 // Seed steps and conf bits, in FuzzNodeMessages's encoding.
 var minute, tick, monitorTick = []byte{3 << 3}, []byte{1}, []byte{2}
 
 const (
 	confHidden, confPR2, confForgetful, confNoReshuffle = 2 << 5, 1 << 7, 1 << 8, 1 << 9
-	confMemo, confSlowMonitor, confWithholdOdd          = 1 << 5, 1 << 11, 1 << 12
+	confMemo, confSlowMonitor, confRetired              = 1 << 5, 1 << 11, 1 << 12
 )
 
 // seedMsg is a delivery step, its fields the step's bytes (view ≤ 15).
@@ -408,10 +397,10 @@ func addNodeSeeds(f *testing.F) {
 	// A node that is not yet born, then joins twice with no leave between:
 	// the second JOIN's weight reads a last leave that never happened.
 	f.Add(int64(9), uint16(6), slices.Concat([]byte{0}, holding(2), minute, []byte{3, 4}))
-	// The forgetful cycles under an adversary that withholds its probes
-	// of odd-indexed targets: those are never probed, never resolved and
-	// never drawn for.
-	f.Add(int64(8), uint16(6|confForgetful|confWithholdOdd), cycle)
+	// The forgetful cycles with the retired bit 12 set: once they ran
+	// under a node that withheld its probes of odd-indexed targets; now
+	// the bit is ignored and they run honestly.
+	f.Add(int64(8), uint16(6|confForgetful|confRetired), cycle)
 	// Forgetful rounds, then periods in which only PONGs arrive, with
 	// the monitoring period twice the protocol period: targets never
 	// seen up for a whole session are probed at odds whose floor is one

@@ -217,9 +217,8 @@ func (s *specNode) notify(u, v ids.ID, now time.Time) {
 	}
 }
 
-// MonitorTick is § 3.3's period: an unanswered probe is a down sample; every target an
-// adversary does not withhold is probed, under forgetful pinging one down longer than τ
-// with probability c·ts/(ts+t).
+// MonitorTick is § 3.3's period: an unanswered probe is a down sample; every target is
+// probed, under forgetful pinging one down longer than τ with probability c·ts/(ts+t).
 func (s *specNode) MonitorTick(now time.Time) {
 	if !s.alive {
 		return
@@ -232,9 +231,6 @@ func (s *specNode) MonitorTick(now time.Time) {
 			if !t.down { // a session ended; one never seen whole counts as a monitoring period
 				t.down, t.downSince, t.lastSession = true, t.awaitingAt, cmp.Or(t.lastAck.Sub(t.sessionStart), s.cfg.MonitorPeriod)
 			}
-		}
-		if s.cfg.Adversary != nil && s.cfg.Adversary.Withhold(u) {
-			continue // no probe, so nothing to resolve next period
 		}
 		if downFor := now.Sub(t.downSince); s.cfg.Forgetful && t.down && downFor > s.cfg.ForgetfulTau {
 			if s.cfg.Rand.Float64() >= min(1, s.cfg.ForgetfulC*float64(t.lastSession)/float64(t.lastSession+downFor)) {

@@ -2,7 +2,7 @@ package experiments
 
 // The chaos experiment (beyond the paper): adversarial and correlated-
 // failure scenarios that the steady-state sweeps never exercise —
-// a colluding/eclipsing monitor ring, a whole availability zone
+// a colluding monitor ring, a whole availability zone
 // failing and healing, a flash crowd, and a mass leave. Every scenario
 // is a paired-seed A/B: three arms share one derived seed, so the
 // attack arm faces the identical churn-and-network realization as its
@@ -21,6 +21,9 @@ package experiments
 // two non-trivial properties at once: the zero-magnitude plumbing draws
 // no stray randomness and schedules no perturbing events, and chopping
 // a run into RunFor steps at sample boundaries cannot change results.
+// The collusion attack arm is its control's twin too: colluders lie
+// only in the read-outs (avmon's Cluster.Availability), so the run
+// under attack must end fingerprint-identical to the honest one.
 
 import (
 	"fmt"
@@ -81,11 +84,12 @@ func chaosScens(o Options) []scenario {
 			scens = append(scens, s)
 		}
 	}
-	// A colluding quarter of the population turns on its victims:
-	// monitoring pings suppressed, reports defamed to 0%.
+	// A colluding quarter of the population turns on its victims: asked
+	// about one, a colluder answers 0%. The lie is the read-out's, so
+	// the attack arm is gated as its control's twin.
 	add("collusion", scenario{kind: modelSTAT},
 		scenario{kind: modelSTAT, collusion: 0},
-		scenario{kind: modelSTAT, collusion: 0.25})
+		scenario{kind: modelSTAT, collusion: 0.25, twin: 1})
 	// One of three WAN zones fails for a quarter of the run, then the
 	// partition heals: the coverage dip and the recovery time.
 	quiet := scenario{kind: modelZoneOutage, latModel: zones}

@@ -142,8 +142,9 @@ const (
 //   - The fingerprint gate. A point with scenario.twin set must end
 //     with the Cluster.Fingerprint of the point that many places before
 //     it, or the sweep fails naming both. scale's sharded rerun against
-//     its serial run and the chaos suite's stepped zero-magnitude
-//     control against its uninterrupted baseline are this one rule.
+//     its serial run, the chaos suite's stepped zero-magnitude
+//     control against its uninterrupted baseline and its collusion
+//     attack against that control are this one rule.
 //   - Host-measured sweeps (sw.serial) run one point at a time whatever
 //     Options.Parallelism says — wall, heap and peak RSS are process-wide
 //     and concurrent clusters would cross-contaminate them — keep the
